@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -82,8 +83,14 @@ func (p Process) Instance() string {
 // Commit best-efforts the VCS revision: the build info stamp when the
 // binary was built with VCS stamping, otherwise a direct git query
 // (the `go run` path); empty when neither is available. A "-dirty"
-// suffix marks uncommitted changes.
-func Commit() string {
+// suffix marks uncommitted changes. The answer is computed once per
+// process, so an unstamped build spawns git at most once however many
+// shard runs and sweep computes stamp their artifacts.
+func Commit() string { return commitOnce() }
+
+var commitOnce = sync.OnceValue(readCommit)
+
+func readCommit() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		rev, dirty := "", false
 		for _, s := range bi.Settings {

@@ -57,3 +57,19 @@ func TestCollectProcessStartedAt(t *testing.T) {
 		t.Errorf("PID = %d, want %d", a.PID, os.Getpid())
 	}
 }
+
+// Commit is read once per process: later calls return the first
+// answer even when git has since become unreachable, and so never
+// spawn it again.
+func TestCommitMemoized(t *testing.T) {
+	first := Commit()
+	t.Setenv("PATH", "")
+	for i := 0; i < 3; i++ {
+		if got := Commit(); got != first {
+			t.Fatalf("call %d: Commit() = %q, first call gave %q", i+2, got, first)
+		}
+	}
+	if got := Collect().Commit; got != first {
+		t.Fatalf("Collect().Commit = %q, Commit() = %q", got, first)
+	}
+}

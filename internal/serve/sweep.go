@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -50,7 +51,13 @@ func (nw *ndjsonWriter) writeLine(line []byte) error {
 		nw.w.WriteHeader(http.StatusOK)
 		nw.wrote = true
 	}
-	if _, err := nw.w.Write(append(line, '\n')); err != nil {
+	// line may be a shared artifact's Result (singleflight followers
+	// hold the same one), so the newline is written after it, never
+	// appended into its backing array.
+	if _, err := nw.w.Write(line); err != nil {
+		return err
+	}
+	if _, err := io.WriteString(nw.w, "\n"); err != nil {
 		return err
 	}
 	if f, ok := nw.w.(http.Flusher); ok {

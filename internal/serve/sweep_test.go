@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/serve/key"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -123,6 +126,60 @@ func TestSweepStreamColdThenWarm(t *testing.T) {
 	}
 	if !bytes.Equal(warm[0], terminal) {
 		t.Fatal("warm terminal line differs from cold one")
+	}
+}
+
+// slowObjectReads delays every read under the store's objects/ tree,
+// so concurrent warm requests for one key overlap in one store flight.
+type slowObjectReads struct{ faultfs.FS }
+
+func (f slowObjectReads) ReadFile(name string) ([]byte, error) {
+	if strings.Contains(name, string(filepath.Separator)+"objects"+string(filepath.Separator)) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	return f.FS.ReadFile(name)
+}
+
+// Warm requests collapsed into one store flight share the flight's
+// artifact, Result bytes included: writing the terminal line must not
+// touch them. Run under -race, the shared backing array is where a
+// writer that appends the newline to the result itself is caught.
+func TestSweepConcurrentWarmRepliesShareResult(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), Workers: 2, FS: slowObjectReads{faultfs.OS()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	cold := httptest.NewRecorder()
+	h.ServeHTTP(cold, httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(sweepBody)))
+	if cold.Code != http.StatusOK {
+		t.Fatalf("cold sweep: status %d: %s", cold.Code, cold.Body.String())
+	}
+	lines := bytes.Split(bytes.TrimSpace(cold.Body.Bytes()), []byte("\n"))
+	want := append(bytes.Clone(lines[len(lines)-1]), '\n')
+
+	const n = 8
+	recs := make([]*httptest.ResponseRecorder, n)
+	var wg sync.WaitGroup
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+		wg.Add(1)
+		go func(rec *httptest.ResponseRecorder) {
+			defer wg.Done()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(sweepBody)))
+		}(recs[i])
+	}
+	wg.Wait()
+	for i, rec := range recs {
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("warm request %d: status %d, X-Cache %q: %s", i, rec.Code, rec.Header().Get("X-Cache"), rec.Body.String())
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("warm request %d: body %q, want the terminal line %q", i, rec.Body.Bytes(), want)
+		}
+	}
+	if s.Store().Counters().Dedups == 0 {
+		t.Fatal("no warm request joined another's flight; the test did not exercise a shared artifact")
 	}
 }
 

@@ -261,6 +261,16 @@ func Dispatch(ctx context.Context, m *Manifest, opts DispatchOptions) (*Dispatch
 				open--
 				continue
 			}
+			// A peer may have published the shard and released its lease
+			// between our done check and our acquire: check again under
+			// the lease, so a finished shard is never run a second time.
+			if doneOK, err := d.doneVerified(ctx, id); err != nil {
+				return res, err
+			} else if doneOK {
+				d.release(ctx, id, lease.Token)
+				open--
+				continue
+			}
 			if err := d.runShard(ctx, id, lease); err != nil {
 				// Leave the lease in place: it expires and the shard is
 				// retried (capped) by whoever scans next — including this

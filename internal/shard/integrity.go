@@ -30,12 +30,12 @@ import (
 // forever.
 
 // ChecksumOf computes the canonical content checksum of one artifact
-// document: parse with exact numbers, drop the top-level "checksum"
-// member, re-marshal compact with sorted keys, CRC-32C. The machinery
-// is the shared internal/canon implementation, which the serve result
-// store and cache keys also build on; shard keeps this named wrapper
-// because the queue-document convention (which member is dropped) is
-// part of its artifact schema.
+// document: its canonical JSON (exact numbers, compact, sorted keys)
+// with the top-level "checksum" member dropped, then CRC-32C. The
+// machinery is the shared internal/canon implementation, which the
+// serve result store and cache keys also build on; shard keeps this
+// named wrapper because the queue-document convention (which member
+// is dropped) is part of its artifact schema.
 func ChecksumOf(doc []byte) (string, error) {
 	return canon.Checksum(doc, "checksum")
 }
