@@ -135,8 +135,12 @@ type member struct {
 }
 
 func (c *canonicalizer) release() {
-	clear(c.members[:cap(c.members)])
-	c.members = c.members[:0]
+	if cap(c.members) > maxPooled/40 { // a member is 40 bytes
+		c.members = nil
+	} else {
+		clear(c.members[:cap(c.members)]) // drop references into the input
+		c.members = c.members[:0]
+	}
 	c.in = nil
 	for _, b := range []*[]byte{&c.out, &c.keys, &c.str, &c.tmp} {
 		if cap(*b) > maxPooled {
