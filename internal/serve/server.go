@@ -49,10 +49,11 @@
 // merged document byte-identical to the stored artifact, so a client
 // folding deltas can cross-check the fold and a warm replay (which
 // skips straight to the terminal line, X-Cache: hit) returns exactly
-// the bytes the cold stream promised. Sweep queries are planned
-// through internal/shard with the same block dicing and stop rule the
-// ppsweep CLI uses, so daemon and CLI produce interchangeable
-// artifacts; a stream cut by a failure or deadline is detectable by
+// the bytes the cold stream promised. Sweep queries run through the
+// ppsweep pipeline itself — planned by internal/shard with the same
+// block dicing, executed by its one cell executor under the same stop
+// rule, folded by MergePartial — so daemon and CLI produce
+// interchangeable artifacts; a stream cut by a failure or deadline is detectable by
 // its missing terminal line, and a disconnected client cancels the
 // compute and returns its admission tokens.
 package serve

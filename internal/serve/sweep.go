@@ -234,15 +234,16 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, q *key.Query) 
 	_ = nw.writeLine(art.Result)
 }
 
-// computeSweep executes one normalized sweep query cell by cell: the
-// query is planned through shard.PlanCostBlock (one shard — the
+// computeSweep executes one normalized sweep query through the ppsweep
+// pipeline itself: shard.PlanCostBlock plans it as one shard (the
 // daemon is a single process; parallelism lives inside the samplers),
-// each finished cell is handed to emit, and the computed cells are
-// folded by shard.MergePartial under the query's stop rule into the
-// result document. Planning through internal/shard is what makes the
-// daemon's documents byte-compatible with the ppsweep pipeline's: the
-// same spec, block and rule produce the same cells, the same stopping
-// boundary, and the same merged bytes.
+// shard.RunResumableStop runs the cells with no partials directory
+// under the query's stop rule, handing each computed cell to emit,
+// and shard.MergePartial folds them into the result document. Sharing
+// the executor is what makes the daemon's documents byte-compatible
+// with the pipeline's: the same spec, block and rule produce the same
+// cells, the same stopping boundary, and the same merged bytes. An
+// emit error cancels the run and is returned.
 func (s *Server) computeSweep(ctx context.Context, q *key.Query, emit func(*shard.CellArtifact) error) (json.RawMessage, error) {
 	sw, rule, err := sweepSpecOf(q)
 	if err != nil {
@@ -252,53 +253,26 @@ func (s *Server) computeSweep(ctx context.Context, q *key.Query, emit func(*shar
 	if err != nil {
 		return nil, err
 	}
-	p, n, err := sw.Build()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := sw.Options(s.workers)
-	if err != nil {
-		return nil, err
-	}
-	expected := func(x int64) bool { return x >= n }
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	host := hostmeta.Collect()
-
-	var points []shard.PartialPoint
-	prefix := make(map[int64]*sim.Stats, len(sw.Sizes))
-	stopped := make(map[int64]bool, len(sw.Sizes))
-	norm := rule.WithDefaults()
-	for _, c := range m.Shards[0].Cells {
-		// Single-shard plans walk size-major in trial order, so the
-		// running per-size prefix is exactly the stopping fold.
-		if stopped[c.X] {
-			continue
-		}
-		pts, err := sim.SweepRange(ctx, p, sw.InputState, []int64{c.X}, expected, c.TrialLo, c.TrialHi, opts)
-		if err != nil {
-			return nil, fmt.Errorf("serve: sweep cell x=%d trials [%d,%d): %w", c.X, c.TrialLo, c.TrialHi, err)
-		}
-		st := pts[0].Stats
-		points = append(points, shard.PartialPoint{X: c.X, TrialLo: c.TrialLo, TrialHi: c.TrialHi, Stats: st})
-		if emit != nil {
-			if err := emit(&shard.CellArtifact{
-				Schema: shard.ArtifactSchema, Sweep: sw, Cell: c, Stats: st, Host: host,
-			}); err != nil {
-				return nil, err
+	var emitErr error
+	art, _, err := shard.RunResumableStop(ctx, m, m.Shards[0].ID, s.workers, "", rule, func(x int64, lo, hi int, st sim.Stats) {
+		if emitErr == nil {
+			emitErr = emit(&shard.CellArtifact{Schema: shard.ArtifactSchema, Sweep: sw,
+				Cell: shard.Cell{X: x, TrialLo: lo, TrialHi: hi}, Stats: st, Host: host})
+			if emitErr != nil {
+				cancel()
 			}
 		}
-		if norm.Enabled() {
-			acc := prefix[c.X]
-			if acc == nil {
-				acc = &sim.Stats{}
-				prefix[c.X] = acc
-			}
-			acc.Merge(st)
-			if norm.Satisfied(acc) {
-				stopped[c.X] = true
-			}
-		}
+	})
+	if emitErr != nil {
+		return nil, emitErr
 	}
-	merged, err := shard.MergePartial(sw, points, rule)
+	if err != nil {
+		return nil, err
+	}
+	merged, err := shard.MergePartial(sw, art.Points, rule)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -282,5 +283,80 @@ func TestSweepBadRequests(t *testing.T) {
 		if _, ok := doc["error"]; !ok {
 			t.Errorf("%s: no error member in %s", name, rec.Body.String())
 		}
+	}
+}
+
+// /v1/sweep and the ppsweep pipeline are one computation: for the same
+// spec, block and rule, the stream's deltas are exactly the cells a
+// 1-shard PlanCostBlock run computes, in execution order, and the
+// terminal line is the pipeline's MergePartial document byte for byte.
+// Covers an exhaustive sweep and a ci_target sweep that stops early.
+func TestSweepMatchesPipelineBytes(t *testing.T) {
+	for name, tc := range map[string]struct {
+		body  string
+		sw    shard.SweepSpec
+		block int
+		rule  sim.StopRule
+	}{
+		"exhaustive": {
+			body: sweepBody,
+			sw: shard.SweepSpec{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{2, 4, 8},
+				Trials: 8, Seed: 7, MaxSteps: 200000, Patience: 1000},
+			block: 2,
+		},
+		"ci_target": {
+			body: `{"spec":{"protocol":"flock","param":4},"sizes":[2,4,8,16],"trials":48,"seed":1,"max_steps":200000,"patience":1000,"block":4,"ci_target":0.05}`,
+			sw: shard.SweepSpec{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{2, 4, 8, 16},
+				Trials: 48, Seed: 1, MaxSteps: 200000, Patience: 1000},
+			block: 4,
+			rule:  sim.StopRule{TargetRelCI: 0.05},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			testServer(t).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(tc.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+			lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+			deltas, terminal := lines[:len(lines)-1], lines[len(lines)-1]
+
+			m, err := shard.PlanCostBlock(tc.sw, 1, shard.DefaultCost(tc.sw.Scheduler), tc.block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var computed []shard.PartialPoint
+			art, _, err := shard.RunResumableStop(context.Background(), m, "s000", 2, t.TempDir(), tc.rule,
+				func(x int64, lo, hi int, st sim.Stats) {
+					computed = append(computed, shard.PartialPoint{X: x, TrialLo: lo, TrialHi: hi, Stats: st})
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(deltas) != len(computed) {
+				t.Fatalf("stream carried %d deltas, pipeline computed %d cells", len(deltas), len(computed))
+			}
+			for i, line := range deltas {
+				ca, err := shard.DecodeCellLine(line)
+				if err != nil {
+					t.Fatalf("delta %d: %v", i, err)
+				}
+				got := shard.PartialPoint{X: ca.Cell.X, TrialLo: ca.Cell.TrialLo, TrialHi: ca.Cell.TrialHi, Stats: ca.Stats}
+				if got != computed[i] || !reflect.DeepEqual(ca.Sweep, tc.sw) {
+					t.Fatalf("delta %d is %+v of %+v, pipeline computed %+v of %+v", i, got, ca.Sweep, computed[i], tc.sw)
+				}
+			}
+			merged, err := shard.MergePartial(tc.sw, art.Points, tc.rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(terminal, want) {
+				t.Fatalf("terminal line differs from the pipeline's merge:\n%s\nvs\n%s", terminal, want)
+			}
+		})
 	}
 }

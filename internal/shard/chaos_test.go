@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,6 +135,33 @@ func TestDispatchGivesUpAfterRetryBudget(t *testing.T) {
 	})
 	if !errors.Is(err, ErrQueueIO) {
 		t.Errorf("want ErrQueueIO after exhausted retry budget, got %v", err)
+	}
+	if !errors.Is(err, faultfs.ErrRetryExhausted) {
+		t.Errorf("want faultfs.ErrRetryExhausted after exhausted retry budget, got %v", err)
+	}
+}
+
+// The queue's retry policy is faultfs.Retrier's: every absorbed
+// transient error is counted, exhaustion wraps both ErrQueueIO and
+// faultfs.ErrRetryExhausted, and a permanent error returns at once
+// wrapping neither.
+func TestQueueRetryPolicy(t *testing.T) {
+	var c Counters
+	env := newQueueEnv(nil, 3, time.Millisecond, &c)
+	calls := 0
+	err := env.retry(context.Background(), "flaky", func() error { calls++; return syscall.EIO })
+	if !errors.Is(err, ErrQueueIO) || !errors.Is(err, faultfs.ErrRetryExhausted) || !errors.Is(err, syscall.EIO) {
+		t.Errorf("exhausted retry: %v, want ErrQueueIO, ErrRetryExhausted and the cause", err)
+	}
+	if calls != 3 || c.Retries != 2 {
+		t.Errorf("%d calls, %d retries counted; want 3 and 2", calls, c.Retries)
+	}
+	err = env.retry(context.Background(), "denied", func() error { return fs.ErrPermission })
+	if !errors.Is(err, fs.ErrPermission) || errors.Is(err, ErrQueueIO) || errors.Is(err, faultfs.ErrRetryExhausted) {
+		t.Errorf("permanent error: %v, want it returned as is", err)
+	}
+	if c.Retries != 2 {
+		t.Errorf("permanent error counted as a retry: %d", c.Retries)
 	}
 }
 

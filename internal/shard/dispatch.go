@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	mrand "math/rand/v2"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -306,8 +307,12 @@ func Dispatch(ctx context.Context, m *Manifest, opts DispatchOptions) (*Dispatch
 		if idle < 30 {
 			idle++
 		}
-		if err := sleepCtx(ctx, env.jitter(window)); err != nil {
-			return res, err
+		t := time.NewTimer(max(mrand.N(window), time.Millisecond))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return res, ctx.Err()
+		case <-t.C:
 		}
 	}
 }

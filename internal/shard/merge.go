@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 
 	"repro/internal/sim"
@@ -21,70 +19,34 @@ type Merged struct {
 }
 
 // Merge folds partial artifacts into the single-process sweep result.
-// It verifies that every artifact carries a known schema version and
-// the same sweep spec, and that for every size the partial trial
-// ranges tile [0, Trials) exactly — overlapping shards (a shard run
-// twice, or two plans mixed) and missing shards are reported by size
-// and range rather than silently mis-aggregated.
+// It is the strict form of the anytime merge: CollectPartial checks
+// that every artifact carries a known schema and the same sweep spec,
+// checkTiling that for every size the partial trial ranges tile
+// [0, Trials) exactly — overlapping shards (a shard run twice, or two
+// plans mixed) and missing shards are reported by size and range
+// rather than silently mis-aggregated — and MergePartial, with no stop
+// rule, does the fold.
 func Merge(arts []*Artifact) (*Merged, error) {
-	if len(arts) == 0 {
-		return nil, errors.New("shard: nothing to merge")
-	}
-	for i, a := range arts {
-		if a.Schema != ArtifactSchema {
-			return nil, fmt.Errorf("shard: artifact %d (shard %q) has schema %d, this build understands %d",
-				i, a.Shard.ID, a.Schema, ArtifactSchema)
-		}
-		if !reflect.DeepEqual(a.Sweep, arts[0].Sweep) {
-			return nil, fmt.Errorf("shard: artifact %d (shard %q) belongs to a different sweep: %+v vs %+v",
-				i, a.Shard.ID, a.Sweep, arts[0].Sweep)
-		}
-	}
-	sw := arts[0].Sweep
-	if err := sw.Validate(); err != nil {
+	sw, points, err := CollectPartial(arts, nil)
+	if err != nil {
 		return nil, err
 	}
-	byX := make(map[int64][]PartialPoint)
-	for _, a := range arts {
-		for _, pt := range a.Points {
-			// An internally inconsistent point (a worker that died after
-			// writing partial accumulators, a hand-edited file) would pass
-			// the range tiling below while under-counting trials.
-			if pt.Stats.Trials != pt.TrialHi-pt.TrialLo {
-				return nil, fmt.Errorf("shard: artifact %q size %d claims trials [%d,%d) but its stats aggregate %d trials",
-					a.Shard.ID, pt.X, pt.TrialLo, pt.TrialHi, pt.Stats.Trials)
-			}
-			byX[pt.X] = append(byX[pt.X], pt)
-		}
+	byX := make(map[int64][]Cell, len(sw.Sizes))
+	for _, pt := range points {
+		byX[pt.X] = append(byX[pt.X], Cell{X: pt.X, TrialLo: pt.TrialLo, TrialHi: pt.TrialHi})
 	}
-	for x := range byX {
-		found := false
-		for _, want := range sw.Sizes {
-			if x == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("shard: partial results for size %d, which the sweep does not contain", x)
-		}
-	}
-	out := &Merged{Schema: ArtifactSchema, Sweep: sw, Points: make([]sim.SweepPoint, 0, len(sw.Sizes))}
 	for _, x := range sw.Sizes {
-		parts := byX[x]
-		cells := make([]Cell, len(parts))
-		for i, pt := range parts {
-			cells[i] = Cell{X: x, TrialLo: pt.TrialLo, TrialHi: pt.TrialHi}
-		}
-		if err := checkTiling(x, cells, sw.Trials); err != nil {
+		if err := checkTiling(x, byX[x], sw.Trials); err != nil {
 			return nil, err
 		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i].TrialLo < parts[j].TrialLo })
-		var stats sim.Stats
-		for _, pt := range parts {
-			stats.Merge(pt.Stats)
-		}
-		out.Points = append(out.Points, sim.SweepPoint{X: x, Stats: stats})
+	}
+	am, err := MergePartial(sw, points, sim.StopRule{})
+	if err != nil {
+		return nil, err
+	}
+	out := &Merged{Schema: am.Schema, Sweep: sw, Points: make([]sim.SweepPoint, len(am.Points))}
+	for i, pt := range am.Points {
+		out.Points[i] = sim.SweepPoint{X: pt.X, Stats: pt.Stats}
 	}
 	return out, nil
 }

@@ -212,55 +212,22 @@ func SealCellLine(ca *CellArtifact) ([]byte, error) {
 
 // DecodeCellLine verifies and decodes one streamed delta line: the
 // checksum must match, the schema must be known, and the statistics
-// must cover the claimed trial range. It is the replay client's (and
-// the stream tests') validity check for every delta.
+// must cover the claimed (non-empty) trial range. It is the replay
+// client's (and the stream tests') validity check for every delta.
 func DecodeCellLine(data []byte) (*CellArtifact, error) {
-	if _, err := verifyDoc(data, "delta"); err != nil {
-		return nil, err
-	}
-	var ca CellArtifact
-	if err := json.Unmarshal(data, &ca); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("delta: %v", err)}
-	}
-	if ca.Schema != ArtifactSchema {
-		return nil, fmt.Errorf("delta: cell schema %d, this build understands %d", ca.Schema, ArtifactSchema)
-	}
-	c := ca.Cell
-	if c.TrialLo < 0 || c.TrialHi <= c.TrialLo {
-		return nil, &corruptError{reason: fmt.Sprintf("delta: invalid trial range [%d,%d)", c.TrialLo, c.TrialHi)}
-	}
-	if ca.Stats.Trials != c.TrialHi-c.TrialLo {
-		return nil, &corruptError{reason: fmt.Sprintf("delta: cell claims trials [%d,%d) but its stats aggregate %d trials",
-			c.TrialLo, c.TrialHi, ca.Stats.Trials)}
-	}
-	return &ca, nil
+	return decodeCell(data, "delta")
 }
 
 // ReadCellFile loads one cell-*.json partial on its own, outside the
-// resumable runner: checksum verified, schema checked, statistics
-// consistent with the claimed range. Unlike the runner's loader it
-// does not compare against a plan — CollectPartial/MergePartial do
-// the cross-source sweep checks.
+// executor, with DecodeCellLine's checks. Unlike the executor's
+// loader it does not compare against a plan — CollectPartial and
+// MergePartial do the cross-source sweep checks.
 func ReadCellFile(path string) (*CellArtifact, error) {
 	data, err := faultfs.OS().ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := verifyDoc(data, path); err != nil {
-		return nil, err
-	}
-	var ca CellArtifact
-	if err := json.Unmarshal(data, &ca); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", path, err)}
-	}
-	if ca.Schema != ArtifactSchema {
-		return nil, fmt.Errorf("%s: cell schema %d, this build understands %d", path, ca.Schema, ArtifactSchema)
-	}
-	if ca.Stats.Trials != ca.Cell.TrialHi-ca.Cell.TrialLo {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: cell claims trials [%d,%d) but its stats aggregate %d trials",
-			path, ca.Cell.TrialLo, ca.Cell.TrialHi, ca.Stats.Trials)}
-	}
-	return &ca, nil
+	return decodeCell(data, path)
 }
 
 // ScanPartialDir gathers the merge inputs living under one queue or

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -425,5 +426,33 @@ func TestScanPartialDir(t *testing.T) {
 	}
 	if _, _, err := ScanPartialDir(dir); err == nil {
 		t.Error("scan over a torn cell file succeeded")
+	}
+}
+
+// A sealed cell file with an empty or negative trial range and zero
+// trials is corrupt, exactly as the same document streamed as a delta
+// is: ReadCellFile (and through it ScanPartialDir) rejects it at load
+// time instead of deferring the failure to MergePartial.
+func TestReadCellFileRejectsEmptyRange(t *testing.T) {
+	for _, c := range []Cell{{X: 2, TrialLo: 5, TrialHi: 5}, {X: 2, TrialLo: -3, TrialHi: -3}} {
+		dir := t.TempDir()
+		data, err := sealJSON(&CellArtifact{Schema: ArtifactSchema, Sweep: testSpec(), Cell: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, cellFileName(c))
+		if err := WriteFileAtomic(path, data); err != nil {
+			t.Fatal(err)
+		}
+		var ce *corruptError
+		if _, err := ReadCellFile(path); !errors.As(err, &ce) {
+			t.Errorf("cell %+v: ReadCellFile err = %v, want corrupt", c, err)
+		}
+		if _, err := DecodeCellLine(data); !errors.As(err, &ce) {
+			t.Errorf("cell %+v: DecodeCellLine err = %v, want corrupt", c, err)
+		}
+		if _, _, err := ScanPartialDir(dir); err == nil {
+			t.Errorf("cell %+v: ScanPartialDir accepted it", c)
+		}
 	}
 }

@@ -65,25 +65,18 @@ func writeJSONAtomic(path string, v any) error {
 	return WriteFileAtomic(path, append(data, '\n'))
 }
 
-// parseCell integrity-checks and decodes one cell partial document.
-// Corruption — unparseable JSON, checksum mismatch, a cell that is
-// not the one the file name promises, stats that do not cover the
-// claimed trial range — comes back as *corruptError, telling the
-// caller to quarantine and recompute (always safe: cells are pure
-// functions of the sweep spec). A partial from a different sweep or
-// an unknown schema stays a loud error: recomputing would mask an
-// operator mixup (two plans sharing a partials dir) or a build
-// mismatch until merge time or beyond.
+// parseCell integrity-checks and decodes one cell partial document
+// for the executor: decodeCell's checks, then that it belongs to this
+// sweep and is the cell its file name promises. Corruption comes back
+// as *corruptError, telling the caller to quarantine and recompute
+// (always safe: cells are pure functions of the sweep spec). A
+// partial from a different sweep or an unknown schema stays a loud
+// error: recomputing would mask an operator mixup (two plans sharing
+// a partials dir) or a build mismatch until merge time or beyond.
 func parseCell(data []byte, path string, sw SweepSpec, want Cell) (*CellArtifact, error) {
-	if _, err := verifyDoc(data, path); err != nil {
+	ca, err := decodeCell(data, path)
+	if err != nil {
 		return nil, err
-	}
-	var ca CellArtifact
-	if err := json.Unmarshal(data, &ca); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", path, err)}
-	}
-	if ca.Schema != ArtifactSchema {
-		return nil, fmt.Errorf("%s: cell schema %d, this build understands %d", path, ca.Schema, ArtifactSchema)
 	}
 	if !reflect.DeepEqual(ca.Sweep, sw) {
 		return nil, fmt.Errorf("%s: cell belongs to a different sweep (partials dir shared between plans?)", path)
@@ -91,9 +84,31 @@ func parseCell(data []byte, path string, sw SweepSpec, want Cell) (*CellArtifact
 	if ca.Cell != want {
 		return nil, &corruptError{reason: fmt.Sprintf("%s: cell is %+v, file name promises %+v", path, ca.Cell, want)}
 	}
-	if ca.Stats.Trials != want.TrialHi-want.TrialLo {
+	return ca, nil
+}
+
+// decodeCell is the one cell-document decoder behind the executor's
+// loader, ReadCellFile and DecodeCellLine: checksum verified, JSON
+// decoded, schema known, trial range non-empty, statistics covering
+// exactly that range. origin names the document in errors.
+func decodeCell(data []byte, origin string) (*CellArtifact, error) {
+	if _, err := verifyDoc(data, origin); err != nil {
+		return nil, err
+	}
+	var ca CellArtifact
+	if err := json.Unmarshal(data, &ca); err != nil {
+		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", origin, err)}
+	}
+	if ca.Schema != ArtifactSchema {
+		return nil, fmt.Errorf("%s: cell schema %d, this build understands %d", origin, ca.Schema, ArtifactSchema)
+	}
+	c := ca.Cell
+	if c.TrialLo < 0 || c.TrialHi <= c.TrialLo {
+		return nil, &corruptError{reason: fmt.Sprintf("%s: invalid trial range [%d,%d)", origin, c.TrialLo, c.TrialHi)}
+	}
+	if ca.Stats.Trials != c.TrialHi-c.TrialLo {
 		return nil, &corruptError{reason: fmt.Sprintf("%s: cell claims trials [%d,%d) but its stats aggregate %d trials",
-			path, want.TrialLo, want.TrialHi, ca.Stats.Trials)}
+			origin, c.TrialLo, c.TrialHi, ca.Stats.Trials)}
 	}
 	return &ca, nil
 }
@@ -106,10 +121,8 @@ func parseCell(data []byte, path string, sw SweepSpec, want Cell) (*CellArtifact
 // flight, and the next attempt (same process or a dispatcher retry on
 // another host) picks up from the surviving cells. A corrupt partial
 // (torn write, bit rot, checksum mismatch) is quarantined to
-// corrupt/ with a reason file and its cell recomputed. Cells execute
-// one at a time (trials still fan out to the worker pool) so
-// persistence granularity really is one cell; the grouped multi-size
-// parallelism of Run is traded away for it.
+// corrupt/ with a reason file and its cell recomputed. An empty dir
+// persists nothing.
 //
 // Positional seeds make resumed and fresh cells bit-identical, so the
 // assembled Artifact carries exactly the Points of an uninterrupted
@@ -122,28 +135,34 @@ func RunResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 
 // RunResumableStop is RunResumable with the anytime extensions: an
 // optional stop rule and an optional streaming sink. Before computing
-// a cell, the runner folds the point's gap-free prefix from the
-// partials directory (cells other shards persisted count too) and
-// skips the cell when the rule is already satisfied at an earlier
-// boundary — the skip is purely an optimization: MergePartial
-// truncates at the same canonical boundary whether or not the
-// post-stop cells exist, so racing workers that compute a few extra
-// cells never change the reported document. sink (may be nil) fires
-// once per cell the shard contributes, loaded or computed, in
-// execution order.
+// a cell, the runner folds the point's gap-free prefix — from cells
+// it already holds and, given a dir, from cells other shards
+// persisted there — and skips the cell when the rule is already
+// satisfied at an earlier boundary. The skip is purely an
+// optimization: MergePartial truncates at the same canonical boundary
+// whether or not the post-stop cells exist, so racing workers that
+// compute a few extra cells never change the reported document. sink
+// (may be nil) fires once per cell the shard contributes, loaded or
+// computed, in execution order.
 func RunResumableStop(ctx context.Context, m *Manifest, shardID string, workers int, dir string, rule sim.StopRule, sink sim.CellSink) (*Artifact, Counters, error) {
 	var c Counters
-	env := newQueueEnv(nil, 0, 0, &c)
-	art, err := runResumable(ctx, m, shardID, workers, dir, 0, env, rule, sink)
+	art, err := runResumable(ctx, m, shardID, workers, dir, 0, newQueueEnv(nil, 0, 0, &c), rule, sink)
 	return art, c, err
 }
 
-// runResumable implements RunResumable over an explicit queue
-// environment (filesystem seam, retry policy, counters); failAfter >
-// 0 injects a fault for kill/resume tests and the CI dispatcher
-// drill: the runner returns errInjectedFailure after persisting that
-// many fresh cells, leaving the partials exactly as a killed process
-// would.
+// runResumable is the one cell executor behind Run, RunResumable*,
+// Dispatch and ppserve's /v1/sweep. Cells run one at a time in plan
+// order (trials fan out to the worker pool), so persistence
+// granularity really is one cell. For each cell it loads a verified
+// partial when dir is set, skips the cell when the stop rule is
+// already satisfied on the size's folded prefix, and otherwise runs
+// one sim.SweepRange call, persists the result when dir is set, and
+// emits it to the artifact and the sink. With no dir it touches no
+// file. env is the filesystem seam, retry policy and counters;
+// failAfter > 0 injects a fault for kill/resume tests and the CI
+// dispatcher drill: the executor returns errInjectedFailure after
+// that many fresh cells, leaving the partials exactly as a killed
+// process would.
 func runResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string, failAfter int, env *queueEnv, rule sim.StopRule, sink sim.CellSink) (*Artifact, error) {
 	if m.Schema != ManifestSchema {
 		return nil, fmt.Errorf("shard: manifest schema %d, this build understands %d", m.Schema, ManifestSchema)
@@ -152,10 +171,12 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 	if err != nil {
 		return nil, err
 	}
-	if err := env.retry(ctx, "mkdir partials", func() error {
-		return env.fsys.MkdirAll(dir, 0o755)
-	}); err != nil {
-		return nil, err
+	if dir != "" {
+		if err := env.retry(ctx, "mkdir partials", func() error {
+			return env.fsys.MkdirAll(dir, 0o755)
+		}); err != nil {
+			return nil, err
+		}
 	}
 	sw := m.Sweep
 	p, n, err := sw.Build()
@@ -174,78 +195,91 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 		Shard:  *spec,
 		Host:   hostmeta.Collect(),
 	}
-	// Prefix context for sequential stopping: the full per-size cell
-	// grid (all shards, trial order) and the stats this run has seen,
-	// keyed by cell. Other shards' cells are read from the partials
-	// dir on demand — best effort, since a missing or unreadable
-	// prefix merely means the cell is computed rather than skipped.
+	// Sequential stopping folds each size's cell grid (all shards,
+	// trial order) as far as the cells this run holds or can read.
 	rule = rule.WithDefaults()
-	var grid map[int64][]Cell
 	known := make(map[Cell]sim.Stats)
+	folds := make(map[int64]*stopFold)
 	if rule.Enabled() {
-		grid = make(map[int64][]Cell, len(sw.Sizes))
 		for _, s := range m.Shards {
 			for _, c := range s.Cells {
-				grid[c.X] = append(grid[c.X], c)
+				if folds[c.X] == nil {
+					folds[c.X] = &stopFold{}
+				}
+				folds[c.X].grid = append(folds[c.X].grid, c)
 			}
 		}
-		for _, cs := range grid {
-			sortCellsByTrialLo(cs)
-		}
-	}
-	emit := func(c Cell, st sim.Stats) {
-		known[c] = st
-		art.Points = append(art.Points, PartialPoint{
-			X: c.X, TrialLo: c.TrialLo, TrialHi: c.TrialHi, Stats: st,
-		})
-		if sink != nil {
-			sink(c.X, c.TrialLo, c.TrialHi, st)
+		for _, f := range folds {
+			sortCellsByTrialLo(f.grid)
 		}
 	}
 	fresh := 0
 	for _, c := range spec.Cells {
-		path := filepath.Join(dir, cellFileName(c))
-		data, err := env.readRetry(ctx, path)
+		st, loaded, err := env.loadCell(ctx, dir, sw, c)
 		if err != nil {
 			return nil, err
 		}
-		if data != nil {
-			ca, perr := parseCell(data, path, sw, c)
-			var corrupt *corruptError
-			switch {
-			case perr == nil:
-				emit(c, ca.Stats)
-				env.counters.CellsLoaded++
-				continue
-			case errors.As(perr, &corrupt):
-				if qerr := env.quarantine(ctx, path, corrupt.reason); qerr != nil {
-					return nil, qerr
-				}
-				// Fall through: the cell is recomputed.
-			default:
-				return nil, perr
-			}
-		}
-		if rule.Enabled() && prefixSatisfied(ctx, env, dir, sw, grid[c.X], c, known, rule) {
+		switch {
+		case loaded:
+			env.counters.CellsLoaded++
+		case rule.Enabled() && folds[c.X].satisfied(ctx, env, dir, sw, c, known, rule):
 			env.counters.CellsStopped++
 			continue
+		default:
+			points, err := sim.SweepRange(ctx, p, sw.InputState, []int64{c.X}, expected, c.TrialLo, c.TrialHi, opts)
+			if err != nil {
+				return nil, fmt.Errorf("shard %s cell x=%d trials [%d,%d): %w", shardID, c.X, c.TrialLo, c.TrialHi, err)
+			}
+			st = points[0].Stats
+			if dir != "" {
+				ca := CellArtifact{Schema: ArtifactSchema, Sweep: sw, Cell: c, Stats: st, Host: art.Host}
+				if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca); err != nil {
+					return nil, err
+				}
+			}
+			env.counters.CellsComputed++
+			fresh++
 		}
-		points, err := sim.SweepRange(ctx, p, sw.InputState, []int64{c.X}, expected, c.TrialLo, c.TrialHi, opts)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s cell x=%d trials [%d,%d): %w", shardID, c.X, c.TrialLo, c.TrialHi, err)
+		known[c] = st
+		art.Points = append(art.Points, PartialPoint{X: c.X, TrialLo: c.TrialLo, TrialHi: c.TrialHi, Stats: st})
+		if sink != nil {
+			sink(c.X, c.TrialLo, c.TrialHi, st)
 		}
-		ca := CellArtifact{Schema: ArtifactSchema, Sweep: sw, Cell: c, Stats: points[0].Stats, Host: art.Host}
-		if err := env.writeSealedRetry(ctx, path, &ca); err != nil {
-			return nil, err
-		}
-		emit(c, points[0].Stats)
-		env.counters.CellsComputed++
-		fresh++
 		if failAfter > 0 && fresh >= failAfter {
 			return nil, fmt.Errorf("shard %s: %w after %d cells", shardID, errInjectedFailure, fresh)
 		}
 	}
 	return art, nil
+}
+
+// loadCell returns cell c's verified statistics from the partials
+// directory, if a partial is there. A corrupt partial is quarantined
+// and reported absent, so the caller recomputes the cell; a foreign
+// or unknown-schema partial is a loud error.
+func (e *queueEnv) loadCell(ctx context.Context, dir string, sw SweepSpec, c Cell) (sim.Stats, bool, error) {
+	ca, err := e.readCell(ctx, dir, sw, c)
+	var corrupt *corruptError
+	if errors.As(err, &corrupt) {
+		return sim.Stats{}, false, e.quarantine(ctx, filepath.Join(dir, cellFileName(c)), corrupt.reason)
+	}
+	if err != nil || ca == nil {
+		return sim.Stats{}, false, err
+	}
+	return ca.Stats, true, nil
+}
+
+// readCell reads and parses cell c's partial in dir; (nil, nil) when
+// there is none, and always with no dir.
+func (e *queueEnv) readCell(ctx context.Context, dir string, sw SweepSpec, c Cell) (*CellArtifact, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	path := filepath.Join(dir, cellFileName(c))
+	data, err := e.readRetry(ctx, path)
+	if err != nil || data == nil {
+		return nil, err
+	}
+	return parseCell(data, path, sw, c)
 }
 
 // sortCellsByTrialLo orders one size's cells in trial order, the fold
@@ -254,48 +288,47 @@ func sortCellsByTrialLo(cs []Cell) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].TrialLo < cs[j].TrialLo })
 }
 
-// prefixSatisfied reports whether the stop rule is already satisfied
-// at some cell boundary strictly before c.TrialLo, folding the
-// point's gap-free prefix [0, c.TrialLo) from cells this run already
-// holds (known) or other shards persisted in dir. Any hole in the
-// prefix — a cell not yet computed, unreadable, or corrupt — aborts
-// the fold and reports false: computing a post-stop cell is always
-// safe (MergePartial truncates at the canonical boundary), whereas
-// skipping on incomplete evidence could stall a sweep. Quarantining
-// an observed-corrupt prefix cell is left to the shard that owns it.
-func prefixSatisfied(ctx context.Context, env *queueEnv, dir string, sw SweepSpec, gridX []Cell, c Cell, known map[Cell]sim.Stats, rule sim.StopRule) bool {
-	if c.TrialLo == 0 {
-		return false
-	}
-	var prefix sim.Stats
-	next := 0
-	for _, pc := range gridX {
-		if pc.TrialLo != next || pc.TrialHi > c.TrialLo {
-			return false // gap, or the grid never tiles [0, c.TrialLo)
+// stopFold is the executor's stopping fold for one size: the gap-free
+// prefix [0, next) of the size's cell grid folded in trial order. It
+// stops advancing once the stop rule holds, so next is then the
+// canonical stopping boundary.
+type stopFold struct {
+	grid    []Cell // the size's cells across all shards, in trial order
+	folded  int    // grid[:folded] is in stats
+	next    int
+	stats   sim.Stats
+	stopped bool
+}
+
+// satisfied reports whether the stop rule held at some cell boundary
+// at or before c.TrialLo. It first extends the fold up to c.TrialLo
+// with cells this run holds (known) or, given a dir, other shards
+// persisted there. A hole in the prefix — a cell not yet computed,
+// unreadable, or corrupt — pauses the fold until a later call:
+// computing a post-stop cell is always safe (MergePartial truncates at
+// the canonical boundary), whereas skipping on incomplete evidence
+// could stall a sweep. Quarantining an observed-corrupt prefix cell is
+// left to the shard that owns it.
+func (f *stopFold) satisfied(ctx context.Context, env *queueEnv, dir string, sw SweepSpec, c Cell, known map[Cell]sim.Stats, rule sim.StopRule) bool {
+	for !f.stopped && f.folded < len(f.grid) {
+		pc := f.grid[f.folded]
+		if pc.TrialLo != f.next || pc.TrialHi > c.TrialLo {
+			break // gap in the grid, or past the cell
 		}
 		st, ok := known[pc]
 		if !ok {
-			data, err := env.readRetry(ctx, dir+"/"+cellFileName(pc))
-			if err != nil || data == nil {
-				return false
-			}
-			ca, perr := parseCell(data, dir+"/"+cellFileName(pc), sw, pc)
-			if perr != nil {
-				return false
+			ca, err := env.readCell(ctx, dir, sw, pc)
+			if err != nil || ca == nil {
+				break
 			}
 			st = ca.Stats
-			known[pc] = st
 		}
-		prefix.Merge(st)
-		if rule.Satisfied(&prefix) {
-			return true
-		}
-		next = pc.TrialHi
-		if next >= c.TrialLo {
-			return false
-		}
+		f.stats.Merge(st)
+		f.folded++
+		f.next = pc.TrialHi
+		f.stopped = rule.Satisfied(&f.stats)
 	}
-	return false
+	return f.stopped && f.next <= c.TrialLo
 }
 
 // errInjectedFailure marks a deliberately simulated worker death

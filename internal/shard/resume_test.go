@@ -4,12 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/sim"
 )
 
@@ -187,6 +192,57 @@ func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(baseline.Points, res.Points) {
 			t.Errorf("strip=%v: recovered points differ from baseline", strip)
+		}
+	}
+}
+
+// deadFS fails every call and counts it.
+type deadFS struct{ calls atomic.Int64 }
+
+func (f *deadFS) fail() error                                 { f.calls.Add(1); return syscall.EIO }
+func (f *deadFS) ReadFile(string) ([]byte, error)             { return nil, f.fail() }
+func (f *deadFS) WriteFile(string, []byte, fs.FileMode) error { return f.fail() }
+func (f *deadFS) WriteFileSync(string, []byte, fs.FileMode) error {
+	return f.fail()
+}
+func (f *deadFS) Append(string, []byte, fs.FileMode) error { return f.fail() }
+func (f *deadFS) Rename(string, string) error              { return f.fail() }
+func (f *deadFS) Link(string, string) error                { return f.fail() }
+func (f *deadFS) Remove(string) error                      { return f.fail() }
+func (f *deadFS) Stat(string) (fs.FileInfo, error)         { return nil, f.fail() }
+func (f *deadFS) MkdirAll(string, fs.FileMode) error       { return f.fail() }
+func (f *deadFS) SyncDir(string) error                     { return f.fail() }
+func (f *deadFS) Now() time.Time                           { f.calls.Add(1); return time.Time{} }
+
+// With no partials directory the executor touches no file: over a
+// filesystem that fails every call it returns the same artifact as
+// over the real one — stop rule and stopping fold included — and the
+// filesystem records zero calls.
+func TestExecutorWithoutDirTouchesNoFile(t *testing.T) {
+	sw := stopSpec()
+	m, err := PlanCostBlock(sw, 1, DefaultCost(sw.Scheduler), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []sim.StopRule{{}, stopRule()} {
+		dead := &deadFS{}
+		var c Counters
+		got, err := runResumable(context.Background(), m, "s000", 0, "", 0, newQueueEnv(dead, 0, 0, &c), rule, nil)
+		if err != nil {
+			t.Fatalf("rule %+v over a dead FS: %v", rule, err)
+		}
+		want, err := runResumable(context.Background(), m, "s000", 0, "", 0, newQueueEnv(faultfs.OS(), 0, 0, nil), rule, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("rule %+v: artifact over a dead FS differs from the real FS's", rule)
+		}
+		if n := dead.calls.Load(); n != 0 {
+			t.Errorf("rule %+v: executor without a dir made %d filesystem calls", rule, n)
+		}
+		if rule.Enabled() && c.CellsStopped == 0 {
+			t.Errorf("rule %+v: no cell skipped, the stopping fold went unexercised", rule)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"log"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultfs"
@@ -18,7 +19,8 @@ import (
 // after the bounded transient-error retry budget: the filesystem is
 // not merely hiccuping, and the dispatcher gives up rather than
 // spinning. ppsweep maps it to its own exit code so operators can
-// tell "queue storage is broken" from "a shard's work failed".
+// tell "queue storage is broken" from "a shard's work failed". Every
+// ErrQueueIO also wraps faultfs.ErrRetryExhausted.
 var ErrQueueIO = errors.New("shard: queue I/O failed after retries")
 
 // queueEnv bundles what every queue-directory touch needs: the
@@ -27,22 +29,19 @@ var ErrQueueIO = errors.New("shard: queue I/O failed after retries")
 // call; counters are only touched from its goroutine.
 type queueEnv struct {
 	fsys     faultfs.FS
-	attempts int           // total tries per operation, >= 1
-	base     time.Duration // first backoff; doubles up to cap
-	cap      time.Duration
-	rng      uint64 // splitmix64 state for jitter
+	retrier  faultfs.Retrier
+	retries  atomic.Int64 // absorbed transient errors, fed by retrier
 	counters *Counters
 }
 
+// newQueueEnv builds an env over fsys (nil means the real OS) whose
+// retrier makes attempts tries per operation with a first backoff of
+// base (zero values take faultfs.Retrier's defaults). The jitter is
+// seeded from crypto/rand per env, so a fleet started together does
+// not back off in lockstep.
 func newQueueEnv(fsys faultfs.FS, attempts int, base time.Duration, c *Counters) *queueEnv {
 	if fsys == nil {
 		fsys = faultfs.OS()
-	}
-	if attempts <= 0 {
-		attempts = 5
-	}
-	if base <= 0 {
-		base = 20 * time.Millisecond
 	}
 	if c == nil {
 		c = &Counters{}
@@ -51,71 +50,22 @@ func newQueueEnv(fsys faultfs.FS, attempts int, base time.Duration, c *Counters)
 	if _, err := rand.Read(seed[:]); err != nil {
 		panic(err) // crypto/rand failure is unrecoverable
 	}
-	return &queueEnv{
-		fsys:     fsys,
-		attempts: attempts,
-		base:     base,
-		cap:      1024 * base,
-		rng:      binary.LittleEndian.Uint64(seed[:]),
-		counters: c,
-	}
+	e := &queueEnv{fsys: fsys, counters: c}
+	e.retrier = faultfs.Retrier{Attempts: attempts, Base: base, Seed: binary.LittleEndian.Uint64(seed[:]), Count: &e.retries}
+	return e
 }
 
-func (e *queueEnv) splitmix() uint64 {
-	e.rng += 0x9e3779b97f4a7c15
-	z := e.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b5b9
-	z = (z ^ (z >> 27)) * 0x94d35a2d9c2c2a49
-	return z ^ (z >> 31)
-}
-
-// jitter draws a full-jitter delay: uniform in [0, d), floored at 1ms
-// so exhausted-entropy draws cannot busy-spin.
-func (e *queueEnv) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return time.Millisecond
-	}
-	j := time.Duration(e.splitmix() % uint64(d))
-	if j < time.Millisecond {
-		j = time.Millisecond
-	}
-	return j
-}
-
-// sleep waits for d or until ctx is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// retry runs f, absorbing transient errors (faultfs.Transient) with
-// exponential backoff plus full jitter, up to the attempt budget.
-// Permanent errors return immediately; an exhausted budget returns
-// the last error wrapped in ErrQueueIO.
+// retry runs f under the env's faultfs.Retrier, adding the transient
+// errors it absorbed to Counters.Retries. Permanent errors return
+// unwrapped; an exhausted budget returns an error wrapping both
+// ErrQueueIO and faultfs.ErrRetryExhausted.
 func (e *queueEnv) retry(ctx context.Context, op string, f func() error) error {
-	delay := e.base
-	for attempt := 1; ; attempt++ {
-		err := f()
-		if err == nil || !faultfs.Transient(err) {
-			return err
-		}
-		if attempt >= e.attempts {
-			return fmt.Errorf("%w: %s: %w", ErrQueueIO, op, err)
-		}
-		e.counters.Retries++
-		if serr := sleepCtx(ctx, e.jitter(delay)); serr != nil {
-			return serr
-		}
-		if delay < e.cap {
-			delay *= 2
-		}
+	err := e.retrier.Do(ctx, op, f)
+	e.counters.Retries += int(e.retries.Swap(0))
+	if errors.Is(err, faultfs.ErrRetryExhausted) {
+		return fmt.Errorf("%w: %w", ErrQueueIO, err)
 	}
+	return err
 }
 
 // writeSealedRetry seals v and publishes it atomically, retrying

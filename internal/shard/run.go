@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/hostmeta"
 	"repro/internal/sim"
@@ -33,61 +32,12 @@ type Artifact struct {
 	Checksum string `json:"checksum,omitempty"`
 }
 
-// Run executes one shard of the manifest and returns its artifact.
-// workers bounds each point's trial pool (0 = GOMAXPROCS). Cancelling
-// ctx stops the underlying sim workers promptly and returns ctx.Err().
-//
-// Consecutive cells sharing a trial range execute as one SweepRange
-// call, so a shard covering several whole sizes gets the sweep
-// engine's two-level point/trial parallelism.
+// Run executes one shard of the manifest and returns its artifact:
+// RunResumableStop with no partials directory, no stop rule and no
+// sink. workers bounds each cell's trial pool (0 = GOMAXPROCS).
+// Cancelling ctx stops the underlying sim workers promptly and
+// returns ctx.Err().
 func Run(ctx context.Context, m *Manifest, shardID string, workers int) (*Artifact, error) {
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("shard: manifest schema %d, this build understands %d", m.Schema, ManifestSchema)
-	}
-	spec, err := m.Shard(shardID)
-	if err != nil {
-		return nil, err
-	}
-	sw := m.Sweep
-	p, n, err := sw.Build()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := sw.Options(workers)
-	if err != nil {
-		return nil, err
-	}
-	expected := func(x int64) bool { return x >= n }
-
-	art := &Artifact{
-		Schema: ArtifactSchema,
-		Sweep:  sw,
-		Shard:  *spec,
-		Host:   hostmeta.Collect(),
-	}
-	for g := 0; g < len(spec.Cells); {
-		// Group consecutive cells with the same trial range.
-		h := g + 1
-		for h < len(spec.Cells) &&
-			spec.Cells[h].TrialLo == spec.Cells[g].TrialLo &&
-			spec.Cells[h].TrialHi == spec.Cells[g].TrialHi {
-			h++
-		}
-		xs := make([]int64, 0, h-g)
-		for _, c := range spec.Cells[g:h] {
-			xs = append(xs, c.X)
-		}
-		lo, hi := spec.Cells[g].TrialLo, spec.Cells[g].TrialHi
-		points, err := sim.SweepRange(ctx, p, sw.InputState, xs, expected, lo, hi, opts)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s trials [%d,%d): %w", shardID, lo, hi, err)
-		}
-		for _, pt := range points {
-			art.Points = append(art.Points, PartialPoint{
-				X: pt.X, TrialLo: lo, TrialHi: hi, Stats: pt.Stats,
-			})
-		}
-		g = h
-	}
-	return art, nil
+	art, _, err := RunResumableStop(ctx, m, shardID, workers, "", sim.StopRule{}, nil)
+	return art, err
 }

@@ -6,6 +6,18 @@
 // Merge folds any set of partial artifacts back into exactly the
 // Stats/SweepPoints a single-process run would have produced.
 //
+// There is one executor, one fold and one retry policy. Run,
+// RunResumable, RunResumableStop, Dispatch and ppserve's /v1/sweep all
+// run cells through one unexported cell executor: per cell, in plan
+// order, it loads a verified partial when given a partials directory,
+// skips the cell when the stop rule already holds on the size's folded
+// prefix, and otherwise makes one sim.SweepRange call, then persists
+// (given a directory) and emits the result; without a directory it
+// touches no file. Every merge is the MergePartial fold — the strict
+// Merge is MergePartial behind a tiling check that rejects duplicate,
+// overlapping and missing trial ranges. Every queue-directory
+// operation retries under faultfs.Retrier.
+//
 // The exactness contract rests on two invariants:
 //
 //   - Seed derivation is positional, not sequential. A trial's seed is
@@ -38,8 +50,8 @@
 // in a loop. (The final Merged output deliberately has no checksum,
 // so byte-diffing merged files across runs stays meaningful.) Queue
 // I/O retries transient errors (the ESTALE/EINTR family) with
-// exponential backoff and full jitter before giving up with
-// ErrQueueIO, and lease liveness is judged by each observer's own
+// faultfs.Retrier's exponential backoff and full jitter before giving
+// up with ErrQueueIO, and lease liveness is judged by each observer's own
 // clock watching the lease's monotonic heartbeat sequence — never by
 // comparing wall-clock stamps across hosts — so clock skew can
 // neither rob a live owner nor keep a dead one's lease. All I/O goes

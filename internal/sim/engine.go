@@ -40,6 +40,11 @@ type State struct {
 
 	gamma []core.Output
 	occ   [4]int // occupied-state count per output class, indexed by Output
+
+	// runs counts resets: a Stepper with per-run state (Auto's exact
+	// phase) compares it to the value it last saw to notice that a new
+	// run began on the reused state.
+	runs uint64
 }
 
 // preShape is a transition precondition specialized for the dominant
@@ -136,6 +141,7 @@ func (st *State) Reset(input conf.Config) error {
 // protocol's space; RunMany builds the initial configuration once and
 // resets each worker from it without per-trial validation.
 func (st *State) resetFrom(initial conf.Config) {
+	st.runs++
 	st.counts.CopyFrom(initial)
 	st.agents = 0
 	st.occ = [4]int{}

@@ -58,12 +58,19 @@ func (a Auto) Attach(st *State) (Stepper, error) {
 
 type autoStepper struct {
 	cs        *countStepper
-	exactLeft int // remaining interactions of the current exact phase
-	phase     int // next exact-phase length (doubles on failed probes)
+	run       uint64 // the State.runs value the phase state belongs to
+	exactLeft int    // remaining interactions of the current exact phase
+	phase     int    // next exact-phase length (doubles on failed probes)
 }
 
 func (s *autoStepper) Step(rng *RNG, limit int) (int, bool) {
 	st := s.cs.st
+	if s.run != st.runs {
+		// A new run on a reused state starts from the first phase, so a
+		// trial's trajectory depends on its seed alone, never on the
+		// trial the same worker ran before it.
+		s.run, s.exactLeft, s.phase = st.runs, 0, autoMinExact
+	}
 	if !st.ensureLive() {
 		return 0, false
 	}

@@ -81,6 +81,45 @@ func TestCountBatchedSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// Auto's exact-phase state is per run: a trial-pool worker reusing one
+// stepper across trials starts each trial afresh, so sweep statistics
+// equal those of fresh per-trial runs for every worker count. The
+// patience makes every run end inside an exact phase, the state a
+// reused stepper would otherwise carry into the next trial.
+func TestAutoSweepDeterministicAcrossWorkers(t *testing.T) {
+	p, err := counting.FlockOfBirds(8)
+	if err != nil {
+		t.Fatalf("FlockOfBirds: %v", err)
+	}
+	input, err := p.Input(map[string]int64{"i": 100_000})
+	if err != nil {
+		t.Fatalf("input: %v", err)
+	}
+	const trials = 16
+	opts := Options{Seed: 9, MaxSteps: 1 << 26, StablePatience: 2000, Scheduler: Auto{Workers: 1}}
+	var want Stats
+	for tr := 0; tr < trials; tr++ {
+		o := opts
+		o.Seed = DeriveSeed(opts.Seed, tr)
+		res, err := Run(p, input, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Observe(res, true)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		o := opts
+		o.Workers = workers
+		got, err := RunMany(context.Background(), p, input, true, trials, o)
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if *got != want {
+			t.Errorf("w=%d stats %+v, fresh per-trial runs %+v", workers, *got, want)
+		}
+	}
+}
+
 // The hybrid scheduler must agree with the exact weighted scheduler on
 // what the protocols compute: the same cross-validation CountBatched
 // passes, on a protocol mixing collapse phases (where Auto's exact
