@@ -10,6 +10,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bounds"
@@ -103,6 +104,30 @@ func BenchmarkReachClosure(b *testing.B) {
 		}
 		if !rs.Complete {
 			b.Fatal("incomplete closure")
+		}
+	}
+}
+
+// BenchmarkReachChain measures a one-shot Reach of E8's pump net
+// (a → a + b) at a 2¹⁸ budget: 2¹⁸ BFS levels of width 1, the shape on
+// which per-level overhead in the BFS driver shows.
+func BenchmarkReachChain(b *testing.B) {
+	space := conf.MustSpace("a", "b")
+	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
+	pump, err := petri.NewTransition("pump", u("a"), u("a").Add(u("b")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := petri.New(space, []petri.Transition{pump})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := net.Reach(u("a"), petri.Budget{MaxConfigs: 1 << 18})
+		if !errors.Is(err, petri.ErrBudget) || rs.Len() != 1<<18 {
+			b.Fatalf("closure of %d nodes, err %v; want the 2^18 budget exhausted", rs.Len(), err)
 		}
 	}
 }

@@ -15,6 +15,9 @@ import (
 // cannot certify mutual reachability.
 func Component(net *petri.Net, rho conf.Config, budget petri.Budget) ([]conf.Config, error) {
 	rs, err := net.Reach(rho, budget)
+	if rs != nil {
+		defer rs.Release()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("component: %w", err)
 	}
@@ -35,6 +38,9 @@ func Component(net *petri.Net, rho conf.Config, budget petri.Budget) ([]conf.Con
 // with infinite closures the check errs on budget rather than guessing.
 func IsBottom(net *petri.Net, rho conf.Config, budget petri.Budget) (bool, error) {
 	rs, err := net.Reach(rho, budget)
+	if rs != nil {
+		defer rs.Release()
+	}
 	if err != nil {
 		return false, fmt.Errorf("bottom check: %w", err)
 	}
@@ -104,16 +110,41 @@ type maskCandidate struct {
 // whose restriction α|Q is T|Q-bottom, a short pumping word w with
 // β|Q = α|Q and β > α outside Q is searched breadth-first.
 //
+// The closure from ρ is grown one BFS level at a time, and only as far
+// as the search reads it. A node strictly dominating its BFS parent
+// proves the closure infinite — the transition between them stays
+// fireable and pumps forever, as transitions are monotone — so the
+// search switches to the Karp–Miller branch there instead of exploring
+// up to the budget first. That branch grows the closure while the
+// candidate loop asks for the next node. Node order, truncation point,
+// certificates and errors are those of a closure built whole by
+// petri.Reach.
+//
 // Every returned certificate is verified by VerifyBottomCert before
 // being handed to the caller.
 func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*BottomCert, error) {
 	space := net.Space()
-	rs, reachErr := net.Reach(rho, opts.Budget)
-	if reachErr != nil && rs == nil {
-		return nil, reachErr
+	rs, err := net.StartReach(rho, opts.Budget)
+	if err != nil {
+		return nil, err
+	}
+	defer rs.Release()
+	done, infinite := false, false
+	parent := make([]int64, space.Len())
+	for !done && !infinite {
+		lo := rs.Len()
+		if done, err = rs.Grow(); err != nil {
+			return nil, err
+		}
+		for id := lo; id < rs.Len() && !infinite; id++ {
+			// Copy the parent out: a spilled closure's views last
+			// only until the next read.
+			copy(parent, rs.Config(rs.Parent(id)).RawCounts())
+			infinite = conf.View(space, parent).Leq(rs.Config(id))
+		}
 	}
 
-	if reachErr == nil {
+	if rs.Complete {
 		// Complete closure: Q = P and any reachable bottom-SCC member is
 		// a T-bottom configuration.
 		cert, err := bottomFromCompleteClosure(net, rs)
@@ -170,14 +201,20 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 	if pumpDepth <= 0 {
 		pumpDepth = 4 * space.Len()
 	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = rs.Len()
-	}
 
 	skipped := 0 // distinct (Q, α|Q) bottom checks lost to the budget
 	scratchQ := make([]int64, maxQ)
-	for id := 0; id < rs.Len() && id < maxCand; id++ {
+	// Without MaxCandidates every node up to the closure's truncation
+	// point is a candidate.
+	for id := 0; opts.MaxCandidates <= 0 || id < opts.MaxCandidates; id++ {
+		for id >= rs.Len() && !done {
+			if done, err = rs.Grow(); err != nil {
+				return nil, err
+			}
+		}
+		if id >= rs.Len() {
+			break
+		}
 		alpha := rs.Config(id)
 		for _, mc := range candidates {
 			alphaQ := scratchQ[:mc.qSpace.Len()]

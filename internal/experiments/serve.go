@@ -198,6 +198,13 @@ func E12wServeReplayWarm() (*Table, error) {
 		t.Verdict = fmt.Sprintf("FAIL: only %d/%d warm queries hit the cache", hits, total)
 		return t, fmt.Errorf("E12w: %s", t.Verdict)
 	}
+	if raceEnabled {
+		// The detector's overhead swamps the cold/warm gap on a small
+		// host, so only the hit check above holds under it.
+		t.Verdict = fmt.Sprintf("100%% cache hits over %d warm replays; warm p99 %v vs cold p50 %v not compared under the race detector",
+			e12WarmPasses, p99.Round(time.Microsecond), coldP50.Round(time.Microsecond))
+		return t, nil
+	}
 	if p99 >= coldP50 {
 		t.Verdict = fmt.Sprintf("FAIL: warm p99 %v did not beat cold p50 %v", p99, coldP50)
 		return t, fmt.Errorf("E12w: %s", t.Verdict)

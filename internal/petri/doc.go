@@ -26,6 +26,11 @@
 //     points are byte-identical for every worker count, including
 //     budget-truncated runs.
 //
+// A closure can also be grown lazily: StartReach returns it holding
+// only the root, and each ReachSet.Grow expands one BFS level through
+// the same driver Reach runs to the end, so node ids, edges and the
+// truncation point do not depend on where growth paused.
+//
 // Budgets (Budget.MaxConfigs, depth and agent caps) truncate
 // deterministically: the closure returns with exactly the budgeted
 // node count and an error that says the budget, not the instance,

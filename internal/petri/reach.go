@@ -117,18 +117,31 @@ type Edge struct {
 // CSR form (one offset array, flat target/transition arrays), and the
 // BFS tree in dense int32 arrays. No per-node allocation happens on the
 // exploration hot path.
+//
+// A closure is either built whole by Reach, or started by StartReach
+// and grown one BFS level at a time by Grow. Both run the same BFS, so
+// node ids, edges and the truncation point do not depend on how the
+// closure was grown.
 type ReachSet struct {
 	net     *Net
 	set     *conf.CountSet
-	edgeOff []int32 // CSR offsets; finalized to length Len()+1
+	edgeOff []int32 // CSR offsets; padded to length Len()+1 whenever growth pauses
 	edgeTo  []int32
 	edgeVia []int32
 	parent  []int32 // BFS tree parent node, −1 at the root
 	via     []int32 // transition fired from parent, −1 at the root
 	depth   []int32
 
-	// Complete reports that the closure is exact: no budget or depth
-	// truncation occurred. Analyses that require exactness must check it.
+	// grow is the BFS driver; nil once growth has ended.
+	grow *expander
+	// trunc is the error a truncated closure reports: a wrapped
+	// ErrBudget or ErrCancelled, set when growth ends.
+	trunc error
+
+	// Complete reports that growth has ended with the exact closure: no
+	// budget, depth or agent truncation occurred. It is false while the
+	// closure is still growing. Analyses that require exactness must
+	// check it.
 	Complete bool
 }
 
@@ -145,23 +158,75 @@ type ReachSet struct {
 // underlying errno, e.g. syscall.ENOSPC), with the spill files
 // released; they never crash the process even though the arena's hot
 // paths report them by panicking.
-func (n *Net) Reach(from conf.Config, budget Budget) (rs *ReachSet, err error) {
+func (n *Net) Reach(from conf.Config, budget Budget) (*ReachSet, error) {
+	rs, err := n.StartReach(from, budget)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := rs.growLevels(-1); err != nil {
+		return nil, err
+	}
+	return rs, rs.trunc
+}
+
+// StartReach returns the closure of from that holds only the root,
+// ready to be grown by Grow within the budget. Callers that may stop
+// before growth ends must still Release the closure.
+func (n *Net) StartReach(from conf.Config, budget Budget) (*ReachSet, error) {
 	if !from.Space().Equal(n.space) {
 		return nil, errors.New("petri: initial configuration over wrong space")
 	}
 	d := n.space.Len()
 	set := conf.NewCountSet(d, 256)
 	if budget.SpillDir != "" {
-		var serr error
-		set, serr = conf.NewSpillingCountSet(d, 256, conf.SpillOptions{
+		var err error
+		set, err = conf.NewSpillingCountSet(d, 256, conf.SpillOptions{
 			Dir: budget.SpillDir, Threshold: budget.SpillThreshold, FS: budget.SpillFS,
 		})
-		if serr != nil {
-			return nil, serr
+		if err != nil {
+			return nil, err
 		}
+	}
+	// The first vector opens the arena's first page: no spill I/O.
+	set.Insert(from.RawCounts())
+	rs := &ReachSet{net: n, set: set}
+	rs.parent = append(rs.parent, -1)
+	rs.via = append(rs.via, -1)
+	rs.depth = append(rs.depth, 0)
+	rs.edgeOff = append(rs.edgeOff, 0, 0) // padded for the unexpanded root
+	rs.grow = &expander{
+		rs:         rs,
+		idx:        n.Index(),
+		budget:     budget,
+		maxConfigs: budget.maxConfigs(), // int32-clamped
+		workers:    budget.EffectiveWorkers(),
+		scratch:    make([]int64, d),
+	}
+	return rs, nil
+}
+
+// Grow expands the closure's next BFS level. It reports done once
+// growth has ended, either because the frontier is empty or because a
+// budget, depth or agent cap or Budget.Cancel truncated the closure
+// (Complete=false); Grow on an ended closure is a no-op. Between calls
+// every accessor, CSR included, sees the closure grown so far; a CSR
+// taken before a Grow is invalid after it.
+//
+// A spill-layer failure is returned as a *conf.SpillError, with the
+// closure released; truncation is not an error of Grow.
+func (rs *ReachSet) Grow() (done bool, err error) { return rs.growLevels(1) }
+
+// growLevels expands up to levels BFS levels (all of them when levels
+// is negative) and pads the CSR offsets for the unexpanded frontier.
+func (rs *ReachSet) growLevels(levels int) (done bool, err error) {
+	e := rs.grow
+	if e == nil {
+		return true, nil
+	}
+	if rs.set.Spilling() {
 		// Spill flushes and loads only run on this goroutine (parallel
 		// workers read pinned, resident pages exclusively), so one
-		// recovery point at the driver boundary converts every
+		// recovery point at the growth boundary converts every
 		// spill-layer panic into the typed error.
 		defer func() {
 			if r := recover(); r != nil {
@@ -169,45 +234,40 @@ func (n *Net) Reach(from conf.Config, budget Budget) (rs *ReachSet, err error) {
 				if !ok {
 					panic(r)
 				}
-				set.Release()
-				rs, err = nil, se
+				rs.set.Release()
+				rs.grow = nil
+				done, err = true, se
 			}
 		}()
 	}
-	rs = &ReachSet{
-		net:      n,
-		set:      set,
-		Complete: true,
+	// Drop the padding of the previous pause: the frontier's offsets
+	// are appended as it is expanded.
+	rs.edgeOff = rs.edgeOff[:e.next+1]
+	if !e.run(levels) {
+		rs.grow = nil
+		rs.Complete = rs.trunc == nil
 	}
-	rs.set.Insert(from.RawCounts())
-	rs.parent = append(rs.parent, -1)
-	rs.via = append(rs.via, -1)
-	rs.depth = append(rs.depth, 0)
-	rs.edgeOff = append(rs.edgeOff, 0)
+	rs.finalizeEdges()
+	return rs.grow == nil, nil
+}
 
-	e := &expander{
-		rs:         rs,
-		idx:        n.Index(),
-		budget:     budget,
-		maxConfigs: budget.maxConfigs(), // int32-clamped
-		scratch:    make([]int64, d),
-	}
-	workers := budget.EffectiveWorkers()
-
-	// The BFS queue is the node id sequence itself; depths are
-	// monotone, so each level is a contiguous id range.
-	for level := 0; level < rs.set.Len(); {
+// run expands up to levels BFS levels (all of them when levels is
+// negative) from the queue head e.next. It reports false once growth
+// has ended, recording a truncation in rs.trunc. The BFS queue is the
+// node id sequence itself; depths are monotone, so each level is a
+// contiguous id range.
+func (e *expander) run(levels int) bool {
+	rs := e.rs
+	budget := e.budget
+	for level := e.next; levels != 0; levels-- {
 		if budget.cancelled() {
-			rs.Complete = false
-			rs.finalizeEdges()
-			return rs, errCancelled("reach", rs.set.Len())
+			return e.stop(errCancelled("reach", rs.set.Len()))
 		}
 		depth := rs.depth[level]
 		if budget.MaxDepth > 0 && int(depth) >= budget.MaxDepth {
 			// Unexpanded frontier: the closure may be missing deeper
 			// configurations.
-			rs.Complete = false
-			break
+			return e.stop(errBudget("reach", rs.set.Len()))
 		}
 		levelEnd := level + 1
 		for levelEnd < len(rs.depth) && rs.depth[levelEnd] == depth {
@@ -219,8 +279,8 @@ func (n *Net) Reach(from conf.Config, budget Budget) (rs *ReachSet, err error) {
 		// resolve calls that could otherwise evict its page.
 		rs.set.PinRange(level, levelEnd)
 		var ok bool
-		if workers > 1 && levelEnd-level >= parallelWidth(workers) {
-			ok = e.expandLevelParallel(level, levelEnd, workers)
+		if e.workers > 1 && levelEnd-level >= parallelWidth(e.workers) {
+			ok = e.expandLevelParallel(level, levelEnd, e.workers)
 		} else {
 			ok = true
 			for head := level; head < levelEnd && ok; head++ {
@@ -228,24 +288,31 @@ func (n *Net) Reach(from conf.Config, budget Budget) (rs *ReachSet, err error) {
 				// 1024 nodes so a deadline lands mid-level, not only
 				// at level boundaries.
 				if head&1023 == 1023 && budget.cancelled() {
-					rs.Complete = false
-					rs.finalizeEdges()
-					return rs, errCancelled("reach", rs.set.Len())
+					return e.stop(errCancelled("reach", rs.set.Len()))
 				}
 				ok = e.expandNode(head)
 			}
 		}
 		if !ok {
-			rs.finalizeEdges()
-			return rs, errBudget("reach", rs.set.Len())
+			return e.stop(errBudget("reach", rs.set.Len()))
 		}
 		level = levelEnd
+		if level == rs.set.Len() {
+			if e.pruned {
+				// MaxAgents pruned a successor somewhere.
+				return e.stop(errBudget("reach", rs.set.Len()))
+			}
+			return false
+		}
+		e.next = level
 	}
-	rs.finalizeEdges()
-	if !rs.Complete {
-		return rs, errBudget("reach", rs.set.Len())
-	}
-	return rs, nil
+	return true
+}
+
+// stop ends growth as a truncation reporting err.
+func (e *expander) stop(err error) bool {
+	e.rs.trunc = err
+	return false
 }
 
 // parallelWidth is the minimal level width worth fanning out to the
@@ -257,12 +324,15 @@ func parallelWidth(workers int) int {
 	return 32
 }
 
-// expander carries the scratch state of one Reach call.
+// expander carries the BFS state of one growing closure.
 type expander struct {
 	rs         *ReachSet
 	idx        *Index
 	budget     Budget
 	maxConfigs int
+	workers    int
+	next       int  // BFS queue head: the first unexpanded node id
+	pruned     bool // MaxAgents dropped a successor
 	scratch    []int64
 
 	// Per-worker buffers of the parallel BFS, reused across levels.
@@ -293,7 +363,7 @@ func (e *expander) expandNode(head int) bool {
 			continue
 		}
 		if e.budget.MaxAgents > 0 && sumCounts(e.scratch) > e.budget.MaxAgents {
-			rs.Complete = false
+			e.pruned = true
 			continue
 		}
 		if !e.resolve(int32(head), int32(ti), e.scratch, conf.HashCounts(e.scratch)) {
@@ -314,7 +384,6 @@ func (e *expander) resolve(head, ti int32, counts []int64, hash uint64) bool {
 	rs := e.rs
 	id, added, full := rs.set.InsertCapped(counts, hash, e.maxConfigs)
 	if full {
-		rs.Complete = false
 		return false
 	}
 	if added {
@@ -400,7 +469,7 @@ func (e *expander) expandLevelParallel(lo, hi, workers int) bool {
 				rec := recs[ri]
 				ri++
 				if rec.over {
-					rs.Complete = false
+					e.pruned = true
 					continue
 				}
 				counts := buf[off*d : (off+1)*d]
@@ -427,8 +496,8 @@ func (rs *ReachSet) checkEdgeCapacity(nt int) {
 	}
 }
 
-// finalizeEdges pads the CSR offset array for nodes that were never
-// expanded (truncated frontiers), so it always has Len()+1 entries.
+// finalizeEdges pads the CSR offset array for nodes not expanded (yet,
+// or ever on a truncated frontier), so it has Len()+1 entries.
 func (rs *ReachSet) finalizeEdges() {
 	for len(rs.edgeOff) <= rs.set.Len() {
 		rs.edgeOff = append(rs.edgeOff, int32(len(rs.edgeTo)))
@@ -538,6 +607,10 @@ func (rs *ReachSet) CSR() graph.CSR {
 // Depth returns the BFS depth of a node (shortest word length from the
 // root).
 func (rs *ReachSet) Depth(id int) int { return int(rs.depth[id]) }
+
+// Parent returns the BFS tree parent of a node: the node whose
+// expansion discovered it, −1 at the root.
+func (rs *ReachSet) Parent(id int) int { return int(rs.parent[id]) }
 
 // PathTo returns a shortest firing word (as transition indices) from the
 // root to the given node.

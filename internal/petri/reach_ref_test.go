@@ -405,3 +405,93 @@ func TestReachSpilledMatchesRAM(t *testing.T) {
 		}
 	}
 }
+
+// Growing a closure one BFS level at a time, with every accessor read
+// between levels, must end in the closure one-shot Reach builds — and
+// so in the reference — at every worker count and under spill. Between
+// levels the CSR must already cover every node: expanded nodes with
+// their final edges, the frontier with none.
+func TestGrowMatchesReach(t *testing.T) {
+	budgets := map[string]petri.Budget{
+		"default":     {MaxConfigs: 1 << 14},
+		"truncated":   {MaxConfigs: 100},
+		"tiny":        {MaxConfigs: 3},
+		"agentCapped": {MaxConfigs: 1 << 14, MaxAgents: 5},
+		"depthCapped": {MaxConfigs: 1 << 14, MaxDepth: 4},
+	}
+	for name, inst := range e4e8Instances(t) {
+		for bname, budget := range budgets {
+			if name == "pump(unbounded)" && bname == "default" {
+				budget.MaxConfigs = 1 << 10
+			}
+			for _, mode := range []string{"w1", "w2", "spill"} {
+				t.Run(fmt.Sprintf("%s/%s/%s", name, bname, mode), func(t *testing.T) {
+					b := budget
+					b.Workers = 1
+					if mode == "w2" {
+						b.Workers = 2
+					}
+					if mode == "spill" {
+						b.SpillDir = t.TempDir()
+						b.SpillThreshold = 8 << 10
+					}
+					whole, wholeErr := inst.net.Reach(inst.from, b)
+					if whole == nil {
+						t.Fatalf("Reach returned nil set (err %v)", wholeErr)
+					}
+					defer whole.Release()
+					rs, err := inst.net.StartReach(inst.from, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer rs.Release()
+					levelLo, levelHi := 0, 1 // the level Grow expands next
+					for done := false; !done; {
+						if done, err = rs.Grow(); err != nil {
+							t.Fatalf("Grow: %v", err)
+						}
+						if !done && rs.Complete {
+							t.Fatal("Complete while the closure is still growing")
+						}
+						csr := rs.CSR()
+						if len(csr.Off) != rs.Len()+1 || int(csr.Off[rs.Len()]) != rs.NumEdges() {
+							t.Fatalf("paused CSR has %d offsets ending at %d, want %d ending at %d",
+								len(csr.Off), csr.Off[len(csr.Off)-1], rs.Len()+1, rs.NumEdges())
+						}
+						for id := levelLo; id < levelHi; id++ {
+							got := csr.Dst[csr.Off[id]:csr.Off[id+1]]
+							want := whole.Edges(id)
+							if len(got) != len(want) {
+								t.Fatalf("node %d: %d edges mid-growth, %d in Reach", id, len(got), len(want))
+							}
+							for i := range got {
+								if int(got[i]) != want[i].To {
+									t.Fatalf("node %d edge %d: %d mid-growth, %+v in Reach", id, i, got[i], want[i])
+								}
+							}
+						}
+						for id := levelHi; id < rs.Len(); id++ {
+							if csr.Off[id] != csr.Off[id+1] {
+								t.Fatalf("frontier node %d has edges before its expansion", id)
+							}
+							if !rs.Config(id).Equal(whole.Config(id)) {
+								t.Fatalf("node %d: %v mid-growth, %v in Reach", id, rs.Config(id), whole.Config(id))
+							}
+							if w, ww := rs.PathTo(id), whole.PathTo(id); fmt.Sprint(w) != fmt.Sprint(ww) {
+								t.Fatalf("node %d word %v mid-growth, %v in Reach", id, w, ww)
+							}
+						}
+						levelLo, levelHi = levelHi, rs.Len()
+					}
+					if done, err := rs.Grow(); !done || err != nil {
+						t.Fatalf("Grow after the end = %v, %v; want a no-op", done, err)
+					}
+					if rs.Complete != whole.Complete {
+						t.Fatalf("Complete = %v, Reach %v", rs.Complete, whole.Complete)
+					}
+					assertEqualToReference(t, rs, wholeErr, referenceReach(inst.net, inst.from, budget))
+				})
+			}
+		}
+	}
+}

@@ -88,3 +88,30 @@ func TestReachSpillReadErrorReturnsError(t *testing.T) {
 	}
 	t.Skip("no bucket read occurred this run; the verify path is covered by the conf-level tests")
 }
+
+// Lazy growth keeps the same recovery point: a full disk hit by one
+// Grow comes back from that Grow as the typed error, and growth ends.
+func TestGrowSpillDiskFullReturnsError(t *testing.T) {
+	net, from := spillInstance(t)
+	faulty := faultfs.NewFaulty(faultfs.OS(), []faultfs.Fault{
+		{Op: faultfs.OpWrite, Path: ".spill", Nth: 1, Err: syscall.ENOSPC},
+	})
+	rs, err := net.StartReach(from, petri.Budget{
+		MaxConfigs: 1 << 14, SpillDir: t.TempDir(), SpillThreshold: 8 << 10, SpillFS: faulty,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Release()
+	levels := 0
+	for done := false; !done; levels++ {
+		done, err = rs.Grow()
+	}
+	var se *conf.SpillError
+	if !errors.As(err, &se) || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("after %d levels: want *conf.SpillError wrapping ENOSPC, got %v", levels, err)
+	}
+	if done, err := rs.Grow(); !done || err != nil {
+		t.Errorf("Grow after the failure = %v, %v; want a no-op", done, err)
+	}
+}
