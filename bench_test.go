@@ -20,6 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hilbert"
 	"repro/internal/petri"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/verify"
 )
@@ -282,6 +283,37 @@ func BenchmarkSweepFlock(b *testing.B) {
 		for _, pt := range pts {
 			if pt.Stats.Correct != pt.Stats.Trials {
 				b.Fatalf("x=%d: %d/%d correct", pt.X, pt.Stats.Correct, pt.Stats.Trials)
+			}
+		}
+	}
+}
+
+// BenchmarkShardRunWeighted times the sweep pipeline's weighted job
+// shape: a 2-shard plan of flock(6) over two sizes × 8 trials at trial
+// block 2, each shard run in-process on the default worker count. Run
+// with -cpu 1,2: each shard's cells share one trial pool, so two CPUs
+// must read faster than one.
+func BenchmarkShardRunWeighted(b *testing.B) {
+	sw := shard.SweepSpec{
+		Protocol: "flock", Param: 6, InputState: "i", Sizes: []int64{96, 320},
+		Trials: 8, Seed: 11, MaxSteps: 1 << 24,
+	}
+	m, err := shard.PlanCostBlock(sw, 2, shard.DefaultCost(sw.Scheduler), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range m.Shards {
+			a, err := shard.Run(context.Background(), m, sp.ID, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, pt := range a.Points {
+				if pt.Stats.Correct != pt.Stats.Trials {
+					b.Fatalf("x=%d: %d/%d correct", pt.X, pt.Stats.Correct, pt.Stats.Trials)
+				}
 			}
 		}
 	}

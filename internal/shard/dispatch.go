@@ -68,7 +68,7 @@ type DispatchOptions struct {
 	// partials/ subdirectory of per-cell resume artifacts shared
 	// across attempts, and corrupt/ quarantine subdirectories.
 	Dir string
-	// Workers bounds each cell's trial pool (0 = GOMAXPROCS).
+	// Workers bounds the shard's trial pool (0 = GOMAXPROCS).
 	Workers int
 	// LeaseTTL is how long a lease's (token, seq) pair must be
 	// observed unchanged — on the observer's own clock — before any

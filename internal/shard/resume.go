@@ -116,9 +116,11 @@ func decodeCell(data []byte, origin string) (*CellArtifact, error) {
 // RunResumable is Run with per-cell persistence in dir: cells whose
 // partial artifacts already exist (and verify) are loaded instead of
 // recomputed, and every freshly computed cell is persisted (sealed
-// with a content checksum, fsynced, atomic rename) the moment it
-// completes — a worker killed mid-shard loses at most the one cell in
-// flight, and the next attempt (same process or a dispatcher retry on
+// with a content checksum, fsynced, atomic rename) as soon as it and
+// every cell before it have completed — a worker killed mid-shard
+// loses at most the cells in flight (those holding one of its
+// ≤ workers running trials, and any finished behind the oldest of
+// them), and the next attempt (same process or a dispatcher retry on
 // another host) picks up from the surviving cells. A corrupt partial
 // (torn write, bit rot, checksum mismatch) is quarantined to
 // corrupt/ with a reason file and its cell recomputed. An empty dir
@@ -143,7 +145,7 @@ func RunResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 // whether or not the post-stop cells exist, so racing workers that
 // compute a few extra cells never change the reported document. sink
 // (may be nil) fires once per cell the shard contributes, loaded or
-// computed, in execution order.
+// computed, in plan order.
 func RunResumableStop(ctx context.Context, m *Manifest, shardID string, workers int, dir string, rule sim.StopRule, sink sim.CellSink) (*Artifact, Counters, error) {
 	var c Counters
 	art, err := runResumable(ctx, m, shardID, workers, dir, 0, newQueueEnv(nil, 0, 0, &c), rule, sink)
@@ -151,18 +153,22 @@ func RunResumableStop(ctx context.Context, m *Manifest, shardID string, workers 
 }
 
 // runResumable is the one cell executor behind Run, RunResumable*,
-// Dispatch and ppserve's /v1/sweep. Cells run one at a time in plan
-// order (trials fan out to the worker pool), so persistence
-// granularity really is one cell. For each cell it loads a verified
-// partial when dir is set, skips the cell when the stop rule is
-// already satisfied on the size's folded prefix, and otherwise runs
-// one sim.SweepRange call, persists the result when dir is set, and
-// emits it to the artifact and the sink. With no dir it touches no
-// file. env is the filesystem seam, retry policy and counters;
-// failAfter > 0 injects a fault for kill/resume tests and the CI
-// dispatcher drill: the executor returns errInjectedFailure after
-// that many fresh cells, leaving the partials exactly as a killed
-// process would.
+// Dispatch and ppserve's /v1/sweep. It walks the shard's cells in plan
+// order in waves. Each cell of a wave is loaded as a verified partial
+// when dir is set, skipped when the stop rule is already satisfied on
+// the size's folded prefix, or else handed to the wave's one
+// sim.SweepCells call, whose workers run the shard's trials on one
+// pool. Without a stop rule a wave is every remaining cell; with one,
+// a wave ends before the first cell whose size it already computes,
+// so every skip decision folds exactly the cells it would fold cell by
+// cell. Computed cells are persisted when dir is set and emitted, with
+// the wave's loaded cells, to the artifact and the sink in plan order
+// as the pool delivers them. With no dir it touches no file. env is
+// the filesystem seam, retry policy and counters; failAfter > 0
+// injects a fault for kill/resume tests and the CI dispatcher drill:
+// the executor persists exactly the first failAfter fresh cells, then
+// cancels the wave and returns errInjectedFailure, leaving the
+// partials as a killed process would.
 func runResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string, failAfter int, env *queueEnv, rule sim.StopRule, sink sim.CellSink) (*Artifact, error) {
 	if m.Schema != ManifestSchema {
 		return nil, fmt.Errorf("shard: manifest schema %d, this build understands %d", m.Schema, ManifestSchema)
@@ -214,40 +220,75 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 		}
 	}
 	fresh := 0
-	for _, c := range spec.Cells {
-		st, loaded, err := env.loadCell(ctx, dir, sw, c)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case loaded:
-			env.counters.CellsLoaded++
-		case rule.Enabled() && folds[c.X].satisfied(ctx, env, dir, sw, c, known, rule):
-			env.counters.CellsStopped++
-			continue
-		default:
-			points, err := sim.SweepRange(ctx, p, sw.InputState, []int64{c.X}, expected, c.TrialLo, c.TrialHi, opts)
-			if err != nil {
-				return nil, fmt.Errorf("shard %s cell x=%d trials [%d,%d): %w", shardID, c.X, c.TrialLo, c.TrialHi, err)
+	for i := 0; i < len(spec.Cells); {
+		// Resolve the next wave (see the doc comment above): loaded and
+		// stopped cells now, the rest through one pool call.
+		var (
+			wave      []PartialPoint // the cells the wave contributes
+			compute   []Cell
+			computeAt []int                  // wave index of each compute cell
+			sizes     = make(map[int64]bool) // sizes the wave computes
+		)
+		for ; i < len(spec.Cells); i++ {
+			c := spec.Cells[i]
+			if rule.Enabled() && sizes[c.X] {
+				break
 			}
-			st = points[0].Stats
-			if dir != "" {
-				ca := CellArtifact{Schema: ArtifactSchema, Sweep: sw, Cell: c, Stats: st, Host: art.Host}
-				if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca); err != nil {
-					return nil, err
+			st, loaded, err := env.loadCell(ctx, dir, sw, c)
+			if err != nil {
+				return nil, err
+			}
+			switch {
+			case loaded:
+				env.counters.CellsLoaded++
+				known[c] = st
+			case rule.Enabled() && folds[c.X].satisfied(ctx, env, dir, sw, c, known, rule):
+				env.counters.CellsStopped++
+				continue
+			default:
+				sizes[c.X] = true
+				computeAt = append(computeAt, len(wave))
+				compute = append(compute, c)
+			}
+			wave = append(wave, PartialPoint{X: c.X, TrialLo: c.TrialLo, TrialHi: c.TrialHi, Stats: st})
+		}
+		// emit contributes wave[:upTo] in plan order: to the artifact
+		// and to the sink.
+		emitted := 0
+		emit := func(upTo int) {
+			for ; emitted < upTo; emitted++ {
+				pt := wave[emitted]
+				art.Points = append(art.Points, pt)
+				if sink != nil {
+					sink(pt.X, pt.TrialLo, pt.TrialHi, pt.Stats)
 				}
 			}
-			env.counters.CellsComputed++
-			fresh++
 		}
-		known[c] = st
-		art.Points = append(art.Points, PartialPoint{X: c.X, TrialLo: c.TrialLo, TrialHi: c.TrialHi, Stats: st})
-		if sink != nil {
-			sink(c.X, c.TrialLo, c.TrialHi, st)
+		if len(compute) > 0 {
+			emit(computeAt[0])
+			err := sim.SweepCells(ctx, p, sw.InputState, compute, expected, opts, func(k int, st sim.Stats) error {
+				c, at := compute[k], computeAt[k]
+				if dir != "" {
+					ca := CellArtifact{Schema: ArtifactSchema, Sweep: sw, Cell: c, Stats: st, Host: art.Host}
+					if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca); err != nil {
+						return err
+					}
+				}
+				env.counters.CellsComputed++
+				fresh++
+				known[c] = st
+				wave[at].Stats = st
+				emit(at + 1)
+				if failAfter > 0 && fresh >= failAfter {
+					return fmt.Errorf("%w after %d cells", errInjectedFailure, fresh)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("shard %s: %w", shardID, err)
+			}
 		}
-		if failAfter > 0 && fresh >= failAfter {
-			return nil, fmt.Errorf("shard %s: %w after %d cells", shardID, errInjectedFailure, fresh)
-		}
+		emit(len(wave))
 	}
 	return art, nil
 }

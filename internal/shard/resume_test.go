@@ -71,7 +71,7 @@ func TestRunResumableMatchesRun(t *testing.T) {
 }
 
 // The kill-mid-shard contract: a worker that dies after persisting k
-// cells loses nothing but the in-flight cell; a second attempt loads
+// cells loses nothing but the cells in flight; a second attempt loads
 // the k survivors and completes to the same artifact an uninterrupted
 // run produces. A survivor corrupted in the meantime (torn write, bit
 // rot) is quarantined into corrupt/ with a reason file and recomputed

@@ -34,7 +34,7 @@ type Artifact struct {
 
 // Run executes one shard of the manifest and returns its artifact:
 // RunResumableStop with no partials directory, no stop rule and no
-// sink. workers bounds each cell's trial pool (0 = GOMAXPROCS).
+// sink. workers bounds the shard's trial pool (0 = GOMAXPROCS).
 // Cancelling ctx stops the underlying sim workers promptly and
 // returns ctx.Err().
 func Run(ctx context.Context, m *Manifest, shardID string, workers int) (*Artifact, error) {

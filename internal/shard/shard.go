@@ -8,15 +8,17 @@
 //
 // There is one executor, one fold and one retry policy. Run,
 // RunResumable, RunResumableStop, Dispatch and ppserve's /v1/sweep all
-// run cells through one unexported cell executor: per cell, in plan
-// order, it loads a verified partial when given a partials directory,
-// skips the cell when the stop rule already holds on the size's folded
-// prefix, and otherwise makes one sim.SweepRange call, then persists
-// (given a directory) and emits the result; without a directory it
-// touches no file. Every merge is the MergePartial fold — the strict
-// Merge is MergePartial behind a tiling check that rejects duplicate,
-// overlapping and missing trial ranges. Every queue-directory
-// operation retries under faultfs.Retrier.
+// run cells through one unexported cell executor: in plan order, it
+// loads a verified partial when given a partials directory, skips a
+// cell when the stop rule already holds on the size's folded prefix,
+// and hands the remaining cells to one sim.SweepCells trial pool —
+// the whole shard at once without a stop rule — then persists (given
+// a directory) and emits each result in plan order as it is
+// delivered; without a directory it touches no file. Every merge is
+// the MergePartial fold — the strict Merge is MergePartial behind a
+// tiling check that rejects duplicate, overlapping and missing trial
+// ranges. Every queue-directory operation retries under
+// faultfs.Retrier.
 //
 // The exactness contract rests on two invariants:
 //
@@ -34,12 +36,13 @@
 // cuts shards at equal expected cost under a pluggable CostModel so
 // large-population cells don't straggle; RunResumable persists each
 // completed cell by atomic rename so a killed worker loses at most
-// the cell in flight; and Dispatch turns a shared directory into a
-// work queue — lease files with heartbeats, expired-lease stealing
-// with per-shard attempt caps — whose every interleaving of kills,
-// resumes and redispatches still merges bit-identically to the
-// single-process sweep, because execution is idempotent under the two
-// invariants above.
+// the cells in flight (those holding one of its ≤ workers running
+// trials, and any finished behind the oldest of them); and Dispatch
+// turns a shared directory into a work queue — lease files with
+// heartbeats, expired-lease stealing with per-shard attempt caps —
+// whose every interleaving of kills, resumes and redispatches still
+// merges bit-identically to the single-process sweep, because
+// execution is idempotent under the two invariants above.
 //
 // The queue is hardened for lossy shared filesystems. Every artifact
 // the queue trades in (cell partials, shard artifacts, lease files)
@@ -190,12 +193,9 @@ func (sw *SweepSpec) Options(workers int) (sim.Options, error) {
 }
 
 // Cell is one shard's slice of one population size: the trial range
-// [TrialLo, TrialHi) of size X.
-type Cell struct {
-	X       int64 `json:"x"`
-	TrialLo int   `json:"trial_lo"`
-	TrialHi int   `json:"trial_hi"`
-}
+// [TrialLo, TrialHi) of size X. It is the simulator's sweep cell, so a
+// shard's cells go to sim.SweepCells as they are.
+type Cell = sim.Cell
 
 // Spec is one self-contained shard: a set of cells. Together with the
 // manifest's SweepSpec it fully determines the shard's work and seeds.

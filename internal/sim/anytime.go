@@ -11,11 +11,11 @@ import "fmt"
 // call as one NDJSON delta line.
 //
 // Sinks may be called from multiple worker goroutines concurrently
-// unless the caller documents otherwise; SweepRangeSink serializes
-// its calls, so a sink passed there needs no locking of its own.
-// The deltas arrive in completion order, which is scheduling-dependent
-// — only the *set* of deltas is deterministic, and folding them
-// through Stats.Merge (associative, commutative) erases the order.
+// unless the caller documents otherwise. SweepRangeSink and the shard
+// executor serialize their calls and make them in plan order, so a
+// sink passed there needs no locking of its own. Consumers should
+// still rely only on the *set* of deltas: folding them through
+// Stats.Merge (associative, commutative) erases any order.
 type CellSink func(x int64, trialLo, trialHi int, stats Stats)
 
 // DefaultMinTrials is the minimum-sample floor a StopRule falls back

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/registry"
@@ -17,8 +16,8 @@ type sinkDelta struct {
 }
 
 // TestSweepRangeSinkDeltasMatchReturn: the streamed deltas are exactly
-// the returned points — same set of (x, range, Stats) — and folding
-// them reproduces the aggregate, for several worker counts.
+// the returned points — the same (x, range, Stats) in the same order —
+// for several worker counts.
 func TestSweepRangeSinkDeltasMatchReturn(t *testing.T) {
 	p, n, err := registry.Make("flock", 4)
 	if err != nil {
@@ -41,8 +40,7 @@ func TestSweepRangeSinkDeltasMatchReturn(t *testing.T) {
 		if len(deltas) != len(points) {
 			t.Fatalf("workers=%d: %d deltas for %d points", workers, len(deltas), len(points))
 		}
-		// Deltas arrive in completion order; sort by x to compare sets.
-		sort.Slice(deltas, func(i, j int) bool { return deltas[i].x < deltas[j].x })
+		// Deltas arrive in the order of xs.
 		for i, pt := range points {
 			d := deltas[i]
 			if d.x != pt.X || d.lo != 1 || d.hi != 5 || !reflect.DeepEqual(d.stats, pt.Stats) {

@@ -3,9 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -33,10 +30,10 @@ func Sweep(ctx context.Context, p *core.Protocol, inputState string, xs []int64,
 // processes by size and/or trial block produces partial SweepPoints
 // that merge into exactly the single-process Sweep result.
 //
-// Parallelism is two-level: points fan out to a bounded pool (so sweeps
-// with few trials per point still use every core) and each point's
-// RunRange fans its trials out to workers that reuse one engine State
-// each. Results are ordered like xs and deterministic in opts.Seed
+// It is one SweepCells call with one cell per size: every trial of
+// every size runs on one pool of opts.Workers (default GOMAXPROCS)
+// workers, so sweeps with few trials per point still use every core.
+// Results are ordered like xs and deterministic in opts.Seed
 // regardless of scheduling. Cancelling ctx stops all workers promptly
 // and returns ctx.Err().
 func SweepRange(ctx context.Context, p *core.Protocol, inputState string, xs []int64, expected func(x int64) bool, trialLo, trialHi int, opts Options) ([]SweepPoint, error) {
@@ -44,91 +41,28 @@ func SweepRange(ctx context.Context, p *core.Protocol, inputState string, xs []i
 }
 
 // SweepRangeSink is SweepRange with a streaming seam: sink (may be
-// nil) is called once per point the moment that point's trial range
-// completes, with the same (x, trialLo, trialHi, Stats) the returned
-// slice will carry. Calls are serialized by an internal mutex and
-// arrive in completion order — scheduling-dependent, unlike the
-// returned slice, which stays ordered like xs and bit-identical for
-// any worker count. A caller that folds the sunk deltas with
-// Stats.Merge gets the same aggregates either way.
+// nil) is called once per point the moment that point and every point
+// before it in xs have completed, with the same (x, trialLo, trialHi,
+// Stats) the returned slice will carry. Calls are serialized and
+// arrive in the order of xs.
 func SweepRangeSink(ctx context.Context, p *core.Protocol, inputState string, xs []int64, expected func(x int64) bool, trialLo, trialHi int, opts Options, sink CellSink) ([]SweepPoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(xs) == 0 {
 		return nil, errors.New("sim: empty sweep")
 	}
+	cells := make([]Cell, len(xs))
+	for i, x := range xs {
+		cells[i] = Cell{X: x, TrialLo: trialLo, TrialHi: trialHi}
+	}
 	out := make([]SweepPoint, len(xs))
-	errs := make([]error, len(xs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	// Keep the two-level pool product at ~GOMAXPROCS unless the caller
-	// pinned Options.Workers explicitly: the outer pool takes one
-	// worker per point (capped at GOMAXPROCS above), and each
-	// point-worker's RunRange gets the ceiling share of trial-workers,
-	// so the product covers every core. Ceiling, not floor: the floor
-	// division starved the inner pools to zero whenever the outer pool
-	// took every core (g points on g cores → g/g…, but also 2g points
-	// capped at g workers → g/g = 1 is correct while g+1 points capped
-	// at g gave 0 before the old clamp kicked in — and any remainder
-	// under-used the machine).
-	inner := opts
-	if inner.Workers <= 0 {
-		g := runtime.GOMAXPROCS(0)
-		inner.Workers = (g + workers - 1) / workers
-	}
-	done := ctx.Done()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var sinkMu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				x := xs[idx]
-				input, err := p.Input(map[string]int64{inputState: x})
-				if err != nil {
-					errs[idx] = err
-					continue
-				}
-				o := inner
-				// Give each size its own hashed base seed: deterministic,
-				// and uncorrelated across nearby seeds and sizes.
-				o.Seed = DeriveSeedK(opts.Seed, x)
-				stats, err := RunRange(ctx, p, input, expected(x), trialLo, trialHi, o)
-				if err != nil {
-					errs[idx] = err
-					continue
-				}
-				out[idx] = SweepPoint{X: x, Stats: *stats}
-				if sink != nil {
-					sinkMu.Lock()
-					sink(x, trialLo, trialHi, *stats)
-					sinkMu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for idx := range xs {
-		select {
-		case jobs <- idx:
-		case <-done:
-			break feed
+	err := SweepCells(ctx, p, inputState, cells, expected, opts, func(i int, st Stats) error {
+		out[i] = SweepPoint{X: xs[i], Stats: st}
+		if sink != nil {
+			sink(xs[i], trialLo, trialHi, st)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	for idx, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sweep x=%d: %w", xs[idx], err)
-		}
 	}
 	return out, nil
 }

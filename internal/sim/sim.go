@@ -17,9 +17,9 @@
 //     in a sweep is DeriveSeed(DeriveSeedK(base, x), t) — a pure
 //     function of the sweep's base seed and the trial's coordinates,
 //     never of execution order, worker count, or which process runs
-//     it. RunRange and SweepRange therefore execute any absolute
-//     trial range [lo, hi) bit-identically to the same trials of a
-//     full run.
+//     it. RunRange, SweepRange and SweepCells therefore execute any
+//     absolute trial range [lo, hi) bit-identically to the same
+//     trials of a full run.
 //   - Stats are mergeable accumulators. Aggregates carry exact
 //     integer counts, sums (128-bit for Σ steps²) and extrema, never
 //     precomputed means, so Stats.Merge is associative and
@@ -27,10 +27,19 @@
 //     order — equals direct aggregation bit for bit. Means, variance
 //     and confidence intervals are methods computed at render time.
 //
+// Every multi-trial entry point runs on one trial pool (SweepCells):
+// a fixed set of workers, the caller among them, claims trials in plan
+// order across a whole list of cells, each worker on an engine State
+// it built and reuses, and each cell's Stats are delivered in plan
+// order the moment the cell and every cell before it are complete.
+// RunRange is a one-cell call, SweepRange a call with one cell per
+// size, and the shard executor hands a whole shard's cells over at
+// once; Options.Workers bounds the trials in flight across the call.
+//
 // On top of those two invariants sits the anytime layer: a CellSink
-// threaded through SweepRangeSink streams each cell's Stats delta the
-// moment it completes (deltas arrive in completion order, but merging
-// them is order-erasing), and a StopRule adds sequential stopping —
+// threaded through SweepRangeSink streams each cell's Stats delta as
+// it is delivered (merging deltas is order-erasing anyway), and a
+// StopRule adds sequential stopping —
 // a point stops accruing trials once its relative confidence interval
 // meets the target, evaluated only on the gap-free prefix of its
 // cells folded in trial order, so the stopping decision is a pure
@@ -42,8 +51,6 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -65,7 +72,8 @@ type Options struct {
 	StablePatience int
 	// Scheduler selects the interaction scheduler; nil means Weighted{}.
 	Scheduler Scheduler
-	// Workers bounds RunMany's trial-level worker pool; 0 means
+	// Workers bounds the trial pool behind RunMany, RunRange and the
+	// sweeps: at most this many trials run at once; 0 means
 	// GOMAXPROCS. Results are deterministic regardless of the value.
 	Workers int
 }
@@ -124,7 +132,9 @@ func Run(p *core.Protocol, input conf.Config, opts Options) (*Result, error) {
 	if err := st.Reset(input); err != nil {
 		return nil, err
 	}
-	return runLoop(nil, st, stepper, NewRNG(opts.Seed), opts), nil
+	res, _ := runLoop(nil, st, stepper, NewRNG(opts.Seed), opts)
+	res.Final = st.Snapshot()
+	return &res, nil
 }
 
 // cancelCheckEvery is how many interactions a run executes between
@@ -134,15 +144,16 @@ func Run(p *core.Protocol, input conf.Config, opts Options) (*Result, error) {
 const cancelCheckEvery = 8192
 
 // runLoop drives one run on an already-reset state. It is the shared
-// core of Run and RunRange's workers. A nil done channel disables
-// cancellation; when done fires mid-run, runLoop returns nil and the
-// partial trajectory is discarded.
-func runLoop(done <-chan struct{}, st *State, stepper Stepper, rng *RNG, opts Options) *Result {
+// core of Run and the trial pool's workers; it leaves Result.Final
+// unset, since only Run reports the final configuration. A nil done
+// channel disables cancellation; when done fires mid-run, runLoop
+// returns ok=false and the partial trajectory is discarded.
+func runLoop(done <-chan struct{}, st *State, stepper Stepper, rng *RNG, opts Options) (res Result, ok bool) {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = defaultMaxSteps
 	}
-	res := &Result{Output: st.Output()}
+	res.Output = st.Output()
 	sinceChange := 0
 	sinceCancel := 0
 	steps := 0
@@ -160,7 +171,7 @@ func runLoop(done <-chan struct{}, st *State, stepper Stepper, rng *RNG, opts Op
 				sinceCancel = 0
 				select {
 				case <-done:
-					return nil
+					return res, false
 				default:
 				}
 			}
@@ -178,7 +189,6 @@ func runLoop(done <-chan struct{}, st *State, stepper Stepper, rng *RNG, opts Op
 			}
 		}
 	}
-	res.Final = st.Snapshot()
 	if res.Deadlocked && consensus(res.Output) {
 		res.Converged = true
 	}
@@ -187,7 +197,7 @@ func runLoop(done <-chan struct{}, st *State, stepper Stepper, rng *RNG, opts Op
 		// consensus.
 		res.Converged = true
 	}
-	return res
+	return res, true
 }
 
 func consensus(s core.OutputSet) bool {
@@ -379,86 +389,23 @@ func RunMany(ctx context.Context, p *core.Protocol, input conf.Config, expected 
 // index), so a range's trials are bit-identical to the same trials of a
 // full [0, n) run with the same base seed: disjoint ranges can run in
 // different processes and their Stats Merge into exactly the
-// single-process aggregate. Trials run concurrently on a bounded worker
-// pool; each worker reuses one engine State across its trials, and
-// results are aggregated in trial order, so the statistics are
-// deterministic in (Seed, range) regardless of scheduling. Cancelling
-// ctx stops the workers promptly — mid-run, not merely between trials —
-// and returns ctx.Err().
+// single-process aggregate. It is a one-cell call of the package's
+// trial pool (see SweepCells), so the statistics are deterministic in
+// (Seed, range) regardless of scheduling. Cancelling ctx stops the
+// workers promptly — mid-run, not merely between trials — and returns
+// ctx.Err().
 func RunRange(ctx context.Context, p *core.Protocol, input conf.Config, expected bool, trialLo, trialHi int, opts Options) (*Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if trialLo < 0 || trialHi <= trialLo {
-		return nil, errors.New("sim: need 0 <= trialLo < trialHi")
-	}
 	if !input.Space().Equal(p.Space()) {
 		return nil, errors.New("sim: input over wrong space")
 	}
-	trials := trialHi - trialLo
-	sched := opts.scheduler()
-	// Attach the first worker's engine up front: it both validates the
-	// scheduler/protocol pairing (so every caller gets the same
-	// deterministic error) and is reused as worker 0's state.
-	st0 := NewState(p)
-	stepper0, err := sched.Attach(st0)
+	cell := poolCell{initial: p.InitialConfig(input), seed: opts.Seed, expected: expected, lo: trialLo, hi: trialHi}
+	var stats Stats
+	err := runCells(ctx, p, []poolCell{cell}, opts, func(_ int, st Stats) error {
+		stats = st
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	done := ctx.Done()
-	initial := p.InitialConfig(input)
-	results := make([]*Result, trials)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		st, stepper := st0, stepper0
-		if w > 0 {
-			st = NewState(p)
-			var err error
-			if stepper, err = sched.Attach(st); err != nil {
-				// Unreachable: Attach succeeded above on an identical state.
-				panic(err)
-			}
-		}
-		wg.Add(1)
-		go func(st *State, stepper Stepper) {
-			defer wg.Done()
-			rng := NewRNG(0)
-			for tr := range jobs {
-				st.resetFrom(initial)
-				rng.Seed(DeriveSeed(opts.Seed, tr))
-				res := runLoop(done, st, stepper, rng, opts)
-				if res == nil { // cancelled mid-run
-					return
-				}
-				results[tr-trialLo] = res
-			}
-		}(st, stepper)
-	}
-feed:
-	for tr := trialLo; tr < trialHi; tr++ {
-		select {
-		case jobs <- tr:
-		case <-done:
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	stats := &Stats{}
-	for _, res := range results {
-		stats.Observe(res, expected)
-	}
-	return stats, nil
+	return &stats, nil
 }
