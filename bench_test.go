@@ -319,7 +319,7 @@ func BenchmarkShardRunWeighted(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSchedulers compares the three schedulers on one
+// BenchmarkSweepSchedulers compares the schedulers on one
 // RunMany workload: flock(8) with 64 agents.
 func BenchmarkSweepSchedulers(b *testing.B) {
 	p, err := counting.FlockOfBirds(8)
@@ -330,7 +330,7 @@ func BenchmarkSweepSchedulers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sched := range []sim.Scheduler{sim.Weighted{}, sim.UniformPairs{}, sim.Batched{}, sim.CountBatched{}} {
+	for _, sched := range []sim.Scheduler{sim.Weighted{}, sim.UniformPairs{}, sim.CountBatched{}} {
 		b.Run(sched.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -5,14 +5,15 @@
 //
 //	ppsim -protocol example42 -param 4 -x 10 -trials 5 -seed 1
 //	ppsim -protocol flock -param 8 -x 40 -scheduler uniform
-//	ppsim -protocol majority -x 12 -y 8 -scheduler batched -batch 128
+//	ppsim -protocol majority -x 12 -y 8 -scheduler auto -batch 128
 //	ppsim -protocol power2 -param 30 -x 1073741824 -scheduler countbatch -steps 100000000000 -patience 0
 //
 // For the majority protocol, -x sets the A count and -y the B count.
 // Schedulers: weighted (exact, default), uniform (classical random
-// pairs; conservative 2→2 protocols only), batched (k weighted steps
-// per convergence check), countbatch (count-based tau-leaping batches;
-// reaches populations of 10⁹ agents in seconds). Large-n runs should
+// pairs; conservative 2→2 protocols only), countbatch (count-based
+// tau-leaping batches; reaches populations of 10⁹ agents in seconds)
+// and auto (hybrid exact↔batch switching); -batch and -eps apply to
+// countbatch and auto only. Large-n runs should
 // use -patience 0 (run to the absorbing deadlock): a fixed patience is
 // satisfied by a single large batch — and, under any scheduler, by the
 // long unchanged-output prefix of a big population — long before the
@@ -48,8 +49,8 @@ func run(args []string) error {
 		steps     = fs.Int("steps", 1_000_000, "max interactions per run")
 		patience  = fs.Int("patience", 5_000, "consensus patience (steps without output change)")
 		trials    = fs.Int("trials", 1, "number of runs")
-		scheduler = fs.String("scheduler", "weighted", "scheduler: weighted, uniform, batched, countbatch or auto")
-		batch     = fs.Int("batch", 0, fmt.Sprintf("batched batch size / countbatch and auto aggregation threshold (0 = %d / %d)", sim.DefaultBatch, sim.DefaultMinBatch))
+		scheduler = fs.String("scheduler", "weighted", "scheduler: weighted, uniform, countbatch or auto")
+		batch     = fs.Int("batch", 0, fmt.Sprintf("countbatch/auto aggregation threshold (0 = %d)", sim.DefaultMinBatch))
 		eps       = fs.Float64("eps", 0, fmt.Sprintf("countbatch/auto drift tolerance in (0,1) (0 = %g)", sim.DefaultEpsilon))
 		workers   = fs.Int("workers", 0, "worker bound for the scheduler's parallel draw (0 = all cores); results are identical for any value")
 	)
@@ -60,16 +61,6 @@ func run(args []string) error {
 		return err
 	}
 
-	if *batch < 0 {
-		return fmt.Errorf("-batch must be non-negative (got %d)", *batch)
-	}
-	batchable := *scheduler == "batched" || *scheduler == "countbatch" || *scheduler == "auto"
-	if *batch != 0 && !batchable {
-		return fmt.Errorf("-batch only applies to -scheduler batched, countbatch or auto (got %q)", *scheduler)
-	}
-	if *eps != 0 && *scheduler != "countbatch" && *scheduler != "auto" {
-		return fmt.Errorf("-eps only applies to -scheduler countbatch or auto (got %q)", *scheduler)
-	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be non-negative (got %d)", *workers)
 	}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunDefaults(t *testing.T) {
 	if err := run(nil); err != nil {
@@ -9,7 +12,7 @@ func TestRunDefaults(t *testing.T) {
 }
 
 func TestRunSchedulers(t *testing.T) {
-	for _, sched := range []string{"weighted", "uniform", "batched", "countbatch"} {
+	for _, sched := range []string{"weighted", "uniform", "auto", "countbatch"} {
 		args := []string{
 			"-protocol", "flock", "-param", "4", "-x", "8",
 			"-trials", "2", "-steps", "200000", "-scheduler", sched,
@@ -44,10 +47,10 @@ func TestRunErrors(t *testing.T) {
 		// Example 4.1 has width-n transitions: the uniform scheduler
 		// must reject it.
 		{"-protocol", "example41", "-param", "3", "-scheduler", "uniform"},
-		// -batch without the batched scheduler would be silently ignored.
+		// -batch off countbatch/auto would be silently ignored.
 		{"-scheduler", "uniform", "-batch", "128"},
 		// A negative batch size would be silently coerced to the default.
-		{"-scheduler", "batched", "-batch", "-5"},
+		{"-scheduler", "auto", "-batch", "-5"},
 		// -eps outside (0,1) or off the countbatch scheduler.
 		{"-scheduler", "countbatch", "-eps", "1.5"},
 		{"-scheduler", "weighted", "-eps", "0.1"},
@@ -57,5 +60,9 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): error expected", args)
 		}
+	}
+	// The removed batched scheduler points at its replacement.
+	if err := run([]string{"-scheduler", "batched"}); err == nil || !strings.Contains(err.Error(), "auto") {
+		t.Errorf("-scheduler batched: error %v does not name auto", err)
 	}
 }

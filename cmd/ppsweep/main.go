@@ -21,7 +21,9 @@
 //
 // plan partitions the (size × trial) grid deterministically: the same
 // flags always produce the identical manifest, so independent hosts
-// can re-derive the plan instead of shipping it. -cost weighs cells
+// can re-derive the plan instead of shipping it. It rejects a spec no
+// worker could run, including -batch/-eps on a scheduler other than
+// countbatch or auto and -eps outside (0, 1). -cost weighs cells
 // by expected work (auto picks ~x for the exact schedulers, ~log x
 // for countbatch and auto; uniform reproduces equal trial counts) and cuts
 // shards at equal cost. run executes one shard's trials with
@@ -161,9 +163,9 @@ func runPlan(args []string, out io.Writer) error {
 		seed      = fs.Int64("seed", 1, "sweep base seed")
 		steps     = fs.Int("steps", 0, "max interactions per run (0 = sim default)")
 		patience  = fs.Int("patience", 0, "consensus patience (0 = whole-run mode)")
-		scheduler = fs.String("scheduler", "", "scheduler: weighted (default), uniform, batched, countbatch, auto")
-		batch     = fs.Int("batch", 0, "batched batch size / countbatch aggregation threshold")
-		eps       = fs.Float64("eps", 0, "countbatch drift tolerance")
+		scheduler = fs.String("scheduler", "", "scheduler: weighted (default), uniform, countbatch, auto")
+		batch     = fs.Int("batch", 0, "countbatch/auto aggregation threshold (0 = sim default)")
+		eps       = fs.Float64("eps", 0, "countbatch/auto drift tolerance in (0,1) (0 = sim default)")
 		shards    = fs.Int("shards", 1, "number of shards to plan")
 		cost      = fs.String("cost", "auto", "cell cost model: auto (scheduler-aware), uniform (equal trial counts), linear, log")
 		block     = fs.Int("block", 0, "dice each size's trial axis into blocks of this many trials, so cell boundaries are shard-count independent (0 = one cell per size per shard)")

@@ -116,6 +116,10 @@ func TestErrors(t *testing.T) {
 		{"plan", "-protocol", "nope", "-sizes", "4", "-o", filepath.Join(dir, "p.json")},
 		{"plan", "-protocol", "majority", "-sizes", "4", "-o", filepath.Join(dir, "p.json")}, // non-counting
 		{"plan", "-protocol", "flock", "-param", "4", "-sizes", "4,x", "-o", filepath.Join(dir, "p.json")},
+		// Scheduler parameters are checked at plan time, not per shard.
+		{"plan", "-protocol", "flock", "-param", "4", "-sizes", "4", "-scheduler", "countbatch", "-eps", "1.5", "-o", filepath.Join(dir, "p.json")},
+		{"plan", "-protocol", "flock", "-param", "4", "-sizes", "4", "-scheduler", "weighted", "-batch", "9", "-o", filepath.Join(dir, "p.json")},
+		{"plan", "-protocol", "flock", "-param", "4", "-sizes", "4", "-scheduler", "weighted", "-eps", "0.3", "-o", filepath.Join(dir, "p.json")},
 		{"run", "-plan", filepath.Join(dir, "absent.json"), "-shard", "s000"},
 		{"run", "-plan", filepath.Join(dir, "absent.json")}, // no shard id
 		{"merge", "-o", filepath.Join(dir, "m.json")},       // no artifacts
@@ -125,6 +129,14 @@ func TestErrors(t *testing.T) {
 		if err := run(context.Background(), args, &strings.Builder{}); err == nil {
 			t.Errorf("ppsweep %v: expected error", args)
 		}
+	}
+	// The removed batched scheduler points at its replacement.
+	args := []string{"plan", "-protocol", "flock", "-param", "4", "-sizes", "4", "-scheduler", "batched", "-o", filepath.Join(dir, "p.json")}
+	if err := run(context.Background(), args, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "auto") {
+		t.Errorf("ppsweep %v: error %v does not name auto", args, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "p.json")); err == nil {
+		t.Error("a rejected plan was written")
 	}
 }
 

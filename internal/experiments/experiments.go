@@ -849,9 +849,6 @@ func Index() []NamedExperiment {
 		{"E10", E10Convergence},
 		{"E11", E11LargeNBatch},
 		{"E11a", E11aAnytimeStopping},
-		// E12 (cold) must precede E12w (warm): they share one daemon,
-		// so the cold replay doubles as the warm replay's prewarm and
-		// the timing artifact's E12/E12w pair is a true cold/warm gap.
 		{"E12", E12ServeReplayCold},
 		{"E12w", E12wServeReplayWarm},
 	}

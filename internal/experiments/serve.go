@@ -7,22 +7,20 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/serve"
 )
 
 // E12/E12w measure the ppserve daemon's replay behavior: E12 replays
-// a mixed simulate/verify/bounds query file against a cold daemon
+// a mixed simulate/verify/bounds query file against cold daemons
 // (every query computes and persists), E12w replays the same mix
-// against the now-warm store many times (every query is an O(1)
-// content-addressed lookup). The two share one daemon via
-// serveEnv, so in an all-experiments run E12's cold pass doubles as
-// E12w's prewarm and E12w's ns_op in the timing artifact is pure
-// warm-path cost — the cold/warm latency gap in BENCH_PR8.json is
-// the E12 vs E12w row pair. Run standalone, E12w warms the store
-// itself first.
+// against each daemon again once its store is warm (every query is an
+// O(1) content-addressed lookup). Both replay on e12Replays fresh
+// daemons and report medians over the replays; E12w runs each
+// daemon's cold and warm replays back to back, so its warm-beats-cold
+// check compares samples taken under the same host load, and one
+// descheduled burst on a shared host cannot decide it.
 
 // serveQuery is one replayed request.
 type serveQuery struct {
@@ -43,21 +41,23 @@ var serveMix = []serveQuery{
 	{"/v1/bounds", `{"op":"cor44","kmax":10}`},
 }
 
-// serveEnv is the warmed daemon E12's cold pass hands to E12w.
-var serveEnv struct {
-	mu      sync.Mutex
-	handler http.Handler
-	coldP50 time.Duration
-	coldP99 time.Duration
-}
+// e12Replays is how many fresh daemons E12 and E12w replay the mix
+// on: each claim is judged on medians over the replays.
+const e12Replays = 5
 
 // freshDaemon boots a daemon over a fresh throwaway store.
 func freshDaemon() (http.Handler, error) {
+	return daemon(serve.Config{})
+}
+
+// daemon boots a daemon with cfg over a fresh throwaway store.
+func daemon(cfg serve.Config) (http.Handler, error) {
 	dir, err := os.MkdirTemp("", "ppbench-serve-")
 	if err != nil {
 		return nil, err
 	}
-	s, err := serve.New(serve.Config{StoreDir: dir})
+	cfg.StoreDir = dir
+	s, err := serve.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -99,31 +99,63 @@ func percentile(lats []time.Duration, p int) time.Duration {
 	return sorted[idx]
 }
 
-// warmEnv returns the shared warmed daemon, booting and cold-replaying
-// a fresh one when E12 has not run in this process (standalone E12w).
-func warmEnv() (http.Handler, time.Duration, time.Duration, error) {
-	serveEnv.mu.Lock()
-	defer serveEnv.mu.Unlock()
-	if serveEnv.handler == nil {
-		h, err := freshDaemon()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		lats, _, err := replayMix(h)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		serveEnv.handler = h
-		serveEnv.coldP50 = percentile(lats, 50)
-		serveEnv.coldP99 = percentile(lats, 99)
-	}
-	return serveEnv.handler, serveEnv.coldP50, serveEnv.coldP99, nil
+// replayStats summarizes replays: medians over the replays of each
+// replay's p50 and p99, and cache hits out of the queries posted.
+type replayStats struct {
+	p50, p99    time.Duration
+	hits, total int
 }
 
-// E12ServeReplayCold replays the mix against a cold daemon: every
-// query computes, persists, and seeds the store E12w then reads.
-// Each run boots a fresh store, so the experiment is re-runnable; the
-// warmed daemon it leaves behind becomes E12w's environment.
+// serveReplays boots r daemons from boot and on each replays the mix
+// once cold, then warmPasses times over the same (now warm) store.
+func serveReplays(boot func() (http.Handler, error), r, warmPasses int) (cold, warm replayStats, err error) {
+	var coldP50s, coldP99s, warmP50s, warmP99s []time.Duration
+	for i := 0; i < r; i++ {
+		h, err := boot()
+		if err != nil {
+			return cold, warm, err
+		}
+		lats, hits, err := replayMix(h)
+		if err != nil {
+			return cold, warm, err
+		}
+		coldP50s = append(coldP50s, percentile(lats, 50))
+		coldP99s = append(coldP99s, percentile(lats, 99))
+		cold.hits += hits
+		cold.total += len(serveMix)
+		if warmPasses == 0 {
+			continue
+		}
+		var warmLats []time.Duration
+		for pass := 0; pass < warmPasses; pass++ {
+			lats, hits, err := replayMix(h)
+			if err != nil {
+				return cold, warm, err
+			}
+			warmLats = append(warmLats, lats...)
+			warm.hits += hits
+			warm.total += len(serveMix)
+		}
+		warmP50s = append(warmP50s, percentile(warmLats, 50))
+		warmP99s = append(warmP99s, percentile(warmLats, 99))
+	}
+	cold.p50, cold.p99 = percentile(coldP50s, 50), percentile(coldP99s, 50)
+	warm.p50, warm.p99 = percentile(warmP50s, 50), percentile(warmP99s, 50)
+	return cold, warm, nil
+}
+
+// warmBeatsCold is E12w's latency claim: the warm tail beats the cold
+// median.
+func warmBeatsCold(warmP99, coldP50 time.Duration) error {
+	if warmP99 >= coldP50 {
+		return fmt.Errorf("warm p99 %v did not beat cold p50 %v", warmP99, coldP50)
+	}
+	return nil
+}
+
+// E12ServeReplayCold replays the mix against e12Replays cold daemons:
+// every query computes and persists. Each replay boots a fresh store,
+// so the experiment is re-runnable.
 func E12ServeReplayCold() (*Table, error) {
 	t := &Table{
 		ID:     "E12",
@@ -131,40 +163,34 @@ func E12ServeReplayCold() (*Table, error) {
 		Claim:  "a fresh store answers no query from cache; every result is computed once and persisted",
 		Header: []string{"pass", "queries", "cache hits", "p50", "p99"},
 	}
-	h, err := freshDaemon()
+	cold, _, err := serveReplays(freshDaemon, e12Replays, 0)
 	if err != nil {
 		return nil, err
 	}
-	lats, hits, err := replayMix(h)
-	if err != nil {
-		return nil, err
-	}
-	p50, p99 := percentile(lats, 50), percentile(lats, 99)
-	serveEnv.mu.Lock()
-	serveEnv.handler = h
-	serveEnv.coldP50, serveEnv.coldP99 = p50, p99
-	serveEnv.mu.Unlock()
-	t.Rows = append(t.Rows, []string{
-		"cold", fmt.Sprintf("%d", len(serveMix)), fmt.Sprintf("%d", hits),
-		p50.Round(time.Microsecond).String(), p99.Round(time.Microsecond).String(),
-	})
-	if hits != 0 {
-		t.Verdict = fmt.Sprintf("FAIL: %d cache hits against a cold store", hits)
+	t.Rows = append(t.Rows, cold.row(fmt.Sprintf("cold ×%d", e12Replays)))
+	if cold.hits != 0 {
+		t.Verdict = fmt.Sprintf("FAIL: %d cache hits against a cold store", cold.hits)
 		return t, fmt.Errorf("E12: %s", t.Verdict)
 	}
-	t.Verdict = fmt.Sprintf("replayed %d mixed queries cold: 0 cache hits, all computed and persisted", len(serveMix))
+	t.Verdict = fmt.Sprintf("replayed %d mixed queries cold on %d fresh daemons: 0 cache hits, all computed and persisted",
+		len(serveMix), e12Replays)
 	return t, nil
 }
 
-// e12WarmPasses is E12w's warm replay count: enough samples for a
-// stable p99 over the mix, while keeping E12w's total wall time below
-// E12's single cold pass — so the cold/warm gap shows up directly in
-// the BENCH_PR8.json ns_op pair as well as in the per-query table.
+// row renders the stats as an E12/E12w table row.
+func (s replayStats) row(pass string) []string {
+	return []string{pass, fmt.Sprintf("%d", s.total), fmt.Sprintf("%d", s.hits),
+		s.p50.Round(time.Microsecond).String(), s.p99.Round(time.Microsecond).String()}
+}
+
+// e12WarmPasses is the pass count of one E12w warm replay: enough
+// samples for a p99 over the mix.
 const e12WarmPasses = 16
 
-// E12wServeReplayWarm replays the mix against the warm store: every
-// query must hit, and the warm tail must beat the cold median — the
-// "repeated queries are O(1) lookups" acceptance gap.
+// E12wServeReplayWarm replays the mix cold and then warm on each of
+// e12Replays daemons: every warm query must hit, and the median warm
+// p99 must beat the median cold p50 — the "repeated queries are O(1)
+// lookups" acceptance gap.
 func E12wServeReplayWarm() (*Table, error) {
 	t := &Table{
 		ID:     "E12w",
@@ -172,44 +198,29 @@ func E12wServeReplayWarm() (*Table, error) {
 		Claim:  "a warmed store serves the identical mix entirely from cache, far below cold compute latency",
 		Header: []string{"pass", "queries", "cache hits", "p50", "p99"},
 	}
-	h, coldP50, coldP99, err := warmEnv()
+	cold, warm, err := serveReplays(freshDaemon, e12Replays, e12WarmPasses)
 	if err != nil {
 		return nil, err
 	}
-	var lats []time.Duration
-	hits, total := 0, 0
-	for pass := 0; pass < e12WarmPasses; pass++ {
-		l, hitN, err := replayMix(h)
-		if err != nil {
-			return nil, err
-		}
-		lats = append(lats, l...)
-		hits += hitN
-		total += len(serveMix)
-	}
-	p50, p99 := percentile(lats, 50), percentile(lats, 99)
 	t.Rows = append(t.Rows,
-		[]string{"cold", fmt.Sprintf("%d", len(serveMix)), "0",
-			coldP50.Round(time.Microsecond).String(), coldP99.Round(time.Microsecond).String()},
-		[]string{fmt.Sprintf("warm ×%d", e12WarmPasses), fmt.Sprintf("%d", total), fmt.Sprintf("%d", hits),
-			p50.Round(time.Microsecond).String(), p99.Round(time.Microsecond).String()},
-	)
-	if hits != total {
-		t.Verdict = fmt.Sprintf("FAIL: only %d/%d warm queries hit the cache", hits, total)
+		cold.row(fmt.Sprintf("cold ×%d", e12Replays)),
+		warm.row(fmt.Sprintf("warm ×%d×%d", e12Replays, e12WarmPasses)))
+	if warm.hits != warm.total {
+		t.Verdict = fmt.Sprintf("FAIL: only %d/%d warm queries hit the cache", warm.hits, warm.total)
 		return t, fmt.Errorf("E12w: %s", t.Verdict)
 	}
 	if raceEnabled {
 		// The detector's overhead swamps the cold/warm gap on a small
 		// host, so only the hit check above holds under it.
-		t.Verdict = fmt.Sprintf("100%% cache hits over %d warm replays; warm p99 %v vs cold p50 %v not compared under the race detector",
-			e12WarmPasses, p99.Round(time.Microsecond), coldP50.Round(time.Microsecond))
+		t.Verdict = fmt.Sprintf("100%% cache hits over %d warm passes; median warm p99 %v vs cold p50 %v not compared under the race detector",
+			e12Replays*e12WarmPasses, warm.p99.Round(time.Microsecond), cold.p50.Round(time.Microsecond))
 		return t, nil
 	}
-	if p99 >= coldP50 {
-		t.Verdict = fmt.Sprintf("FAIL: warm p99 %v did not beat cold p50 %v", p99, coldP50)
+	if err := warmBeatsCold(warm.p99, cold.p50); err != nil {
+		t.Verdict = "FAIL: median " + err.Error()
 		return t, fmt.Errorf("E12w: %s", t.Verdict)
 	}
-	t.Verdict = fmt.Sprintf("100%% cache hits over %d warm replays; warm p99 %v < cold p50 %v",
-		e12WarmPasses, p99.Round(time.Microsecond), coldP50.Round(time.Microsecond))
+	t.Verdict = fmt.Sprintf("100%% cache hits over %d warm passes; median warm p99 %v < median cold p50 %v",
+		e12Replays*e12WarmPasses, warm.p99.Round(time.Microsecond), cold.p50.Round(time.Microsecond))
 	return t, nil
 }

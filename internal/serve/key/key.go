@@ -72,13 +72,14 @@ type SimulateParams struct {
 	MaxSteps int `json:"max_steps"`
 	// Patience is the consensus patience in steps; 0 runs to MaxSteps.
 	Patience int `json:"patience"`
-	// Scheduler is weighted, uniform, batched, countbatch or auto
-	// (default weighted).
+	// Scheduler is weighted, uniform, countbatch or auto (default
+	// weighted).
 	Scheduler string `json:"scheduler"`
-	// Batch is the batched/countbatch aggregation parameter (0 = the
-	// scheduler's default).
+	// Batch is the countbatch/auto aggregation threshold (0 = the
+	// default); other schedulers take none.
 	Batch int `json:"batch,omitempty"`
-	// Eps is the countbatch/auto drift tolerance (0 = default).
+	// Eps is the countbatch/auto drift tolerance in (0, 1) (0 = the
+	// default); other schedulers take none.
 	Eps float64 `json:"eps,omitempty"`
 }
 
@@ -189,46 +190,7 @@ func (q *Query) Normalize() error {
 		if p.Trials < 0 {
 			return fmt.Errorf("key: negative trials %d", p.Trials)
 		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		if p.MaxSteps == 0 {
-			p.MaxSteps = 1 << 20
-		}
-		if p.MaxSteps < 0 || p.Patience < 0 {
-			return fmt.Errorf("key: negative step budget (max_steps=%d patience=%d)", p.MaxSteps, p.Patience)
-		}
-		if p.Scheduler == "" {
-			p.Scheduler = "weighted"
-		}
-		if p.Batch < 0 || p.Eps < 0 || p.Eps >= 1 {
-			return fmt.Errorf("key: bad batch/eps (%d, %g)", p.Batch, p.Eps)
-		}
-		// Batch/eps only mean something under a batching scheduler;
-		// under one, fill the scheduler defaults explicitly so "default
-		// batch" and the spelled-out default share a key.
-		switch p.Scheduler {
-		case "batched":
-			if p.Eps != 0 {
-				return fmt.Errorf("key: eps only applies to countbatch or auto (got %q)", p.Scheduler)
-			}
-			if p.Batch == 0 {
-				p.Batch = sim.DefaultBatch
-			}
-		case "countbatch", "auto":
-			if p.Batch == 0 {
-				p.Batch = sim.DefaultMinBatch
-			}
-			if p.Eps == 0 {
-				p.Eps = sim.DefaultEpsilon
-			}
-		default:
-			if p.Batch != 0 || p.Eps != 0 {
-				return fmt.Errorf("key: batch/eps only apply to batched, countbatch or auto (got %q)", p.Scheduler)
-			}
-		}
-		// The scheduler table owns name validation.
-		if _, err := sim.SchedulerByName(p.Scheduler, p.Batch, p.Eps, 0); err != nil {
+		if err := normalizeRun(&p.Seed, &p.MaxSteps, &p.Patience, &p.Scheduler, &p.Batch, &p.Eps); err != nil {
 			return err
 		}
 	case KindVerify:
@@ -303,42 +265,7 @@ func (q *Query) Normalize() error {
 		if p.Trials < 0 {
 			return fmt.Errorf("key: negative trials %d", p.Trials)
 		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		if p.MaxSteps == 0 {
-			p.MaxSteps = 1 << 20
-		}
-		if p.MaxSteps < 0 || p.Patience < 0 {
-			return fmt.Errorf("key: negative step budget (max_steps=%d patience=%d)", p.MaxSteps, p.Patience)
-		}
-		if p.Scheduler == "" {
-			p.Scheduler = "weighted"
-		}
-		if p.Batch < 0 || p.Eps < 0 || p.Eps >= 1 {
-			return fmt.Errorf("key: bad batch/eps (%d, %g)", p.Batch, p.Eps)
-		}
-		switch p.Scheduler {
-		case "batched":
-			if p.Eps != 0 {
-				return fmt.Errorf("key: eps only applies to countbatch or auto (got %q)", p.Scheduler)
-			}
-			if p.Batch == 0 {
-				p.Batch = sim.DefaultBatch
-			}
-		case "countbatch", "auto":
-			if p.Batch == 0 {
-				p.Batch = sim.DefaultMinBatch
-			}
-			if p.Eps == 0 {
-				p.Eps = sim.DefaultEpsilon
-			}
-		default:
-			if p.Batch != 0 || p.Eps != 0 {
-				return fmt.Errorf("key: batch/eps only apply to batched, countbatch or auto (got %q)", p.Scheduler)
-			}
-		}
-		if _, err := sim.SchedulerByName(p.Scheduler, p.Batch, p.Eps, 0); err != nil {
+		if err := normalizeRun(&p.Seed, &p.MaxSteps, &p.Patience, &p.Scheduler, &p.Batch, &p.Eps); err != nil {
 			return err
 		}
 		if p.Block < 0 {
@@ -365,6 +292,28 @@ func (q *Query) Normalize() error {
 		return fmt.Errorf("key: unknown query kind %q", q.Kind)
 	}
 	return nil
+}
+
+// normalizeRun fills and validates the run parameters simulate and
+// sweep queries share. The scheduler's batch/eps defaults are spelled
+// out, so "default batch" and the written-out default share a key;
+// which scheduler takes them, and in what range, is sim's rule.
+func normalizeRun(seed *int64, maxSteps, patience *int, scheduler *string, batch *int, eps *float64) error {
+	if *seed == 0 {
+		*seed = 1
+	}
+	if *maxSteps == 0 {
+		*maxSteps = 1 << 20
+	}
+	if *maxSteps < 0 || *patience < 0 {
+		return fmt.Errorf("key: negative step budget (max_steps=%d patience=%d)", *maxSteps, *patience)
+	}
+	if *scheduler == "" {
+		*scheduler = "weighted"
+	}
+	var err error
+	*batch, *eps, err = sim.SchedulerParams(*scheduler, *batch, *eps)
+	return err
 }
 
 func (q *Query) normalizeSpec() error {

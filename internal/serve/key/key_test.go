@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +43,14 @@ func TestDefaultsShareKeys(t *testing.T) {
 	}
 	if a, b := mustKey(t, terse), mustKey(t, verbose); a != b {
 		t.Fatalf("defaulted and explicit queries split keys: %s vs %s", a, b)
+	}
+
+	// A batching scheduler's batch/eps defaults are spelled out in the
+	// canonical form, so omitting them keys like writing them.
+	ta := &Query{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 8, Scheduler: "auto"}}
+	va := &Query{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 8, Scheduler: "auto", Batch: 64, Eps: 0.05}}
+	if a, b := mustKey(t, ta), mustKey(t, va); a != b {
+		t.Fatalf("auto batch/eps defaults split keys: %s vs %s", a, b)
 	}
 
 	tv := &Query{Kind: KindVerify, Spec: Spec{Protocol: "flock", Param: 4}, Verify: &VerifyParams{}}
@@ -130,7 +139,9 @@ func TestNormalizeRejects(t *testing.T) {
 		{Kind: KindSimulate, Spec: Spec{Protocol: "nope", Param: 4}, Simulate: &SimulateParams{X: 2}},
 		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: -1}},
 		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "weighted", Batch: 9}},
-		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "batched", Eps: 0.1}},
+		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "uniform", Eps: 0.1}},
+		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "auto", Eps: 1.5}},
+		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2}, Scheduler: "countbatch", Batch: -1}},
 		{Kind: KindVerify, Spec: Spec{Protocol: "majority", Param: 0}, Verify: &VerifyParams{}},
 		{Kind: KindVerify, Spec: Spec{Protocol: "flock", Param: 4}, Verify: &VerifyParams{Budget: -1}},
 		{Kind: KindBounds, Bounds: &BoundsParams{Op: "nope"}},
@@ -148,6 +159,15 @@ func TestNormalizeRejects(t *testing.T) {
 	for i, q := range bad {
 		if _, err := Of(q); err == nil {
 			t.Errorf("query %d unexpectedly keyed: %+v", i, q)
+		}
+	}
+	// The removed batched scheduler never keys; the error names auto.
+	for _, q := range []*Query{
+		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "batched"}},
+		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2}, Scheduler: "batched", Batch: 64}},
+	} {
+		if _, err := Of(q); err == nil || !strings.Contains(err.Error(), "auto") {
+			t.Errorf("%s with scheduler batched: error %v does not name auto", q.Kind, err)
 		}
 	}
 }
@@ -174,11 +194,14 @@ func TestKeyGolden(t *testing.T) {
 		"sweep-flock":        sweepQuery(),
 		"sweep-ci-flock": {Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4},
 			Sweep: &SweepParams{Sizes: []int64{2, 4, 8, 16}, Trials: 48, Block: 4, CITarget: 0.05}},
+		"simulate-auto-flock": {Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 8}, Simulate: &SimulateParams{X: 4096, Seed: 3, Scheduler: "auto"}},
+		"sweep-cb-power2": {Kind: KindSweep, Spec: Spec{Protocol: "power2", Param: 6},
+			Sweep: &SweepParams{Sizes: []int64{64, 4096}, Trials: 6, Seed: 5, Scheduler: "countbatch", Batch: 128}},
 	}
 	golden := filepath.Join("testdata", "key.golden.json")
 	if *update {
 		var entries []goldenEntry
-		for _, name := range []string{"simulate-flock", "simulate-cb-power2", "verify-flock", "bounds-section8", "sweep-flock", "sweep-ci-flock"} {
+		for _, name := range []string{"simulate-flock", "simulate-cb-power2", "verify-flock", "bounds-section8", "sweep-flock", "sweep-ci-flock", "simulate-auto-flock", "sweep-cb-power2"} {
 			q := queries[name]
 			k := mustKey(t, q)
 			raw, err := json.Marshal(q)

@@ -182,6 +182,21 @@ func TestRequestRejections(t *testing.T) {
 	}
 }
 
+// The removed batched scheduler is a client error on both endpoints
+// that take a scheduler, and the message names its replacement.
+func TestBatchedSchedulerRemoved(t *testing.T) {
+	h := testServer(t).Handler()
+	for path, body := range map[string]string{
+		"/v1/simulate": `{"spec":{"protocol":"flock","param":4},"x":6,"scheduler":"batched"}`,
+		"/v1/sweep":    `{"spec":{"protocol":"flock","param":4},"sizes":[2],"scheduler":"batched","batch":64}`,
+	} {
+		rec, doc := post(t, h, path, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(string(doc["error"]), "auto") {
+			t.Errorf("%s: status %d, body %s; want 400 naming auto", path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // Admission queues rather than stampedes: with a bucket sized for one
 // query, concurrent identical-cost queries all complete (serially),
 // and the bucket refills to capacity.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/sim"
 )
 
 // CostModel estimates the relative work of one trial at population
@@ -33,7 +35,7 @@ func (UniformCost) TrialCost(int64) int64 { return 1 }
 
 // LinearCost weighs a trial by its population size: convergent
 // protocols under the exact per-interaction schedulers (weighted,
-// uniform, batched) execute Θ(x)–Θ(x log x) interactions per trial at
+// uniform) execute Θ(x)–Θ(x log x) interactions per trial at
 // O(log |T|) each, so expected wall time is ~linear in x to first
 // order. This is the scheduler-aware default for those schedulers.
 type LinearCost struct{}
@@ -63,9 +65,10 @@ func (LogCost) TrialCost(x int64) int64 {
 
 // DefaultCost picks the scheduler-aware model: count-batched trials
 // (countbatch, and the hybrid auto scheduler that batches whenever it
-// pays) cost ~log x, every exact per-interaction scheduler ~x.
+// pays) cost ~log x, every exact per-interaction scheduler ~x. The
+// count-batched schedulers are the ones sim gives a batch parameter.
 func DefaultCost(scheduler string) CostModel {
-	if scheduler == "countbatch" || scheduler == "auto" {
+	if batch, _, _ := sim.SchedulerParams(scheduler, 0, 0); batch > 0 {
 		return LogCost{}
 	}
 	return LinearCost{}

@@ -148,13 +148,12 @@ func (sw *SweepSpec) Validate() error {
 	if sw.Trials <= 0 {
 		return errors.New("shard: trials must be positive")
 	}
-	if sw.MaxSteps < 0 || sw.Patience < 0 || sw.Batch < 0 {
-		return errors.New("shard: negative max_steps/patience/batch")
+	if sw.MaxSteps < 0 || sw.Patience < 0 {
+		return errors.New("shard: negative max_steps/patience")
 	}
-	if _, err := sim.SchedulerByName(sw.Scheduler, sw.Batch, sw.Epsilon, 0); err != nil {
-		return err
-	}
-	return nil
+	// Only checked: the manifest keeps batch/eps as written.
+	_, _, err := sim.SchedulerParams(sw.Scheduler, sw.Batch, sw.Epsilon)
+	return err
 }
 
 // Build instantiates the protocol and returns it with the counting

@@ -212,6 +212,12 @@ func TestPlanRejectsBadSpecs(t *testing.T) {
 		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 0},
 		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, Scheduler: "nope"},
 		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, MaxSteps: -1},
+		// The scheduler's batch/eps rule is sim's, checked at plan time
+		// rather than on every shard's worker.
+		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, Scheduler: "countbatch", Epsilon: 1.5},
+		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, Scheduler: "weighted", Batch: 9},
+		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, Scheduler: "weighted", Epsilon: 0.3},
+		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, Scheduler: "batched"},
 	}
 	for i, sw := range bad {
 		if _, err := Plan(sw, 2); err == nil {

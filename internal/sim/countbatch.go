@@ -35,7 +35,7 @@ import (
 // reverts to exact per-interaction stepping on the incremental engine,
 // so deadlock detection and Result/Stats semantics are preserved
 // exactly where they are delicate. In batch mode LastChange and
-// StablePatience coarsen to batch granularity, as with Batched. An
+// StablePatience coarsen to batch granularity. An
 // aggregate whose sampled fires would drive a count negative — a tail
 // event at the tolerated drift — is rejected wholesale and retried at
 // half the batch size, degrading to exact stepping.

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Scheduler is a pluggable interaction-selection policy over the
 // incremental engine. Implementations must be stateless values: Attach
@@ -156,83 +160,79 @@ func (s *uniformStepper) locate(r int64, skip int) int {
 	return s.d - 1
 }
 
-// Batched wraps another scheduler and fires K steps per Step call, so
-// the run loop's convergence bookkeeping amortizes over the batch. With
-// the incremental engine the output set is O(1) anyway; batching mainly
-// amortizes the per-step loop overhead and coarsens LastChange to batch
-// granularity, which is the standard throughput trade of batched
-// population-protocol simulation.
-type Batched struct {
-	// K is the batch size; 0 means 64.
-	K int
-	// Of is the inner scheduler; nil means Weighted{}.
-	Of Scheduler
+// namedScheduler is one row of the scheduler name table.
+type namedScheduler struct {
+	name string
+	// batched schedulers take the batch (MinBatch) and eps (Epsilon)
+	// parameters; the others take neither.
+	batched bool
+	build   func(batch int, eps float64, workers int) Scheduler
 }
 
-// DefaultBatch is the batch size used when Batched.K is zero.
-const DefaultBatch = 64
+// schedulerTable is the one table of scheduler names.
+var schedulerTable = []namedScheduler{
+	{"weighted", false, func(int, float64, int) Scheduler { return Weighted{} }},
+	{"uniform", false, func(int, float64, int) Scheduler { return UniformPairs{} }},
+	{"countbatch", true, func(b int, e float64, w int) Scheduler { return CountBatched{Epsilon: e, MinBatch: b, Workers: w} }},
+	{"auto", true, func(b int, e float64, w int) Scheduler { return Auto{Epsilon: e, MinBatch: b, Workers: w} }},
+}
 
-// Name implements Scheduler.
-func (b Batched) Name() string { return "batched" }
+// SchedulerParams validates the batch and eps parameters of the named
+// scheduler ("" means weighted) and returns them with defaults filled
+// in. countbatch and auto take both: batch ≥ 0 (0 means
+// DefaultMinBatch) and eps in (0, 1) (0 means DefaultEpsilon). The
+// other schedulers take neither, so both must be 0.
+func SchedulerParams(name string, batch int, eps float64) (int, float64, error) {
+	_, batch, eps, err := resolveScheduler(name, batch, eps)
+	return batch, eps, err
+}
 
-// Attach implements Scheduler, delegating validation to the inner
-// scheduler.
-func (b Batched) Attach(st *State) (Stepper, error) {
-	inner := b.Of
-	if inner == nil {
-		inner = Weighted{}
-	}
-	k := b.K
-	if k <= 0 {
-		k = DefaultBatch
-	}
-	is, err := inner.Attach(st)
+// SchedulerByName resolves a CLI scheduler name, with batch and eps
+// under SchedulerParams' rule. workers bounds countbatch/auto's
+// span-parallel multinomial draw (0 means auto-detect GOMAXPROCS —
+// results are byte-identical either way).
+func SchedulerByName(name string, batch int, eps float64, workers int) (Scheduler, error) {
+	s, batch, eps, err := resolveScheduler(name, batch, eps)
 	if err != nil {
 		return nil, err
 	}
-	return &batchedStepper{inner: is, k: k}, nil
+	return s.build(batch, eps, workers), nil
 }
 
-type batchedStepper struct {
-	inner Stepper
-	k     int
-}
-
-func (s *batchedStepper) Step(rng *RNG, limit int) (int, bool) {
-	k := s.k
-	if k > limit {
-		k = limit
+func resolveScheduler(name string, batch int, eps float64) (namedScheduler, int, float64, error) {
+	if name == "" {
+		name = "weighted"
 	}
-	total := 0
-	for total < k {
-		n, ok := s.inner.Step(rng, k-total)
-		if !ok {
-			break
+	i := slices.IndexFunc(schedulerTable, func(s namedScheduler) bool { return s.name == name })
+	if i < 0 {
+		if name == "batched" {
+			// Removed: no population size where it beat the others.
+			return namedScheduler{}, 0, 0, fmt.Errorf("sim: scheduler %q was removed; use auto (or countbatch)", name)
 		}
-		total += n
+		names := make([]string, len(schedulerTable))
+		for i, s := range schedulerTable {
+			names[i] = s.name
+		}
+		return namedScheduler{}, 0, 0, fmt.Errorf("sim: unknown scheduler %q (have %s)", name, strings.Join(names, ", "))
 	}
-	return total, total > 0
-}
-
-// SchedulerByName resolves a CLI scheduler name. batch applies to the
-// batched scheduler's batch size and to countbatch/auto's aggregation
-// threshold MinBatch (0 means the scheduler's default); eps applies to
-// countbatch/auto's drift tolerance (0 means DefaultEpsilon); workers
-// bounds countbatch/auto's span-parallel multinomial draw (0 means
-// auto-detect GOMAXPROCS — results are byte-identical either way).
-func SchedulerByName(name string, batch int, eps float64, workers int) (Scheduler, error) {
-	switch name {
-	case "", "weighted":
-		return Weighted{}, nil
-	case "uniform":
-		return UniformPairs{}, nil
-	case "batched":
-		return Batched{K: batch}, nil
-	case "countbatch":
-		return CountBatched{Epsilon: eps, MinBatch: batch, Workers: workers}, nil
-	case "auto":
-		return Auto{Epsilon: eps, MinBatch: batch, Workers: workers}, nil
-	default:
-		return nil, fmt.Errorf("sim: unknown scheduler %q (have weighted, uniform, batched, countbatch, auto)", name)
+	s := schedulerTable[i]
+	if !s.batched {
+		if batch != 0 || eps != 0 {
+			return s, 0, 0, fmt.Errorf("sim: batch/eps only apply to countbatch or auto (got %q)", name)
+		}
+		return s, 0, 0, nil
 	}
+	if batch < 0 {
+		return s, 0, 0, fmt.Errorf("sim: %s batch %d is negative", name, batch)
+	}
+	if batch == 0 {
+		batch = DefaultMinBatch
+	}
+	if eps == 0 {
+		eps = DefaultEpsilon
+	}
+	if !(eps > 0 && eps < 1) {
+		return s, 0, 0, fmt.Errorf("sim: %s eps %v outside (0, 1)", name, eps)
+	}
+	return s, batch, eps, nil
 }

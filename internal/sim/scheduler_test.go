@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/counting"
@@ -9,7 +11,7 @@ import (
 )
 
 func schedulers() []Scheduler {
-	return []Scheduler{Weighted{}, UniformPairs{}, Batched{K: 64}, CountBatched{}, Auto{}}
+	return []Scheduler{Weighted{}, UniformPairs{}, CountBatched{}, Auto{}}
 }
 
 // All three schedulers must agree on what the protocols compute: this
@@ -98,10 +100,6 @@ func TestUniformRejectsWideProtocol(t *testing.T) {
 	if _, err := RunMany(context.Background(), p, input, true, 2, Options{Scheduler: UniformPairs{}}); err == nil {
 		t.Error("RunMany accepted uniform scheduler on a width-3 protocol")
 	}
-	// Batched delegates validation to its inner scheduler.
-	if _, err := (Batched{Of: UniformPairs{}}).Attach(NewState(p)); err == nil {
-		t.Error("batched-uniform accepted a width-3 protocol")
-	}
 }
 
 func TestUniformDeadlocksWithoutPairs(t *testing.T) {
@@ -122,32 +120,11 @@ func TestUniformDeadlocksWithoutPairs(t *testing.T) {
 	}
 }
 
-// A batched run must overshoot neither MaxSteps nor correctness: the
-// step count stays within the cap and the consensus matches.
-func TestBatchedRespectsMaxSteps(t *testing.T) {
-	p, err := counting.FlockOfBirds(3)
-	if err != nil {
-		t.Fatalf("FlockOfBirds: %v", err)
-	}
-	input, err := p.Input(map[string]int64{"i": 6})
-	if err != nil {
-		t.Fatalf("input: %v", err)
-	}
-	res, err := Run(p, input, Options{Seed: 2, MaxSteps: 100, Scheduler: Batched{K: 64}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Steps > 100 {
-		t.Errorf("batched run took %d steps, cap 100", res.Steps)
-	}
-}
-
 func TestSchedulerByName(t *testing.T) {
 	for name, want := range map[string]string{
 		"":           "weighted",
 		"weighted":   "weighted",
 		"uniform":    "uniform",
-		"batched":    "batched",
 		"countbatch": "countbatch",
 		"auto":       "auto",
 	} {
@@ -161,6 +138,56 @@ func TestSchedulerByName(t *testing.T) {
 	}
 	if _, err := SchedulerByName("nope", 0, 0, 0); err == nil {
 		t.Error("unknown scheduler name accepted")
+	}
+}
+
+// SchedulerParams is the one batch/eps rule: defaults filled in for
+// countbatch and auto, everything inapplicable or out of range
+// rejected, and the removed batched scheduler pointed at auto.
+func TestSchedulerParams(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		batch     int
+		eps       float64
+		wantBatch int
+		wantEps   float64
+	}{
+		{"", 0, 0, 0, 0},
+		{"uniform", 0, 0, 0, 0},
+		{"countbatch", 0, 0, DefaultMinBatch, DefaultEpsilon},
+		{"auto", 0, 0.2, DefaultMinBatch, 0.2},
+		{"auto", 9, 0, 9, DefaultEpsilon},
+	} {
+		batch, eps, err := SchedulerParams(tc.name, tc.batch, tc.eps)
+		if err != nil || batch != tc.wantBatch || eps != tc.wantEps {
+			t.Errorf("SchedulerParams(%q, %d, %g) = %d, %g, %v; want %d, %g",
+				tc.name, tc.batch, tc.eps, batch, eps, err, tc.wantBatch, tc.wantEps)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		batch int
+		eps   float64
+	}{
+		{"weighted", 9, 0},
+		{"", 0, 0.3},
+		{"uniform", 1, 0},
+		{"countbatch", -1, 0},
+		{"auto", 0, -0.1},
+		{"countbatch", 0, 1},
+		{"auto", 0, 1.5},
+		{"countbatch", 0, math.NaN()},
+		{"nope", 0, 0},
+	} {
+		if _, _, err := SchedulerParams(tc.name, tc.batch, tc.eps); err == nil {
+			t.Errorf("SchedulerParams(%q, %d, %g) accepted", tc.name, tc.batch, tc.eps)
+		}
+		if _, err := SchedulerByName(tc.name, tc.batch, tc.eps, 0); err == nil {
+			t.Errorf("SchedulerByName(%q, %d, %g) accepted", tc.name, tc.batch, tc.eps)
+		}
+	}
+	if _, err := SchedulerByName("batched", 0, 0, 0); err == nil || !strings.Contains(err.Error(), "auto") {
+		t.Errorf("removed batched scheduler: error %v does not point at auto", err)
 	}
 }
 
