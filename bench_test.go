@@ -11,6 +11,8 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bounds"
@@ -417,6 +419,74 @@ func BenchmarkStepThroughputLargeN(b *testing.B) {
 			if res.Steps != b.N {
 				b.Fatalf("executed %d steps, want %d", res.Steps, b.N)
 			}
+		})
+	}
+}
+
+// BenchmarkBinomial prices one binomial draw across the means the
+// count-batched multinomial asks for: the inversion branch from np ≪ 1
+// (almost always k = 0) up to np = 9, and the BTRS branch from the
+// cutoff np = 10 up to 10⁷, all at n = 2³⁰.
+func BenchmarkBinomial(b *testing.B) {
+	const n = 1 << 30
+	for _, np := range []float64{0.01, 1, 9, 10, 1e4, 1e7} {
+		b.Run(fmt.Sprintf("np=%g", np), func(b *testing.B) {
+			rng := sim.NewRNG(5)
+			p := np / n
+			var sum int64
+			for i := 0; i < b.N; i++ {
+				sum += rng.Binomial(n, p)
+			}
+			if sum < 0 {
+				b.Fatal("negative draw")
+			}
+		})
+	}
+}
+
+// BenchmarkCountBatchedStep prices one count-batched step — select the
+// batch, draw its multinomial, apply the aggregate — on flock(8) and
+// power2(26) at 10⁷ agents, restarting the run whenever it deadlocks.
+// ns/op is per step; ns/interaction amortizes it over the batch.
+func BenchmarkCountBatchedStep(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mk   func() (*core.Protocol, error)
+	}{
+		{"flock(8)", func() (*core.Protocol, error) { return counting.FlockOfBirds(8) }},
+		{"power2(26)", func() (*core.Protocol, error) { return counting.PowerOfTwo(26) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := c.mk()
+			if err != nil {
+				b.Fatal(err)
+			}
+			input, err := p.Input(map[string]int64{"i": 10_000_000})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := sim.NewState(p)
+			stepper, err := sim.CountBatched{}.Attach(st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Reset(input); err != nil {
+				b.Fatal(err)
+			}
+			rng := sim.NewRNG(3)
+			var interactions int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fired, ok := stepper.Step(rng, math.MaxInt32)
+				interactions += int64(fired)
+				if !ok {
+					if err := st.Reset(input); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(interactions+1), "ns/interaction")
 		})
 	}
 }

@@ -34,6 +34,7 @@ type State struct {
 	total   float64   // running Σ weights; exact after rebuild
 	mask    int       // largest power of two ≤ len(weights)
 	fires   int       // fires since the last exact rebuild
+	stale   bool      // tree lags weights; Sample and Fire rebuild first
 
 	deltaAgents []int64 // per transition: Σ Post − Σ Pre
 	pre         []preShape
@@ -155,21 +156,37 @@ func (st *State) resetFrom(initial conf.Config) {
 }
 
 // Resync recomputes every transition weight and the Fenwick tree
-// exactly from the current counts: O(|T|·width) work that aggregate
-// appliers pay once per batch instead of reweighing per interaction.
+// exactly from the current counts.
 func (st *State) Resync() {
-	for ti := range st.weights {
-		st.weights[ti] = st.weight(ti)
-	}
+	st.reweigh()
 	st.rebuild()
+}
+
+// reweigh recomputes every transition weight and the total exactly
+// from the current counts — O(|T|·width) work that aggregate appliers
+// pay once per batch instead of reweighing per interaction — and marks
+// the Fenwick tree stale. The total is summed in the index order
+// rebuild sums it, so it is bit-identical to a rebuild's: the batch
+// step reads only the weights and the total, and a batch followed by
+// another batch never pays for the tree.
+func (st *State) reweigh() {
+	total := 0.0
+	for ti := range st.weights {
+		w := st.weight(ti)
+		st.weights[ti] = w
+		total += w
+	}
+	st.total = total
+	st.stale = true
 }
 
 // ApplyAggregate fires transition ti fires[ti] times for every ti, as
 // one aggregate displacement: the summed delta is accumulated over the
 // dependency index, applied to the counts in a single pass, and the
 // weights are then resynced exactly — the engine half of the
-// count-based batch regime. disp is caller-owned scratch with one slot
-// per state. When some count would go negative the state is left
+// count-based batch regime; the Fenwick tree is rebuilt only when a
+// Sample or Fire next reads it. disp is caller-owned scratch with one
+// slot per state. When some count would go negative the state is left
 // unchanged and ok is false (the caller shrinks its batch and
 // retries). ApplyAggregate checks only count non-negativity of the net
 // displacement; the caller is responsible for the fires being a
@@ -199,7 +216,7 @@ func (st *State) ApplyAggregate(fires []int64, disp []int64) bool {
 			st.occ[st.gamma[i]]--
 		}
 	}
-	st.Resync()
+	st.reweigh()
 	return true
 }
 
@@ -249,6 +266,9 @@ func (st *State) Fire(ti int) bool {
 	if st.weights[ti] <= 0 {
 		return false
 	}
+	if st.stale {
+		st.rebuild()
+	}
 	for _, e := range st.idx.Delta(ti) {
 		old := st.cv[e.State]
 		now := old + e.N
@@ -278,6 +298,9 @@ func (st *State) Fire(ti int) bool {
 // instance weight, reporting ok=false when no transition is enabled.
 // It does not fire the transition.
 func (st *State) Sample(rng *RNG) (ti int, ok bool) {
+	if st.stale {
+		st.rebuild()
+	}
 	if !st.ensureLive() {
 		return 0, false
 	}
@@ -361,6 +384,7 @@ func (st *State) rebuild() {
 	}
 	st.total = total
 	st.fires = 0
+	st.stale = false
 }
 
 // Output returns γ(ρ) for the current configuration in O(1).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/conf"
@@ -249,5 +250,99 @@ func TestEngineTotalWeight(t *testing.T) {
 	}
 	if got := st.TotalWeight(); got != want {
 		t.Errorf("TotalWeight = %v, want %v", got, want)
+	}
+}
+
+// The deferred Fenwick rebuild is invisible: a state whose aggregates
+// leave the tree stale must agree bit for bit with a twin that resyncs
+// eagerly after every aggregate — in every weight and the total after
+// each step, and in every Sample under equal generators. Random
+// aggregates interleave with sampled steps and with Fires that reach a
+// stale tree before any Sample does.
+func TestApplyAggregateLazyTreeMatchesResync(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func() (*core.Protocol, error)
+		x    int64
+	}{
+		{"flock(8)", func() (*core.Protocol, error) { return counting.FlockOfBirds(8) }, 5_000},
+		{"power2(5)", func() (*core.Protocol, error) { return counting.PowerOfTwo(5) }, 3_000},
+	}
+	for _, c := range cases {
+		p, err := c.mk()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		input, err := p.Input(map[string]int64{"i": c.x})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		lazy, eager := NewState(p), NewState(p)
+		if err := lazy.Reset(input); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := eager.Reset(input); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		same := func(round int, what string) {
+			t.Helper()
+			for ti := range lazy.weights {
+				if math.Float64bits(lazy.weights[ti]) != math.Float64bits(eager.weights[ti]) {
+					t.Fatalf("%s round %d after %s: weight(%d) lazy %v, eager %v",
+						c.name, round, what, ti, lazy.weights[ti], eager.weights[ti])
+				}
+			}
+			if math.Float64bits(lazy.total) != math.Float64bits(eager.total) {
+				t.Fatalf("%s round %d after %s: total lazy %v, eager %v", c.name, round, what, lazy.total, eager.total)
+			}
+		}
+		draws := NewRNG(3)
+		rl, re := NewRNG(11), NewRNG(11)
+		fires := make([]int64, p.Net().Len())
+		disp := make([]int64, p.Space().Len())
+		aggregates := 0
+		for round := 0; round < 400 && eager.total > 0; round++ {
+			switch draws.Intn(3) {
+			case 0:
+				b := 1 + draws.Int63n(lazy.Agents()/32+1)
+				draws.Multinomial(b, lazy.weights, fires)
+				okL, okE := lazy.ApplyAggregate(fires, disp), eager.ApplyAggregate(fires, disp)
+				if okL != okE {
+					t.Fatalf("%s round %d: aggregate accepted lazy %v, eager %v", c.name, round, okL, okE)
+				}
+				if okE {
+					eager.Resync()
+					aggregates++
+				}
+				same(round, "aggregate")
+			case 1:
+				for s := draws.Intn(20); s >= 0; s-- {
+					tl, okL := lazy.Sample(rl)
+					te, okE := eager.Sample(re)
+					if tl != te || okL != okE {
+						t.Fatalf("%s round %d: Sample lazy (%d, %v), eager (%d, %v)", c.name, round, tl, okL, te, okE)
+					}
+					if !okE {
+						break
+					}
+					lazy.Fire(tl)
+					eager.Fire(te)
+				}
+				same(round, "sampled steps")
+			default:
+				n := len(fires)
+				for off, ti := draws.Intn(n), 0; ti < n; ti++ {
+					if k := (off + ti) % n; eager.weights[k] > 0 {
+						lazy.Fire(k)
+						eager.Fire(k)
+						break
+					}
+				}
+				same(round, "fire")
+			}
+		}
+		if aggregates < 50 {
+			t.Fatalf("%s: only %d aggregates accepted", c.name, aggregates)
+		}
 	}
 }

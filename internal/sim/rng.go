@@ -85,7 +85,18 @@ func (r *RNG) Binomial(n int64, p float64) int64 {
 // means it is used for (np < 10) the expected iteration count is np+1.
 // The search is capped far beyond the distribution's effective support
 // so float rounding in the accumulated tail cannot walk to k = n.
+//
+// Most draws of a batch land on k = 0, so u is drawn first and a
+// certain zero returns before the Exp/Log1p of f(0) = (1−p)ⁿ. By
+// Bernoulli's inequality (1−p)ⁿ ≥ 1 − np. For np < 10 the computed
+// f(0) is within ~1e-14 of the true value (Log1p and Exp are faithful,
+// and |n·Log1p(−p)| < 14), so u < 1 − np − 1e-9 implies u < f(0) as
+// computed: exactly the inversion's k = 0, on the same single draw.
 func (r *RNG) binomialInv(n int64, p float64) int64 {
+	u := r.Float64()
+	if u < 1-float64(n)*p-1e-9 {
+		return 0
+	}
 	q := 1 - p
 	ratio := p / q
 	f := math.Exp(float64(n) * math.Log1p(-p)) // (1−p)^n
@@ -93,7 +104,6 @@ func (r *RNG) binomialInv(n int64, p float64) int64 {
 	if limit > n {
 		limit = n
 	}
-	u := r.Float64()
 	var k int64
 	for u >= f && k < limit {
 		u -= f
@@ -107,7 +117,10 @@ func (r *RNG) binomialInv(n int64, p float64) int64 {
 // transformed-rejection algorithm BTRS of Hörmann (1993): proposals
 // come from a transformed uniform whose inverse dominates the binomial
 // shape; a squeeze accepts most of them with four flops, the rest are
-// decided by one exact log-density comparison.
+// decided by one exact log-density comparison. The comparison's
+// constants (two Lgamma calls and a Log) are computed on the first
+// proposal that needs them, with the same expressions, so a draw the
+// squeeze accepts never pays for them.
 func (r *RNG) btrs(n int64, p float64) int64 {
 	fn := float64(n)
 	q := 1 - p
@@ -117,9 +130,8 @@ func (r *RNG) btrs(n int64, p float64) int64 {
 	c := fn*p + 0.5
 	vr := 0.92 - 4.2/b
 	alpha := (2.83 + 5.1/b) * spq
-	lpq := math.Log(p / q)
-	m := math.Floor((fn + 1) * p)
-	h := lgamma(m+1) + lgamma(fn-m+1)
+	var lpq, m, h float64
+	exact := false
 	for {
 		u := r.Float64() - 0.5
 		v := r.Float64()
@@ -130,6 +142,12 @@ func (r *RNG) btrs(n int64, p float64) int64 {
 		}
 		if k < 0 || k > fn {
 			continue
+		}
+		if !exact {
+			lpq = math.Log(p / q)
+			m = math.Floor((fn + 1) * p)
+			h = lgamma(m+1) + lgamma(fn-m+1)
+			exact = true
 		}
 		if math.Log(v*alpha/(a/(us*us)+b)) <= h-lgamma(k+1)-lgamma(fn-k+1)+(k-m)*lpq {
 			return int64(k)

@@ -172,6 +172,59 @@ func TestBinomialEdgeCases(t *testing.T) {
 	}
 }
 
+// binomialAgrees draws once from Binomial and once from the reference
+// on equal generators and fails unless both return the same k and
+// leave their generators in the same state.
+func binomialAgrees(t *testing.T, seed, n int64, p float64) {
+	t.Helper()
+	got, ref := NewRNG(seed), NewRNG(seed)
+	k, want := got.Binomial(n, p), referenceBinomial(ref, n, p)
+	if k != want || *got != *ref {
+		t.Fatalf("Binomial(%d, %v) seed %d = %d (rng %x), reference %d (rng %x)",
+			n, p, seed, k, got.s, want, ref.s)
+	}
+}
+
+// The lazy samplers must be the reference samplers draw for draw:
+// across both branches, the early-zero margin of the inversion
+// (np ≪ 1 and np near 1), the cutoff np = 10 and the reflection.
+func TestBinomialMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		n int64
+		p float64
+	}{
+		{1, 0.3}, {1000, 1e-4}, {1000, 1e-3}, {1 << 20, 1e-6}, {999, 0.01},
+		{1000, 0.00999}, {1000, 0.01001}, {40, 0.25}, {101, 0.4999999},
+		{100, 0.5000001}, {1 << 40, 1e-12}, {1 << 40, 0.25}, {5_000, 0.4},
+	} {
+		for seed := int64(0); seed < 2_000; seed++ {
+			binomialAgrees(t, seed, c.n, c.p)
+		}
+	}
+}
+
+// FuzzBinomial is the differential fuzz of Binomial against the
+// reference samplers it replaced. n is folded into the simulator's
+// batch range and p into [0, 1); NaN and infinite p are skipped (the
+// reference never returns on NaN).
+func FuzzBinomial(f *testing.F) {
+	for _, c := range []struct {
+		n int64
+		p float64
+	}{
+		{1000, 0.00999}, {1000, 0.01001}, {101, 0.4999999}, {100, 0.5},
+		{1, 0.3}, {1 << 40, 0.25}, {1 << 40, 1e-12}, {1_000_000, 1e-12},
+	} {
+		f.Add(int64(1), c.n, c.p)
+	}
+	f.Fuzz(func(t *testing.T, seed, n int64, p float64) {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return
+		}
+		binomialAgrees(t, seed, n%(maxBatch+1), math.Abs(math.Mod(p, 1)))
+	})
+}
+
 func TestMultinomialGoF(t *testing.T) {
 	weights := []float64{3, 0, 1, 4, 1.5}
 	var wsum float64
