@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/shard"
 )
 
@@ -165,11 +166,10 @@ func TestMergeErrorPathsCLI(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(&a)
-		// Strip the checksum: a content edit under the old sum would be
-		// flagged as corruption before the error path under test fires.
-		a.Checksum = ""
+		// Re-seal: a content edit under the old sum would be flagged as
+		// corruption before the error path under test fires.
 		out := filepath.Join(t.TempDir(), "mutated.json")
-		data, err = json.MarshalIndent(&a, "", "  ")
+		data, err = canon.Seal(&a, &a.Checksum, true)
 		if err != nil {
 			t.Fatal(err)
 		}

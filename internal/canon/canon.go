@@ -40,14 +40,21 @@
 // artifact store sees (torn writes, bit rot) at 4 bytes per document;
 // callers needing collision resistance against *distinct inputs* —
 // cache keys, content addresses — hash the canonical bytes with
-// SHA-256 instead (see internal/serve/key). The checksum member
-// convention is shared repo-wide: a sealed document carries
-// `"checksum":"crc32c:…"` computed over itself with that one member
-// removed, so reformatting a document by hand does not invalidate it.
+// SHA-256 instead (see internal/serve/key).
+//
+// The package is also the one owner of the sealed-document format
+// every persisted artifact uses (shard cell partials, part-*.json and
+// leases, serve store artifacts): a sealed document carries a
+// top-level `"checksum":"crc32c:…"` member computed over its own
+// canonical form with that one member removed, so reformatting a
+// document by hand does not invalidate it. Seal writes such a
+// document and Verify checks one, in a single canonicalization pass;
+// a document without the member is not sealed and does not verify.
 package canon
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -103,6 +110,68 @@ func Checksum(doc []byte, drop ...string) (string, error) {
 	return FormatChecksum(CRC32C(out)), nil
 }
 
+// checksumMember is the top-level member that carries a sealed
+// document's checksum.
+const checksumMember = "checksum"
+
+var sealDrop = []string{checksumMember}
+
+// Seal marshals v as a sealed document. sum points at v's checksum
+// field: it is cleared, the checksum of v's canonical form is
+// computed, stamped into *sum, and v marshaled again. indent selects
+// the file layout (two-space indent, trailing newline); otherwise the
+// document is one compact line, as in an NDJSON stream. Both layouts
+// of one value carry the same checksum.
+func Seal(v any, sum *string, indent bool) ([]byte, error) {
+	*sum = ""
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	if *sum, err = Checksum(data, checksumMember); err != nil {
+		return nil, err
+	}
+	if !indent {
+		return json.Marshal(v)
+	}
+	if data, err = json.MarshalIndent(v, "", "  "); err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// ErrUnsealed reports a document with no top-level checksum member.
+var ErrUnsealed = errors.New("canon: document carries no checksum")
+
+// Verify checks a sealed document in one canonicalization pass. The
+// document must parse, and its top-level "checksum" member (the last
+// one, if duplicated) must be the string "crc32c:%08x" of the
+// canonical form of the rest. A "checksum" member nested deeper is
+// content like any other. A document with no checksum member fails
+// with ErrUnsealed.
+func Verify(doc []byte) error {
+	c := pool.Get().(*canonicalizer)
+	defer c.release()
+	out, err := c.run(doc, sealDrop)
+	if err != nil {
+		return err
+	}
+	if !c.hasDropped {
+		return ErrUnsealed
+	}
+	// The kept value is canonical, so it is a string exactly when it
+	// is quoted, and it spells the sum exactly when it is the sum's
+	// json.Marshal form, which needs no escape.
+	got, want := c.dropped, FormatChecksum(CRC32C(out))
+	if got[0] != '"' {
+		return errors.New("canon: checksum member is not a string")
+	}
+	if string(got[1:len(got)-1]) != want {
+		return fmt.Errorf("canon: checksum %s, content is %s (torn write or bit rot)", got[1:len(got)-1], want)
+	}
+	return nil
+}
+
 // maxDepth is encoding/json's nesting limit: a document whose arrays
 // and objects nest deeper is rejected.
 const maxDepth = 10000
@@ -125,6 +194,9 @@ type canonicalizer struct {
 	keys    []byte   // decoded keys that needed unescaping, innermost last
 	str     []byte   // the decoded string value being re-escaped
 	tmp     []byte   // an object body being reordered
+
+	dropped    []byte // canonical value of the last dropped member
+	hasDropped bool
 }
 
 // member is one written object member: its decoded key (a slice of
@@ -142,7 +214,7 @@ func (c *canonicalizer) release() {
 		c.members = c.members[:0]
 	}
 	c.in = nil
-	for _, b := range []*[]byte{&c.out, &c.keys, &c.str, &c.tmp} {
+	for _, b := range []*[]byte{&c.out, &c.keys, &c.str, &c.tmp, &c.dropped} {
 		if cap(*b) > maxPooled {
 			*b = nil
 		}
@@ -156,6 +228,7 @@ const errPrefix = "canon: canonicalize unparseable document: "
 func (c *canonicalizer) run(doc []byte, drop []string) ([]byte, error) {
 	c.in, c.pos, c.out = doc, 0, c.out[:0]
 	c.keys, c.members = c.keys[:0], c.members[:0]
+	c.dropped, c.hasDropped = c.dropped[:0], false
 	c.skipSpace()
 	switch {
 	case c.peek() == '{':
@@ -226,7 +299,8 @@ func (c *canonicalizer) value(depth int) error {
 }
 
 // object canonicalizes the object at c.pos, dropping the members named
-// in drop. Members are written in input order; if that order is not
+// in drop; the canonical value of the last one dropped is kept in
+// c.dropped for Verify. Members are written in input order; if that order is not
 // strictly ascending by decoded key, the body is then reordered and
 // duplicate keys collapsed to their last occurrence.
 func (c *canonicalizer) object(depth int, drop []string) error {
@@ -262,10 +336,12 @@ func (c *canonicalizer) object(depth int, drop []string) error {
 		}
 		c.pos++
 		c.out = append(c.out, ':')
+		valueAt := len(c.out)
 		if err := c.value(depth); err != nil {
 			return err
 		}
 		if dropped(key, drop) {
+			c.dropped, c.hasDropped = append(c.dropped[:0], c.out[valueAt:]...), true
 			c.out = c.out[:mark]
 		} else {
 			if len(c.members) > base && bytes.Compare(key, c.members[len(c.members)-1].key) <= 0 {

@@ -3,6 +3,7 @@ package canon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -23,4 +24,34 @@ func referenceCanonicalize(doc []byte, drop ...string) ([]byte, error) {
 		delete(m, d)
 	}
 	return json.Marshal(m)
+}
+
+// referenceVerify is the original map-decode sealed-document check,
+// kept only as the differential oracle for Verify: decode the whole
+// document into a map, read its "checksum" member, and compare it
+// with the checksum of the reference canonical form. A document
+// without the member is unsealed; every other failure is corruption.
+func referenceVerify(doc []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		return fmt.Errorf("unparseable JSON: %w", err)
+	}
+	raw, ok := m["checksum"]
+	if !ok {
+		return ErrUnsealed
+	}
+	want, ok := raw.(string)
+	if !ok {
+		return errors.New("non-string checksum field")
+	}
+	canonical, err := referenceCanonicalize(doc, "checksum")
+	if err != nil {
+		return err
+	}
+	if got := FormatChecksum(CRC32C(canonical)); got != want {
+		return fmt.Errorf("checksum %s, content is %s", want, got)
+	}
+	return nil
 }

@@ -15,12 +15,14 @@ import (
 // E12/E12w measure the ppserve daemon's replay behavior: E12 replays
 // a mixed simulate/verify/bounds query file against cold daemons
 // (every query computes and persists), E12w replays the same mix
-// against each daemon again once its store is warm (every query is an
+// against a daemon again once its store is warm (every query is an
 // O(1) content-addressed lookup). Both replay on e12Replays fresh
-// daemons and report medians over the replays; E12w runs each
-// daemon's cold and warm replays back to back, so its warm-beats-cold
-// check compares samples taken under the same host load, and one
-// descheduled burst on a shared host cannot decide it.
+// daemons and report medians over the replays. E12w interleaves the
+// cold queries of each fresh daemon one by one with the warm passes
+// over the daemon before it, so its warm-beats-cold check compares
+// samples taken in the same time window, under the same host load,
+// and a load burst on a shared host cannot land on the warm samples
+// alone.
 
 // serveQuery is one replayed request.
 type serveQuery struct {
@@ -43,25 +45,41 @@ var serveMix = []serveQuery{
 
 // e12Replays is how many fresh daemons E12 and E12w replay the mix
 // on: each claim is judged on medians over the replays.
-const e12Replays = 5
+const e12Replays = 7
 
 // freshDaemon boots a daemon over a fresh throwaway store.
-func freshDaemon() (http.Handler, error) {
+func freshDaemon() (http.Handler, string, error) {
 	return daemon(serve.Config{})
 }
 
-// daemon boots a daemon with cfg over a fresh throwaway store.
-func daemon(cfg serve.Config) (http.Handler, error) {
+// daemon boots a daemon with cfg over a fresh throwaway store and
+// returns the store directory, which the caller removes.
+func daemon(cfg serve.Config) (http.Handler, string, error) {
 	dir, err := os.MkdirTemp("", "ppbench-serve-")
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	cfg.StoreDir = dir
 	s, err := serve.New(cfg)
 	if err != nil {
-		return nil, err
+		os.RemoveAll(dir)
+		return nil, "", err
 	}
-	return s.Handler(), nil
+	return s.Handler(), dir, nil
+}
+
+// post sends one mix query, returning its latency and whether the
+// cache answered it.
+func post(h http.Handler, q serveQuery) (time.Duration, bool, error) {
+	req := httptest.NewRequest("POST", q.path, strings.NewReader(q.body))
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	h.ServeHTTP(rec, req)
+	lat := time.Since(start)
+	if rec.Code != http.StatusOK {
+		return 0, false, fmt.Errorf("%s: %d %s", q.path, rec.Code, rec.Body.String())
+	}
+	return lat, rec.Header().Get("X-Cache") == "hit", nil
 }
 
 // replayMix posts every mix query once, returning per-query latencies
@@ -70,15 +88,12 @@ func replayMix(h http.Handler) ([]time.Duration, int, error) {
 	lats := make([]time.Duration, 0, len(serveMix))
 	hits := 0
 	for _, q := range serveMix {
-		req := httptest.NewRequest("POST", q.path, strings.NewReader(q.body))
-		rec := httptest.NewRecorder()
-		start := time.Now()
-		h.ServeHTTP(rec, req)
-		lats = append(lats, time.Since(start))
-		if rec.Code != http.StatusOK {
-			return nil, 0, fmt.Errorf("%s: %d %s", q.path, rec.Code, rec.Body.String())
+		lat, hit, err := post(h, q)
+		if err != nil {
+			return nil, 0, err
 		}
-		if rec.Header().Get("X-Cache") == "hit" {
+		lats = append(lats, lat)
+		if hit {
 			hits++
 		}
 	}
@@ -106,38 +121,84 @@ type replayStats struct {
 	hits, total int
 }
 
-// serveReplays boots r daemons from boot and on each replays the mix
-// once cold, then warmPasses times over the same (now warm) store.
-func serveReplays(boot func() (http.Handler, error), r, warmPasses int) (cold, warm replayStats, err error) {
+// serveReplays measures r cold replays of the mix, each on a fresh
+// daemon from boot, and, when warmPasses > 0, r warm replays of
+// warmPasses passes each over a store the mix has already filled.
+// The cold queries of daemon i+1 are spread evenly between the warm
+// passes over daemon i, so both sample the same time window; one extra
+// daemon, replayed cold unmeasured, is the first warm store. Every
+// store is removed on return.
+func serveReplays(boot func() (http.Handler, string, error), r, warmPasses int) (cold, warm replayStats, err error) {
+	var dirs []string
+	defer func() {
+		for _, dir := range dirs {
+			os.RemoveAll(dir)
+		}
+	}()
+	next := func() (http.Handler, error) {
+		h, dir, err := boot()
+		if err == nil {
+			dirs = append(dirs, dir)
+		}
+		return h, err
+	}
+	var prev http.Handler
+	if warmPasses > 0 {
+		if prev, err = next(); err != nil {
+			return cold, warm, err
+		}
+		if _, _, err = replayMix(prev); err != nil {
+			return cold, warm, err
+		}
+	}
 	var coldP50s, coldP99s, warmP50s, warmP99s []time.Duration
 	for i := 0; i < r; i++ {
-		h, err := boot()
+		h, err := next()
 		if err != nil {
 			return cold, warm, err
 		}
-		lats, hits, err := replayMix(h)
-		if err != nil {
-			return cold, warm, err
+		var coldLats, warmLats []time.Duration
+		// coldUpTo posts the cold queries due once done of the warm
+		// passes have run: all of them when there are none.
+		coldUpTo := func(done int) error {
+			due := len(serveMix)
+			if warmPasses > 0 {
+				due = done * len(serveMix) / warmPasses
+			}
+			for ; len(coldLats) < due; cold.total++ {
+				lat, hit, err := post(h, serveMix[len(coldLats)])
+				if err != nil {
+					return err
+				}
+				coldLats = append(coldLats, lat)
+				if hit {
+					cold.hits++
+				}
+			}
+			return nil
 		}
-		coldP50s = append(coldP50s, percentile(lats, 50))
-		coldP99s = append(coldP99s, percentile(lats, 99))
-		cold.hits += hits
-		cold.total += len(serveMix)
-		if warmPasses == 0 {
-			continue
-		}
-		var warmLats []time.Duration
 		for pass := 0; pass < warmPasses; pass++ {
-			lats, hits, err := replayMix(h)
+			lats, hits, err := replayMix(prev)
 			if err != nil {
 				return cold, warm, err
 			}
 			warmLats = append(warmLats, lats...)
 			warm.hits += hits
 			warm.total += len(serveMix)
+			if err := coldUpTo(pass + 1); err != nil {
+				return cold, warm, err
+			}
 		}
-		warmP50s = append(warmP50s, percentile(warmLats, 50))
-		warmP99s = append(warmP99s, percentile(warmLats, 99))
+		if err := coldUpTo(warmPasses); err != nil {
+			return cold, warm, err
+		}
+		coldP50s = append(coldP50s, percentile(coldLats, 50))
+		coldP99s = append(coldP99s, percentile(coldLats, 99))
+		if warmPasses > 0 {
+			warmP50s = append(warmP50s, percentile(warmLats, 50))
+			warmP99s = append(warmP99s, percentile(warmLats, 99))
+		}
+		prev = h
 	}
 	cold.p50, cold.p99 = percentile(coldP50s, 50), percentile(coldP99s, 50)
 	warm.p50, warm.p99 = percentile(warmP50s, 50), percentile(warmP99s, 50)
@@ -187,10 +248,11 @@ func (s replayStats) row(pass string) []string {
 // samples for a p99 over the mix.
 const e12WarmPasses = 16
 
-// E12wServeReplayWarm replays the mix cold and then warm on each of
-// e12Replays daemons: every warm query must hit, and the median warm
-// p99 must beat the median cold p50 — the "repeated queries are O(1)
-// lookups" acceptance gap.
+// E12wServeReplayWarm replays the mix cold on e12Replays fresh
+// daemons, interleaved with warm replays over the daemon before each:
+// every warm query must hit, and the median warm p99 must beat the
+// median cold p50 — the "repeated queries are O(1) lookups"
+// acceptance gap.
 func E12wServeReplayWarm() (*Table, error) {
 	t := &Table{
 		ID:     "E12w",

@@ -12,7 +12,7 @@ import (
 // so every warm query recomputes, and its median p99 cannot beat the
 // cold median.
 func TestWarmBeatsColdFailsOnAlwaysMissStore(t *testing.T) {
-	boot := func() (http.Handler, error) { return daemon(serve.Config{StoreMaxBytes: 1}) }
+	boot := func() (http.Handler, string, error) { return daemon(serve.Config{StoreMaxBytes: 1}) }
 	cold, warm, err := serveReplays(boot, e12Replays, e12WarmPasses)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,7 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,25 +111,6 @@ func GC(dir string, opts GCOptions) (*GCReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: gc %s: %w", dir, err)
 	}
-	quarantine := func(path, reason string) error {
-		qdir := filepath.Join(dir, "corrupt")
-		if err := fsys.MkdirAll(qdir, 0o755); err != nil {
-			return err
-		}
-		dst := filepath.Join(qdir, filepath.Base(path))
-		for i := 2; ; i++ {
-			if _, err := fsys.Stat(dst); errors.Is(err, fs.ErrNotExist) {
-				break
-			}
-			dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", filepath.Base(path), i))
-		}
-		if err := fsys.Rename(path, dst); err != nil {
-			return err
-		}
-		_ = fsys.WriteFile(dst+".reason", []byte(reason+"\n"), 0o644)
-		rep.Quarantined++
-		return nil
-	}
 	for _, fan := range fanouts {
 		if !fan.IsDir() {
 			continue
@@ -157,8 +136,12 @@ func GC(dir string, opts GCOptions) (*GCReport, error) {
 			}
 			art, reason := decode(data, key.Key{SHA: sha})
 			if art == nil {
-				if err := quarantine(path, reason); err != nil {
+				dst, err := faultfs.Quarantine(fsys, path, faultfs.CorruptDir(dir), reason)
+				if err != nil {
 					return nil, fmt.Errorf("store: gc quarantine %s: %w", path, err)
+				}
+				if dst != "" {
+					rep.Quarantined++
 				}
 				continue
 			}
@@ -182,7 +165,7 @@ func GC(dir string, opts GCOptions) (*GCReport, error) {
 
 	// Drop expired quarantine (and orphaned .reason siblings).
 	if opts.QuarantineTTL > 0 {
-		qdir := filepath.Join(dir, "corrupt")
+		qdir := faultfs.CorruptDir(dir)
 		cutoff := fsys.Now().Add(-opts.QuarantineTTL)
 		if entries, err := os.ReadDir(qdir); err == nil {
 			for _, e := range entries {

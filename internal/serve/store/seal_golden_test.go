@@ -30,7 +30,7 @@ func TestSealedGolden(t *testing.T) {
 	if err := a.compactResult(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := seal(a)
+	got, err := canon.Seal(a, &a.Checksum, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,14 @@
 // artifact is published fsync-temp → atomic rename → dir-sync through
 // the injectable faultfs seam, so readers never observe a torn
 // document and a host crash leaves either nothing or the complete
-// file. Every artifact carries an internal/canon content checksum
-// verified on each read; a corrupted artifact (torn write that beat
-// the rename discipline, bit rot, hand edit) is quarantined to
-// corrupt/ with a .reason file and reported as a miss — recomputed,
-// never served, never re-read in a loop. A key mismatch between file
-// name and sealed content is corruption too: a renamed artifact must
-// not answer someone else's query.
+// file. Every artifact is sealed by internal/canon (canon.Seal) and
+// verified on each read (canon.Verify); a corrupted artifact (torn
+// write that beat the rename discipline, bit rot, hand edit, no
+// checksum at all) is quarantined to corrupt/ with a .reason file
+// (faultfs.Quarantine) and reported as a miss — recomputed, never
+// served, never re-read in a loop. A key mismatch between file name
+// and sealed content is corruption too: a renamed artifact must not
+// answer someone else's query.
 //
 // Concurrent identical queries compute once: GetOrCompute runs a
 // per-key singleflight. The first caller becomes the leader (it
@@ -74,10 +75,10 @@ type Artifact struct {
 	Server   hostmeta.Meta   `json:"server"`
 	Instance string          `json:"instance"`
 	Result   json.RawMessage `json:"result"`
-	Checksum string          `json:"checksum"`
+	// Checksum is the content checksum over the artifact's canonical
+	// form (canon.Seal); an artifact without it is corrupt.
+	Checksum string `json:"checksum"`
 }
-
-func (a *Artifact) setChecksum(s string) { a.Checksum = s }
 
 // compactResult normalizes the embedded result document to compact
 // JSON: sealing indents the whole artifact (re-indenting the raw
@@ -90,26 +91,6 @@ func (a *Artifact) compactResult() error {
 	}
 	a.Result = json.RawMessage(buf.Bytes())
 	return nil
-}
-
-// seal marshals a with its content checksum stamped in, the repo-wide
-// sealed-document convention (indented, trailing newline).
-func seal(a *Artifact) ([]byte, error) {
-	a.setChecksum("")
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	sum, err := canon.Checksum(data, "checksum")
-	if err != nil {
-		return nil, err
-	}
-	a.setChecksum(sum)
-	data, err = json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // Counters aggregates the store's cache-traffic and degradation
@@ -278,29 +259,22 @@ func (s *Store) Get(ctx context.Context, k key.Key) (*Artifact, error) {
 	}
 	art, reason := decode(data, k)
 	if art == nil {
-		s.quarantine(path, reason, int64(len(data)))
+		s.quarantine(ctx, path, reason, int64(len(data)))
 		return nil, nil
 	}
 	s.lifecycle.noteGet(k.SHA, art.Kind, int64(len(data)))
 	return art, nil
 }
 
-// decode parses and integrity-checks one artifact document; a nil
-// artifact comes back with the quarantine reason.
+// decode verifies (canon.Verify) and decodes one artifact document; a
+// nil artifact comes back with the quarantine reason.
 func decode(data []byte, k key.Key) (*Artifact, string) {
-	sum, err := canon.Checksum(data, "checksum")
-	if err != nil {
-		return nil, fmt.Sprintf("unparseable JSON: %v", err)
+	if err := canon.Verify(data); err != nil {
+		return nil, err.Error()
 	}
 	var a Artifact
 	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Sprintf("not an artifact document: %v", err)
-	}
-	if a.Checksum == "" {
-		return nil, "no content checksum"
-	}
-	if a.Checksum != sum {
-		return nil, fmt.Sprintf("checksum %s, content is %s (torn write or bit rot)", a.Checksum, sum)
 	}
 	if a.Schema != ArtifactSchema {
 		return nil, fmt.Sprintf("artifact schema %d, this build understands %d", a.Schema, ArtifactSchema)
@@ -315,29 +289,24 @@ func decode(data []byte, k key.Key) (*Artifact, string) {
 }
 
 // quarantine moves a corrupt artifact to <root>/corrupt/ with a
-// .reason sibling, removing it from the cache namespace so it is
-// recomputed instead of served and never re-read in a loop. Name
-// collisions across repeated corruption get a numeric suffix.
-func (s *Store) quarantine(path, reason string, size int64) {
-	qdir := filepath.Join(s.root, "corrupt")
-	if err := s.fsys.MkdirAll(qdir, 0o755); err != nil {
-		log.Printf("store: quarantine mkdir: %v", err)
-		return
-	}
+// .reason sibling (faultfs.Quarantine, retried as one unit), removing
+// it from the cache namespace so it is recomputed instead of served
+// and never re-read in a loop. An artifact another caller already
+// moved is neither counted nor dropped from the index twice.
+func (s *Store) quarantine(ctx context.Context, path, reason string, size int64) {
 	base := filepath.Base(path)
-	dst := filepath.Join(qdir, base)
-	for i := 2; ; i++ {
-		if _, err := s.fsys.Stat(dst); errors.Is(err, fs.ErrNotExist) {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", base, i))
-	}
-	if err := s.fsys.Rename(path, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	var dst string
+	err := s.retrier().Do(ctx, "quarantine "+base, func() (err error) {
+		dst, err = faultfs.Quarantine(s.fsys, path, faultfs.CorruptDir(s.root), reason)
+		return err
+	})
+	if err != nil {
 		log.Printf("store: quarantine %s: %v", base, err)
 		return
 	}
-	// The reason file is evidence, not protocol state: best effort.
-	_ = s.fsys.WriteFile(dst+".reason", []byte(reason+"\n"), 0o644)
+	if dst == "" {
+		return
+	}
 	s.quarantined.Add(1)
 	s.lifecycle.noteRemoved(shaOfObjectFile(base), size, "quarantine")
 	log.Printf("store: quarantined %s: %s", dst, reason)
@@ -349,7 +318,7 @@ func (s *Store) quarantine(path, reason string, size int64) {
 // already landed is idempotent: same content, same target).
 func (s *Store) put(ctx context.Context, k key.Key, a *Artifact) (int64, error) {
 	path := s.ObjectPath(k)
-	data, err := seal(a)
+	data, err := canon.Seal(a, &a.Checksum, true)
 	if err != nil {
 		return 0, err
 	}

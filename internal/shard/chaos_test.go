@@ -186,9 +186,7 @@ func TestSkewedClockCannotStealLiveLease(t *testing.T) {
 	}
 	ctx := context.Background()
 	live := Lease{Shard: id, Token: newToken(), Attempt: 1, Seq: 1, HeartbeatAt: time.Now().UTC().Add(-time.Hour)}
-	if err := writeJSONAtomic(LeasePath(dir, id), &live); err != nil {
-		t.Fatal(err)
-	}
+	writeLease(t, LeasePath(dir, id), &live)
 	// First sighting: records (token, seq=1). The clock fault then skews
 	// this dispatcher's Now() 4 hours forward.
 	if _, state, err := d.tryAcquire(ctx, id); err != nil || state != leaseBusy {
@@ -197,9 +195,7 @@ func TestSkewedClockCannotStealLiveLease(t *testing.T) {
 	// The owner heartbeats (seq advances) — so despite the observer's
 	// clock having leapt far past any TTL, the lease must stay busy.
 	live.Seq = 2
-	if err := writeJSONAtomic(LeasePath(dir, id), &live); err != nil {
-		t.Fatal(err)
-	}
+	writeLease(t, LeasePath(dir, id), &live)
 	if _, state, _ := d.tryAcquire(ctx, id); state != leaseBusy {
 		t.Errorf("live lease stolen under clock skew: state=%v", state)
 	}
@@ -230,7 +226,7 @@ func TestDispatchQuarantinesCorruptDoneArtifact(t *testing.T) {
 	if res.Counters.Quarantined != 1 {
 		t.Errorf("quarantined %d, want 1", res.Counters.Quarantined)
 	}
-	qpath := filepath.Join(CorruptDir(dir), filepath.Base(DonePath(dir, victim)))
+	qpath := filepath.Join(faultfs.CorruptDir(dir), filepath.Base(DonePath(dir, victim)))
 	if _, err := os.Stat(qpath); err != nil {
 		t.Errorf("corrupt artifact not in quarantine: %v", err)
 	}

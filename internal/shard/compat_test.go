@@ -2,21 +2,22 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// The backward-compatibility pin: artifacts written by the
-// pre-checksum builds (PRs 3–6) must keep loading. The goldens in
-// testdata/ were generated by the last pre-checksum build over
-// testSpec(); they have no checksum member and verify by schema
-// alone.
+// The pre-checksum format (PRs 3–6) is rejected: a document without a
+// checksum is corrupt. The goldens in testdata/ were generated by the
+// last pre-checksum build over testSpec(); they have no checksum
+// member. Rejecting them costs a recompute and nothing else, since
+// every cell is a pure function of its sweep spec.
 
-// A pre-checksum cell partial resumes: it is loaded (not recomputed,
-// observable in the counters), and the finished shard matches a fresh
-// run bit for bit.
+// A pre-checksum cell partial is quarantined and its cell recomputed,
+// and the finished shard matches a fresh run bit for bit.
 func TestLegacyCellPartialResumes(t *testing.T) {
 	m, err := Plan(testSpec(), 1)
 	if err != nil {
@@ -35,11 +36,8 @@ func TestLegacyCellPartialResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume over pre-checksum partial: %v", err)
 	}
-	if counters.CellsLoaded != 1 {
-		t.Errorf("legacy cell loaded %d times, want 1 (recomputing would mask a compat break)", counters.CellsLoaded)
-	}
-	if counters.Quarantined != 0 {
-		t.Errorf("legacy cell quarantined — checksum absence must mean schema-only verify, not corruption")
+	if counters.CellsLoaded != 0 || counters.Quarantined != 1 {
+		t.Errorf("counters %+v, want the pre-checksum cell quarantined (1) and none loaded", counters)
 	}
 	plain, err := Run(context.Background(), m, "s000", 0)
 	if err != nil {
@@ -50,34 +48,16 @@ func TestLegacyCellPartialResumes(t *testing.T) {
 	}
 }
 
-// A pre-checksum shard artifact decodes, passes verification as
-// legacy, and merges to exactly the fresh single-process result.
+// A pre-checksum shard artifact is reported corrupt, and the error
+// names the missing checksum.
 func TestLegacyShardArtifactLoads(t *testing.T) {
 	path := filepath.Join("testdata", "part-s000.prechecksum.golden.json")
-	a, err := ReadArtifact(path)
-	if err != nil {
-		t.Fatalf("pre-checksum artifact rejected: %v", err)
+	_, err := ReadArtifact(path)
+	var corrupt *corruptError
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("pre-checksum artifact: %v, want a corrupt error", err)
 	}
-	if a.Checksum != "" {
-		t.Fatalf("golden artifact unexpectedly carries checksum %q — regenerate the test, not the golden", a.Checksum)
-	}
-	merged, err := Merge([]*Artifact{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Plan(testSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Run(context.Background(), m, "s000", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshMerged, err := Merge([]*Artifact{fresh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, freshMerged) {
-		t.Errorf("legacy artifact merge differs from fresh run")
+	if !strings.Contains(err.Error(), "no checksum") {
+		t.Errorf("rejection does not name the missing checksum: %v", err)
 	}
 }

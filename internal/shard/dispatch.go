@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -15,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/faultfs"
 	"repro/internal/hostmeta"
 	"repro/internal/sim"
@@ -53,9 +53,9 @@ type Lease struct {
 	AcquiredAt  time.Time `json:"acquired_at"`
 	HeartbeatAt time.Time `json:"heartbeat_at"`
 	// Checksum is the content checksum over the lease document's
-	// canonical form. A lease that fails verification cannot prove
-	// liveness and is treated as expired with an unknown attempt
-	// count.
+	// canonical form (canon.Seal). A lease that fails verification,
+	// or carries no checksum, cannot prove liveness and is treated as
+	// expired with an unknown attempt count.
 	Checksum string `json:"checksum,omitempty"`
 }
 
@@ -464,13 +464,13 @@ func (d *dispatcher) tryAcquire(ctx context.Context, shardID string) (Lease, lea
 		// Expired on its last permitted attempt: terminal. The marker
 		// write is idempotent (atomic rename of identical semantics from
 		// racing dispatchers).
-		if err := d.env.writeSealedRetry(ctx, FailedPath(d.opts.Dir, shardID), &old); err != nil {
+		if err := d.env.writeSealedRetry(ctx, FailedPath(d.opts.Dir, shardID), &old, &old.Checksum); err != nil {
 			return Lease{}, leaseBusy, err
 		}
 		return Lease{}, leaseFailed, nil
 	}
 	lease.Attempt = old.Attempt + 1
-	if err := d.env.writeSealedRetry(ctx, path, &lease); err != nil {
+	if err := d.env.writeSealedRetry(ctx, path, &lease, &lease.Checksum); err != nil {
 		return Lease{}, leaseBusy, err
 	}
 	// Read back: of N racing stealers the last rename wins; exactly one
@@ -513,7 +513,7 @@ func (d *dispatcher) runShard(ctx context.Context, shardID string, lease Lease) 
 	if err != nil {
 		return err
 	}
-	if err := d.env.writeSealedRetry(ctx, DonePath(d.opts.Dir, shardID), art); err != nil {
+	if err := d.env.writeSealedRetry(ctx, DonePath(d.opts.Dir, shardID), art, &art.Checksum); err != nil {
 		return err
 	}
 	d.release(ctx, shardID, lease.Token)
@@ -548,7 +548,7 @@ func (d *dispatcher) heartbeat(ctx context.Context, stop <-chan struct{}, shardI
 			lease.HeartbeatAt = d.env.fsys.Now().UTC()
 			// Best effort: a failed beat only freezes Seq, aging the
 			// lease toward stealability — the intended failure mode.
-			if data, err := sealJSON(&lease); err == nil {
+			if data, err := canon.Seal(&lease, &lease.Checksum, true); err == nil {
 				_ = faultfs.AtomicWrite(d.env.fsys, path, data)
 			}
 		}
@@ -569,17 +569,11 @@ func (d *dispatcher) release(ctx context.Context, shardID, token string) {
 }
 
 // decodeLease parses and integrity-checks a lease document. ok=false
-// means the lease is corrupt (unparseable or checksum-mismatched) and
-// cannot prove liveness; pre-checksum leases verify by schema alone.
+// means the lease is corrupt (unparseable, unsealed or
+// checksum-mismatched) and cannot prove liveness.
 func decodeLease(data []byte) (Lease, bool) {
 	var l Lease
-	if _, err := verifyDoc(data, "lease"); err != nil {
-		return l, false
-	}
-	if err := json.Unmarshal(data, &l); err != nil {
-		return l, false
-	}
-	return l, true
+	return l, openSealed(data, "lease", &l) == nil
 }
 
 // linkNew atomically creates path with the sealed lease iff it does
@@ -592,7 +586,7 @@ func decodeLease(data []byte) (Lease, bool) {
 // never heartbeats and is stolen after TTL, costing one attempt,
 // never correctness.
 func (d *dispatcher) linkNew(ctx context.Context, path string, lease *Lease) (created bool, err error) {
-	data, err := sealJSON(lease)
+	data, err := canon.Seal(lease, &lease.Checksum, true)
 	if err != nil {
 		return false, err
 	}

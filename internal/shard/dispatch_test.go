@@ -9,7 +9,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/canon"
+	"repro/internal/faultfs"
 )
+
+// writeLease seals l and publishes it as a dispatcher would.
+func writeLease(t *testing.T, path string, l *Lease) {
+	t.Helper()
+	data, err := canon.Seal(l, &l.Checksum, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultfs.AtomicWrite(faultfs.OS(), path, data); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // dispatchSpec is the property-test workload: skewed cell costs (the
 // x=16 cells dominate under LinearCost) in a 3-shard cost-weighted
@@ -184,9 +199,7 @@ func TestDispatchAttemptCap(t *testing.T) {
 	if err := os.MkdirAll(PartialsDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeJSONAtomic(LeasePath(dir, victim), &stale); err != nil {
-		t.Fatal(err)
-	}
+	writeLease(t, LeasePath(dir, victim), &stale)
 	opts := DispatchOptions{Dir: dir, LeaseTTL: 5 * time.Millisecond, Poll: 2 * time.Millisecond}
 	_, err := Dispatch(context.Background(), m, opts)
 	if err == nil || !strings.Contains(err.Error(), victim) {
@@ -226,9 +239,7 @@ func TestTryAcquireStealIncrementsAttempt(t *testing.T) {
 	ctx := context.Background()
 	id := m.Shards[0].ID
 	stale := Lease{Shard: id, Token: newToken(), Attempt: 1, HeartbeatAt: time.Now().UTC().Add(-time.Hour)}
-	if err := writeJSONAtomic(LeasePath(dir, id), &stale); err != nil {
-		t.Fatal(err)
-	}
+	writeLease(t, LeasePath(dir, id), &stale)
 	if _, state, err := d.tryAcquire(ctx, id); err != nil || state != leaseBusy {
 		t.Fatalf("first sighting must be busy (hour-old wall stamp notwithstanding): state=%v err=%v", state, err)
 	}
@@ -246,17 +257,13 @@ func TestTryAcquireStealIncrementsAttempt(t *testing.T) {
 	// An owner that keeps heartbeating — advancing seq — is never
 	// stolen, because each new (token, seq) restarts the local clock.
 	live := Lease{Shard: id, Token: newToken(), Attempt: 1, Seq: 1, HeartbeatAt: time.Now().UTC()}
-	if err := writeJSONAtomic(LeasePath(dir, id), &live); err != nil {
-		t.Fatal(err)
-	}
+	writeLease(t, LeasePath(dir, id), &live)
 	if _, state, _ := d.tryAcquire(ctx, id); state != leaseBusy {
 		t.Errorf("fresh (token, seq) stolen on first sight: state=%v", state)
 	}
 	time.Sleep(10 * time.Millisecond)
 	live.Seq = 2 // heartbeat arrived
-	if err := writeJSONAtomic(LeasePath(dir, id), &live); err != nil {
-		t.Fatal(err)
-	}
+	writeLease(t, LeasePath(dir, id), &live)
 	if _, state, _ := d.tryAcquire(ctx, id); state != leaseBusy {
 		t.Errorf("heartbeating lease stolen: state=%v", state)
 	}

@@ -1,124 +1,49 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"log"
-	"sync"
 
 	"repro/internal/canon"
 	"repro/internal/faultfs"
 )
 
 // Artifact integrity: every document the queue pipeline persists —
-// cell partials, shard part-*.json, lease files — carries a content
-// checksum ("crc32c:xxxxxxxx") computed over the document's canonical
-// JSON form with the checksum member removed. Canonical means
-// whitespace- and key-order-insensitive and number-exact (numbers are
-// re-emitted digit for digit via json.Number, so 64-bit accumulator
-// sums above 2^53 survive), so reformatting an artifact by hand does
-// not invalidate it, while any content change — a torn write, a
-// truncated tail, a flipped bit, an edited field — does.
+// cell partials, shard part-*.json, lease files — is sealed by
+// internal/canon: it carries a content checksum ("crc32c:xxxxxxxx")
+// over its canonical JSON form with the checksum member removed.
+// Canonical means whitespace- and key-order-insensitive and
+// number-exact, so reformatting an artifact by hand does not
+// invalidate it, while any content change — a torn write, a truncated
+// tail, a flipped bit, an edited field — does.
 //
-// Verification runs on every read. A document with no checksum member
-// is a pre-checksum artifact (PRs 3–6): it is accepted after the
-// schema checks alone, logged once per process. A document whose
-// checksum mismatches, or which does not parse at all, is corrupt: the
-// reader quarantines it (moved to a corrupt/ sibling directory with a
-// .reason file) and recomputes, never merges it and never re-reads it
-// forever.
-
-// ChecksumOf computes the canonical content checksum of one artifact
-// document: its canonical JSON (exact numbers, compact, sorted keys)
-// with the top-level "checksum" member dropped, then CRC-32C. The
-// machinery is the shared internal/canon implementation, which the
-// serve result store and cache keys also build on; shard keeps this
-// named wrapper because the queue-document convention (which member
-// is dropped) is part of its artifact schema.
-func ChecksumOf(doc []byte) (string, error) {
-	return canon.Checksum(doc, "checksum")
-}
-
-// sealable is implemented by every persisted document type carrying a
-// checksum field.
-type sealable interface{ setChecksum(string) }
-
-func (a *Artifact) setChecksum(s string)      { a.Checksum = s }
-func (ca *CellArtifact) setChecksum(s string) { ca.Checksum = s }
-func (l *Lease) setChecksum(s string)         { l.Checksum = s }
-
-// sealJSON marshals v with its content checksum stamped in: the sum
-// is computed with the checksum field cleared, then embedded, and the
-// final document re-marshaled (indented, trailing newline — the
-// repo-wide artifact convention).
-func sealJSON(v sealable) ([]byte, error) {
-	v.setChecksum("")
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	sum, err := ChecksumOf(data)
-	if err != nil {
-		return nil, err
-	}
-	v.setChecksum(sum)
-	data, err = json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
+// Verification runs on every read. A document that does not parse,
+// carries no checksum, or whose checksum mismatches is corrupt: the
+// reader quarantines it (faultfs.Quarantine: moved to a corrupt/
+// sibling directory with a .reason file) and recomputes, never merges
+// it and never re-reads it forever. Recomputing is always safe, since
+// every cell is a pure function of its sweep spec.
 
 // corruptError classifies a document as corrupt: unreadable,
-// checksum-mismatched, or internally inconsistent in a way that makes
-// recomputation the only safe recovery. Readers quarantine-and-retry
-// on it instead of failing; every other load error (foreign sweep,
-// unknown schema) stays loud, because recomputing would mask an
-// operator or build mismatch.
+// unsealed, checksum-mismatched, or internally inconsistent in a way
+// that makes recomputation the only safe recovery. Readers
+// quarantine-and-retry on it instead of failing; every other load
+// error (foreign sweep, unknown schema) stays loud, because
+// recomputing would mask an operator or build mismatch.
 type corruptError struct{ reason string }
 
 func (e *corruptError) Error() string { return "corrupt artifact: " + e.reason }
 
-// verifyDoc checks data's embedded checksum. It returns a
-// corruptError for unparseable documents and mismatched sums; legacy
-// reports a parseable document with no checksum member (pre-checksum
-// format), which the caller accepts after schema checks alone.
-func verifyDoc(data []byte, path string) (legacy bool, err error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var m map[string]any
-	if err := dec.Decode(&m); err != nil {
-		return false, &corruptError{reason: fmt.Sprintf("%s: unparseable JSON: %v", path, err)}
+// openSealed verifies data's seal and decodes it into v. Every
+// failure is a corruptError naming origin.
+func openSealed(data []byte, origin string, v any) error {
+	if err := canon.Verify(data); err != nil {
+		return &corruptError{reason: fmt.Sprintf("%s: %v", origin, err)}
 	}
-	raw, ok := m["checksum"]
-	if !ok {
-		logLegacyOnce(path)
-		return true, nil
+	if err := json.Unmarshal(data, v); err != nil {
+		return &corruptError{reason: fmt.Sprintf("%s: %v", origin, err)}
 	}
-	want, ok := raw.(string)
-	if !ok {
-		return false, &corruptError{reason: fmt.Sprintf("%s: non-string checksum field", path)}
-	}
-	got, err := ChecksumOf(data)
-	if err != nil {
-		return false, &corruptError{reason: fmt.Sprintf("%s: %v", path, err)}
-	}
-	if got != want {
-		return false, &corruptError{reason: fmt.Sprintf("%s: checksum %s, content is %s (torn write or bit rot)", path, want, got)}
-	}
-	return false, nil
-}
-
-var legacyLogOnce sync.Once
-
-// logLegacyOnce notes — once per process, to avoid drowning fleets in
-// per-file noise — that a pre-checksum artifact was accepted on
-// schema checks alone.
-func logLegacyOnce(path string) {
-	legacyLogOnce.Do(func() {
-		log.Printf("shard: %s carries no content checksum (pre-checksum artifact); verified by schema only", path)
-	})
+	return nil
 }
 
 // Counters aggregates the degradation events of one resumable run or
@@ -160,8 +85,7 @@ func (c Counters) String() string {
 }
 
 // ReadArtifact loads one shard artifact file, verifying its content
-// checksum (pre-checksum artifacts are verified by schema alone and
-// logged once). Corruption is reported as an error naming the reason;
+// checksum. Corruption is reported as an error naming the reason;
 // quarantining is the dispatcher's job, not this reader's.
 func ReadArtifact(path string) (*Artifact, error) {
 	data, err := faultfs.OS().ReadFile(path)
@@ -176,15 +100,11 @@ func ReadArtifact(path string) (*Artifact, error) {
 }
 
 // decodeArtifact parses and integrity-checks one shard artifact
-// document. Corruption (including a schema-field type mismatch under
-// a missing checksum) comes back as *corruptError.
+// document. Corruption comes back as *corruptError.
 func decodeArtifact(data []byte, path string) (*Artifact, error) {
-	if _, err := verifyDoc(data, path); err != nil {
-		return nil, err
-	}
 	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", path, err)}
+	if err := openSealed(data, path, &a); err != nil {
+		return nil, err
 	}
 	if a.Schema != ArtifactSchema {
 		return nil, fmt.Errorf("%s: artifact schema %d, this build understands %d", path, a.Schema, ArtifactSchema)
@@ -197,7 +117,7 @@ func decodeArtifact(data []byte, path string) (*Artifact, error) {
 // host crash leaves either the old state or the complete new
 // document, never a torn part-*.json.
 func WriteArtifact(path string, a *Artifact) error {
-	data, err := sealJSON(a)
+	data, err := canon.Seal(a, &a.Checksum, true)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/sim"
 )
 
@@ -19,20 +20,20 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 		Cell:   Cell{X: 4, TrialLo: 0, TrialHi: 6},
 		Stats:  sim.Stats{Trials: 6, Converged: 6, Correct: 6, SumSteps: 42},
 	}
-	data, err := sealJSON(ca)
+	data, err := canon.Seal(ca, &ca.Checksum, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ca.Checksum == "" || !strings.HasPrefix(ca.Checksum, "crc32c:") {
 		t.Fatalf("seal left checksum %q", ca.Checksum)
 	}
-	if legacy, err := verifyDoc(data, "sealed"); err != nil || legacy {
-		t.Fatalf("sealed document: legacy=%v err=%v", legacy, err)
+	if err := openSealed(data, "sealed", new(CellArtifact)); err != nil {
+		t.Fatalf("sealed document: %v", err)
 	}
 	// Reformat: strip all the indentation the canonical form ignores.
 	reformatted := bytes.ReplaceAll(bytes.ReplaceAll(data, []byte("\n"), nil), []byte("  "), nil)
-	if legacy, err := verifyDoc(reformatted, "reformatted"); err != nil || legacy {
-		t.Errorf("reformatting broke verification: legacy=%v err=%v", legacy, err)
+	if err := openSealed(reformatted, "reformatted", new(CellArtifact)); err != nil {
+		t.Errorf("reformatting broke verification: %v", err)
 	}
 }
 
@@ -41,7 +42,7 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 func TestVerifyDetectsMutation(t *testing.T) {
 	ca := &CellArtifact{Schema: ArtifactSchema, Sweep: testSpec(),
 		Cell: Cell{X: 4, TrialLo: 0, TrialHi: 6}, Stats: sim.Stats{Trials: 6}}
-	data, err := sealJSON(ca)
+	data, err := canon.Seal(ca, &ca.Checksum, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +51,15 @@ func TestVerifyDetectsMutation(t *testing.T) {
 	if bytes.Equal(mutated, data) {
 		t.Fatal("mutation did not apply")
 	}
-	if _, err := verifyDoc(mutated, "mutated"); !errors.As(err, &corrupt) {
-		t.Errorf("flipped digit not flagged as corrupt: %v", err)
-	}
-	if _, err := verifyDoc(data[:len(data)/2], "truncated"); !errors.As(err, &corrupt) {
-		t.Errorf("truncated document not flagged as corrupt: %v", err)
-	}
-	if _, err := verifyDoc([]byte(`{"checksum": 7}`), "nonstring"); !errors.As(err, &corrupt) {
-		t.Errorf("non-string checksum not flagged as corrupt: %v", err)
+	for name, doc := range map[string][]byte{
+		"flipped digit":      mutated,
+		"truncated document": data[:len(data)/2],
+		"non-string sum":     []byte(`{"checksum": 7}`),
+		"unparseable":        []byte(`{"checksum": "crc32c:`),
+	} {
+		if err := openSealed(doc, name, new(CellArtifact)); !errors.As(err, &corrupt) {
+			t.Errorf("%s not flagged as corrupt: %v", name, err)
+		}
 	}
 }
 
@@ -66,11 +68,11 @@ func TestVerifyDetectsMutation(t *testing.T) {
 func TestChecksumExactBigIntegers(t *testing.T) {
 	a := []byte(`{"sum": 9007199254740993}`)
 	b := []byte(`{"sum": 9007199254740992}`) // same float64, different integer
-	ca, err := ChecksumOf(a)
+	ca, err := canon.Checksum(a, "checksum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := ChecksumOf(b)
+	cb, err := canon.Checksum(b, "checksum")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +81,15 @@ func TestChecksumExactBigIntegers(t *testing.T) {
 	}
 }
 
-// A checksum-less document is legacy, not corrupt: it verifies by
-// schema alone (the PRs 3–6 compatibility contract).
+// A checksum-less document is corrupt, like every unsealed document:
+// the pre-checksum format (PRs 3–6) is no longer accepted.
 func TestVerifyLegacyDocument(t *testing.T) {
-	legacy, err := verifyDoc([]byte(`{"schema": 1, "stats": {"trials": 3}}`), "old")
-	if err != nil {
-		t.Fatalf("legacy document rejected: %v", err)
+	err := openSealed([]byte(`{"schema": 1, "stats": {"trials": 3}}`), "old", new(CellArtifact))
+	var corrupt *corruptError
+	if !errors.As(err, &corrupt) || !errors.Is(canon.Verify([]byte(`{"schema": 1}`)), canon.ErrUnsealed) {
+		t.Fatalf("checksum-less document: %v, want corrupt", err)
 	}
-	if !legacy {
-		t.Error("checksum-less document not reported as legacy")
+	if !strings.Contains(err.Error(), "no checksum") {
+		t.Errorf("rejection does not name the missing checksum: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/canon"
 	"repro/internal/faultfs"
 	"repro/internal/sim"
 )
@@ -197,17 +197,7 @@ func MergePartial(sw SweepSpec, points []PartialPoint, rule sim.StopRule) (*Anyt
 // the indented on-disk cell document of the same cell verify against
 // the same sum.
 func SealCellLine(ca *CellArtifact) ([]byte, error) {
-	ca.Checksum = ""
-	data, err := json.Marshal(ca)
-	if err != nil {
-		return nil, err
-	}
-	sum, err := ChecksumOf(data)
-	if err != nil {
-		return nil, err
-	}
-	ca.Checksum = sum
-	return json.Marshal(ca)
+	return canon.Seal(ca, &ca.Checksum, false)
 }
 
 // DecodeCellLine verifies and decodes one streamed delta line: the

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/canon"
+	"repro/internal/faultfs"
 	"repro/internal/sim"
 )
 
@@ -421,7 +423,7 @@ func TestScanPartialDir(t *testing.T) {
 	// A torn cell file fails the scan loudly.
 	spec, _ := m.Shard("s001")
 	poison := fmt.Sprintf("%s/%s", PartialsDir(dir), cellFileName(spec.Cells[0]))
-	if err := WriteFileAtomic(poison, []byte("{torn")); err != nil {
+	if err := faultfs.AtomicWrite(faultfs.OS(), poison, []byte("{torn")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ScanPartialDir(dir); err == nil {
@@ -436,12 +438,13 @@ func TestScanPartialDir(t *testing.T) {
 func TestReadCellFileRejectsEmptyRange(t *testing.T) {
 	for _, c := range []Cell{{X: 2, TrialLo: 5, TrialHi: 5}, {X: 2, TrialLo: -3, TrialHi: -3}} {
 		dir := t.TempDir()
-		data, err := sealJSON(&CellArtifact{Schema: ArtifactSchema, Sweep: testSpec(), Cell: c})
+		ca := CellArtifact{Schema: ArtifactSchema, Sweep: testSpec(), Cell: c}
+		data, err := canon.Seal(&ca, &ca.Checksum, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, cellFileName(c))
-		if err := WriteFileAtomic(path, data); err != nil {
+		if err := faultfs.AtomicWrite(faultfs.OS(), path, data); err != nil {
 			t.Fatal(err)
 		}
 		var ce *corruptError

@@ -65,7 +65,7 @@ func referenceRunResumable(ctx context.Context, m *Manifest, shardID string, wor
 			st = points[0].Stats
 			if dir != "" {
 				ca := CellArtifact{Schema: ArtifactSchema, Sweep: sw, Cell: c, Stats: st, Host: art.Host}
-				if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca); err != nil {
+				if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca, &ca.Checksum); err != nil {
 					return nil, counters, err
 				}
 			}

@@ -2,14 +2,12 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"sort"
 
-	"repro/internal/faultfs"
 	"repro/internal/hostmeta"
 	"repro/internal/sim"
 )
@@ -29,8 +27,8 @@ type CellArtifact struct {
 	Stats  sim.Stats     `json:"stats"`
 	Host   hostmeta.Meta `json:"host"`
 	// Checksum is the content checksum ("crc32c:…") over the
-	// document's canonical form; absent in pre-checksum artifacts,
-	// which load on schema checks alone.
+	// document's canonical form (canon.Seal); a document without it
+	// is corrupt.
 	Checksum string `json:"checksum,omitempty"`
 }
 
@@ -40,29 +38,6 @@ type CellArtifact struct {
 // writer win with a complete document either way.
 func cellFileName(c Cell) string {
 	return fmt.Sprintf("cell-x%d-t%d-%d.json", c.X, c.TrialLo, c.TrialHi)
-}
-
-// WriteFileAtomic writes data to path via a uniquely named temp file
-// in the same directory and an atomic rename, so concurrent readers
-// (and merge/resume scans) never observe a torn file and a killed
-// writer leaves no partial document behind — at worst a stray .tmp.
-// The temp file and the directory are fsynced before and after the
-// rename: a host crash after WriteFileAtomic returns cannot surface
-// an empty or torn document on ext4/NFS.
-func WriteFileAtomic(path string, data []byte) error {
-	return faultfs.AtomicWrite(faultfs.OS(), path, data)
-}
-
-// writeJSONAtomic marshals v (indented, trailing newline, the
-// repo-wide artifact convention) and writes it atomically. Documents
-// that carry a checksum field should go through writeSealedRetry
-// instead so the checksum is stamped.
-func writeJSONAtomic(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, append(data, '\n'))
 }
 
 // parseCell integrity-checks and decodes one cell partial document
@@ -92,12 +67,9 @@ func parseCell(data []byte, path string, sw SweepSpec, want Cell) (*CellArtifact
 // decoded, schema known, trial range non-empty, statistics covering
 // exactly that range. origin names the document in errors.
 func decodeCell(data []byte, origin string) (*CellArtifact, error) {
-	if _, err := verifyDoc(data, origin); err != nil {
-		return nil, err
-	}
 	var ca CellArtifact
-	if err := json.Unmarshal(data, &ca); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", origin, err)}
+	if err := openSealed(data, origin, &ca); err != nil {
+		return nil, err
 	}
 	if ca.Schema != ArtifactSchema {
 		return nil, fmt.Errorf("%s: cell schema %d, this build understands %d", origin, ca.Schema, ArtifactSchema)
@@ -270,7 +242,7 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 				c, at := compute[k], computeAt[k]
 				if dir != "" {
 					ca := CellArtifact{Schema: ArtifactSchema, Sweep: sw, Cell: c, Stats: st, Host: art.Host}
-					if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca); err != nil {
+					if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca, &ca.Checksum); err != nil {
 						return err
 					}
 				}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/faultfs"
 	"repro/internal/sim"
 )
@@ -64,8 +65,8 @@ func TestRunResumableMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if legacy, err := verifyDoc(data, cellFileName(c)); err != nil || legacy {
-			t.Errorf("cell %s: legacy=%v err=%v, want sealed and verifying", cellFileName(c), legacy, err)
+		if err := canon.Verify(data); err != nil {
+			t.Errorf("cell %s: %v, want sealed and verifying", cellFileName(c), err)
 		}
 	}
 }
@@ -109,7 +110,7 @@ func TestRunResumableKillResume(t *testing.T) {
 	if counters.CellsLoaded != 1 || counters.CellsComputed != 3 {
 		t.Errorf("counters %+v, want 1 loaded (intact survivor) / 3 computed", counters)
 	}
-	qpath := filepath.Join(CorruptDir(dir), cellFileName(spec.Cells[0]))
+	qpath := filepath.Join(faultfs.CorruptDir(dir), cellFileName(spec.Cells[0]))
 	if _, err := os.Stat(qpath); err != nil {
 		t.Errorf("poisoned partial not quarantined at %s: %v", qpath, err)
 	}
@@ -152,11 +153,10 @@ func TestRunResumableRejectsForeignPartials(t *testing.T) {
 
 // Tampered partials are caught and quarantined, by either tripwire: a
 // content edit under an unchanged checksum mismatches the checksum,
-// and a checksum-stripped (legacy-looking) partial whose stats do not
-// cover its claimed range fails the internal-consistency check that
-// mirrors Merge's.
+// and a re-sealed partial whose stats do not cover its claimed range
+// fails the internal-consistency check that mirrors Merge's.
 func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
-	for _, strip := range []bool{false, true} {
+	for _, reseal := range []bool{false, true} {
 		m, err := Plan(testSpec(), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -177,21 +177,30 @@ func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
 			t.Fatal(err)
 		}
 		ca.Stats.Trials-- // now inconsistent with the cell's range
-		if strip {
-			ca.Checksum = "" // legacy-looking: consistency check must catch it
+		if reseal {
+			// A valid checksum: the consistency check must catch it.
+			data, err = canon.Seal(&ca, &ca.Checksum, true)
+			if err == nil {
+				_, err = decodeCell(data, path)
+			}
+			if err == nil || !strings.Contains(err.Error(), "stats aggregate") {
+				t.Fatalf("re-sealed inconsistent partial: %v, want the stats check to reject it", err)
+			}
+		} else if data, err = json.MarshalIndent(&ca, "", "  "); err != nil {
+			t.Fatal(err)
 		}
-		if err := writeJSONAtomic(path, &ca); err != nil {
+		if err := faultfs.AtomicWrite(faultfs.OS(), path, data); err != nil {
 			t.Fatal(err)
 		}
 		res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
 		if err != nil {
-			t.Fatalf("strip=%v: tampered partial must be quarantined and recomputed, got %v", strip, err)
+			t.Fatalf("reseal=%v: tampered partial must be quarantined and recomputed, got %v", reseal, err)
 		}
 		if counters.Quarantined != 1 {
-			t.Errorf("strip=%v: quarantined %d, want 1", strip, counters.Quarantined)
+			t.Errorf("reseal=%v: quarantined %d, want 1", reseal, counters.Quarantined)
 		}
 		if !reflect.DeepEqual(baseline.Points, res.Points) {
-			t.Errorf("strip=%v: recovered points differ from baseline", strip)
+			t.Errorf("reseal=%v: recovered points differ from baseline", reseal)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/faultfs"
 )
 
@@ -68,12 +69,12 @@ func (e *queueEnv) retry(ctx context.Context, op string, f func() error) error {
 	return err
 }
 
-// writeSealedRetry seals v and publishes it atomically, retrying
-// transient failures of each step as one unit (a retried rename whose
-// first attempt actually succeeded is idempotent: same temp content,
-// same target).
-func (e *queueEnv) writeSealedRetry(ctx context.Context, path string, v sealable) error {
-	data, err := sealJSON(v)
+// writeSealedRetry seals v (canon.Seal, sum pointing at its checksum
+// field) and publishes it atomically, retrying transient failures of
+// each step as one unit (a retried rename whose first attempt actually
+// succeeded is idempotent: same temp content, same target).
+func (e *queueEnv) writeSealedRetry(ctx context.Context, path string, v any, sum *string) error {
+	data, err := canon.Seal(v, sum, true)
 	if err != nil {
 		return err
 	}
@@ -120,51 +121,20 @@ func (e *queueEnv) existsRetry(ctx context.Context, path string) (bool, error) {
 	return found, err
 }
 
-// CorruptDir is the quarantine subdirectory corrupt artifacts are
-// moved to, next to the files they were found among (the queue
-// directory for part-*.json, the partials directory for cell
-// partials). Each quarantined file gains a sibling
-// "<name>.reason" explaining why it was pulled.
-func CorruptDir(dir string) string { return filepath.Join(dir, "corrupt") }
-
 // quarantine moves the corrupt file at path into its directory's
-// corrupt/ subdirectory with a reason file, so the cell or shard is
-// recomputed instead of merged — and never re-read in a loop, because
-// the move removes it from the queue's namespace while preserving the
-// evidence for operators. Name collisions (the same artifact
-// quarantined across attempts) get a numeric suffix.
+// corrupt/ subdirectory with a reason file (faultfs.Quarantine), so
+// the cell or shard is recomputed instead of merged. The whole move is
+// retried as one unit on transient errors. A file another process
+// already moved is neither counted nor logged.
 func (e *queueEnv) quarantine(ctx context.Context, path, reason string) error {
-	qdir := CorruptDir(filepath.Dir(path))
-	if err := e.retry(ctx, "mkdir corrupt/", func() error {
-		return e.fsys.MkdirAll(qdir, 0o755)
-	}); err != nil {
+	var dst string
+	err := e.retry(ctx, "quarantine "+filepath.Base(path), func() (err error) {
+		dst, err = faultfs.Quarantine(e.fsys, path, faultfs.CorruptDir(filepath.Dir(path)), reason)
 		return err
-	}
-	base := filepath.Base(path)
-	dst := filepath.Join(qdir, base)
-	for i := 2; ; i++ {
-		taken, err := e.existsRetry(ctx, dst)
-		if err != nil {
-			return err
-		}
-		if !taken {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", base, i))
-	}
-	err := e.retry(ctx, "quarantine "+base, func() error {
-		rerr := e.fsys.Rename(path, dst)
-		if rerr != nil && errors.Is(rerr, fs.ErrNotExist) {
-			// A racing dispatcher quarantined (or re-published) it first.
-			return nil
-		}
-		return rerr
 	})
-	if err != nil {
+	if err != nil || dst == "" {
 		return err
 	}
-	// The reason file is evidence, not protocol state: best effort.
-	_ = e.fsys.WriteFile(dst+".reason", []byte(reason+"\n"), 0o644)
 	e.counters.Quarantined++
 	log.Printf("shard: quarantined %s: %s", dst, reason)
 	return nil

@@ -27,8 +27,8 @@ type Artifact struct {
 	Points []PartialPoint `json:"points"`
 	Host   hostmeta.Meta  `json:"host"`
 	// Checksum is the content checksum ("crc32c:…") over the
-	// document's canonical form; absent in pre-checksum artifacts,
-	// which load on schema checks alone.
+	// document's canonical form (canon.Seal); a document without it
+	// is corrupt.
 	Checksum string `json:"checksum,omitempty"`
 }
 

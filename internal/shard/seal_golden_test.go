@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/hostmeta"
 	"repro/internal/sim"
 )
@@ -38,7 +39,7 @@ func TestSealedGolden(t *testing.T) {
 		Owner:      hostmeta.Process{Meta: goldenHost, PID: 4242, StartedAt: stamp.Add(-time.Hour)},
 		AcquiredAt: stamp, HeartbeatAt: stamp.Add(90 * time.Second)}
 
-	cellFile, err := sealJSON(&ca)
+	cellFile, err := canon.Seal(&ca, &ca.Checksum, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestSealedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	artFile, err := sealJSON(&art)
+	artFile, err := canon.Seal(&art, &art.Checksum, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaseFile, err := sealJSON(&lease)
+	leaseFile, err := canon.Seal(&lease, &lease.Checksum, true)
 	if err != nil {
 		t.Fatal(err)
 	}
