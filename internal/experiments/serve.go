@@ -125,8 +125,8 @@ type replayStats struct {
 // daemon from boot, and, when warmPasses > 0, r warm replays of
 // warmPasses passes each over a store the mix has already filled.
 // The cold queries of daemon i+1 are spread evenly between the warm
-// passes over daemon i, so both sample the same time window; one extra
-// daemon, replayed cold unmeasured, is the first warm store. Every
+// passes over daemon i, so both sample the same time window; the
+// first daemon's cold replay only fills the first warm store. Every
 // store is removed on return.
 func serveReplays(boot func() (http.Handler, string, error), r, warmPasses int) (cold, warm replayStats, err error) {
 	var dirs []string
@@ -135,70 +135,57 @@ func serveReplays(boot func() (http.Handler, string, error), r, warmPasses int) 
 			os.RemoveAll(dir)
 		}
 	}()
-	next := func() (http.Handler, error) {
-		h, dir, err := boot()
-		if err == nil {
-			dirs = append(dirs, dir)
-		}
-		return h, err
-	}
-	var prev http.Handler
-	if warmPasses > 0 {
-		if prev, err = next(); err != nil {
-			return cold, warm, err
-		}
-		if _, _, err = replayMix(prev); err != nil {
-			return cold, warm, err
-		}
-	}
 	var coldP50s, coldP99s, warmP50s, warmP99s []time.Duration
-	for i := 0; i < r; i++ {
-		h, err := next()
+	var prev http.Handler
+	daemons := r
+	if warmPasses > 0 {
+		daemons++ // the first only fills the first warm store
+	}
+	for i := 0; i < daemons; i++ {
+		h, dir, err := boot()
 		if err != nil {
 			return cold, warm, err
 		}
+		dirs = append(dirs, dir)
 		var coldLats, warmLats []time.Duration
-		// coldUpTo posts the cold queries due once done of the warm
-		// passes have run: all of them when there are none.
-		coldUpTo := func(done int) error {
+		coldHits := 0
+		for pass := 0; pass <= warmPasses; pass++ {
+			if pass > 0 && prev != nil {
+				lats, hits, err := replayMix(prev)
+				if err != nil {
+					return cold, warm, err
+				}
+				warmLats = append(warmLats, lats...)
+				warm.hits += hits
+				warm.total += len(serveMix)
+			}
 			due := len(serveMix)
 			if warmPasses > 0 {
-				due = done * len(serveMix) / warmPasses
+				due = pass * len(serveMix) / warmPasses
 			}
-			for ; len(coldLats) < due; cold.total++ {
+			for len(coldLats) < due {
 				lat, hit, err := post(h, serveMix[len(coldLats)])
 				if err != nil {
-					return err
+					return cold, warm, err
 				}
 				coldLats = append(coldLats, lat)
 				if hit {
-					cold.hits++
+					coldHits++
 				}
 			}
-			return nil
 		}
-		for pass := 0; pass < warmPasses; pass++ {
-			lats, hits, err := replayMix(prev)
-			if err != nil {
-				return cold, warm, err
-			}
-			warmLats = append(warmLats, lats...)
-			warm.hits += hits
-			warm.total += len(serveMix)
-			if err := coldUpTo(pass + 1); err != nil {
-				return cold, warm, err
-			}
-		}
-		if err := coldUpTo(warmPasses); err != nil {
-			return cold, warm, err
-		}
-		coldP50s = append(coldP50s, percentile(coldLats, 50))
-		coldP99s = append(coldP99s, percentile(coldLats, 99))
-		if warmPasses > 0 {
+		if len(warmLats) > 0 {
 			warmP50s = append(warmP50s, percentile(warmLats, 50))
 			warmP99s = append(warmP99s, percentile(warmLats, 99))
 		}
 		prev = h
+		if i < daemons-r {
+			continue
+		}
+		cold.hits += coldHits
+		cold.total += len(serveMix)
+		coldP50s = append(coldP50s, percentile(coldLats, 50))
+		coldP99s = append(coldP99s, percentile(coldLats, 99))
 	}
 	cold.p50, cold.p99 = percentile(coldP50s, 50), percentile(coldP99s, 50)
 	warm.p50, warm.p99 = percentile(warmP50s, 50), percentile(warmP99s, 50)

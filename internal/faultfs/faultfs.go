@@ -23,6 +23,10 @@
 // file before returning and SyncDir fsyncs a directory, so callers
 // can build crash-safe write-temp → rename → sync-dir sequences on
 // any FS implementation and fault injection exercises each step.
+//
+// The package also owns the quarantine layout every reader of sealed
+// documents shares: Quarantine moves a corrupt file to corrupt/<name>
+// (<name>.2, .3, … on a collision) beside a <name>.reason file.
 package faultfs
 
 import (

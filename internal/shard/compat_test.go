@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// The pre-checksum format (PRs 3–6) is rejected: a document without a
-// checksum is corrupt. The goldens in testdata/ were generated by the
+// The pre-checksum format, written before artifacts were sealed, is
+// rejected: a document without a checksum is corrupt. The goldens in testdata/ were generated by the
 // last pre-checksum build over testSpec(); they have no checksum
 // member. Rejecting them costs a recompute and nothing else, since
 // every cell is a pure function of its sweep spec.

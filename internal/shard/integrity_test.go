@@ -82,7 +82,7 @@ func TestChecksumExactBigIntegers(t *testing.T) {
 }
 
 // A checksum-less document is corrupt, like every unsealed document:
-// the pre-checksum format (PRs 3–6) is no longer accepted.
+// the format written before artifacts were sealed is not accepted.
 func TestVerifyLegacyDocument(t *testing.T) {
 	err := openSealed([]byte(`{"schema": 1, "stats": {"trials": 3}}`), "old", new(CellArtifact))
 	var corrupt *corruptError

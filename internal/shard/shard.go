@@ -46,11 +46,11 @@
 //
 // The queue is hardened for lossy shared filesystems. Every artifact
 // the queue trades in (cell partials, shard artifacts, lease files)
-// carries a canonical-JSON CRC-32C checksum verified on every read;
-// a document that fails its checksum — torn write, bit rot, stray
-// editor — is moved to a corrupt/ quarantine beside a .reason file
-// and its work recomputed, never silently merged and never re-read
-// in a loop. (The final Merged output deliberately has no checksum,
+// is sealed by canon.Seal with a canonical-JSON CRC-32C checksum and
+// verified by canon.Verify on every read; a document that fails — no
+// checksum, torn write, bit rot, stray editor — is moved to a corrupt/
+// quarantine beside a .reason file (faultfs.Quarantine) and its work
+// recomputed, never silently merged and never re-read in a loop. (The final Merged output deliberately has no checksum,
 // so byte-diffing merged files across runs stays meaningful.) Queue
 // I/O retries transient errors (the ESTALE/EINTR family) with
 // faultfs.Retrier's exponential backoff and full jitter before giving
