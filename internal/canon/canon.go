@@ -300,9 +300,9 @@ func (c *canonicalizer) value(depth int) error {
 
 // object canonicalizes the object at c.pos, dropping the members named
 // in drop; the canonical value of the last one dropped is kept in
-// c.dropped for Verify. Members are written in input order; if that order is not
-// strictly ascending by decoded key, the body is then reordered and
-// duplicate keys collapsed to their last occurrence.
+// c.dropped for Verify. Members are written in input order; if that
+// order is not strictly ascending by decoded key, the body is then
+// reordered and duplicate keys collapsed to their last occurrence.
 func (c *canonicalizer) object(depth int, drop []string) error {
 	if depth > maxDepth {
 		return errors.New(errPrefix + "exceeded max depth")

@@ -573,7 +573,8 @@ func (d *dispatcher) release(ctx context.Context, shardID, token string) {
 // checksum-mismatched) and cannot prove liveness.
 func decodeLease(data []byte) (Lease, bool) {
 	var l Lease
-	return l, openSealed(data, "lease", &l) == nil
+	err := openSealed(data, "lease", &l)
+	return l, err == nil
 }
 
 // linkNew atomically creates path with the sealed lease iff it does
