@@ -50,6 +50,10 @@
 // document by hand does not invalidate it. Seal writes such a
 // document and Verify checks one, in a single canonicalization pass;
 // a document without the member is not sealed and does not verify.
+// VerifyMembers is that same pass for a reader that decodes the
+// document next: it also reports where each top-level member's value
+// sits in the input, so the reader takes a member's bytes as they
+// stand instead of parsing the document a second time.
 package canon
 
 import (
@@ -152,6 +156,31 @@ var ErrUnsealed = errors.New("canon: document carries no checksum")
 func Verify(doc []byte) error {
 	c := pool.Get().(*canonicalizer)
 	defer c.release()
+	return c.verify(doc)
+}
+
+// VerifyMembers is Verify for a reader that goes on to decode the
+// document, from the same single pass. On success it calls member once
+// for each top-level member, the checksum included, in input order,
+// with the member's decoded key (valid only during the call) and its
+// value's bytes as they stand in doc, surrounding whitespace excluded;
+// of a duplicated key the last call is the member the canonical form
+// kept. n is the length of the top-level value: doc[n:] is what a
+// json.Decoder would leave unread.
+func VerifyMembers(doc []byte, member func(key, value []byte)) (n int, err error) {
+	c := pool.Get().(*canonicalizer)
+	defer c.release()
+	c.spans = true
+	if err := c.verify(doc); err != nil {
+		return 0, err
+	}
+	for _, m := range c.top {
+		member(m.key, doc[m.start:m.end])
+	}
+	return c.pos, nil
+}
+
+func (c *canonicalizer) verify(doc []byte) error {
 	out, err := c.run(doc, sealDrop)
 	if err != nil {
 		return err
@@ -197,23 +226,31 @@ type canonicalizer struct {
 
 	dropped    []byte // canonical value of the last dropped member
 	hasDropped bool
+
+	spans bool     // record the top-level members in top (VerifyMembers)
+	top   []member // top-level members: key and value span in the input
 }
 
-// member is one written object member: its decoded key (a slice of
-// the input or of keys) and its "key":value span in out.
+// member is one object member: its decoded key (a slice of the input
+// or of keys) and its "key":value span in out, or for a recorded
+// top-level member its value's span in the input. A top-level key in
+// keys stays valid for the whole pass: nested objects push and pop
+// their keys above it.
 type member struct {
 	key        []byte
 	start, end int
 }
 
 func (c *canonicalizer) release() {
-	if cap(c.members) > maxPooled/40 { // a member is 40 bytes
-		c.members = nil
-	} else {
-		clear(c.members[:cap(c.members)]) // drop references into the input
-		c.members = c.members[:0]
+	for _, ms := range []*[]member{&c.members, &c.top} {
+		if cap(*ms) > maxPooled/40 { // a member is 40 bytes
+			*ms = nil
+		} else {
+			clear((*ms)[:cap(*ms)]) // drop references into the input
+			*ms = (*ms)[:0]
+		}
 	}
-	c.in = nil
+	c.in, c.spans = nil, false
 	for _, b := range []*[]byte{&c.out, &c.keys, &c.str, &c.tmp, &c.dropped} {
 		if cap(*b) > maxPooled {
 			*b = nil
@@ -229,6 +266,7 @@ func (c *canonicalizer) run(doc []byte, drop []string) ([]byte, error) {
 	c.in, c.pos, c.out = doc, 0, c.out[:0]
 	c.keys, c.members = c.keys[:0], c.members[:0]
 	c.dropped, c.hasDropped = c.dropped[:0], false
+	c.top = c.top[:0]
 	c.skipSpace()
 	switch {
 	case c.peek() == '{':
@@ -337,8 +375,13 @@ func (c *canonicalizer) object(depth int, drop []string) error {
 		c.pos++
 		c.out = append(c.out, ':')
 		valueAt := len(c.out)
+		c.skipSpace()
+		valueStart := c.pos
 		if err := c.value(depth); err != nil {
 			return err
+		}
+		if depth == 1 && c.spans {
+			c.top = append(c.top, member{key, valueStart, c.pos})
 		}
 		if dropped(key, drop) {
 			c.dropped, c.hasDropped = append(c.dropped[:0], c.out[valueAt:]...), true

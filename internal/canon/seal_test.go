@@ -88,7 +88,51 @@ func verifyAgrees(t *testing.T, doc []byte) error {
 	if (got == nil) != (want == nil) || errors.Is(got, ErrUnsealed) != errors.Is(want, ErrUnsealed) {
 		t.Fatalf("doc %q:\nVerify    %v\nreference %v", doc, got, want)
 	}
+	membersAgree(t, doc, got)
 	return got
+}
+
+// membersAgree checks VerifyMembers on one input against Verify's
+// verdict and the map-decode oracle: it fails exactly where Verify
+// does, and otherwise reports every top-level member of the oracle's
+// map, and only those, each last span re-canonicalizing to the
+// oracle's value; the reported length is what json.Decoder consumes.
+func membersAgree(t *testing.T, doc []byte, verdict error) {
+	t.Helper()
+	last := map[string][]byte{}
+	n, err := VerifyMembers(doc, func(key, value []byte) { last[string(key)] = value })
+	if (err == nil) != (verdict == nil) {
+		t.Fatalf("doc %q: VerifyMembers %v, Verify %v", doc, err, verdict)
+	}
+	if err != nil {
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		t.Fatalf("doc %q verifies but does not decode: %v", doc, err)
+	}
+	if int64(n) != dec.InputOffset() {
+		t.Fatalf("doc %q: VerifyMembers read %d bytes, json.Decoder %d", doc, n, dec.InputOffset())
+	}
+	if len(last) != len(m) {
+		t.Fatalf("doc %q: VerifyMembers reported %d distinct members, the oracle has %d", doc, len(last), len(m))
+	}
+	for k, v := range m {
+		span, ok := last[k]
+		if !ok {
+			t.Fatalf("doc %q: member %q not reported", doc, k)
+		}
+		got, err := Canonicalize(append(append([]byte(`{"v":`), span...), '}'))
+		if err != nil {
+			t.Fatalf("doc %q: span %q of member %q does not canonicalize: %v", doc, span, k, err)
+		}
+		want, _ := json.Marshal(map[string]any{"v": v})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("doc %q: member %q spans %q, canonical %s, the oracle's %s", doc, k, span, got, want)
+		}
+	}
 }
 
 func TestVerifyCases(t *testing.T) {
@@ -103,7 +147,8 @@ func TestVerifyCases(t *testing.T) {
 }
 
 // FuzzVerify is the differential fuzz target for Verify: on any bytes
-// it must accept exactly what the map-decode oracle accepts.
+// it must accept exactly what the map-decode oracle accepts, and the
+// member spans VerifyMembers reports must hold the oracle's members.
 func FuzzVerify(f *testing.F) {
 	for _, c := range verifyCases {
 		f.Add([]byte(c.doc))

@@ -20,6 +20,7 @@ package counting
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -30,13 +31,103 @@ import (
 // construction.
 const InputState = "i"
 
+// Size is how many states and transitions a construction builds. Each
+// construction states its size as arithmetic on its parameter (the
+// ...Size functions below, checked against the built nets by a
+// differential test), so a caller can price a construction without
+// building it. A size function rejects exactly the parameters its
+// constructor rejects, with the same error; a count too large for
+// int64 saturates at math.MaxInt64.
+type Size struct {
+	States, Transitions int64
+}
+
+// atLeast is the parameter check every construction shares.
+func atLeast(name string, v, lo int64) error {
+	if v < lo {
+		return fmt.Errorf("counting: %s = %d, want ≥ %d", name, v, lo)
+	}
+	return nil
+}
+
+// addSat and mulSat are non-negative int64 arithmetic saturating at
+// math.MaxInt64.
+func addSat(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+func mulSat(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+// Example41Size is the size of Example41(n): states i and p, one
+// transition per configuration of n−1 agents.
+func Example41Size(n int64) (Size, error) {
+	if err := atLeast("n", n, 1); err != nil {
+		return Size{}, err
+	}
+	return Size{States: 2, Transitions: n}, nil
+}
+
+// Example42Size is the size of Example42(n): six states and seven
+// transitions whatever n (n only sets the leader count).
+func Example42Size(n int64) (Size, error) {
+	if err := atLeast("n", n, 1); err != nil {
+		return Size{}, err
+	}
+	return Size{States: 6, Transitions: 7}, nil
+}
+
+// FlockOfBirdsSize is the size of FlockOfBirds(n): for n ≥ 2, n+1
+// states, one merge per unordered value pair (n(n−1)/2) and one
+// broadcast per state other than T (n).
+func FlockOfBirdsSize(n int64) (Size, error) {
+	if err := atLeast("n", n, 1); err != nil {
+		return Size{}, err
+	}
+	if n == 1 {
+		return Size{States: 1}, nil
+	}
+	// n(n−1)/2, halving whichever factor is even before multiplying.
+	a, b := n/2, n-1
+	if n%2 == 1 {
+		a, b = n, (n-1)/2
+	}
+	return Size{States: addSat(n, 1), Transitions: addSat(mulSat(a, b), n)}, nil
+}
+
+// PowerOfTwoSize is the size of PowerOfTwo(k): k+2 states; k−1
+// doublings, the saturating top merge, and k+1 broadcasts.
+func PowerOfTwoSize(k int64) (Size, error) {
+	if err := atLeast("k", k, 1); err != nil {
+		return Size{}, err
+	}
+	return Size{States: addSat(k, 2), Transitions: addSat(mulSat(2, k), 1)}, nil
+}
+
+// LeaderDoublingSize is the size of LeaderDoubling(k): Example 4.2's
+// six states and seven transitions plus one token state and one
+// doubling per round.
+func LeaderDoublingSize(k int64) (Size, error) {
+	if err := atLeast("k", k, 0); err != nil {
+		return Size{}, err
+	}
+	return Size{States: addSat(k, 6), Transitions: addSat(k, 7)}, nil
+}
+
 // Example41 builds the 2-state, width-n, leaderless protocol of
 // Example 4.1: the additive preorder "convert i to p when at least n
 // agents are present", materialized as the Petri net
 // {(ρ+i, ρ+p) : |ρ| = n−1}.
 func Example41(n int64) (*core.Protocol, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("counting: n = %d, want ≥ 1", n)
+	if err := atLeast("n", n, 1); err != nil {
+		return nil, err
 	}
 	space, err := conf.NewSpace("i", "p")
 	if err != nil {
@@ -71,8 +162,8 @@ func Example41(n int64) (*core.Protocol, error) {
 // leaders in state ī: states {i, ī, p, p̄, q, q̄} (ASCII: ib, pb, qb)
 // and the seven transitions of the paper.
 func Example42(n int64) (*core.Protocol, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("counting: n = %d, want ≥ 1", n)
+	if err := atLeast("n", n, 1); err != nil {
+		return nil, err
 	}
 	space, err := conf.NewSpace("i", "ib", "p", "pb", "q", "qb")
 	if err != nil {
@@ -123,8 +214,8 @@ func Example42(n int64) (*core.Protocol, error) {
 // States: v1..v(n−1) (value k), z (value 0), T (saturated). For n = 1
 // the protocol degenerates to a single always-accepting input state.
 func FlockOfBirds(n int64) (*core.Protocol, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("counting: n = %d, want ≥ 1", n)
+	if err := atLeast("n", n, 1); err != nil {
+		return nil, err
 	}
 	if n == 1 {
 		space, err := conf.NewSpace("i")
@@ -206,8 +297,8 @@ func FlockOfBirds(n int64) (*core.Protocol, error) {
 // This is the O(log n) upper-bound family for the infinitely many
 // n = 2^k, in the style of [6].
 func PowerOfTwo(k int64) (*core.Protocol, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("counting: k = %d, want ≥ 1", k)
+	if err := atLeast("k", k, 1); err != nil {
+		return nil, err
 	}
 	names := []string{"i"} // i is level 0
 	for j := int64(1); j < k; j++ {
@@ -269,8 +360,8 @@ func PowerOfTwo(k int64) (*core.Protocol, error) {
 // of doubling (using the model's agent creations), then Example 4.2
 // decides the threshold against them.
 func LeaderDoubling(k int64) (*core.Protocol, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("counting: k = %d, want ≥ 0", k)
+	if err := atLeast("k", k, 0); err != nil {
+		return nil, err
 	}
 	names := []string{"i", "ib", "p", "pb", "q", "qb"}
 	for j := int64(0); j < k; j++ {

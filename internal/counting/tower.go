@@ -43,11 +43,8 @@ import (
 // final majority-style comparison of input tokens i against register
 // tokens m with tie-accepting follower dynamics.
 func Tower(k int64) (*core.Protocol, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("counting: k = %d, want ≥ 0", k)
-	}
-	if k > 5 {
-		return nil, fmt.Errorf("counting: k = %d makes n = 2^(2^k) exceed int64", k)
+	if err := towerLevel(k); err != nil {
+		return nil, err
 	}
 
 	names := []string{"i", "r", "a", "b", "bp", "c", "m", "fi0", "fi1", "fm0", "fm1", "Linit", "E"}
@@ -235,6 +232,28 @@ func Tower(k int64) (*core.Protocol, error) {
 	}
 	leaders := u("Linit")
 	return core.NewProtocol(fmt.Sprintf("tower(k=%d)", k), net, leaders, []string{"i"}, gamma)
+}
+
+// towerLevel is Tower's parameter check: 2^(2^k) must fit an int64.
+func towerLevel(k int64) error {
+	if err := atLeast("k", k, 0); err != nil {
+		return err
+	}
+	if k > 5 {
+		return fmt.Errorf("counting: k = %d makes n = 2^(2^k) exceed int64", k)
+	}
+	return nil
+}
+
+// TowerSize is the size of Tower(k): 13 fixed states plus six phases
+// per level; 47 fixed transitions (start, strays, error cleanup and
+// restore, comparison, follower clean-up) plus 22 per level (twelve
+// phase steps and ten error rules).
+func TowerSize(k int64) (Size, error) {
+	if err := towerLevel(k); err != nil {
+		return Size{}, err
+	}
+	return Size{States: 6*k + 13, Transitions: 22*k + 47}, nil
 }
 
 // TowerThreshold returns n(k) = 2^(2^k), the intended threshold of

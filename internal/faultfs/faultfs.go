@@ -69,7 +69,7 @@ func OS() FS { return osFS{} }
 
 type osFS struct{}
 
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) ReadFile(name string) ([]byte, error) { return readFile(name) }
 
 func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return os.WriteFile(name, data, perm)
@@ -92,15 +92,7 @@ func (osFS) WriteFileSync(name string, data []byte, perm fs.FileMode) error {
 }
 
 func (osFS) Append(name string, data []byte, perm fs.FileMode) error {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, perm)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return appendFile(name, data, perm)
 }
 
 func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }

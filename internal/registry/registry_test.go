@@ -1,6 +1,9 @@
 package registry
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNames(t *testing.T) {
 	names := Names()
@@ -73,5 +76,65 @@ func TestMakeInvalidParam(t *testing.T) {
 	}
 	if _, _, err := Make("tower", 99); err == nil {
 		t.Error("tower with k=99 accepted")
+	}
+}
+
+// Every entry's Shape is differential against its Make: over small
+// parameters (and the shift edges of the 2^k families) the threshold,
+// the state and transition counts, the input state and every
+// validation error agree with what Make builds.
+func TestShapeMatchesMake(t *testing.T) {
+	params := []int64{-3, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 17, 33}
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		ps := params
+		if name == "power2" || name == "leaderdoubling" {
+			ps = append(ps, 62, 63, 64, 65, 100)
+		}
+		for _, param := range ps {
+			sh, serr := e.Shape(param)
+			p, n, merr := e.Make(param)
+			if (serr == nil) != (merr == nil) || serr != nil && serr.Error() != merr.Error() {
+				t.Errorf("%s(%d): Shape error %v, Make error %v", name, param, serr, merr)
+				continue
+			}
+			if merr != nil {
+				continue
+			}
+			got := [3]int64{sh.Threshold, sh.States, sh.Transitions}
+			want := [3]int64{n, int64(p.States()), int64(len(p.Net().Transitions()))}
+			if got != want {
+				t.Errorf("%s(%d): Shape (n, states, transitions) = %v, Make built %v", name, param, got, want)
+			}
+			if in := p.InitialStates()[0]; e.Input != in {
+				t.Errorf("%s(%d): entry input %q, built protocol's %q", name, param, e.Input, in)
+			}
+		}
+	}
+}
+
+// Shape prices parameters far beyond anything buildable without
+// building: sizes saturate instead of wrapping, and nothing allocates.
+func TestShapeOfHugeParams(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		param int64
+	}{{"flock", 1 << 20}, {"flock", math.MaxInt64}, {"example41", math.MaxInt64}, {"power2", math.MaxInt64}, {"leaderdoubling", 1 << 40}} {
+		sh, err := ShapeOf(c.name, c.param)
+		if err != nil {
+			t.Fatalf("%s(%d): %v", c.name, c.param, err)
+		}
+		if sh.States <= 0 || sh.Transitions <= 0 || sh.Cells() < 1<<30 {
+			t.Errorf("%s(%d): shape %+v cells %d, want a huge positive size", c.name, c.param, sh, sh.Cells())
+		}
+		if a := testing.AllocsPerRun(10, func() { _, _ = ShapeOf(c.name, c.param) }); a != 0 {
+			t.Errorf("%s(%d): ShapeOf allocates %.0f times", c.name, c.param, a)
+		}
+	}
+	if sh, _ := ShapeOf("flock", 1<<20); sh.Transitions != (1<<20)*(1<<20-1)/2+1<<20 || sh.States != 1<<20+1 {
+		t.Errorf("flock(2^20) shape %+v", sh)
+	}
+	if sh, _ := ShapeOf("flock", math.MaxInt64); sh.States != math.MaxInt64 || sh.Transitions != math.MaxInt64 || sh.Cells() != math.MaxInt64 {
+		t.Errorf("flock(MaxInt64) shape %+v does not saturate", sh)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/registry"
 	"repro/internal/serve/key"
 	"repro/internal/shard"
 )
@@ -54,6 +55,15 @@ func (a *admitter) acquire(ctx context.Context, n int64) error {
 		a.mu.Unlock()
 		return fmt.Errorf("serve: query cost %d exceeds admission capacity %d; shrink trials, budget, or population", n, a.capacity)
 	}
+	// Tokens on hand are taken without arming the cancellation wake-up
+	// below, whose registration allocates on every request.
+	a.mu.Lock()
+	if a.avail >= n {
+		a.avail -= n
+		a.mu.Unlock()
+		return nil
+	}
+	a.mu.Unlock()
 	// Waiters park on the cond; context cancellation has to wake them.
 	stop := context.AfterFunc(ctx, func() {
 		a.mu.Lock()
@@ -92,6 +102,31 @@ func (a *admitter) snapshot() (int64, int64, int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.capacity, a.avail, a.rejected
+}
+
+// maxProtocolCells caps the protocol a query may name, in
+// registry.Shape.Cells units (transitions × (states + 8), which Make's
+// allocation follows at 30–60 bytes a cell): 2^21 cells bound one
+// construction to roughly 120 MB and 0.15 s, the order of one maximal
+// verify closure (DESIGN.md, admission policy).
+const maxProtocolCells = 1 << 21
+
+// checkProtocolSize prices the protocol a normalized query names from
+// the registry's arithmetic shape, without building it, and refuses
+// one over maxProtocolCells. Bounds queries name none.
+func checkProtocolSize(q *key.Query) error {
+	if q.Kind == key.KindBounds {
+		return nil
+	}
+	sh, err := registry.ShapeOf(q.Spec.Protocol, q.Spec.Param)
+	if err != nil {
+		return err
+	}
+	if c := sh.Cells(); c > maxProtocolCells {
+		return fmt.Errorf("serve: %s(%d) has %d states and %d transitions (%d cells), over the daemon's cap of %d cells",
+			q.Spec.Protocol, q.Spec.Param, sh.States, sh.Transitions, c, maxProtocolCells)
+	}
+	return nil
 }
 
 // queryCost estimates a normalized query's token cost in shard

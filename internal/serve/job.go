@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/serve/key"
-	"repro/internal/serve/store"
 )
 
 // Lifecycle phases timed per job; indices into Job.phases.
@@ -31,16 +30,17 @@ type Job struct {
 	key    key.Key
 	hasKey bool
 	// phases holds per-phase wall time once the phase finishes.
-	phases   [numPhases]time.Duration
-	hit      bool
-	artifact *store.Artifact
-	errMsg   string
+	phases [numPhases]time.Duration
+	hit    bool
+	served int // bytes of the result document served once cached
+	errMsg string
 }
 
 // invariant is the per-transition side-condition check wired into the
 // job's SM: a planned or running job must have derived its cache key,
-// a cached job must hold the artifact it serves, and a failed job
-// must record why.
+// a cached job must have a result to serve, and a failed job must
+// record why. A job keeps only what view reports: the result bytes
+// belong to the response, not to the job table.
 func (j *Job) invariant(s JobState) error {
 	switch s {
 	case StatePlanned, StateRunning:
@@ -48,8 +48,8 @@ func (j *Job) invariant(s JobState) error {
 			return fmt.Errorf("job %s reached %s without a cache key", j.id, s)
 		}
 	case StateCached:
-		if j.artifact == nil {
-			return fmt.Errorf("job %s cached without an artifact", j.id)
+		if j.served == 0 {
+			return fmt.Errorf("job %s cached without a result to serve", j.id)
 		}
 	case StateFailed:
 		if j.errMsg == "" {
@@ -69,6 +69,17 @@ func (j *Job) to(s JobState) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.sm.To(s)
+}
+
+// cached records a finished run — its duration, the size of the
+// result it is about to serve and whether that came from the cache —
+// and moves the job to StateCached.
+func (j *Job) cached(run time.Duration, served int, hit bool) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.phases[phaseRun] = run
+	j.served, j.hit = served, hit
+	return j.sm.To(StateCached)
 }
 
 // JobView is the externally visible snapshot of one job.

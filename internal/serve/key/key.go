@@ -12,7 +12,9 @@
 // schema drift.
 //
 // Derivation: the query is normalized (defaults filled in explicitly,
-// parameters validated against the registry and scheduler tables),
+// parameters validated against the registry and scheduler tables; the
+// registry states each protocol's threshold as arithmetic, so no
+// protocol is built to key a query),
 // wrapped in an envelope carrying SchemaVersion, marshaled, and
 // canonicalized by internal/canon (sorted keys, compact, number-exact).
 // The canonical bytes are hashed twice: SHA-256 is the store address
@@ -27,6 +29,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/canon"
 	"repro/internal/registry"
@@ -168,7 +171,10 @@ type envelope struct {
 
 // Normalize validates q and fills every defaulted field with its
 // explicit value, so the canonical form is independent of which
-// defaults the client spelled out. It is idempotent: normalizing a
+// defaults the client spelled out. A protocol spec is validated
+// against the registry's arithmetic shape (registry.ShapeOf): the
+// parameter is checked as the construction would check it, and the
+// threshold read, without building the protocol. It is idempotent: normalizing a
 // normalized query changes nothing, which is what keeps a re-posted
 // cached response keying back to itself.
 func (q *Query) Normalize() error {
@@ -177,7 +183,7 @@ func (q *Query) Normalize() error {
 		if q.Simulate == nil || q.Verify != nil || q.Bounds != nil || q.Sweep != nil {
 			return fmt.Errorf("key: %s query must carry exactly the simulate parameter block", q.Kind)
 		}
-		if err := q.normalizeSpec(); err != nil {
+		if _, err := registry.ShapeOf(q.Spec.Protocol, q.Spec.Param); err != nil {
 			return err
 		}
 		p := q.Simulate
@@ -197,13 +203,11 @@ func (q *Query) Normalize() error {
 		if q.Verify == nil || q.Simulate != nil || q.Bounds != nil || q.Sweep != nil {
 			return fmt.Errorf("key: %s query must carry exactly the verify parameter block", q.Kind)
 		}
-		if err := q.normalizeSpec(); err != nil {
-			return err
-		}
-		_, n, err := registry.Make(q.Spec.Protocol, q.Spec.Param)
+		sh, err := registry.ShapeOf(q.Spec.Protocol, q.Spec.Param)
 		if err != nil {
 			return err
 		}
+		n := sh.Threshold
 		if n == 0 {
 			return fmt.Errorf("key: %s does not decide a counting predicate; verify handles counting protocols", q.Spec.Protocol)
 		}
@@ -232,17 +236,14 @@ func (q *Query) Normalize() error {
 		if q.Sweep == nil || q.Simulate != nil || q.Verify != nil || q.Bounds != nil {
 			return fmt.Errorf("key: %s query must carry exactly the sweep parameter block", q.Kind)
 		}
-		if err := q.normalizeSpec(); err != nil {
-			return err
-		}
 		// Sweeps score Correct against a counting threshold, like the
 		// ppsweep pipeline: non-counting protocols have no per-size
 		// expected value.
-		_, n, err := registry.Make(q.Spec.Protocol, q.Spec.Param)
+		sh, err := registry.ShapeOf(q.Spec.Protocol, q.Spec.Param)
 		if err != nil {
 			return err
 		}
-		if n <= 0 {
+		if n := sh.Threshold; n <= 0 {
 			return fmt.Errorf("key: %s decides no counting predicate; sweeps need a threshold", q.Spec.Protocol)
 		}
 		p := q.Sweep
@@ -316,25 +317,20 @@ func normalizeRun(seed *int64, maxSteps, patience *int, scheduler *string, batch
 	return err
 }
 
-func (q *Query) normalizeSpec() error {
-	if _, err := registry.Lookup(q.Spec.Protocol); err != nil {
-		return err
-	}
-	return nil
+// boundsFields lists the parameters each bounds op takes.
+var boundsFields = map[string][]string{
+	"thm43":     {"d", "w", "l"},
+	"minstates": {"log10n", "m"},
+	"cor44":     {"kmax", "h", "m"},
+	"rackoff":   {"d", "t", "r"},
+	"section8":  {"d", "t", "l"},
 }
 
 // normalize fills the selected bounds op's defaults and rejects
 // parameters that belong to a different op: a stray member would
 // otherwise split the cache between equal evaluations.
 func (p *BoundsParams) normalize() error {
-	allowed := map[string][]string{
-		"thm43":     {"d", "w", "l"},
-		"minstates": {"log10n", "m"},
-		"cor44":     {"kmax", "h", "m"},
-		"rackoff":   {"d", "t", "r"},
-		"section8":  {"d", "t", "l"},
-	}
-	fields, ok := allowed[p.Op]
+	fields, ok := boundsFields[p.Op]
 	if !ok {
 		return fmt.Errorf("key: unknown bounds op %q (have thm43, minstates, cor44, rackoff, section8)", p.Op)
 	}
@@ -352,31 +348,26 @@ func (p *BoundsParams) normalize() error {
 	case "section8":
 		defaults.D, defaults.T, defaults.L = 4, 2, 2
 	}
-	set := map[string]bool{}
-	for _, f := range fields {
-		set[f] = true
-	}
-	type field struct {
+	for _, f := range [...]struct {
 		name string
-		val  any
+		zero bool
 		def  func()
-	}
-	for _, f := range []field{
-		{"d", p.D, func() { p.D = defaults.D }},
-		{"w", p.W, func() { p.W = defaults.W }},
-		{"l", p.L, func() { p.L = defaults.L }},
-		{"t", p.T, func() { p.T = defaults.T }},
-		{"r", p.R, func() { p.R = defaults.R }},
-		{"log10n", p.Log10N, func() { p.Log10N = defaults.Log10N }},
-		{"h", p.H, func() { p.H = defaults.H }},
-		{"m", p.M, func() { p.M = defaults.M }},
-		{"kmax", p.KMax, func() { p.KMax = defaults.KMax }},
+	}{
+		{"d", p.D == 0, func() { p.D = defaults.D }},
+		{"w", p.W == 0, func() { p.W = defaults.W }},
+		{"l", p.L == 0, func() { p.L = defaults.L }},
+		{"t", p.T == 0, func() { p.T = defaults.T }},
+		{"r", p.R == 0, func() { p.R = defaults.R }},
+		{"log10n", p.Log10N == 0, func() { p.Log10N = defaults.Log10N }},
+		{"h", p.H == 0, func() { p.H = defaults.H }},
+		{"m", p.M == 0, func() { p.M = defaults.M }},
+		{"kmax", p.KMax == 0, func() { p.KMax = defaults.KMax }},
 	} {
-		zero := f.val == any(0) || f.val == any(int64(0)) || f.val == any(0.0)
+		takes := slices.Contains(fields, f.name)
 		switch {
-		case set[f.name] && zero:
+		case takes && f.zero:
 			f.def()
-		case !set[f.name] && !zero:
+		case !takes && !f.zero:
 			return fmt.Errorf("key: bounds op %s does not take %q", p.Op, f.name)
 		}
 	}
@@ -405,6 +396,14 @@ func Of(q *Query) (Key, error) {
 	if err := q.Normalize(); err != nil {
 		return Key{}, err
 	}
+	return OfNormalized(q)
+}
+
+// OfNormalized derives the key of a query Normalize already accepted,
+// for a caller that normalized it earlier (to price it) and should
+// not pay for normalization twice. On any other query the key is
+// meaningless.
+func OfNormalized(q *Query) (Key, error) {
 	data, err := json.Marshal(envelope{Schema: SchemaVersion, Query: *q})
 	if err != nil {
 		return Key{}, err

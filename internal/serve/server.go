@@ -17,7 +17,7 @@
 // Each request walks the lifecycle state machine in sm.go —
 // admitted → planned → running → cached/failed/timed_out — with every
 // transition checked against the allowed-transition table and the
-// job's invariant (a cached job holds its artifact, a failed job its
+// job's invariant (a cached job has a result to serve, a failed job its
 // reason); the conformance test pins every legal path and every
 // illegal edge. Admission control is a token bucket denominated in
 // shard cost-model units: a query's estimated cost (trials × per-trial
@@ -271,18 +271,41 @@ type boundsRequest struct {
 	key.BoundsParams
 }
 
-// queryResponse is every query endpoint's response envelope.
-type queryResponse struct {
-	Job    string          `json:"job"`
-	Key    string          `json:"key"`
-	Cache  string          `json:"cache"`
-	Kind   string          `json:"kind"`
-	Result json.RawMessage `json:"result"`
+// writeResult answers a query with its response envelope
+//
+//	{"job", "key", "cache", "kind", "result"}
+//
+// in writeJSON's two-space layout, written around the result's sealed
+// bytes. Those bytes are already in that layout one level deep
+// (store.Artifact.Result), so the result is never decoded or
+// re-encoded, and a miss and every hit of its key answer with the same
+// bytes. The job id, key, cache outcome and kind are drawn from fixed
+// ASCII alphabets that need no JSON escaping.
+func writeResult(w http.ResponseWriter, job string, k key.Key, cache, kind string, result []byte) {
+	w.Header().Set("X-Cache", cache)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	b := make([]byte, 0, len(result)+160)
+	b = append(b, "{\n  \"job\": \""...)
+	b = append(b, job...)
+	b = append(b, "\",\n  \"key\": \"sha256:"...)
+	b = append(b, k.SHA...)
+	b = append(b, "\",\n  \"cache\": \""...)
+	b = append(b, cache...)
+	b = append(b, "\",\n  \"kind\": \""...)
+	b = append(b, kind...)
+	b = append(b, "\",\n  \"result\": "...)
+	b = append(b, result...)
+	b = append(b, "\n}\n"...)
+	_, _ = w.Write(b)
 }
 
 // run drives one query through the full lifecycle:
-// deadline + admission (tokens) → plan (canonicalize + key) →
+// normalize + size cap → deadline + admission (tokens) → plan (key) →
 // breaker check → store lookup / singleflight compute → response.
+// Nothing before the compute builds the protocol: normalization and
+// the size cap read the registry's arithmetic shape, and a warm hit
+// is answered from the artifact's sealed bytes.
 // Every state change goes through the job's SM; an illegal transition
 // here is a bug, surfaced as a 500 rather than papered over.
 //
@@ -300,10 +323,10 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 
 	// Normalization must precede admission: the cost estimate reads
 	// the defaults-filled form. A malformed query is the client's
-	// fault and never consumes tokens.
-	if err := q.Normalize(); err != nil {
-		s.metrics.failures.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+	// fault and never consumes tokens; neither does one whose protocol
+	// is over the size cap.
+	if status, err := s.admissible(q); err != nil {
+		writeError(w, status, err)
 		return
 	}
 	cost := queryCost(q)
@@ -369,7 +392,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 	j.mu.Unlock()
 
 	tPlan := time.Now()
-	k, err := key.Of(q)
+	k, err := key.OfNormalized(q)
 	if err != nil {
 		fail(http.StatusBadRequest, err)
 		return
@@ -428,12 +451,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 		return
 	}
 	s.breaker.success(k.SHA)
-	j.mu.Lock()
-	j.phases[phaseRun] = runDur
-	j.artifact, j.hit = art, hit
-	smErr = j.sm.To(StateCached)
-	j.mu.Unlock()
-	if smErr != nil {
+	if smErr := j.cached(runDur, len(art.Result), hit); smErr != nil {
 		fail(http.StatusInternalServerError, smErr)
 		return
 	}
@@ -442,14 +460,23 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 	if hit {
 		cache = "hit"
 	}
-	w.Header().Set("X-Cache", cache)
-	writeJSON(w, http.StatusOK, queryResponse{
-		Job:    j.id,
-		Key:    k.String(),
-		Cache:  cache,
-		Kind:   q.Kind,
-		Result: art.Result,
-	})
+	writeResult(w, j.id, k, cache, q.Kind, art.Result)
+}
+
+// admissible normalizes a query and prices the protocol it names
+// before anything is built or admitted. It answers the status a
+// rejected query gets: 400 for a malformed query, 422 for a protocol
+// over maxProtocolCells. A rejection counts as a request and a
+// failure in /metrics.
+func (s *Server) admissible(q *key.Query) (int, error) {
+	status, err := http.StatusBadRequest, q.Normalize()
+	if err == nil {
+		status, err = http.StatusUnprocessableEntity, checkProtocolSize(q)
+	}
+	if err != nil {
+		s.metrics.failures.Add(1)
+	}
+	return status, err
 }
 
 // maxBodyBytes bounds a query body. Real queries are a few hundred

@@ -105,7 +105,7 @@ func (s JobState) String() string {
 // SM is one lifecycle instance: the current state plus an optional
 // invariant checked after the table allows a transition. The
 // invariant sees the destination state and rejects transitions whose
-// side conditions do not hold (a Cached job must hold an artifact, a
+// side conditions do not hold (a Cached job must have served a result, a
 // Failed job a reason) — the dqlite sm_move/sm_check idiom.
 type SM struct {
 	state     JobState

@@ -12,10 +12,15 @@ import (
 	"repro/internal/serve/key"
 )
 
-// FuzzStoreDecode fuzzes the store's artifact read: decode never
-// panics, and every artifact it accepts seals back to a document that
-// decodes to the same value. The key is taken from the document's own
-// "key" member, so misfiled-artifact rejection does not hide the rest.
+// FuzzStoreDecode holds the store's artifact read to the decoder it
+// replaced (referenceDecode): on any bytes decode accepts exactly what
+// the oracle accepts, with equal fields and the same result value in
+// the sealed layout, and an accepted artifact seals back to a document
+// that decodes to the same artifact. Random bytes almost never carry a
+// valid checksum, so each input is also tried re-sealed (a checksum
+// member of its own content appended), which lets the fuzzer reach
+// the member decoding itself. The key is taken from the document's own
+// key member, so misfiled-artifact rejection does not hide the rest.
 func FuzzStoreDecode(f *testing.F) {
 	golden, err := os.ReadFile("testdata/sealed/artifact.json")
 	if err != nil {
@@ -23,9 +28,10 @@ func FuzzStoreDecode(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
+	f.Add(append(bytes.TrimSpace(golden), " x"...))
 	f.Add(bytes.Replace(golden, []byte(`"checksum": "crc32c:`), []byte(`"checksum": "crc32c:0`), 1))
 	a := &Artifact{Schema: ArtifactSchema, Key: "sha256:" + strings.Repeat("ab", 32), Kind: key.KindBounds,
-		Instance: "fuzz", Result: json.RawMessage(`[1,"< >",{"checksum":null}]`)}
+		Instance: "fuzz", Result: json.RawMessage(`[1,"< >",{"checksum":null}]`)}
 	for _, indent := range []bool{true, false} {
 		doc, err := canon.Seal(a, &a.Checksum, indent)
 		if err != nil {
@@ -36,45 +42,87 @@ func FuzzStoreDecode(f *testing.F) {
 	a.Checksum = ""
 	unsealed, _ := json.Marshal(a)
 	f.Add(unsealed)
+	k := `"sha256:` + strings.Repeat("ab", 32) + `"`
+	for _, doc := range []string{
+		`{"schema":1,"KEY":` + k + `,"Result":{"a":1},"Kind":"x"}`,
+		`{"schema":1,"key":` + k + `,"result":1,"result":null}`,
+		`{"schema":1,"key":` + k + `,"result":1,"server":{"os":"a"},"server":{"arch":"b"},"server":null}`,
+		`{"schema":1,"key":` + k + `,"result":1,"server":{"num_cpu":"2"}}`,
+		`{"schema":1,"key":` + k + `,"result":1,"instance":7}`,
+		`{"schema":1,"key":` + k + `,"result":1,"k\u0130nd":"x","\u212aey":` + k + `}`,
+		`{"schema":1.0,"key":` + k + `,"result":1}`,
+		`{"schema":1,"key":` + k + `,"key":null,"instance":"a\u00e9\ud800"}`,
+		`{"schema":1,"key":` + k + `,"result":1,"Checksum":5}`,
+		`{"schema":1,"key":` + k + `}`,
+	} {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var probe struct{ Key string }
-		_ = json.Unmarshal(data, &probe)
-		k := key.Key{SHA: strings.TrimPrefix(probe.Key, "sha256:")}
-		art, _ := decode(data, k)
-		if art == nil {
-			return
-		}
-		sealed, err := canon.Seal(art, &art.Checksum, true)
-		if err != nil {
-			t.Fatalf("accepted artifact does not re-seal: %v", err)
-		}
-		back, reason := decode(sealed, k)
-		if back == nil {
-			t.Fatalf("re-sealed artifact rejected: %s\n%s", reason, sealed)
-		}
-		if !sameResult(t, back.Result, art.Result) {
-			t.Fatalf("re-seal changed the result: %s, was %s", back.Result, art.Result)
-		}
-		back.Result, art.Result = nil, nil
-		if !reflect.DeepEqual(back, art) {
-			t.Fatalf("re-seal changed the artifact: %+v, was %+v", back, art)
+		decodeAgrees(t, data)
+		if doc := resealed(data); doc != nil {
+			decodeAgrees(t, doc)
 		}
 	})
 }
 
-// sameResult reports whether two result documents hold the same value.
-// Sealing HTML-escapes the raw result, so their bytes may differ.
-func sameResult(t *testing.T, a, b json.RawMessage) bool {
-	var va, vb any
-	for _, r := range []struct {
-		raw json.RawMessage
-		v   *any
-	}{{a, &va}, {b, &vb}} {
-		dec := json.NewDecoder(bytes.NewReader(r.raw))
-		dec.UseNumber()
-		if err := dec.Decode(r.v); err != nil {
-			t.Fatalf("result %s does not decode: %v", r.raw, err)
-		}
+// resealed appends to a JSON object the checksum member of its own
+// content, or returns nil when data does not end like an object.
+func resealed(data []byte) []byte {
+	body := bytes.TrimRight(data, " \t\r\n")
+	if len(body) == 0 || body[len(body)-1] != '}' {
+		return nil
 	}
-	return reflect.DeepEqual(va, vb)
+	sum, err := canon.Checksum(data, "checksum")
+	if err != nil {
+		return nil
+	}
+	body = body[:len(body)-1]
+	doc := append([]byte(nil), body...)
+	if t := bytes.TrimRight(body, " \t\r\n"); len(t) > 0 && t[len(t)-1] != '{' {
+		doc = append(doc, ',')
+	}
+	return append(doc, `"checksum":"`+sum+`"}`...)
+}
+
+// fuzzServers carries decode's server memo from input to input, so
+// the fuzzer also reads documents through a warm memo.
+var fuzzServers serverMemo
+
+func decodeAgrees(t *testing.T, data []byte) {
+	var probe struct{ Key string }
+	_ = json.Unmarshal(data, &probe)
+	k := key.Key{SHA: strings.TrimPrefix(probe.Key, "sha256:")}
+	art, reason := decode(data, k, &fuzzServers)
+	want, wantReason := referenceDecode(data, k)
+	if (art == nil) != (want == nil) {
+		t.Fatalf("doc %q:\ndecode    %+v (%s)\nreference %+v (%s)", data, art, reason, want, wantReason)
+	}
+	if art == nil {
+		return
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, art.Result); err != nil || !bytes.Equal(compact.Bytes(), want.Result) {
+		t.Fatalf("doc %q: result %q (compact %q, %v), reference %q", data, art.Result, compact.Bytes(), err, want.Result)
+	}
+	got := *art
+	got.Result, want.Result = nil, nil
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("doc %q:\ndecode    %+v\nreference %+v", data, got, *want)
+	}
+	sealed, err := canon.Seal(art, &art.Checksum, true)
+	if err != nil {
+		t.Fatalf("accepted artifact does not re-seal: %v", err)
+	}
+	back, reason := decode(sealed, k, nil)
+	if back == nil {
+		t.Fatalf("re-sealed artifact rejected: %s\n%s", reason, sealed)
+	}
+	// Sealing lays the result out afresh and stamps the sum of what it
+	// wrote; the result's value and every other field stay.
+	var again bytes.Buffer
+	_ = json.Compact(&again, back.Result)
+	back.Result, back.Checksum, got.Checksum = nil, "", ""
+	if !bytes.Equal(again.Bytes(), compact.Bytes()) || !reflect.DeepEqual(back, &got) {
+		t.Fatalf("re-seal changed the artifact: %+v %s, was %+v %s", back, again.Bytes(), got, compact.Bytes())
+	}
 }

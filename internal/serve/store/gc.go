@@ -134,7 +134,7 @@ func GC(dir string, opts GCOptions) (*GCReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("store: gc read %s: %w", path, err)
 			}
-			art, reason := decode(data, key.Key{SHA: sha})
+			art, reason := decode(data, key.Key{SHA: sha}, nil)
 			if art == nil {
 				dst, err := faultfs.Quarantine(fsys, path, faultfs.CorruptDir(dir), reason)
 				if err != nil {

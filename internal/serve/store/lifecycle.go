@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"container/list"
-	"fmt"
 	"log"
 	"os"
 	"path/filepath"
@@ -161,7 +160,11 @@ func journalLine(op, sha, kind string, size, last int64) []byte {
 	if kind == "" {
 		kind = "-"
 	}
-	return []byte(fmt.Sprintf("%s %s %s %d %d\n", op, sha, kind, size, last))
+	b := make([]byte, 0, len(op)+len(sha)+len(kind)+44)
+	b = append(append(append(b, op...), ' '), sha...)
+	b = append(append(append(b, ' '), kind...), ' ')
+	b = append(strconv.AppendInt(b, size, 10), ' ')
+	return append(strconv.AppendInt(b, last, 10), '\n')
 }
 
 func parseJournalLine(line string) (op, sha, kind string, size, last int64, ok bool) {

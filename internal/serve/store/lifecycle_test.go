@@ -128,7 +128,7 @@ func TestInFlightNeverEvictedUnderPressure(t *testing.T) {
 	errs := make(chan error, keys*per)
 	for ki := 0; ki < keys; ki++ {
 		k := testKey(t, int64(40+ki))
-		want := fmt.Sprintf(`{"x":%d}`, 40+ki)
+		want := sealedResult(int64(40 + ki))
 		for g := 0; g < per; g++ {
 			wg.Add(1)
 			go func() {

@@ -8,7 +8,10 @@
 // the injectable faultfs seam, so readers never observe a torn
 // document and a host crash leaves either nothing or the complete
 // file. Every artifact is sealed by internal/canon (canon.Seal) and
-// verified on each read (canon.Verify); a corrupted artifact (torn
+// verified on each read by the same pass that locates its members
+// (canon.VerifyMembers); the result is served as the bytes the seal
+// wrote, never decoded or re-encoded, by a miss and by every hit of
+// its key alike. A corrupted artifact (torn
 // write that beat the rename discipline, bit rot, hand edit, no
 // checksum at all) is quarantined to corrupt/ with a .reason file
 // (faultfs.Quarantine) and reported as a miss — recomputed, never
@@ -54,6 +57,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/canon"
 	"repro/internal/faultfs"
@@ -72,25 +77,18 @@ type Artifact struct {
 	Kind   string `json:"kind"`
 	// Server and Instance identify the computing daemon (hostmeta
 	// identity; telemetry, not protocol state).
-	Server   hostmeta.Meta   `json:"server"`
-	Instance string          `json:"instance"`
-	Result   json.RawMessage `json:"result"`
+	Server   hostmeta.Meta `json:"server"`
+	Instance string        `json:"instance"`
+	// Result is the query's result document. In an artifact read from
+	// a sealed document it is the bytes of the document's result member,
+	// exactly as they stand: canon.Seal writes files in MarshalIndent's
+	// two-space layout, so Result is in that layout one level deep —
+	// the bytes a query response carries at the same depth. A miss and
+	// every later hit of its key read it from the same sealed bytes.
+	Result json.RawMessage `json:"result"`
 	// Checksum is the content checksum over the artifact's canonical
 	// form (canon.Seal); an artifact without it is corrupt.
 	Checksum string `json:"checksum"`
-}
-
-// compactResult normalizes the embedded result document to compact
-// JSON: sealing indents the whole artifact (re-indenting the raw
-// message), so without this a computed artifact and its re-read would
-// differ byte-wise in Result — same content, different whitespace.
-func (a *Artifact) compactResult() error {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, a.Result); err != nil {
-		return fmt.Errorf("store: result is not valid JSON: %w", err)
-	}
-	a.Result = json.RawMessage(buf.Bytes())
-	return nil
 }
 
 // Counters aggregates the store's cache-traffic and degradation
@@ -153,6 +151,7 @@ type Options struct {
 // use by any number of goroutines.
 type Store struct {
 	root     string
+	objects  string // root/objects, cleaned
 	fsys     faultfs.FS
 	identity hostmeta.Process
 	opts     Options
@@ -167,6 +166,9 @@ type Store struct {
 	// health owns the degraded flag and the self-heal probe
 	// (health.go).
 	health health
+
+	// servers memoizes the decoded server member of artifact reads.
+	servers serverMemo
 
 	hits        atomic.Int64
 	dedups      atomic.Int64
@@ -191,6 +193,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		root:     dir,
+		objects:  filepath.Join(dir, "objects"),
 		fsys:     fsys,
 		identity: hostmeta.CollectProcess(),
 		opts:     opts,
@@ -220,12 +223,13 @@ func (s *Store) retrier() *faultfs.Retrier {
 	}
 }
 
-func (s *Store) objectsDir() string { return filepath.Join(s.root, "objects") }
+func (s *Store) objectsDir() string { return s.objects }
 
 // ObjectPath is the artifact file of one key: two-hex fan-out
 // directories keep any one directory from ballooning.
 func (s *Store) ObjectPath(k key.Key) string {
-	return filepath.Join(s.objectsDir(), k.SHA[:2], k.SHA+".json")
+	const sep = string(filepath.Separator)
+	return s.objects + sep + k.SHA[:2] + sep + k.SHA + ".json"
 }
 
 // Get looks k up on disk. A missing artifact is (nil, nil): absence
@@ -257,7 +261,7 @@ func (s *Store) Get(ctx context.Context, k key.Key) (*Artifact, error) {
 	if data == nil {
 		return nil, nil
 	}
-	art, reason := decode(data, k)
+	art, reason := decode(data, k, &s.servers)
 	if art == nil {
 		s.quarantine(ctx, path, reason, int64(len(data)))
 		return nil, nil
@@ -266,15 +270,35 @@ func (s *Store) Get(ctx context.Context, k key.Key) (*Artifact, error) {
 	return art, nil
 }
 
-// decode verifies (canon.Verify) and decodes one artifact document; a
-// nil artifact comes back with the quarantine reason.
-func decode(data []byte, k key.Key) (*Artifact, string) {
-	if err := canon.Verify(data); err != nil {
+// decode verifies one artifact document and reads it, in one
+// canonicalization pass (canon.VerifyMembers): the small members are
+// decoded, the result is the input span of its member, never decoded
+// or re-encoded. It accepts exactly what json.Unmarshal into an
+// Artifact after canon.Verify accepts, with the same field values
+// (store/reference_test.go keeps that decoder as the oracle): member
+// names match case-insensitively as encoding/json folds them, a
+// repeated member decodes again over the earlier one, null leaves a
+// field as it was, a wrong type rejects the document, and nothing but
+// whitespace may follow it. memo, when not nil, spares re-decoding
+// the server member of one incarnation's artifacts. A nil artifact
+// comes back with the quarantine reason.
+func decode(data []byte, k key.Key, memo *serverMemo) (*Artifact, string) {
+	a := &Artifact{}
+	want := k.String()
+	var bad error
+	n, err := canon.VerifyMembers(data, func(name, value []byte) {
+		if bad == nil {
+			bad = a.decodeMember(name, value, want, memo)
+		}
+	})
+	if err != nil {
 		return nil, err.Error()
 	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Sprintf("not an artifact document: %v", err)
+	if len(bytes.TrimLeft(data[n:], " \t\r\n")) != 0 {
+		return nil, "not an artifact document: bytes after the top-level value"
+	}
+	if bad != nil {
+		return nil, fmt.Sprintf("not an artifact document: %v", bad)
 	}
 	if a.Schema != ArtifactSchema {
 		return nil, fmt.Sprintf("artifact schema %d, this build understands %d", a.Schema, ArtifactSchema)
@@ -282,10 +306,120 @@ func decode(data []byte, k key.Key) (*Artifact, string) {
 	if a.Key != k.String() {
 		return nil, fmt.Sprintf("sealed key %s under address %s (misfiled artifact)", a.Key, k)
 	}
-	if err := a.compactResult(); err != nil {
-		return nil, err.Error()
+	if a.Result == nil {
+		return nil, "artifact has no result"
 	}
-	return &a, ""
+	return a, ""
+}
+
+// decodeMember decodes one top-level member into the field its name
+// selects; members no field claims are ignored, as json.Unmarshal
+// ignores them. wantKey, the address the document is read under, and
+// the query kinds are the strings a key or kind member usually
+// spells, which decodeString then reuses instead of copying.
+func (a *Artifact) decodeMember(name, value []byte, wantKey string, memo *serverMemo) error {
+	switch {
+	case foldedIs(name, "RESULT"):
+		a.Result = value
+	case foldedIs(name, "KEY"):
+		return decodeString(value, &a.Key, wantKey)
+	case foldedIs(name, "KIND"):
+		return decodeString(value, &a.Kind, key.KindSimulate, key.KindVerify, key.KindBounds, key.KindSweep)
+	case foldedIs(name, "INSTANCE"):
+		return decodeString(value, &a.Instance)
+	case foldedIs(name, "CHECKSUM"):
+		return decodeString(value, &a.Checksum)
+	case foldedIs(name, "SCHEMA"):
+		return json.Unmarshal(value, &a.Schema)
+	case foldedIs(name, "SERVER"):
+		return memo.decodeServer(value, &a.Server)
+	}
+	return nil
+}
+
+// foldedIs reports whether a member name selects the field whose
+// folded name is upper, by encoding/json's folding: ASCII letters
+// upper-cased, any other rune mapped to the smallest rune of its
+// simple case-fold orbit (so the Kelvin sign folds to K), invalid
+// UTF-8 to U+FFFD.
+func foldedIs(name []byte, upper string) bool {
+	i := 0
+	for _, r := range string(name) {
+		switch {
+		case 'a' <= r && r <= 'z':
+			r -= 'a' - 'A'
+		case r >= utf8.RuneSelf:
+			for next := unicode.SimpleFold(r); next < r; next = unicode.SimpleFold(r) {
+				r = next
+			}
+		}
+		if i == len(upper) || r != rune(upper[i]) {
+			return false
+		}
+		i++
+	}
+	return i == len(upper)
+}
+
+// decodeString decodes a string member as json.Unmarshal does. The
+// common case is a quoted run of ASCII without escapes (the document
+// has been validated, so it holds no control byte): its body is the
+// string, one of known when it spells one, a copy otherwise.
+func decodeString(value []byte, dst *string, known ...string) error {
+	if len(value) >= 2 && value[0] == '"' {
+		body := value[1 : len(value)-1]
+		plain := true
+		for _, b := range body {
+			if b == '\\' || b >= utf8.RuneSelf {
+				plain = false
+				break
+			}
+		}
+		if plain {
+			for _, k := range known {
+				if string(body) == k {
+					*dst = k
+					return nil
+				}
+			}
+			*dst = string(body)
+			return nil
+		}
+	}
+	return json.Unmarshal(value, dst)
+}
+
+// serverMemo holds the last server member decoded into an empty
+// field, with its value. Every artifact one daemon incarnation seals
+// carries the same server bytes, so a store reading through a memo
+// runs json.Unmarshal on them once, not on every read. A nil memo
+// remembers nothing.
+type serverMemo struct {
+	last atomic.Pointer[memoizedServer]
+}
+
+type memoizedServer struct {
+	raw  []byte
+	meta hostmeta.Meta
+}
+
+// decodeServer decodes a server member as json.Unmarshal does: into
+// an empty field, bytes equal to the memo's decode to the memo's
+// value; a later duplicate member decodes over the earlier one.
+func (m *serverMemo) decodeServer(value []byte, dst *hostmeta.Meta) error {
+	empty := *dst == hostmeta.Meta{}
+	if m == nil || !empty {
+		return json.Unmarshal(value, dst)
+	}
+	if last := m.last.Load(); last != nil && bytes.Equal(last.raw, value) {
+		*dst = last.meta
+		return nil
+	}
+	if err := json.Unmarshal(value, dst); err != nil {
+		return err
+	}
+	m.last.Store(&memoizedServer{bytes.Clone(value), *dst})
+	return nil
 }
 
 // quarantine moves a corrupt artifact to <root>/corrupt/ with a
@@ -312,17 +446,36 @@ func (s *Store) quarantine(ctx context.Context, path, reason string, size int64)
 	log.Printf("store: quarantined %s: %s", dst, reason)
 }
 
-// put seals and publishes one artifact durably (fsync-temp → rename →
+// seal writes one computed result as a sealed artifact document and
+// reads it back through decode, so a miss serves the very bytes every
+// later hit of its key reads from the file.
+func (s *Store) seal(k key.Key, kind string, result json.RawMessage) ([]byte, *Artifact, error) {
+	a := &Artifact{
+		Schema:   ArtifactSchema,
+		Key:      k.String(),
+		Kind:     kind,
+		Server:   s.identity.Meta,
+		Instance: s.identity.Instance(),
+		Result:   result,
+	}
+	data, err := canon.Seal(a, &a.Checksum, true)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: seal %s: %w", k.Short(), err)
+	}
+	art, reason := decode(data, k, &s.servers)
+	if art == nil {
+		return nil, nil, fmt.Errorf("store: sealed artifact %s does not read back: %s", k.Short(), reason)
+	}
+	return data, art, nil
+}
+
+// put publishes one sealed artifact durably (fsync-temp → rename →
 // dir-sync through the seam), with transient failures of the whole
 // sequence retried as one unit (a re-run of a sequence whose rename
 // already landed is idempotent: same content, same target).
-func (s *Store) put(ctx context.Context, k key.Key, a *Artifact) (int64, error) {
+func (s *Store) put(ctx context.Context, k key.Key, data []byte) (int64, error) {
 	path := s.ObjectPath(k)
-	data, err := canon.Seal(a, &a.Checksum, true)
-	if err != nil {
-		return 0, err
-	}
-	err = s.retrier().Do(ctx, "put "+k.Short(), func() error {
+	err := s.retrier().Do(ctx, "put "+k.Short(), func() error {
 		if merr := s.fsys.MkdirAll(filepath.Dir(path), 0o755); merr != nil {
 			return merr
 		}
@@ -389,24 +542,19 @@ func (s *Store) GetOrCompute(ctx context.Context, k key.Key, kind string, comput
 	if cerr != nil {
 		return nil, false, cerr
 	}
-	art = &Artifact{
-		Schema:   ArtifactSchema,
-		Key:      k.String(),
-		Kind:     kind,
-		Server:   s.identity.Meta,
-		Instance: s.identity.Instance(),
-		Result:   result,
-	}
-	if err = art.compactResult(); err != nil {
+	data, art, err := s.seal(k, kind, result)
+	if err != nil {
 		return nil, false, err
 	}
 	if s.Degraded() {
-		// Compute-only mode: serve without persisting; the probe owns
-		// re-testing the disk, the request path never hammers it.
+		// Compute-only mode: serve without persisting (but sealed all
+		// the same, so the bytes match what a healthy store serves);
+		// the probe owns re-testing the disk, the request path never
+		// hammers it.
 		s.putSkipped.Add(1)
 		return art, false, nil
 	}
-	size, perr := s.put(ctx, k, art)
+	size, perr := s.put(ctx, k, data)
 	if perr != nil {
 		if ctx.Err() != nil {
 			// The client is gone or out of time; nothing to degrade over.

@@ -44,6 +44,12 @@ func result(x int64) json.RawMessage {
 	return json.RawMessage(fmt.Sprintf(`{"x":%d}`, x))
 }
 
+// sealedResult is result(x) as an artifact read from its sealed bytes
+// holds it: in the file's indented layout, one level deep.
+func sealedResult(x int64) string {
+	return fmt.Sprintf("{\n    \"x\": %d\n  }", x)
+}
+
 func TestGetOrComputePersistsAndHits(t *testing.T) {
 	s := openTest(t, nil)
 	k := testKey(t, 8)
@@ -56,7 +62,7 @@ func TestGetOrComputePersistsAndHits(t *testing.T) {
 	if err != nil || hit {
 		t.Fatalf("cold lookup: hit=%v err=%v", hit, err)
 	}
-	if string(art.Result) != `{"x":8}` || art.Key != k.String() {
+	if string(art.Result) != sealedResult(8) || art.Key != k.String() {
 		t.Fatalf("bad artifact %+v", art)
 	}
 
@@ -118,7 +124,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 		if got := computes[ki].Load(); got != 1 {
 			t.Errorf("key %d computed %d times, want exactly 1", ki, got)
 		}
-		want := fmt.Sprintf(`{"x":%d}`, 100+ki)
+		want := sealedResult(int64(100 + ki))
 		for g := 0; g < per; g++ {
 			if art := arts[ki*per+g]; art == nil || string(art.Result) != want {
 				t.Fatalf("key %d caller %d got %v", ki, g, arts[ki*per+g])
@@ -194,7 +200,7 @@ func TestTornWriteQuarantinedNotServed(t *testing.T) {
 	if hit || computes.Load() != 1 {
 		t.Fatalf("torn artifact served as a hit (hit=%v computes=%d)", hit, computes.Load())
 	}
-	if string(art.Result) != `{"x":11}` {
+	if string(art.Result) != sealedResult(11) {
 		t.Fatalf("recompute produced %s", art.Result)
 	}
 	if got := s2.Counters().Quarantined; got != 1 {

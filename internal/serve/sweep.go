@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,9 +52,6 @@ func (nw *ndjsonWriter) writeLine(line []byte) error {
 		nw.w.WriteHeader(http.StatusOK)
 		nw.wrote = true
 	}
-	// line may be a shared artifact's Result (singleflight followers
-	// hold the same one), so the newline is written after it, never
-	// appended into its backing array.
 	if _, err := nw.w.Write(line); err != nil {
 		return err
 	}
@@ -86,9 +84,8 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, q *key.Query) 
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
 
-	if err := q.Normalize(); err != nil {
-		s.metrics.failures.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+	if status, err := s.admissible(q); err != nil {
+		writeError(w, status, err)
 		return
 	}
 	cost := queryCost(q)
@@ -154,7 +151,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, q *key.Query) 
 	j.mu.Unlock()
 
 	tPlan := time.Now()
-	k, err := key.Of(q)
+	k, err := key.OfNormalized(q)
 	if err != nil {
 		fail(http.StatusBadRequest, err)
 		return
@@ -217,21 +214,32 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, q *key.Query) 
 		return
 	}
 	s.breaker.success(k.SHA)
-	j.mu.Lock()
-	j.phases[phaseRun] = runDur
-	j.artifact, j.hit = art, hit
-	smErr = j.sm.To(StateCached)
-	j.mu.Unlock()
-	if smErr != nil {
+	line, err := terminalLine(art.Result)
+	if err != nil {
+		fail(http.StatusInternalServerError, err)
+		return
+	}
+	if smErr := j.cached(runDur, len(line), hit); smErr != nil {
 		fail(http.StatusInternalServerError, smErr)
 		return
 	}
-
 	if hit {
 		nw.cache = "hit"
 	}
-	// Terminal line: the stored artifact's result document, verbatim.
-	_ = nw.writeLine(art.Result)
+	_ = nw.writeLine(line)
+}
+
+// terminalLine is a sweep's terminal line: the compact form of the
+// stored artifact's result bytes. Compacting undoes only the sealed
+// layout's indentation, so the line is the merged document exactly as
+// computeSweep marshaled it, on a miss and on every hit.
+func terminalLine(result []byte) ([]byte, error) {
+	var line bytes.Buffer
+	line.Grow(len(result))
+	if err := json.Compact(&line, result); err != nil {
+		return nil, err
+	}
+	return line.Bytes(), nil
 }
 
 // computeSweep executes one normalized sweep query through the ppsweep
@@ -280,17 +288,18 @@ func (s *Server) computeSweep(ctx context.Context, q *key.Query, emit func(*shar
 }
 
 // sweepSpecOf translates a normalized sweep query into the shard
-// pipeline's spec and stop rule.
+// pipeline's spec and stop rule. The input state is the registry
+// entry's, so nothing is built here.
 func sweepSpecOf(q *key.Query) (shard.SweepSpec, sim.StopRule, error) {
 	p := q.Sweep
-	proto, _, err := registry.Make(q.Spec.Protocol, q.Spec.Param)
+	e, err := registry.Lookup(q.Spec.Protocol)
 	if err != nil {
 		return shard.SweepSpec{}, sim.StopRule{}, err
 	}
 	sw := shard.SweepSpec{
 		Protocol:   q.Spec.Protocol,
 		Param:      q.Spec.Param,
-		InputState: proto.InitialStates()[0],
+		InputState: e.Input,
 		Sizes:      p.Sizes,
 		Trials:     p.Trials,
 		Seed:       p.Seed,

@@ -98,7 +98,8 @@ func TestSweepStreamColdThenWarm(t *testing.T) {
 	if !bytes.Equal(refoldBytes, terminal) {
 		t.Fatalf("folded deltas differ from terminal line:\n%s\nvs\n%s", refoldBytes, terminal)
 	}
-	// The terminal line is the stored artifact, byte for byte.
+	// The terminal line is the stored artifact's result, byte for byte
+	// once the sealed layout's indentation is compacted away.
 	k, err := key.Of(sweepTestQuery(t))
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +108,9 @@ func TestSweepStreamColdThenWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal([]byte(art.Result), terminal) {
-		t.Fatalf("stored artifact differs from terminal line:\n%s\nvs\n%s", art.Result, terminal)
+	var stored bytes.Buffer
+	if err := json.Compact(&stored, art.Result); err != nil || !bytes.Equal(stored.Bytes(), terminal) {
+		t.Fatalf("stored artifact differs from terminal line (%v):\n%s\nvs\n%s", err, art.Result, terminal)
 	}
 
 	// Warm replay: one line only (the terminal document), X-Cache hit,
