@@ -6,14 +6,11 @@
 //
 //	ppverify -protocol example42 -param 3 -maxx 6
 //	ppverify -protocol flock -param 6 -maxx 12 -workers 8
-//	ppverify -protocol power2 -param 4 -maxx 40 -spill-dir /tmp/spill -spill-mb 512
 //
-// Verification parallelizes across inputs and, within each input,
-// across the closure BFS (-workers, default all cores); results are
-// byte-identical for any worker count. Closures that outgrow RAM can
-// run out-of-core with -spill-dir/-spill-mb: arena pages beyond the
-// budget page to bucket files and the verdicts are identical to the
-// in-RAM run.
+// Verification parallelizes across inputs only: -workers (default all
+// cores) sizes the input pool, and each input's closure is explored
+// sequentially in RAM. Results are byte-identical for any worker
+// count.
 package main
 
 import (
@@ -21,8 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"repro/internal/conf"
 	"repro/internal/petri"
 	"repro/internal/registry"
 	"repro/internal/verify"
@@ -42,15 +39,26 @@ func run(args []string) error {
 		param      = fs.Int64("param", 2, "construction parameter (n or k)")
 		maxX       = fs.Int64("maxx", -1, "max input size (default n+3)")
 		maxConfigs = fs.Int("budget", 1<<20, "closure budget (configurations)")
-		workers    = fs.Int("workers", 0, "verification worker budget, split across inputs and each closure BFS (0 = all cores); results are identical for any value")
-		spillDir   = fs.String("spill-dir", "", "spill closure arenas to bucket files under this directory when they outgrow -spill-mb (empty = all in RAM)")
-		spillMB    = fs.Int64("spill-mb", 0, fmt.Sprintf("resident arena budget per closure, MiB, for -spill-dir (0 = %d)", conf.DefaultSpillThreshold>>20))
+		workers    = fs.Int("workers", 0, "size of the input pool: inputs verified at once, each closure explored sequentially (0 = all cores); results are identical for any value")
 	)
+	// The out-of-core closure flags were removed; they stay defined so
+	// a command line that still passes them learns why it fails.
+	fs.String("spill-dir", "", "removed: closures are always explored in RAM")
+	fs.String("spill-mb", "", "removed: closures are always explored in RAM")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
+	}
+	var removed error
+	fs.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "spill-") {
+			removed = fmt.Errorf("-%s was removed: closures are always explored in RAM", f.Name)
+		}
+	})
+	if removed != nil {
+		return removed
 	}
 
 	p, n, err := registry.Make(*protocol, *param)
@@ -70,19 +78,7 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be non-negative (got %d)", *workers)
 	}
-	if *spillMB < 0 {
-		return fmt.Errorf("-spill-mb must be non-negative (got %d)", *spillMB)
-	}
-	if *spillMB > 0 && *spillDir == "" {
-		return errors.New("-spill-mb needs -spill-dir")
-	}
-	budget := petri.Budget{
-		MaxConfigs:     *maxConfigs,
-		Workers:        *workers,
-		SpillDir:       *spillDir,
-		SpillThreshold: *spillMB << 20,
-	}
-	res, err := verify.Counting(p, "i", n, limit, budget)
+	res, err := verify.Counting(p, "i", n, limit, petri.Budget{MaxConfigs: *maxConfigs, Workers: *workers})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunVerifiesExample42(t *testing.T) {
 	if err := run([]string{"-protocol", "example42", "-param", "2", "-maxx", "4"}); err != nil {
@@ -24,6 +27,20 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): error expected", args)
+		}
+	}
+}
+
+// The out-of-core closure flags were removed; passing either names the
+// removal instead of running or failing as an unknown flag.
+func TestRunRemovedSpillFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-spill-dir", t.TempDir()},
+		{"-spill-mb", "512"},
+	} {
+		err := run(append([]string{"-protocol", "flock", "-param", "3", "-maxx", "2"}, args...))
+		if err == nil || !strings.Contains(err.Error(), args[0]+" was removed") || !strings.Contains(err.Error(), "in RAM") {
+			t.Errorf("run(%v): error %v does not name the removal", args, err)
 		}
 	}
 }

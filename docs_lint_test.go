@@ -12,7 +12,7 @@ import (
 // The package documentation of the core packages is part of the
 // cross-PR contract: it is where the invariants the engines rely on
 // (positional seed derivation, mergeable accumulators, arena/CSR
-// ownership, deterministic parallel merge order) are written down for
+// ownership, sequential exploration order) are written down for
 // the next refactor to honor. This lint fails when a package loses
 // its doc comment or the doc stops naming its invariants.
 func TestPackageDocsStateInvariants(t *testing.T) {
@@ -29,8 +29,9 @@ func TestPackageDocsStateInvariants(t *testing.T) {
 		"internal/faultfs": {"seam", "schedule", "Transient", "fsync", "reproducibility"},
 		// Config value semantics and CountSet arena ownership (PRs 1, 4).
 		"internal/conf": {"InPlace", "arena", "insertion order"},
-		// Arena/CSR ownership and deterministic parallel BFS (PR 4).
-		"internal/petri": {"arena", "CSR", "zero-copy", "worker count"},
+		// Arena/CSR ownership, and one sequential closure driver whose
+		// results no worker setting changes.
+		"internal/petri": {"arena", "CSR", "zero-copy", "Sequential exploration order", "never on Budget.Workers"},
 		// Bounded exactness and deterministic report order (PR 4).
 		"internal/verify": {"exact", "enumeration order", "budget"},
 		// The shared canonical-JSON/checksum convention (PR 8).

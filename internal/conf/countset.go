@@ -10,16 +10,13 @@ package conf
 // count comparison, so the set is exact regardless of hash quality.
 //
 // A CountSet is not safe for concurrent mutation; concurrent readers
-// of At slices are fine while no Insert runs. In spill mode
-// (NewSpillingCountSet) concurrent reads are additionally restricted
-// to the pinned id range — see PinRange.
+// of At slices are fine while no Insert runs.
 type CountSet struct {
 	width  int
 	arena  []int64 // id's counts at arena[id*width : (id+1)*width]
 	hashes []uint64
 	table  []int32 // open addressing: 0 = empty, else id+1
 	mask   uint64
-	spill  *spillArena // nil for the default all-RAM arena
 }
 
 // NewCountSet builds a set of count vectors of the given width
@@ -47,53 +44,33 @@ func (s *CountSet) Len() int { return len(s.hashes) }
 func (s *CountSet) Width() int { return s.width }
 
 // At returns the vector with the given id. The slice aliases the
-// arena and must not be mutated. For all-RAM sets it stays valid
-// (with the same contents) across later Inserts; for spilling sets it
-// is only valid until the next At, Insert or PinRange, which may
-// evict the page behind it.
+// arena and must not be mutated; it stays valid (with the same
+// contents) across later Inserts.
 func (s *CountSet) At(id int) []int64 {
-	if s.spill != nil {
-		return s.spill.at(id)
-	}
 	lo := id * s.width
 	return s.arena[lo : lo+s.width : lo+s.width]
 }
 
 // Lookup returns the id of the vector equal to c, if present.
 func (s *CountSet) Lookup(c []int64) (int, bool) {
-	return s.LookupHashed(c, HashCounts(c))
-}
-
-// LookupHashed is Lookup with the caller-supplied HashCounts(c): the
-// parallel BFS hashes candidate vectors in its workers and resolves
-// them in the serial merge without rehashing.
-func (s *CountSet) LookupHashed(c []int64, h uint64) (int, bool) {
-	id := s.find(c, h)
+	id := s.find(c, HashCounts(c))
 	return id, id >= 0
 }
 
 // Insert adds c to the set, copying it into the arena on first sight,
-// and returns its id and whether it was newly added.
+// and returns its id and whether it was newly added. The lookup and
+// the insertion share one probe sequence.
 func (s *CountSet) Insert(c []int64) (int, bool) {
-	return s.InsertHashed(c, HashCounts(c))
-}
-
-// InsertHashed is Insert with the caller-supplied HashCounts(c). The
-// lookup and the insertion share one probe sequence.
-func (s *CountSet) InsertHashed(c []int64, h uint64) (int, bool) {
-	id, added, _ := s.insertCapped(c, h, -1)
+	id, added, _ := s.InsertCapped(c, HashCounts(c), -1)
 	return id, added
 }
 
-// InsertCapped is InsertHashed bounded by a budget: when c is absent
-// and the set already holds max vectors, nothing is inserted and
-// full=true is reported. It is the closure engine's
-// check-budget-before-commit step, in a single probe.
+// InsertCapped is Insert with the caller-supplied HashCounts(c),
+// bounded by a budget: when c is absent and the set already holds max
+// vectors (max ≥ 0), nothing is inserted and full=true is reported.
+// It is the closure engine's check-budget-before-commit step, in a
+// single probe.
 func (s *CountSet) InsertCapped(c []int64, h uint64, max int) (id int, added, full bool) {
-	return s.insertCapped(c, h, max)
-}
-
-func (s *CountSet) insertCapped(c []int64, h uint64, max int) (int, bool, bool) {
 	// Growing up front (even when c turns out to be present) keeps the
 	// probe sequence usable for direct placement; the extra growth is
 	// amortized exactly like the on-demand one.
@@ -108,11 +85,7 @@ func (s *CountSet) insertCapped(c []int64, h uint64, max int) (int, bool, bool) 
 			}
 			id := len(s.hashes)
 			s.hashes = append(s.hashes, h)
-			if s.spill != nil {
-				s.spill.append(c)
-			} else {
-				s.arena = append(s.arena, c...)
-			}
+			s.arena = append(s.arena, c...)
 			s.table[i] = int32(id + 1)
 			return id, true, false
 		}

@@ -22,7 +22,7 @@
 //     lookup, budget check and insertion into one probe sequence;
 //     insertion order — and therefore every id handed out — is
 //     deterministic in the insertion sequence, which is what makes
-//     the closure engines' parallel explorations byte-identical.
+//     the closure engines' node ids reproducible.
 //
 // Enumerate and Space provide the bounded enumeration and index
 // machinery (IndexMap, RestrictInto) the verifiers restrict

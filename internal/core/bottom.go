@@ -15,9 +15,6 @@ import (
 // cannot certify mutual reachability.
 func Component(net *petri.Net, rho conf.Config, budget petri.Budget) ([]conf.Config, error) {
 	rs, err := net.Reach(rho, budget)
-	if rs != nil {
-		defer rs.Release()
-	}
 	if err != nil {
 		return nil, fmt.Errorf("component: %w", err)
 	}
@@ -38,9 +35,6 @@ func Component(net *petri.Net, rho conf.Config, budget petri.Budget) ([]conf.Con
 // with infinite closures the check errs on budget rather than guessing.
 func IsBottom(net *petri.Net, rho conf.Config, budget petri.Budget) (bool, error) {
 	rs, err := net.Reach(rho, budget)
-	if rs != nil {
-		defer rs.Release()
-	}
 	if err != nil {
 		return false, fmt.Errorf("bottom check: %w", err)
 	}
@@ -128,19 +122,12 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 	if err != nil {
 		return nil, err
 	}
-	defer rs.Release()
 	done, infinite := false, false
-	parent := make([]int64, space.Len())
 	for !done && !infinite {
 		lo := rs.Len()
-		if done, err = rs.Grow(); err != nil {
-			return nil, err
-		}
+		done = rs.Grow()
 		for id := lo; id < rs.Len() && !infinite; id++ {
-			// Copy the parent out: a spilled closure's views last
-			// only until the next read.
-			copy(parent, rs.Config(rs.Parent(id)).RawCounts())
-			infinite = conf.View(space, parent).Leq(rs.Config(id))
+			infinite = rs.Config(rs.Parent(id)).Leq(rs.Config(id))
 		}
 	}
 
@@ -208,9 +195,7 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 	// point is a candidate.
 	for id := 0; opts.MaxCandidates <= 0 || id < opts.MaxCandidates; id++ {
 		for id >= rs.Len() && !done {
-			if done, err = rs.Grow(); err != nil {
-				return nil, err
-			}
+			done = rs.Grow()
 		}
 		if id >= rs.Len() {
 			break

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"os"
 	"strings"
 	"testing"
 
@@ -235,68 +234,4 @@ func TestReachBottomReportsSkippedBudgetChecks(t *testing.T) {
 	if err := VerifyBottomCert(net, rho, cert, petri.Budget{MaxConfigs: 1 << 10}); err != nil {
 		t.Errorf("certificate rejected: %v", err)
 	}
-}
-
-// Every closure the certificate search and its checks open must be
-// released on every path, or a spilling budget leaves one countset-*
-// directory behind per closure.
-func TestBottomSearchReleasesSpilledClosures(t *testing.T) {
-	space := conf.MustSpace("a", "b")
-	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
-	pump := mkNet(t, space, mkTr(t, "pump", u("a"), u("a").Add(u("b"))))
-	cycle := mkNet(t, space, mkTr(t, "ab", u("a"), u("b")), mkTr(t, "ba", u("b"), u("a")))
-	dir := t.TempDir()
-	budget := petri.Budget{MaxConfigs: 64, SpillDir: dir}
-	leftover := func(what string) {
-		t.Helper()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != 0 {
-			t.Errorf("%s left %d spill directories behind", what, len(entries))
-		}
-	}
-
-	cert, err := ReachBottom(pump, u("a"), ReachBottomOptions{Budget: budget})
-	if err != nil {
-		t.Fatalf("ReachBottom: %v", err)
-	}
-	leftover("ReachBottom (pumping certificate)")
-	if err := VerifyBottomCert(pump, u("a"), cert, budget); err != nil {
-		t.Fatalf("VerifyBottomCert: %v", err)
-	}
-	leftover("VerifyBottomCert")
-	if _, err := ReachBottom(cycle, u("a"), ReachBottomOptions{Budget: budget}); err != nil {
-		t.Fatalf("ReachBottom: %v", err)
-	}
-	leftover("ReachBottom (complete closure)")
-	// The c ⇄ d shuffle outgrows the starved sub-budget: every bottom
-	// check is skipped and the search ends without a certificate.
-	space4 := conf.MustSpace("a", "b", "c", "d")
-	u4 := func(n string) conf.Config { return conf.MustUnit(space4, n) }
-	shuffle := mkNet(t, space4,
-		mkTr(t, "pump", u4("a"), u4("a").Add(u4("b"))),
-		mkTr(t, "cd", u4("c"), u4("d")),
-		mkTr(t, "dc", u4("d"), u4("c")),
-	)
-	if _, err := ReachBottom(shuffle, u4("a").Add(u4("c").Scale(2)), ReachBottomOptions{Budget: budget,
-		SubBudget: petri.Budget{MaxConfigs: 2, SpillDir: dir}}); !errors.Is(err, ErrNoBottom) {
-		t.Fatalf("starved ReachBottom: err = %v, want ErrNoBottom", err)
-	}
-	leftover("ReachBottom (no certificate)")
-	if bot, err := IsBottom(cycle, u("a"), budget); err != nil || !bot {
-		t.Fatalf("IsBottom = %v, %v; want true", bot, err)
-	}
-	if _, err := IsBottom(pump, u("a"), budget); !errors.Is(err, petri.ErrBudget) {
-		t.Fatalf("IsBottom on the pump: err = %v, want ErrBudget", err)
-	}
-	leftover("IsBottom")
-	if comp, err := Component(cycle, u("a"), budget); err != nil || len(comp) != 2 {
-		t.Fatalf("Component = %d members, %v; want 2", len(comp), err)
-	}
-	if _, err := Component(pump, u("a"), budget); !errors.Is(err, petri.ErrBudget) {
-		t.Fatalf("Component on the pump: err = %v, want ErrBudget", err)
-	}
-	leftover("Component")
 }

@@ -110,9 +110,10 @@ func assertSameAsReference(t testing.TB, net *petri.Net, rho conf.Config, opts c
 // ReachBottom grows its top-level closure lazily; the certificate and
 // the error must still be exactly those of the eager search, on every
 // instance and under every option that changes where the closure, the
-// candidate loop or the sub-closures stop.
+// candidate loop or the sub-closures stop. Every grid point runs at
+// two worker counts: Budget.Workers sizes verify's input pool and must
+// not change the search.
 func TestReachBottomMatchesReference(t *testing.T) {
-	spillDir := t.TempDir()
 	for _, in := range bottomInstances(t) {
 		grid := map[string]core.ReachBottomOptions{
 			"own":           {Budget: petri.Budget{MaxConfigs: in.budget}},
@@ -125,8 +126,6 @@ func TestReachBottomMatchesReference(t *testing.T) {
 			"candidates3":   {Budget: petri.Budget{MaxConfigs: 64}, MaxCandidates: 3},
 			"starvedSub":    {Budget: petri.Budget{MaxConfigs: 64}, SubBudget: petri.Budget{MaxConfigs: 2}},
 			"pumpDepth1":    {Budget: petri.Budget{MaxConfigs: 64}, PumpDepth: 1},
-			"spill":         {Budget: petri.Budget{MaxConfigs: 1 << 12, SpillDir: spillDir, SpillThreshold: 8 << 10}},
-			"spillStarved":  {Budget: petri.Budget{MaxConfigs: 64, SpillDir: spillDir, SpillThreshold: 8 << 10}, SubBudget: petri.Budget{MaxConfigs: 2}},
 			"depthAndAgent": {Budget: petri.Budget{MaxConfigs: 1 << 12, MaxDepth: 4, MaxAgents: in.rho.Agents() + 1}},
 		}
 		for gname, opts := range grid {

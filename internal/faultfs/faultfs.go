@@ -1,7 +1,7 @@
 // Package faultfs is the injectable I/O seam under the shard queue
-// and the spill arena: an interface over the filesystem operations
-// the dispatch/resume/merge pipeline performs (read, write, rename,
-// link, remove, stat, mkdir, directory sync) plus the clock, with two
+// and the serve result store: an interface over the filesystem
+// operations those pipelines perform (read, write, rename, link,
+// remove, stat, mkdir, directory sync) plus the clock, with two
 // implementations — the real OS, and a deterministic fault-injecting
 // wrapper driven by an explicit schedule ("fail the 3rd rename with
 // ESTALE", "tear the 5th write at byte 17", "skew the clock by 2h").

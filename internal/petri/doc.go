@@ -18,13 +18,12 @@
 //     condensation, reverse reachability) read the closure's memory,
 //     they do not copy it. The arrays are owned by the ReachSet and
 //     immutable once exploration finishes.
-//   - Deterministic parallel merge order. The optional parallel BFS
-//     (Budget.Workers) expands wide levels with N workers firing into
-//     private buffers, then merges their records serially in
-//     (head, transition) order — exactly sequential exploration
-//     order — so node ids, edges, shortest-word trees and truncation
-//     points are byte-identical for every worker count, including
-//     budget-truncated runs.
+//   - Sequential exploration order. One driver, on one goroutine,
+//     expands every closure in RAM: nodes in id order, each node's
+//     transitions in index order. Node ids, edges, shortest-word trees
+//     and truncation points therefore depend only on the net, the
+//     root and the budget caps — never on Budget.Workers, which sizes
+//     the input pool of callers that explore many closures at once.
 //
 // A closure can also be grown lazily: StartReach returns it holding
 // only the root, and each ReachSet.Grow expands one BFS level through

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/conf"
-	"repro/internal/faultfs"
 	"repro/internal/graph"
 )
 
@@ -26,29 +24,11 @@ type Budget struct {
 	// MaxDepth caps the exploration depth (word length). Zero means
 	// unlimited.
 	MaxDepth int
-	// Workers sets the worker count of the level-synchronized parallel
-	// BFS: levels of the closure wide enough to amortize the fan-out
-	// are expanded by this many workers, with frontiers merged in
-	// worker-index order so node ids — and hence the whole ReachSet,
-	// including truncation points — are byte-identical for every worker
-	// count. 0 means auto-detect (GOMAXPROCS); 1 forces the sequential
-	// exploration.
+	// Workers sizes the input pool of callers that explore many
+	// closures at once (verify.Range). 0 means auto-detect
+	// (GOMAXPROCS). A single closure is always explored sequentially,
+	// so Workers never changes one.
 	Workers int
-	// SpillDir, when non-empty, runs the closure's count arena
-	// out-of-core: arena pages are flushed to bucket files under a
-	// private subdirectory of SpillDir once the resident footprint
-	// exceeds SpillThreshold, and reloaded on demand. The resulting
-	// ReachSet is node-for-node identical to the in-RAM one; call its
-	// Release method to delete the spill files.
-	SpillDir string
-	// SpillThreshold is the resident-arena byte budget for spill mode.
-	// Zero means conf.DefaultSpillThreshold.
-	SpillThreshold int64
-	// SpillFS is the filesystem seam spill bucket I/O goes through;
-	// nil means the real OS. Fault-injection tests pass a
-	// faultfs.Faulty here to exercise the degraded paths (disk full,
-	// torn buckets) without a real broken disk.
-	SpillFS faultfs.FS
 	// Cancel, when non-nil, aborts the exploration once the channel is
 	// closed (typically a serving request's ctx.Done()): Reach stops at
 	// the next cancellation checkpoint and returns the partial closure
@@ -150,44 +130,23 @@ type ReachSet struct {
 // Complete=false) together with a wrapped ErrBudget, so callers can
 // inspect partial results while being unable to mistake them for exact
 // ones.
-//
-// When the closure runs out-of-core (SpillDir), spill-layer failures —
-// a bucket write hitting a full disk, a bucket read, or a read-back
-// CRC verification catching a torn or rotted bucket — surface as a
-// returned *conf.SpillError (errors.Is sees through it to the
-// underlying errno, e.g. syscall.ENOSPC), with the spill files
-// released; they never crash the process even though the arena's hot
-// paths report them by panicking.
 func (n *Net) Reach(from conf.Config, budget Budget) (*ReachSet, error) {
 	rs, err := n.StartReach(from, budget)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := rs.growLevels(-1); err != nil {
-		return nil, err
-	}
+	rs.growLevels(-1)
 	return rs, rs.trunc
 }
 
 // StartReach returns the closure of from that holds only the root,
-// ready to be grown by Grow within the budget. Callers that may stop
-// before growth ends must still Release the closure.
+// ready to be grown by Grow within the budget.
 func (n *Net) StartReach(from conf.Config, budget Budget) (*ReachSet, error) {
 	if !from.Space().Equal(n.space) {
 		return nil, errors.New("petri: initial configuration over wrong space")
 	}
 	d := n.space.Len()
 	set := conf.NewCountSet(d, 256)
-	if budget.SpillDir != "" {
-		var err error
-		set, err = conf.NewSpillingCountSet(d, 256, conf.SpillOptions{
-			Dir: budget.SpillDir, Threshold: budget.SpillThreshold, FS: budget.SpillFS,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// The first vector opens the arena's first page: no spill I/O.
 	set.Insert(from.RawCounts())
 	rs := &ReachSet{net: n, set: set}
 	rs.parent = append(rs.parent, -1)
@@ -199,7 +158,6 @@ func (n *Net) StartReach(from conf.Config, budget Budget) (*ReachSet, error) {
 		idx:        n.Index(),
 		budget:     budget,
 		maxConfigs: budget.maxConfigs(), // int32-clamped
-		workers:    budget.EffectiveWorkers(),
 		scratch:    make([]int64, d),
 	}
 	return rs, nil
@@ -210,35 +168,17 @@ func (n *Net) StartReach(from conf.Config, budget Budget) (*ReachSet, error) {
 // budget, depth or agent cap or Budget.Cancel truncated the closure
 // (Complete=false); Grow on an ended closure is a no-op. Between calls
 // every accessor, CSR included, sees the closure grown so far; a CSR
-// taken before a Grow is invalid after it.
-//
-// A spill-layer failure is returned as a *conf.SpillError, with the
-// closure released; truncation is not an error of Grow.
-func (rs *ReachSet) Grow() (done bool, err error) { return rs.growLevels(1) }
+// taken before a Grow is invalid after it. Truncation is not an error
+// of Grow: it shows as done with Complete=false.
+func (rs *ReachSet) Grow() (done bool) { return rs.growLevels(1) }
 
 // growLevels expands up to levels BFS levels (all of them when levels
-// is negative) and pads the CSR offsets for the unexpanded frontier.
-func (rs *ReachSet) growLevels(levels int) (done bool, err error) {
+// is negative), pads the CSR offsets for the unexpanded frontier and
+// reports whether growth has ended.
+func (rs *ReachSet) growLevels(levels int) bool {
 	e := rs.grow
 	if e == nil {
-		return true, nil
-	}
-	if rs.set.Spilling() {
-		// Spill flushes and loads only run on this goroutine (parallel
-		// workers read pinned, resident pages exclusively), so one
-		// recovery point at the growth boundary converts every
-		// spill-layer panic into the typed error.
-		defer func() {
-			if r := recover(); r != nil {
-				se, ok := r.(*conf.SpillError)
-				if !ok {
-					panic(r)
-				}
-				rs.set.Release()
-				rs.grow = nil
-				done, err = true, se
-			}
-		}()
+		return true
 	}
 	// Drop the padding of the previous pause: the frontier's offsets
 	// are appended as it is expanded.
@@ -248,7 +188,7 @@ func (rs *ReachSet) growLevels(levels int) (done bool, err error) {
 		rs.Complete = rs.trunc == nil
 	}
 	rs.finalizeEdges()
-	return rs.grow == nil, nil
+	return rs.grow == nil
 }
 
 // run expands up to levels BFS levels (all of them when levels is
@@ -273,28 +213,15 @@ func (e *expander) run(levels int) bool {
 		for levelEnd < len(rs.depth) && rs.depth[levelEnd] == depth {
 			levelEnd++
 		}
-		// Under spill, hold the level's pages resident through the
-		// expansion: concurrent workers read At on exactly this range,
-		// and the sequential path keeps a head's slice live across the
-		// resolve calls that could otherwise evict its page.
-		rs.set.PinRange(level, levelEnd)
-		var ok bool
-		if e.workers > 1 && levelEnd-level >= parallelWidth(e.workers) {
-			ok = e.expandLevelParallel(level, levelEnd, e.workers)
-		} else {
-			ok = true
-			for head := level; head < levelEnd && ok; head++ {
-				// Wide sequential levels re-check cancellation every
-				// 1024 nodes so a deadline lands mid-level, not only
-				// at level boundaries.
-				if head&1023 == 1023 && budget.cancelled() {
-					return e.stop(errCancelled("reach", rs.set.Len()))
-				}
-				ok = e.expandNode(head)
+		for head := level; head < levelEnd; head++ {
+			// Wide levels re-check cancellation every 1024 nodes so a
+			// deadline lands mid-level, not only at level boundaries.
+			if head&1023 == 1023 && budget.cancelled() {
+				return e.stop(errCancelled("reach", rs.set.Len()))
 			}
-		}
-		if !ok {
-			return e.stop(errBudget("reach", rs.set.Len()))
+			if !e.expandNode(head) {
+				return e.stop(errBudget("reach", rs.set.Len()))
+			}
 		}
 		level = levelEnd
 		if level == rs.set.Len() {
@@ -315,44 +242,23 @@ func (e *expander) stop(err error) bool {
 	return false
 }
 
-// parallelWidth is the minimal level width worth fanning out to the
-// given worker count.
-func parallelWidth(workers int) int {
-	if w := 2 * workers; w > 32 {
-		return w
-	}
-	return 32
-}
-
 // expander carries the BFS state of one growing closure.
 type expander struct {
 	rs         *ReachSet
 	idx        *Index
 	budget     Budget
 	maxConfigs int
-	workers    int
 	next       int  // BFS queue head: the first unexpanded node id
 	pruned     bool // MaxAgents dropped a successor
 	scratch    []int64
-
-	// Per-worker buffers of the parallel BFS, reused across levels.
-	wrecs    [][]fireRec
-	wbufs    [][]int64
-	wscratch [][]int64
 }
 
-// fireRec is one successful firing computed by a parallel worker,
-// resolved against the visited set during the serial merge.
-type fireRec struct {
-	head int32
-	ti   int32
-	over bool // MaxAgents exceeded: prune, marking the closure incomplete
-	hash uint64
-}
-
-// expandNode expands one node sequentially. It reports false when the
-// configuration budget was exhausted mid-expansion (exploration stops
-// with exactly maxConfigs nodes, the offending successor not added).
+// expandNode fires every transition of one node in transition order,
+// committing each successor against the visited set: dedup or admit
+// it (budget permitting) and record the edge. It reports false when
+// the configuration budget was exhausted mid-expansion (exploration
+// stops with exactly maxConfigs nodes, the offending successor not
+// added).
 func (e *expander) expandNode(head int) bool {
 	rs := e.rs
 	nt := len(rs.net.trans)
@@ -366,121 +272,19 @@ func (e *expander) expandNode(head int) bool {
 			e.pruned = true
 			continue
 		}
-		if !e.resolve(int32(head), int32(ti), e.scratch, conf.HashCounts(e.scratch)) {
+		id, added, full := rs.set.InsertCapped(e.scratch, conf.HashCounts(e.scratch), e.maxConfigs)
+		if full {
 			return false
 		}
+		if added {
+			rs.parent = append(rs.parent, int32(head))
+			rs.via = append(rs.via, int32(ti))
+			rs.depth = append(rs.depth, rs.depth[head]+1)
+		}
+		rs.edgeTo = append(rs.edgeTo, int32(id))
+		rs.edgeVia = append(rs.edgeVia, int32(ti))
 	}
 	rs.edgeOff = append(rs.edgeOff, int32(len(rs.edgeTo)))
-	return true
-}
-
-// resolve commits one successful firing against the visited set: dedup
-// or admit the successor (budget permitting) and record the edge. It
-// reports false on budget exhaustion. Both the sequential path and the
-// parallel merge run through this single implementation — the
-// byte-identical-for-any-worker-count guarantee depends on them
-// resolving successors identically.
-func (e *expander) resolve(head, ti int32, counts []int64, hash uint64) bool {
-	rs := e.rs
-	id, added, full := rs.set.InsertCapped(counts, hash, e.maxConfigs)
-	if full {
-		return false
-	}
-	if added {
-		rs.parent = append(rs.parent, head)
-		rs.via = append(rs.via, ti)
-		rs.depth = append(rs.depth, rs.depth[head]+1)
-	}
-	rs.edgeTo = append(rs.edgeTo, int32(id))
-	rs.edgeVia = append(rs.edgeVia, ti)
-	return true
-}
-
-// expandLevelParallel expands the level [lo, hi) with the given worker
-// count: workers fire every transition of contiguous head chunks into
-// private buffers (reads only — the arena is immutable during the
-// fan-out), then a serial merge resolves the records against the
-// visited set in (head, transition) order, which is exactly the
-// sequential exploration order. Node ids, edges and truncation points
-// are therefore byte-identical to the sequential BFS.
-func (e *expander) expandLevelParallel(lo, hi, workers int) bool {
-	rs := e.rs
-	d := rs.set.Width()
-	for len(e.wrecs) < workers {
-		e.wrecs = append(e.wrecs, nil)
-		e.wbufs = append(e.wbufs, nil)
-		e.wscratch = append(e.wscratch, make([]int64, d))
-	}
-	chunk := (hi - lo + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wlo := lo + w*chunk
-		whi := wlo + chunk
-		if whi > hi {
-			whi = hi
-		}
-		if wlo >= whi {
-			e.wrecs[w] = e.wrecs[w][:0]
-			e.wbufs[w] = e.wbufs[w][:0]
-			continue
-		}
-		wg.Add(1)
-		go func(w, wlo, whi int) {
-			defer wg.Done()
-			recs := e.wrecs[w][:0]
-			buf := e.wbufs[w][:0]
-			scratch := e.wscratch[w]
-			nt := len(rs.net.trans)
-			for head := wlo; head < whi; head++ {
-				cur := rs.set.At(head)
-				for ti := 0; ti < nt; ti++ {
-					if !e.idx.FireInto(ti, cur, scratch) {
-						continue
-					}
-					if e.budget.MaxAgents > 0 && sumCounts(scratch) > e.budget.MaxAgents {
-						recs = append(recs, fireRec{head: int32(head), ti: int32(ti), over: true})
-						continue
-					}
-					recs = append(recs, fireRec{head: int32(head), ti: int32(ti), hash: conf.HashCounts(scratch)})
-					buf = append(buf, scratch...)
-				}
-			}
-			e.wrecs[w] = recs
-			e.wbufs[w] = buf
-		}(w, wlo, whi)
-	}
-	wg.Wait()
-
-	for w := 0; w < workers; w++ {
-		wlo := lo + w*chunk
-		whi := wlo + chunk
-		if whi > hi {
-			whi = hi
-		}
-		if wlo >= whi {
-			continue
-		}
-		recs := e.wrecs[w]
-		buf := e.wbufs[w]
-		ri, off := 0, 0
-		for head := wlo; head < whi; head++ {
-			rs.checkEdgeCapacity(len(rs.net.trans))
-			for ri < len(recs) && int(recs[ri].head) == head {
-				rec := recs[ri]
-				ri++
-				if rec.over {
-					e.pruned = true
-					continue
-				}
-				counts := buf[off*d : (off+1)*d]
-				off++
-				if !e.resolve(rec.head, rec.ti, counts, rec.hash) {
-					return false
-				}
-			}
-			rs.edgeOff = append(rs.edgeOff, int32(len(rs.edgeTo)))
-		}
-	}
 	return true
 }
 
@@ -541,26 +345,15 @@ func (e *BudgetError) Unwrap() error { return ErrBudget }
 // Len returns the number of configurations in the closure.
 func (rs *ReachSet) Len() int { return rs.set.Len() }
 
-// Release deletes the closure's spill files when the exploration ran
-// out-of-core (Budget.SpillDir); the ReachSet must not be used
-// afterwards. For in-RAM closures it is a no-op, so callers can
-// defer it unconditionally.
-func (rs *ReachSet) Release() { rs.set.Release() }
-
-// SpillStats reports the closure arena's spill traffic (pages
-// evicted, pages loaded); both zero for in-RAM closures.
-func (rs *ReachSet) SpillStats() (evictions, loads int) { return rs.set.SpillStats() }
-
-// ArenaBytes returns the closure arena's total footprint in bytes
-// (resident + spilled).
-func (rs *ReachSet) ArenaBytes() int64 { return rs.set.ArenaBytes() }
+// Release is a no-op, kept for callers that release closures
+// explicitly: a closure lives in RAM and the garbage collector
+// reclaims it.
+func (rs *ReachSet) Release() {}
 
 // Config returns the configuration with the given node id as a
 // zero-copy view into the closure arena. The counts must not be
-// mutated. For in-RAM closures the view stays valid for the life of
-// the ReachSet; for spilled closures it is only valid until the next
-// Config/ID/Contains call, which may evict the page behind it — use
-// Clone to detach a configuration that must outlive the iteration.
+// mutated. The view stays valid for the life of the ReachSet; use
+// Clone to detach a configuration that must not keep the arena alive.
 func (rs *ReachSet) Config(id int) conf.Config {
 	return conf.View(rs.net.space, rs.set.At(id))
 }

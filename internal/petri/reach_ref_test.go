@@ -3,8 +3,8 @@
 // map[string]int over Config.Key, firing with Transition.Fire. The
 // arena closure must be node-for-node and edge-for-edge identical on
 // the E4/E8 nets — including truncated-budget, agent-capped and
-// depth-capped explorations — and the parallel BFS must produce
-// byte-identical ReachSets for every worker count.
+// depth-capped explorations — and no Budget.Workers setting may
+// change a ReachSet.
 package petri_test
 
 import (
@@ -201,8 +201,7 @@ func e4e8Instances(t *testing.T) map[string]struct {
 }
 
 // wideSplitNet builds n·a under a→b, a→c: its BFS levels are up to n+1
-// nodes wide, so the level-synchronized parallel fan-out engages (the
-// protocol closures above are deep and narrow).
+// nodes wide (the protocol closures above are deep and narrow).
 func wideSplitNet(t *testing.T, n int64) (*petri.Net, conf.Config) {
 	t.Helper()
 	space := conf.MustSpace("a", "b", "c")
@@ -247,9 +246,9 @@ func TestReachMatchesReference(t *testing.T) {
 	}
 }
 
-// The parallel BFS must yield byte-identical ReachSets to the
-// sequential exploration for every worker count, including truncated
-// searches, because frontiers merge in worker-index order.
+// Budget.Workers sizes verify.Range's input pool, never a closure:
+// Reach under any worker count must yield the ReachSet of Workers=1
+// byte for byte, including truncated searches.
 func TestReachParallelMatchesSequential(t *testing.T) {
 	budgets := map[string]petri.Budget{
 		"default":   {MaxConfigs: 1 << 16},
@@ -262,43 +261,43 @@ func TestReachParallelMatchesSequential(t *testing.T) {
 				budget.MaxConfigs = 1 << 10
 			}
 			seqBudget := budget
-			seqBudget.Workers = 1 // force the sequential exploration as baseline
+			seqBudget.Workers = 1
 			seq, seqErr := inst.net.Reach(inst.from, seqBudget)
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, bname, workers), func(t *testing.T) {
 					b := budget
 					b.Workers = workers
-					par, parErr := inst.net.Reach(inst.from, b)
-					if (seqErr != nil) != (parErr != nil) {
-						t.Fatalf("err: sequential %v, parallel %v", seqErr, parErr)
+					got, gotErr := inst.net.Reach(inst.from, b)
+					if (seqErr != nil) != (gotErr != nil) {
+						t.Fatalf("err: workers=1 %v, workers=%d %v", seqErr, workers, gotErr)
 					}
-					if par.Complete != seq.Complete || par.Len() != seq.Len() {
-						t.Fatalf("Complete/Len: parallel (%v, %d), sequential (%v, %d)",
-							par.Complete, par.Len(), seq.Complete, seq.Len())
+					if got.Complete != seq.Complete || got.Len() != seq.Len() {
+						t.Fatalf("Complete/Len: workers=%d (%v, %d), workers=1 (%v, %d)",
+							workers, got.Complete, got.Len(), seq.Complete, seq.Len())
 					}
 					for id := 0; id < seq.Len(); id++ {
-						if !par.Config(id).Equal(seq.Config(id)) {
-							t.Fatalf("node %d: parallel %v, sequential %v", id, par.Config(id), seq.Config(id))
+						if !got.Config(id).Equal(seq.Config(id)) {
+							t.Fatalf("node %d: workers=N %v, workers=1 %v", id, got.Config(id), seq.Config(id))
 						}
-						if par.Depth(id) != seq.Depth(id) {
-							t.Fatalf("node %d depth: parallel %d, sequential %d", id, par.Depth(id), seq.Depth(id))
+						if got.Depth(id) != seq.Depth(id) {
+							t.Fatalf("node %d depth: workers=N %d, workers=1 %d", id, got.Depth(id), seq.Depth(id))
 						}
-						pe, se := par.Edges(id), seq.Edges(id)
-						if len(pe) != len(se) {
-							t.Fatalf("node %d: %d edges parallel, %d sequential", id, len(pe), len(se))
+						ge, se := got.Edges(id), seq.Edges(id)
+						if len(ge) != len(se) {
+							t.Fatalf("node %d: %d edges at workers=N, %d at workers=1", id, len(ge), len(se))
 						}
-						for i := range pe {
-							if pe[i] != se[i] {
-								t.Fatalf("node %d edge %d: parallel %+v, sequential %+v", id, i, pe[i], se[i])
+						for i := range ge {
+							if ge[i] != se[i] {
+								t.Fatalf("node %d edge %d: workers=N %+v, workers=1 %+v", id, i, ge[i], se[i])
 							}
 						}
-						pw, sw := par.PathTo(id), seq.PathTo(id)
-						if len(pw) != len(sw) {
-							t.Fatalf("node %d word: parallel %v, sequential %v", id, pw, sw)
+						gw, sw := got.PathTo(id), seq.PathTo(id)
+						if len(gw) != len(sw) {
+							t.Fatalf("node %d word: workers=N %v, workers=1 %v", id, gw, sw)
 						}
-						for i := range pw {
-							if pw[i] != sw[i] {
-								t.Fatalf("node %d word: parallel %v, sequential %v", id, pw, sw)
+						for i := range gw {
+							if gw[i] != sw[i] {
+								t.Fatalf("node %d word: workers=N %v, workers=1 %v", id, gw, sw)
 							}
 						}
 					}
@@ -308,107 +307,9 @@ func TestReachParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// The level-synchronized fan-out must engage on wide closures (the
-// test would vacuously pass if every level stayed under the parallel
-// threshold), so pin a case known to have wide levels.
-func TestReachParallelEngagesOnWideClosure(t *testing.T) {
-	net, from := wideSplitNet(t, 80)
-	seq, err := net.Reach(from, petri.Budget{MaxConfigs: 1 << 18, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxWidth := 0
-	width, depth := 0, 0
-	for id := 0; id < seq.Len(); id++ {
-		if seq.Depth(id) != depth {
-			depth, width = seq.Depth(id), 0
-		}
-		width++
-		if width > maxWidth {
-			maxWidth = width
-		}
-	}
-	if maxWidth < 64 {
-		t.Fatalf("widest level %d: instance too small to exercise the parallel path", maxWidth)
-	}
-	par, err := net.Reach(from, petri.Budget{MaxConfigs: 1 << 18, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Len() != seq.Len() || par.NumEdges() != seq.NumEdges() {
-		t.Fatalf("parallel (%d nodes, %d edges) != sequential (%d nodes, %d edges)",
-			par.Len(), par.NumEdges(), seq.Len(), seq.NumEdges())
-	}
-}
-
-// A spill-enabled Reach must produce a ReachSet node-for-node
-// identical to the in-RAM one — same ids, depths, edges and shortest
-// words — for every worker count, while actually paging the arena to
-// disk (the threshold is set far below the closure's footprint).
-func TestReachSpilledMatchesRAM(t *testing.T) {
-	for name, inst := range e4e8Instances(t) {
-		budget := petri.Budget{MaxConfigs: 1 << 14, Workers: 1}
-		if name == "pump(unbounded)" {
-			budget.MaxConfigs = 1 << 10
-		}
-		ram, ramErr := inst.net.Reach(inst.from, budget)
-		for _, workers := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				b := budget
-				b.Workers = workers
-				b.SpillDir = t.TempDir()
-				b.SpillThreshold = 8 << 10
-				sp, spErr := inst.net.Reach(inst.from, b)
-				if sp != nil {
-					defer sp.Release()
-				}
-				if (ramErr != nil) != (spErr != nil) {
-					t.Fatalf("err: ram %v, spilled %v", ramErr, spErr)
-				}
-				if sp.Complete != ram.Complete || sp.Len() != ram.Len() {
-					t.Fatalf("Complete/Len: spilled (%v, %d), ram (%v, %d)",
-						sp.Complete, sp.Len(), ram.Complete, ram.Len())
-				}
-				if ram.ArenaBytes() > b.SpillThreshold {
-					if ev, _ := sp.SpillStats(); ev == 0 {
-						t.Errorf("arena of %d bytes exceeds threshold %d but never spilled",
-							sp.ArenaBytes(), b.SpillThreshold)
-					}
-				}
-				for id := 0; id < ram.Len(); id++ {
-					if !sp.Config(id).Equal(ram.Config(id)) {
-						t.Fatalf("node %d: spilled %v, ram %v", id, sp.Config(id), ram.Config(id))
-					}
-					if sp.Depth(id) != ram.Depth(id) {
-						t.Fatalf("node %d depth: spilled %d, ram %d", id, sp.Depth(id), ram.Depth(id))
-					}
-					se, re := sp.Edges(id), ram.Edges(id)
-					if len(se) != len(re) {
-						t.Fatalf("node %d: %d edges spilled, %d ram", id, len(se), len(re))
-					}
-					for i := range se {
-						if se[i] != re[i] {
-							t.Fatalf("node %d edge %d: spilled %+v, ram %+v", id, i, se[i], re[i])
-						}
-					}
-					sw, rw := sp.PathTo(id), ram.PathTo(id)
-					if len(sw) != len(rw) {
-						t.Fatalf("node %d word: spilled %v, ram %v", id, sw, rw)
-					}
-					for i := range sw {
-						if sw[i] != rw[i] {
-							t.Fatalf("node %d word: spilled %v, ram %v", id, sw, rw)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 // Growing a closure one BFS level at a time, with every accessor read
 // between levels, must end in the closure one-shot Reach builds — and
-// so in the reference — at every worker count and under spill. Between
+// so in the reference — at every worker count. Between
 // levels the CSR must already cover every node: expanded nodes with
 // their final edges, the frontier with none.
 func TestGrowMatchesReach(t *testing.T) {
@@ -424,32 +325,21 @@ func TestGrowMatchesReach(t *testing.T) {
 			if name == "pump(unbounded)" && bname == "default" {
 				budget.MaxConfigs = 1 << 10
 			}
-			for _, mode := range []string{"w1", "w2", "spill"} {
-				t.Run(fmt.Sprintf("%s/%s/%s", name, bname, mode), func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", name, bname, workers), func(t *testing.T) {
 					b := budget
-					b.Workers = 1
-					if mode == "w2" {
-						b.Workers = 2
-					}
-					if mode == "spill" {
-						b.SpillDir = t.TempDir()
-						b.SpillThreshold = 8 << 10
-					}
+					b.Workers = workers
 					whole, wholeErr := inst.net.Reach(inst.from, b)
 					if whole == nil {
 						t.Fatalf("Reach returned nil set (err %v)", wholeErr)
 					}
-					defer whole.Release()
 					rs, err := inst.net.StartReach(inst.from, b)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer rs.Release()
 					levelLo, levelHi := 0, 1 // the level Grow expands next
 					for done := false; !done; {
-						if done, err = rs.Grow(); err != nil {
-							t.Fatalf("Grow: %v", err)
-						}
+						done = rs.Grow()
 						if !done && rs.Complete {
 							t.Fatal("Complete while the closure is still growing")
 						}
@@ -483,8 +373,8 @@ func TestGrowMatchesReach(t *testing.T) {
 						}
 						levelLo, levelHi = levelHi, rs.Len()
 					}
-					if done, err := rs.Grow(); !done || err != nil {
-						t.Fatalf("Grow after the end = %v, %v; want a no-op", done, err)
+					if !rs.Grow() {
+						t.Fatal("Grow after the end reports growth; want a no-op")
 					}
 					if rs.Complete != whole.Complete {
 						t.Fatalf("Complete = %v, Reach %v", rs.Complete, whole.Complete)

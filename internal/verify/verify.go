@@ -71,12 +71,6 @@ func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Bud
 	expected := pred(input)
 	initial := p.InitialConfig(input)
 	rs, err := p.Net().Reach(initial, budget)
-	if rs != nil {
-		// The closure never escapes this function (counterexamples are
-		// cloned), so spill files from an out-of-core exploration are
-		// reclaimed here; for in-RAM closures Release is a no-op.
-		defer rs.Release()
-	}
 	if err != nil {
 		return nil, fmt.Errorf("verify %v: %w", input, err)
 	}
@@ -155,11 +149,9 @@ func (r *RangeResult) FirstFailure() *Report {
 // Inputs are independent, so they fan out to a bounded worker pool
 // (the sim.RunMany pattern); reports are collected in enumeration
 // order and the first error by that order is returned, so results and
-// errors are deterministic regardless of scheduling. The worker budget
-// is Budget.Workers (0 = GOMAXPROCS), split two-level: the outer pool
-// takes one worker per input and each input's closure BFS gets the
-// ceiling share of the remainder, so the pool product covers the
-// budget whether the range has many small inputs or one huge one.
+// errors are deterministic regardless of scheduling. The pool has
+// Budget.Workers workers (0 = GOMAXPROCS), at most one per input; each
+// input's closure is explored sequentially.
 func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget petri.Budget) (*RangeResult, error) {
 	if minTotal < 0 || maxTotal < minTotal {
 		return nil, errors.New("verify: invalid total range")
@@ -179,17 +171,7 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 	}
 	reports := make([]*Report, len(inputs))
 	errs := make([]error, len(inputs))
-	total := budget.EffectiveWorkers()
-	workers := total
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	if workers > 0 {
-		// Each input's Reach runs its level-parallel BFS with the
-		// ceiling share of the worker budget (byte-identical for any
-		// split — only the wall clock depends on it).
-		budget.Workers = (total + workers - 1) / workers
-	}
+	workers := min(budget.EffectiveWorkers(), len(inputs))
 	if workers <= 1 {
 		for i, ic := range inputs {
 			reports[i], errs[i] = verifyOne(p, ic, pred, budget)
