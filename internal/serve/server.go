@@ -177,28 +177,28 @@ func (s *Server) Handler() http.Handler {
 		if !s.decodeBody(w, r, &req) {
 			return
 		}
-		s.run(w, r, &key.Query{Kind: key.KindSimulate, Spec: req.Spec, Simulate: &req.SimulateParams})
+		s.query(w, r, &key.Query{Kind: key.KindSimulate, Spec: req.Spec, Simulate: &req.SimulateParams})
 	})
 	mux.HandleFunc("POST /v1/verify", func(w http.ResponseWriter, r *http.Request) {
 		var req verifyRequest
 		if !s.decodeBody(w, r, &req) {
 			return
 		}
-		s.run(w, r, &key.Query{Kind: key.KindVerify, Spec: req.Spec, Verify: &req.VerifyParams})
+		s.query(w, r, &key.Query{Kind: key.KindVerify, Spec: req.Spec, Verify: &req.VerifyParams})
 	})
 	mux.HandleFunc("POST /v1/bounds", func(w http.ResponseWriter, r *http.Request) {
 		var req boundsRequest
 		if !s.decodeBody(w, r, &req) {
 			return
 		}
-		s.run(w, r, &key.Query{Kind: key.KindBounds, Bounds: &req.BoundsParams})
+		s.query(w, r, &key.Query{Kind: key.KindBounds, Bounds: &req.BoundsParams})
 	})
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
 		var req sweepRequest
 		if !s.decodeBody(w, r, &req) {
 			return
 		}
-		s.runSweep(w, r, &key.Query{Kind: key.KindSweep, Spec: req.Spec, Sweep: &req.SweepParams})
+		s.sweep(w, r, &key.Query{Kind: key.KindSweep, Spec: req.Spec, Sweep: &req.SweepParams})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := s.jobs.get(r.PathValue("id"))
@@ -271,6 +271,39 @@ type boundsRequest struct {
 	key.BoundsParams
 }
 
+// A reply writes one request's response. The lifecycle (run) hands it
+// the success document or an error; the query endpoints answer with
+// one JSON envelope, /v1/sweep with an NDJSON stream (ndjsonWriter).
+type reply interface {
+	// document renders a cached result's sealed bytes as the document
+	// the success body carries; the job records its size. An error is
+	// answered as a 500.
+	document(result []byte) ([]byte, error)
+	// send writes the success body around the document.
+	send(job string, k key.Key, cache, kind string, doc []byte)
+	// fail writes an error body with its status and, when retryAfter
+	// is positive, a Retry-After hint in seconds.
+	fail(status, retryAfter int, err error)
+}
+
+// envelope is the reply of the query endpoints: one JSON document
+// wrapping the result (writeResult), or one error document.
+type envelope struct{ w http.ResponseWriter }
+
+func (envelope) document(result []byte) ([]byte, error) { return result, nil }
+
+func (e envelope) send(job string, k key.Key, cache, kind string, doc []byte) {
+	writeResult(e.w, job, k, cache, kind, doc)
+}
+
+func (e envelope) fail(status, retryAfter int, err error) { writeFailure(e.w, status, retryAfter, err) }
+
+// query runs one request of a query endpoint through the lifecycle:
+// the compute is Server.compute, the reply one JSON envelope.
+func (s *Server) query(w http.ResponseWriter, r *http.Request, q *key.Query) {
+	s.run(r, q, envelope{w}, func(ctx context.Context) (json.RawMessage, error) { return s.compute(ctx, q) })
+}
+
 // writeResult answers a query with its response envelope
 //
 //	{"job", "key", "cache", "kind", "result"}
@@ -300,12 +333,15 @@ func writeResult(w http.ResponseWriter, job string, k key.Key, cache, kind strin
 	_, _ = w.Write(b)
 }
 
-// run drives one query through the full lifecycle:
+// run drives one request through the full lifecycle:
 // normalize + size cap → deadline + admission (tokens) → plan (key) →
 // breaker check → store lookup / singleflight compute → response.
-// Nothing before the compute builds the protocol: normalization and
-// the size cap read the registry's arithmetic shape, and a warm hit
-// is answered from the artifact's sealed bytes.
+// Every endpoint runs it; what differs is passed in: compute, which
+// runs only when this request leads a cache-miss flight, and the
+// reply that writes the success and error bodies. Nothing before the
+// compute builds the protocol: normalization and the size cap read the
+// registry's arithmetic shape, and a warm hit is answered from the
+// artifact's sealed bytes.
 // Every state change goes through the job's SM; an illegal transition
 // here is a bug, surfaced as a 500 rather than papered over.
 //
@@ -316,7 +352,7 @@ func writeResult(w http.ResponseWriter, job string, k key.Key, cache, kind strin
 // the verify closure walk), the job lands in timed_out, the held
 // admission tokens are released immediately, and the client gets 503
 // with a Retry-After derived from the admission balance.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
+func (s *Server) run(r *http.Request, q *key.Query, out reply, compute func(context.Context) (json.RawMessage, error)) {
 	s.metrics.requests.Add(1)
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
@@ -326,7 +362,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 	// fault and never consumes tokens; neither does one whose protocol
 	// is over the size cap.
 	if status, err := s.admissible(q); err != nil {
-		writeError(w, status, err)
+		out.fail(status, 0, err)
 		return
 	}
 	cost := queryCost(q)
@@ -338,7 +374,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 	j, err := s.jobs.create(q.Kind, time.Now())
 	if err != nil {
 		s.metrics.failures.Add(1)
-		writeError(w, http.StatusInternalServerError, err)
+		out.fail(http.StatusInternalServerError, 0, err)
 		return
 	}
 
@@ -352,7 +388,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 			err = errors.Join(err, smErr)
 			status = http.StatusInternalServerError
 		}
-		writeError(w, status, err)
+		out.fail(status, 0, err)
 	}
 
 	// timeout resolves a request whose deadline expired or whose
@@ -367,11 +403,10 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 		smErr := j.sm.To(StateTimedOut)
 		j.mu.Unlock()
 		if smErr != nil {
-			writeError(w, http.StatusInternalServerError, errors.Join(cause, smErr))
+			out.fail(http.StatusInternalServerError, 0, errors.Join(cause, smErr))
 			return
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusServiceUnavailable, cause)
+		out.fail(http.StatusServiceUnavailable, s.retryAfter(), cause)
 	}
 
 	tAdmit := time.Now()
@@ -381,7 +416,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 			return
 		}
 		s.metrics.failures.Add(1)
-		writeError(w, http.StatusTooManyRequests, err)
+		out.fail(http.StatusTooManyRequests, 0, err)
 		return
 	}
 	defer s.admit.release(cost)
@@ -415,11 +450,10 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 		j.mu.Unlock()
 		s.metrics.failures.Add(1)
 		if smErr != nil {
-			writeError(w, http.StatusInternalServerError, smErr)
+			out.fail(http.StatusInternalServerError, 0, smErr)
 			return
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(int(remaining/time.Second)+1))
-		writeError(w, http.StatusServiceUnavailable,
+		out.fail(http.StatusServiceUnavailable, int(remaining/time.Second)+1,
 			fmt.Errorf("serve: this query keeps failing and its circuit is open for %s: %s", remaining.Round(time.Millisecond), lastErr))
 		return
 	}
@@ -431,7 +465,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 		if err := j.to(StateRunning); err != nil {
 			return nil, err
 		}
-		return s.compute(ctx, q)
+		return compute(ctx)
 	})
 	runDur := time.Since(tRun)
 	s.metrics.observePhase(phaseRun, runDur)
@@ -451,7 +485,12 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 		return
 	}
 	s.breaker.success(k.SHA)
-	if smErr := j.cached(runDur, len(art.Result), hit); smErr != nil {
+	doc, err := out.document(art.Result)
+	if err != nil {
+		fail(http.StatusInternalServerError, err)
+		return
+	}
+	if smErr := j.cached(runDur, len(doc), hit); smErr != nil {
 		fail(http.StatusInternalServerError, smErr)
 		return
 	}
@@ -460,7 +499,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, q *key.Query) {
 	if hit {
 		cache = "hit"
 	}
-	writeResult(w, j.id, k, cache, q.Kind, art.Result)
+	out.send(j.id, k, cache, q.Kind, doc)
 }
 
 // admissible normalizes a query and prices the protocol it names
@@ -519,4 +558,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// writeFailure is writeError with a Retry-After hint in seconds when
+// retryAfter is positive.
+func writeFailure(w http.ResponseWriter, status, retryAfter int, err error) {
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	writeError(w, status, err)
 }

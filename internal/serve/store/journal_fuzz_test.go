@@ -1,10 +1,16 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/serve/key"
 )
 
 // FuzzParseJournalLine fuzzes journal replay's line parser over whole
@@ -26,9 +32,8 @@ func FuzzParseJournalLine(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		for sc.Scan() {
-			op, sha, kind, size, last, ok := parseJournalLine(sc.Text())
+		for _, text := range strings.Split(string(data), "\n") {
+			op, sha, kind, size, last, ok := parseJournalLine(text)
 			if !ok {
 				continue
 			}
@@ -36,7 +41,105 @@ func FuzzParseJournalLine(f *testing.F) {
 			op2, sha2, kind2, size2, last2, ok2 := parseJournalLine(strings.TrimSuffix(line, "\n"))
 			if !ok2 || op2 != op || sha2 != sha || kind2 != kind || size2 != size || last2 != last {
 				t.Fatalf("record (%q %q %q %d %d) from %q rewrote as %q, which parses to (%q %q %q %d %d ok=%v)",
-					op, sha, kind, size, last, sc.Text(), line, op2, sha2, kind2, size2, last2, ok2)
+					op, sha, kind, size, last, text, line, op2, sha2, kind2, size2, last2, ok2)
+			}
+		}
+	})
+}
+
+// FuzzReplayJournal opens a store over a fixed set of objects and an
+// arbitrary journal.log. Open must not panic, and the kinds, access
+// times and recency order of the index must be those of an oracle that
+// splits the journal on '\n' and applies, in order, every line
+// parseJournalLine accepts for a live object.
+func FuzzReplayJournal(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var keys []key.Key
+	var shas []string
+	for x := int64(1); x <= 3; x++ {
+		k, err := key.Of(&key.Query{Kind: key.KindSimulate, Spec: key.Spec{Protocol: "flock", Param: 4}, Simulate: &key.SimulateParams{X: x}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, _, err := s.GetOrCompute(context.Background(), k, key.KindSimulate, func(context.Context) (json.RawMessage, error) {
+			return result(x), nil
+		}); err != nil {
+			f.Fatal(err)
+		}
+		keys, shas = append(keys, k), append(shas, k.SHA)
+	}
+	// A read hit journals a get line after the puts.
+	if a, err := s.Get(context.Background(), keys[0]); err != nil || a == nil {
+		f.Fatalf("read back %s: %v", keys[0].Short(), err)
+	}
+	// Distinct mtimes fix the scan order the journal is replayed over:
+	// shas[0] oldest.
+	mtimes := make(map[string]int64, len(shas))
+	for i, sha := range shas {
+		mtime := time.Unix(1700000000+int64(i), 0)
+		if err := os.Chtimes(filepath.Join(dir, "objects", sha[:2], sha+".json"), mtime, mtime); err != nil {
+			f.Fatal(err)
+		}
+		mtimes[sha] = mtime.Unix()
+	}
+	journalPath := filepath.Join(dir, "journal.log")
+	written, err := os.ReadFile(journalPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add(written[:len(written)-5]) // torn tail
+	f.Add(append(append(bytes.Repeat([]byte("x"), 70<<10), '\n'), written...))
+	f.Add([]byte(nil))
+
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		if err := os.WriteFile(journalPath, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &s.lifecycle
+		var got []object
+		for el := l.lru.Front(); el != nil; el = el.Next() {
+			o := el.Value.(*object)
+			got = append(got, object{sha: o.sha, kind: o.kind, last: o.last})
+		}
+
+		// The oracle: scan order, newest first, then each accepted line
+		// moves its live object to the front.
+		var want []object
+		for _, sha := range shas {
+			want = append([]object{{sha: sha, last: mtimes[sha]}}, want...)
+		}
+		for _, line := range strings.Split(string(journal), "\n") {
+			op, sha, kind, _, last, ok := parseJournalLine(line)
+			if !ok || (op != "put" && op != "get") {
+				continue
+			}
+			for i, o := range want {
+				if o.sha != sha {
+					continue
+				}
+				if kind != "" {
+					o.kind = kind
+				}
+				o.last = max(o.last, last)
+				want = append(append([]object{o}, want[:i]...), want[i+1:]...)
+				break
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("index holds %d objects, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("recency rank %d: index %+v, oracle %+v", i, got[i], want[i])
 			}
 		}
 	})

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"container/list"
 	"log"
 	"os"
@@ -117,16 +115,17 @@ func (l *lifecycle) init(s *Store) error {
 
 // replayJournal walks journal.log in order, refreshing recency and
 // kinds for objects the scan found. Unparseable lines (a crash-torn
-// tail, hand edits) and lines for vanished objects are skipped: the
-// journal is a hint, the tree is the truth.
+// tail, hand edits, a line of any length) and lines for vanished
+// objects are skipped: the journal is a hint, the tree is the truth.
+// Lines are split on '\n' alone, so no line, however long, hides the
+// lines after it.
 func (l *lifecycle) replayJournal() {
 	data, err := l.s.fsys.ReadFile(l.s.journalPath())
 	if err != nil {
 		return // missing or unreadable: cold recency, still correct
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		op, sha, kind, _, last, ok := parseJournalLine(sc.Text())
+	for _, line := range strings.Split(string(data), "\n") {
+		op, sha, kind, _, last, ok := parseJournalLine(line)
 		if !ok {
 			continue
 		}

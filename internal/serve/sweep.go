@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/hostmeta"
 	"repro/internal/registry"
@@ -64,133 +60,39 @@ func (nw *ndjsonWriter) writeLine(line []byte) error {
 	return nil
 }
 
-func (nw *ndjsonWriter) committed() bool {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.wrote
+// document is the sweep's terminal line (terminalLine).
+func (nw *ndjsonWriter) document(result []byte) ([]byte, error) { return terminalLine(result) }
+
+// send writes the terminal line. X-Cache is hit only when this
+// request streamed no delta: a warm hit, or a follower of another
+// request's flight.
+func (nw *ndjsonWriter) send(_ string, _ key.Key, cache, _ string, doc []byte) {
+	nw.cache = cache
+	_ = nw.writeLine(doc)
 }
 
-// runSweep drives one anytime sweep query: the same lifecycle as run()
-// — normalize → admit → plan → breaker → store singleflight — but the
-// response is an NDJSON stream. When this request leads a cache-miss
+// fail writes an error document while nothing is streamed yet. Once
+// a line is out the response is committed, and the stream's missing
+// terminal line is the only signal a failure can leave.
+func (nw *ndjsonWriter) fail(status, retryAfter int, err error) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if !nw.wrote {
+		writeFailure(nw.w, status, retryAfter, err)
+	}
+}
+
+// sweep runs one anytime sweep request through the lifecycle (run),
+// answered as an NDJSON stream. When this request leads a cache-miss
 // compute, every finished cell is streamed as a sealed delta line the
 // moment it lands; a warm hit (or a follower collapsed into a leader's
 // flight) skips straight to the terminal line. The terminal line is
 // byte-identical to the stored artifact's result document, so a client
 // folding deltas can cross-check against it and a replayed query gets
 // exactly the bytes the stream promised.
-func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, q *key.Query) {
-	s.metrics.requests.Add(1)
-	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
-
-	if status, err := s.admissible(q); err != nil {
-		writeError(w, status, err)
-		return
-	}
-	cost := queryCost(q)
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(cost))
-	defer cancel()
-
-	j, err := s.jobs.create(q.Kind, time.Now())
-	if err != nil {
-		s.metrics.failures.Add(1)
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-
+func (s *Server) sweep(w http.ResponseWriter, r *http.Request, q *key.Query) {
 	nw := &ndjsonWriter{w: w, cache: "miss"}
-
-	fail := func(status int, err error) {
-		s.metrics.failures.Add(1)
-		j.mu.Lock()
-		j.errMsg = err.Error()
-		smErr := j.sm.To(StateFailed)
-		j.mu.Unlock()
-		if smErr != nil {
-			err = errors.Join(err, smErr)
-			status = http.StatusInternalServerError
-		}
-		if !nw.committed() {
-			writeError(w, status, err)
-		}
-	}
-	timeout := func(cause error) {
-		s.metrics.failures.Add(1)
-		s.metrics.timeouts.Add(1)
-		j.mu.Lock()
-		j.errMsg = cause.Error()
-		smErr := j.sm.To(StateTimedOut)
-		j.mu.Unlock()
-		if nw.committed() {
-			return // mid-stream: the truncated stream is the signal
-		}
-		if smErr != nil {
-			writeError(w, http.StatusInternalServerError, errors.Join(cause, smErr))
-			return
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusServiceUnavailable, cause)
-	}
-
-	tAdmit := time.Now()
-	if err := s.admit.acquire(ctx, cost); err != nil {
-		if ctx.Err() != nil {
-			timeout(fmt.Errorf("serve: admission wait exceeded the request deadline: %w", err))
-			return
-		}
-		s.metrics.failures.Add(1)
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	defer s.admit.release(cost)
-	admitDur := time.Since(tAdmit)
-	s.metrics.observePhase(phaseAdmit, admitDur)
-	j.mu.Lock()
-	j.phases[phaseAdmit] = admitDur
-	j.mu.Unlock()
-
-	tPlan := time.Now()
-	k, err := key.OfNormalized(q)
-	if err != nil {
-		fail(http.StatusBadRequest, err)
-		return
-	}
-	j.mu.Lock()
-	j.key, j.hasKey = k, true
-	smErr := j.sm.To(StatePlanned)
-	j.phases[phasePlan] = time.Since(tPlan)
-	j.mu.Unlock()
-	if smErr != nil {
-		fail(http.StatusInternalServerError, smErr)
-		return
-	}
-	s.metrics.observePhase(phasePlan, j.phases[phasePlan])
-
-	if open, remaining, lastErr := s.breaker.check(k.SHA); open {
-		j.mu.Lock()
-		j.errMsg = "circuit open: " + lastErr
-		smErr := j.sm.To(StateFailed)
-		j.mu.Unlock()
-		s.metrics.failures.Add(1)
-		if smErr != nil {
-			writeError(w, http.StatusInternalServerError, smErr)
-			return
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(int(remaining/time.Second)+1))
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("serve: this query keeps failing and its circuit is open for %s: %s", remaining.Round(time.Millisecond), lastErr))
-		return
-	}
-
-	tRun := time.Now()
-	art, hit, err := s.store.GetOrCompute(ctx, k, q.Kind, func(ctx context.Context) (json.RawMessage, error) {
-		// Leader of a cache-miss flight: this request streams every
-		// delta. Followers and warm hits never enter here and get only
-		// the terminal line.
-		if err := j.to(StateRunning); err != nil {
-			return nil, err
-		}
+	s.run(r, q, nw, func(ctx context.Context) (json.RawMessage, error) {
 		return s.computeSweep(ctx, q, func(ca *shard.CellArtifact) error {
 			line, err := shard.SealCellLine(ca)
 			if err != nil {
@@ -199,34 +101,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, q *key.Query) 
 			return nw.writeLine(line)
 		})
 	})
-	runDur := time.Since(tRun)
-	s.metrics.observePhase(phaseRun, runDur)
-	if err != nil {
-		if ctx.Err() != nil {
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				s.breaker.failure(k.SHA, "deadline exceeded: "+err.Error())
-			}
-			timeout(fmt.Errorf("serve: compute exceeded the request deadline: %w", err))
-			return
-		}
-		s.breaker.failure(k.SHA, err.Error())
-		fail(http.StatusInternalServerError, err)
-		return
-	}
-	s.breaker.success(k.SHA)
-	line, err := terminalLine(art.Result)
-	if err != nil {
-		fail(http.StatusInternalServerError, err)
-		return
-	}
-	if smErr := j.cached(runDur, len(line), hit); smErr != nil {
-		fail(http.StatusInternalServerError, smErr)
-		return
-	}
-	if hit {
-		nw.cache = "hit"
-	}
-	_ = nw.writeLine(line)
 }
 
 // terminalLine is a sweep's terminal line: the compact form of the
