@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"os"
@@ -80,12 +79,7 @@ func GC(dir string, opts GCOptions) (*GCReport, error) {
 	hints := map[string]hint{}
 	var seq int64
 	if data, err := fsys.ReadFile(filepath.Join(dir, "journal.log")); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		for sc.Scan() {
-			op, sha, kind, _, last, ok := parseJournalLine(sc.Text())
-			if !ok || (op != "put" && op != "get") {
-				continue
-			}
+		accessRecords(data, func(sha, kind string, last int64) {
 			seq++
 			h := hints[sha]
 			if kind != "" {
@@ -96,7 +90,7 @@ func GC(dir string, opts GCOptions) (*GCReport, error) {
 			}
 			h.seq = seq
 			hints[sha] = h
-		}
+		})
 	}
 
 	type live struct {

@@ -115,36 +115,39 @@ func (l *lifecycle) init(s *Store) error {
 
 // replayJournal walks journal.log in order, refreshing recency and
 // kinds for objects the scan found. Unparseable lines (a crash-torn
-// tail, hand edits, a line of any length) and lines for vanished
-// objects are skipped: the journal is a hint, the tree is the truth.
-// Lines are split on '\n' alone, so no line, however long, hides the
-// lines after it.
+// tail, hand edits) and lines for vanished objects are skipped: the
+// journal is a hint, the tree is the truth.
 func (l *lifecycle) replayJournal() {
 	data, err := l.s.fsys.ReadFile(l.s.journalPath())
 	if err != nil {
 		return // missing or unreadable: cold recency, still correct
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		op, sha, kind, _, last, ok := parseJournalLine(line)
-		if !ok {
-			continue
-		}
+	accessRecords(data, func(sha, kind string, last int64) {
 		el, live := l.entries[sha]
 		if !live {
-			continue
+			return
 		}
-		switch op {
-		case "put", "get":
-			o := el.Value.(*object)
-			if kind != "" {
-				o.kind = kind
-			}
-			if last > o.last {
-				o.last = last
-			}
-			l.seq++
-			o.seq = l.seq
-			l.lru.MoveToFront(el)
+		o := el.Value.(*object)
+		if kind != "" {
+			o.kind = kind
+		}
+		if last > o.last {
+			o.last = last
+		}
+		l.seq++
+		o.seq = l.seq
+		l.lru.MoveToFront(el)
+	})
+}
+
+// accessRecords calls fn, in journal order, for every put or get line
+// of a journal that parses; other lines are skipped. Lines are split
+// on '\n' alone, so no line, however long, hides the lines after it.
+func accessRecords(journal []byte, fn func(sha, kind string, last int64)) {
+	for _, line := range strings.Split(string(journal), "\n") {
+		op, sha, kind, _, last, ok := parseJournalLine(line)
+		if ok && (op == "put" || op == "get") {
+			fn(sha, kind, last)
 		}
 	}
 }

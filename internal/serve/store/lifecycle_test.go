@@ -119,34 +119,42 @@ func TestJournalRecencySurvivesRestart(t *testing.T) {
 // A journal line longer than any line buffer is one unparseable line:
 // replay skips it and still applies every line after it, so a read
 // journaled after the long line keeps its artifact recent across a
-// restart.
+// restart — and across a GC pass, which compacts the journal from
+// the same records.
 func TestJournalSkipsOverlongLine(t *testing.T) {
 	size := artifactSize(t)
-	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxBytes: 2 * size})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ka := putOne(t, s, 34)
-	kb := putOne(t, s, 35)
-	garbage := append(bytes.Repeat([]byte("x"), 70<<10), '\n')
-	if err := faultfs.OS().Append(filepath.Join(dir, "journal.log"), garbage, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(context.Background(), ka); err != nil {
-		t.Fatal(err)
-	}
+	for _, gc := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{MaxBytes: 2 * size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ka := putOne(t, s, 34)
+		kb := putOne(t, s, 35)
+		garbage := append(bytes.Repeat([]byte("x"), 70<<10), '\n')
+		if err := faultfs.OS().Append(filepath.Join(dir, "journal.log"), garbage, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Get(context.Background(), ka); err != nil {
+			t.Fatal(err)
+		}
+		if gc {
+			if _, err := GC(dir, GCOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	s2, err := Open(dir, Options{MaxBytes: 2 * size})
-	if err != nil {
-		t.Fatal(err)
-	}
-	putOne(t, s2, 36)
-	if got, err := s2.Get(context.Background(), ka); err != nil || got == nil {
-		t.Fatalf("artifact read after the long journal line was evicted after restart (err=%v)", err)
-	}
-	if got, _ := s2.Get(context.Background(), kb); got != nil {
-		t.Fatal("unread artifact outlived the one read after the long journal line")
+		s2, err := Open(dir, Options{MaxBytes: 2 * size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		putOne(t, s2, 36)
+		if got, err := s2.Get(context.Background(), ka); err != nil || got == nil {
+			t.Fatalf("gc=%v: artifact read after the long journal line was evicted after restart (err=%v)", gc, err)
+		}
+		if got, _ := s2.Get(context.Background(), kb); got != nil {
+			t.Fatalf("gc=%v: unread artifact outlived the one read after the long journal line", gc)
+		}
 	}
 }
 
