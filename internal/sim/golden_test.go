@@ -30,7 +30,9 @@ type goldenTrial struct {
 // TestCountBatchedTrajectoriesGolden pins the sampled trajectories of
 // the count-batched schedulers byte for byte: every trial's steps,
 // last output change, output and final counts on the protocols and
-// population sizes the sweep benchmark runs them at. The batch step's
+// population sizes the sweep benchmark runs them at, plus flock(27),
+// the one protocol here wide enough to split its draw into spans. The
+// batch step's
 // optimizations must leave every draw unchanged, so this file never
 // changes without a declared result change. Run with -update to
 // rewrite it.
@@ -43,6 +45,9 @@ func TestCountBatchedTrajectoriesGolden(t *testing.T) {
 		{"example42(4)", func() (*core.Protocol, error) { return counting.Example42(4) }},
 		{"power2(20)", func() (*core.Protocol, error) { return counting.PowerOfTwo(20) }},
 		{"power2(26)", func() (*core.Protocol, error) { return counting.PowerOfTwo(26) }},
+		// flock(27) has 378 transitions: one full span of the
+		// span-factored draw plus a 122-transition tail.
+		{"flock(27)", func() (*core.Protocol, error) { return counting.FlockOfBirds(27) }},
 	}
 	scheds := []Scheduler{CountBatched{}, Auto{}}
 	const trials = 3
