@@ -8,60 +8,34 @@
 //	ppbounds rackoff -d 5 -t 1 -r 1       Lemma 5.3 bound
 //	ppbounds section8 -d 4 -t 2 -l 2      Section 8 cascade (b,h,k,a,ℓ,n)
 //
-// The table subcommands (thm43, cor44) evaluate each row independently
-// in parallel (-workers, default all cores) and print in row order, so
-// the output is identical for any worker count. Deep rows of the
-// Theorem 4.3 tower are big-number evaluations that dominate the run,
-// which is why rows — not digits — are the parallel unit.
+// The table subcommands (thm43, cor44) evaluate their rows in one loop.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bounds"
 )
 
-// forEachRow evaluates eval(row) for row ∈ [0, rows) on a bounded
-// worker pool and returns the results in row order. workers ≤ 0 means
-// GOMAXPROCS. Rows are independent, so ordering the result slice by
-// index keeps the printed tables byte-identical for any worker count.
-func forEachRow(rows, workers int, eval func(row int) string) []string {
-	out := make([]string, rows)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// parseTable parses a table subcommand's flags. Their -workers flag was
+// removed; it stays defined so a command line that still passes it
+// learns why it fails.
+func parseTable(fs *flag.FlagSet, args []string) error {
+	fs.String("workers", "", "removed: rows are evaluated in one loop")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		for i := range out {
-			out[i] = eval(i)
+	var removed error
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" {
+			removed = errors.New("-workers was removed: rows are evaluated in one loop")
 		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= rows {
-					return
-				}
-				out[i] = eval(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	})
+	return removed
 }
 
 func main() {
@@ -81,18 +55,13 @@ func run(args []string) error {
 		dmax := fs.Int("dmax", 10, "max state count")
 		w := fs.Int64("w", 2, "interaction-width")
 		l := fs.Int64("l", 2, "leaders")
-		workers := fs.Int("workers", 0, "row workers (0 = all cores); output is identical for any value")
-		if err := fs.Parse(args[1:]); err != nil {
+		if err := parseTable(fs, args[1:]); err != nil {
 			return err
 		}
 		fmt.Printf("Theorem 4.3: n ≤ (4+4·%d+2·%d)^(d^((d+2)²))\n", *w, *l)
-		rows := forEachRow(*dmax, *workers, func(row int) string {
-			d := row + 1
+		for d := 1; d <= *dmax; d++ {
 			m := bounds.Theorem43MaxN(d, *w, *l)
-			return fmt.Sprintf("  d=%-3d log10(max n) = %.4g", d, m.Log10())
-		})
-		for _, r := range rows {
-			fmt.Println(r)
+			fmt.Printf("  d=%-3d log10(max n) = %.4g\n", d, m.Log10())
 		}
 		return nil
 	case "minstates":
@@ -110,19 +79,13 @@ func run(args []string) error {
 		kmax := fs.Int("kmax", 20, "max tower level (n = 2^(2^k))")
 		h := fs.Float64("h", 0.49, "exponent h < 1/2")
 		m := fs.Int64("m", 2, "width and leader bound")
-		workers := fs.Int("workers", 0, "row workers (0 = all cores); output is identical for any value")
-		if err := fs.Parse(args[1:]); err != nil {
+		if err := parseTable(fs, args[1:]); err != nil {
 			return err
 		}
 		fmt.Printf("Corollary 4.4 lower bound Ω((log log n)^%g) at n = 2^(2^k), m = %d\n", *h, *m)
-		rows := forEachRow(*kmax, *workers, func(row int) string {
-			k := row + 1
-			log2n := math.Pow(2, float64(k))
-			lb := bounds.Corollary44LowerBound(log2n, *h, *m)
-			return fmt.Sprintf("  k=%-3d states ≥ %.2f", k, lb)
-		})
-		for _, r := range rows {
-			fmt.Println(r)
+		for k := 1; k <= *kmax; k++ {
+			lb := bounds.Corollary44LowerBound(math.Pow(2, float64(k)), *h, *m)
+			fmt.Printf("  k=%-3d states ≥ %.2f\n", k, lb)
 		}
 		return nil
 	case "rackoff":

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSubcommands(t *testing.T) {
 	cases := [][]string{
@@ -26,5 +29,16 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"section8", "-d", "1"}); err == nil {
 		t.Error("d=1 accepted by section8")
+	}
+}
+
+// The table subcommands' -workers flag is removed; passing it names
+// the removal.
+func TestRemovedWorkersFlag(t *testing.T) {
+	for _, sub := range []string{"thm43", "cor44"} {
+		err := run([]string{sub, "-workers", "2"})
+		if err == nil || !strings.Contains(err.Error(), "-workers was removed") {
+			t.Errorf("%s -workers 2: error %v does not name the removal", sub, err)
+		}
 	}
 }

@@ -17,7 +17,9 @@
 // use -patience 0 (run to the absorbing deadlock): a fixed patience is
 // satisfied by a single large batch — and, under any scheduler, by the
 // long unchanged-output prefix of a big population — long before the
-// run is actually stable.
+// run is actually stable. Trials run one after another on one
+// goroutine; the removed -workers flag fails with an error that says
+// so.
 package main
 
 import (
@@ -52,19 +54,27 @@ func run(args []string) error {
 		scheduler = fs.String("scheduler", "weighted", "scheduler: weighted, uniform, countbatch or auto")
 		batch     = fs.Int("batch", 0, fmt.Sprintf("countbatch/auto aggregation threshold (0 = %d)", sim.DefaultMinBatch))
 		eps       = fs.Float64("eps", 0, fmt.Sprintf("countbatch/auto drift tolerance in (0,1) (0 = %g)", sim.DefaultEpsilon))
-		workers   = fs.Int("workers", 0, "worker bound for the scheduler's parallel draw (0 = all cores); results are identical for any value")
 	)
+	// -workers was removed; it stays defined so a command line that
+	// still passes it learns why it fails.
+	fs.String("workers", "", "removed: ppsim runs on one goroutine")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
 	}
-
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be non-negative (got %d)", *workers)
+	var removed error
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" {
+			removed = errors.New("-workers was removed: ppsim runs on one goroutine")
+		}
+	})
+	if removed != nil {
+		return removed
 	}
-	sched, err := sim.SchedulerByName(*scheduler, *batch, *eps, *workers)
+
+	sched, err := sim.SchedulerByName(*scheduler, *batch, *eps)
 	if err != nil {
 		return err
 	}

@@ -66,3 +66,11 @@ func TestRunErrors(t *testing.T) {
 		t.Errorf("-scheduler batched: error %v does not name auto", err)
 	}
 }
+
+// -workers is removed; passing it names the removal.
+func TestRunRemovedWorkersFlag(t *testing.T) {
+	err := run([]string{"-protocol", "flock", "-param", "4", "-x", "8", "-workers", "2"})
+	if err == nil || !strings.Contains(err.Error(), "-workers was removed") {
+		t.Errorf("-workers 2: error %v does not name the removal", err)
+	}
+}

@@ -220,7 +220,7 @@ func runShard(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		planPath = fs.String("plan", "plan.json", "manifest path (from ppsweep plan)")
 		shardID  = fs.String("shard", "", "shard id to execute, e.g. s002")
-		workers  = fs.Int("workers", 0, "worker budget for the trial pool and scheduler draws (0 = all cores); results are identical for any value")
+		workers  = fs.Int("workers", 0, "size of the trial pool (0 = all cores); results are identical for any value")
 		partials = fs.String("partials", "", "resume directory: persist each cell on completion (atomic rename) and skip cells already present")
 		outPath  = fs.String("o", "", "artifact output path (default part-<shard>.json)")
 	)
@@ -283,7 +283,7 @@ func runDispatch(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		planPath    = fs.String("plan", "plan.json", "manifest path (from ppsweep plan)")
 		dir         = fs.String("dir", "", "shared queue directory (leases, artifacts, cell partials)")
-		workers     = fs.Int("workers", 0, "worker budget for the trial pool and scheduler draws (0 = all cores); results are identical for any value")
+		workers     = fs.Int("workers", 0, "size of the trial pool (0 = all cores); results are identical for any value")
 		leaseTTL    = fs.Duration("lease-ttl", time.Minute, "steal a shard whose lease heartbeat sequence number has not advanced for this long of local time")
 		heartbeat   = fs.Duration("heartbeat", 0, "lease refresh period (0 = lease-ttl/4)")
 		maxAttempts = fs.Int("max-attempts", 3, "per-shard acquisition cap before the shard is marked failed")

@@ -51,7 +51,7 @@ func (s *Server) computeSimulate(ctx context.Context, q *key.Query) (json.RawMes
 	if err != nil {
 		return nil, err
 	}
-	sched, err := sim.SchedulerByName(sp.Scheduler, sp.Batch, sp.Eps, s.workers)
+	sched, err := sim.SchedulerByName(sp.Scheduler, sp.Batch, sp.Eps)
 	if err != nil {
 		return nil, err
 	}

@@ -174,11 +174,11 @@ func (sw *SweepSpec) Build() (*core.Protocol, int64, error) {
 	return p, n, nil
 }
 
-// Options translates the spec into sim.Options. Workers bounds the
-// per-point trial pool and the scheduler's span-parallel draw (0 =
-// GOMAXPROCS); results are byte-identical for any value.
+// Options translates the spec into sim.Options. workers bounds the
+// trial pool, sim.Options.Workers (0 = GOMAXPROCS); results are
+// byte-identical for any value.
 func (sw *SweepSpec) Options(workers int) (sim.Options, error) {
-	sched, err := sim.SchedulerByName(sw.Scheduler, sw.Batch, sw.Epsilon, workers)
+	sched, err := sim.SchedulerByName(sw.Scheduler, sw.Batch, sw.Epsilon)
 	if err != nil {
 		return sim.Options{}, err
 	}

@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // CountBatched is the count-based batch scheduler — tau-leaping for
@@ -47,17 +44,6 @@ type CountBatched struct {
 	// selection yields less, the stepper steps exactly instead. 0 means
 	// DefaultMinBatch.
 	MinBatch int
-	// Workers bounds the span-parallel multinomial draw on protocols
-	// with more than spanSize transitions: the batch is first split
-	// across fixed transition spans by a serial multinomial on the span
-	// weight totals, then each span draws its conditional binomials on
-	// a private RNG stream derived positionally from one fresh 64-bit
-	// draw. The draw structure never depends on the worker count, so
-	// the sampled fires — and hence whole runs — are byte-identical for
-	// any value. 0 means auto-detect (GOMAXPROCS); 1 forces the serial
-	// draw. Protocols with at most spanSize transitions always use the
-	// plain serial multinomial.
-	Workers int
 }
 
 // DefaultEpsilon is the drift tolerance used when CountBatched.Epsilon
@@ -76,11 +62,10 @@ const maxBatch = int64(1) << 40
 // before a Step degrades to exact stepping.
 const maxRejects = 4
 
-// spanSize is the fixed transition-span width of the parallel
-// multinomial draw. It is independent of the worker count — spans are
-// a property of the protocol's transition list, workers only schedule
-// them — which is what keeps sampled fires byte-identical across
-// worker counts.
+// spanSize is the fixed transition-span width of the span-factored
+// multinomial draw on protocols with more transitions than this. The
+// span structure fixes the bytes of every such run, so it must not
+// change without a declared result change.
 const spanSize = 256
 
 // Name implements Scheduler.
@@ -112,23 +97,15 @@ func (cb CountBatched) Attach(st *State) (Stepper, error) {
 			con[e.State] = true
 		}
 	}
-	workers := cb.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	s := &countStepper{
-		st:      st,
-		eps:     eps,
-		min:     min,
-		workers: workers,
-		fires:   make([]int64, len(st.weights)),
-		disp:    make([]int64, d),
-		mu:      make([]float64, d),
-		sig:     make([]float64, d),
-		con:     con,
+		st:    st,
+		eps:   eps,
+		min:   min,
+		fires: make([]int64, len(st.weights)),
+		disp:  make([]int64, d),
+		mu:    make([]float64, d),
+		sig:   make([]float64, d),
+		con:   con,
 	}
 	if nspans := (len(st.weights) + spanSize - 1) / spanSize; nspans > 1 {
 		s.spanW = make([]float64, nspans)
@@ -138,17 +115,16 @@ func (cb CountBatched) Attach(st *State) (Stepper, error) {
 }
 
 type countStepper struct {
-	st      *State
-	eps     float64
-	min     int
-	workers int       // span-draw worker bound (resolved, ≥ 1)
-	fires   []int64   // scratch: multinomial fire count per transition
-	disp    []int64   // scratch: aggregate displacement per state
-	mu      []float64 // scratch: per-state drift per interaction
-	sig     []float64 // scratch: per-state variance per interaction
-	con     []bool    // static: state is read by some precondition
-	spanW   []float64 // scratch: per-span weight totals (nil: single span)
-	spanN   []int64   // scratch: per-span batch shares
+	st    *State
+	eps   float64
+	min   int
+	fires []int64   // scratch: multinomial fire count per transition
+	disp  []int64   // scratch: aggregate displacement per state
+	mu    []float64 // scratch: per-state drift per interaction
+	sig   []float64 // scratch: per-state variance per interaction
+	con   []bool    // static: state is read by some precondition
+	spanW []float64 // scratch: per-span weight totals (nil: single span)
+	spanN []int64   // scratch: per-span batch shares
 }
 
 func (s *countStepper) Step(rng *RNG, limit int) (int, bool) {
@@ -174,21 +150,16 @@ func (s *countStepper) Step(rng *RNG, limit int) (int, bool) {
 // s.fires. Protocols within one span use the plain serial multinomial;
 // wider ones split the batch across fixed transition spans — a serial
 // multinomial over the span weight totals from the run's main stream,
-// then per-span conditional binomials on streams derived positionally
-// from one fresh 64-bit draw. Workers only schedule spans, so the draw
-// is byte-identical for every worker count.
+// then, span by span in index order, conditional binomials on a stream
+// derived positionally from one fresh 64-bit draw and the span index.
 func (s *countStepper) drawFires(rng *RNG, b int64) {
 	w := s.st.weights
 	if s.spanW == nil {
 		rng.Multinomial(b, w, s.fires)
 		return
 	}
-	nspans := len(s.spanW)
-	for si := 0; si < nspans; si++ {
-		lo, hi := si*spanSize, (si+1)*spanSize
-		if hi > len(w) {
-			hi = len(w)
-		}
+	for si := range s.spanW {
+		lo, hi := spanBounds(si, len(w))
 		var t float64
 		for _, x := range w[lo:hi] {
 			if x > 0 {
@@ -199,46 +170,21 @@ func (s *countStepper) drawFires(rng *RNG, b int64) {
 	}
 	rng.Multinomial(b, s.spanW, s.spanN)
 	base := int64(rng.Uint64())
-	workers := s.workers
-	if workers > nspans {
-		workers = nspans
+	var sub RNG
+	for si := range s.spanW {
+		lo, hi := spanBounds(si, len(w))
+		sub.Seed(DeriveSeed(base, si))
+		sub.Multinomial(s.spanN[si], w[lo:hi], s.fires[lo:hi])
 	}
-	if workers <= 1 {
-		var sub RNG
-		for si := 0; si < nspans; si++ {
-			s.drawSpan(&sub, base, si)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sub RNG
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= nspans {
-					return
-				}
-				s.drawSpan(&sub, base, si)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
-// drawSpan draws span si's share of the batch into its (disjoint)
-// slice of s.fires on the positional stream (base, si).
-func (s *countStepper) drawSpan(sub *RNG, base int64, si int) {
-	w := s.st.weights
-	lo, hi := si*spanSize, (si+1)*spanSize
-	if hi > len(w) {
-		hi = len(w)
+// spanBounds is span si's transition range [lo, hi) among n.
+func spanBounds(si, n int) (lo, hi int) {
+	lo, hi = si*spanSize, (si+1)*spanSize
+	if hi > n {
+		hi = n
 	}
-	sub.Seed(DeriveSeed(base, si))
-	sub.Multinomial(s.spanN[si], w[lo:hi], s.fires[lo:hi])
+	return lo, hi
 }
 
 // exact advances up to MinBatch interactions one at a time on the

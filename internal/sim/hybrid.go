@@ -17,10 +17,10 @@ package sim
 // lands, so expansion phases re-engage batching within one phase.
 //
 // The stepping itself is CountBatched's — same tau selection, same
-// span-parallel multinomial draw, same negativity rejection — so runs
-// remain deterministic in the seed for any worker count, and the
-// convergence bookkeeping coarsens to batch (or exact-phase)
-// granularity exactly as documented there.
+// span-factored multinomial draw, same negativity rejection — so runs
+// are deterministic in the seed, and the convergence bookkeeping
+// coarsens to batch (or exact-phase) granularity exactly as documented
+// there.
 type Auto struct {
 	// Epsilon is CountBatched's relative per-batch drift tolerance; 0
 	// means DefaultEpsilon. Must lie in (0, 1).
@@ -28,9 +28,6 @@ type Auto struct {
 	// MinBatch is the smallest batch worth aggregating (the probe
 	// threshold); 0 means DefaultMinBatch.
 	MinBatch int
-	// Workers bounds the span-parallel multinomial draw; 0 means
-	// auto-detect (GOMAXPROCS). See CountBatched.Workers.
-	Workers int
 }
 
 // autoMinExact is the exact-phase length entered after the first
@@ -49,7 +46,7 @@ func (Auto) Name() string { return "auto" }
 // Attach implements Scheduler. Every protocol shape is supported;
 // parameter validation is CountBatched's.
 func (a Auto) Attach(st *State) (Stepper, error) {
-	cs, err := CountBatched{Epsilon: a.Epsilon, MinBatch: a.MinBatch, Workers: a.Workers}.Attach(st)
+	cs, err := CountBatched{Epsilon: a.Epsilon, MinBatch: a.MinBatch}.Attach(st)
 	if err != nil {
 		return nil, err
 	}

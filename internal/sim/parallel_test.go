@@ -7,52 +7,9 @@ import (
 	"repro/internal/counting"
 )
 
-// The span-parallel multinomial draw must be byte-identical for every
-// worker count: spans are fixed by the transition list and per-span
-// streams are derived positionally, so workers only schedule work.
-// flock(27) has 378 transitions (> spanSize), so the span path
-// genuinely engages; x is large enough that batching dominates.
-func TestCountBatchedDeterministicAcrossWorkers(t *testing.T) {
-	p, err := counting.FlockOfBirds(27)
-	if err != nil {
-		t.Fatalf("FlockOfBirds: %v", err)
-	}
-	if nt := p.Net().Len(); nt <= spanSize {
-		t.Fatalf("flock(27) has %d transitions; test needs > %d to engage the span draw", nt, spanSize)
-	}
-	input, err := p.Input(map[string]int64{"i": 200_000})
-	if err != nil {
-		t.Fatalf("input: %v", err)
-	}
-	for _, mk := range []func(w int) Scheduler{
-		func(w int) Scheduler { return CountBatched{Workers: w} },
-		func(w int) Scheduler { return Auto{Workers: w} },
-	} {
-		var ref *Result
-		for _, workers := range []int{1, 2, 4, 8} {
-			sched := mk(workers)
-			res, err := Run(p, input, Options{
-				Seed: 99, MaxSteps: 1 << 22, Scheduler: sched,
-			})
-			if err != nil {
-				t.Fatalf("%s w=%d: %v", sched.Name(), workers, err)
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if res.Steps != ref.Steps || res.LastChange != ref.LastChange ||
-				res.Converged != ref.Converged || res.Deadlocked != ref.Deadlocked ||
-				!res.Final.Equal(ref.Final) {
-				t.Errorf("%s w=%d diverged from w=1: steps %d vs %d, lastChange %d vs %d, final %v vs %v",
-					sched.Name(), workers, res.Steps, ref.Steps, res.LastChange, ref.LastChange, res.Final, ref.Final)
-			}
-		}
-	}
-}
-
-// Aggregated sweep statistics must likewise be independent of both the
-// trial-pool worker count and the scheduler's draw workers.
+// Aggregated count-batched sweep statistics must be independent of the
+// trial-pool worker count. flock(27) has 378 transitions (> spanSize),
+// so every batch takes the span-factored draw.
 func TestCountBatchedSweepDeterministicAcrossWorkers(t *testing.T) {
 	p, err := counting.FlockOfBirds(27)
 	if err != nil {
@@ -66,7 +23,7 @@ func TestCountBatchedSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		stats, err := RunMany(context.Background(), p, input, true, 6, Options{
 			Seed: 7, MaxSteps: 1 << 22, Workers: workers,
-			Scheduler: CountBatched{Workers: workers},
+			Scheduler: CountBatched{},
 		})
 		if err != nil {
 			t.Fatalf("w=%d: %v", workers, err)
@@ -96,7 +53,7 @@ func TestAutoSweepDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("input: %v", err)
 	}
 	const trials = 16
-	opts := Options{Seed: 9, MaxSteps: 1 << 26, StablePatience: 2000, Scheduler: Auto{Workers: 1}}
+	opts := Options{Seed: 9, MaxSteps: 1 << 26, StablePatience: 2000, Scheduler: Auto{}}
 	var want Stats
 	for tr := 0; tr < trials; tr++ {
 		o := opts
@@ -193,7 +150,7 @@ func TestAutoAttachValidation(t *testing.T) {
 			t.Errorf("Auto%+v accepted", a)
 		}
 	}
-	if _, err := (Auto{Epsilon: 0.2, MinBatch: 128, Workers: 4}).Attach(NewState(p)); err != nil {
+	if _, err := (Auto{Epsilon: 0.2, MinBatch: 128}).Attach(NewState(p)); err != nil {
 		t.Errorf("valid Auto rejected: %v", err)
 	}
 }

@@ -166,15 +166,15 @@ type namedScheduler struct {
 	// batched schedulers take the batch (MinBatch) and eps (Epsilon)
 	// parameters; the others take neither.
 	batched bool
-	build   func(batch int, eps float64, workers int) Scheduler
+	build   func(batch int, eps float64) Scheduler
 }
 
 // schedulerTable is the one table of scheduler names.
 var schedulerTable = []namedScheduler{
-	{"weighted", false, func(int, float64, int) Scheduler { return Weighted{} }},
-	{"uniform", false, func(int, float64, int) Scheduler { return UniformPairs{} }},
-	{"countbatch", true, func(b int, e float64, w int) Scheduler { return CountBatched{Epsilon: e, MinBatch: b, Workers: w} }},
-	{"auto", true, func(b int, e float64, w int) Scheduler { return Auto{Epsilon: e, MinBatch: b, Workers: w} }},
+	{"weighted", false, func(int, float64) Scheduler { return Weighted{} }},
+	{"uniform", false, func(int, float64) Scheduler { return UniformPairs{} }},
+	{"countbatch", true, func(b int, e float64) Scheduler { return CountBatched{Epsilon: e, MinBatch: b} }},
+	{"auto", true, func(b int, e float64) Scheduler { return Auto{Epsilon: e, MinBatch: b} }},
 }
 
 // SchedulerParams validates the batch and eps parameters of the named
@@ -188,15 +188,13 @@ func SchedulerParams(name string, batch int, eps float64) (int, float64, error) 
 }
 
 // SchedulerByName resolves a CLI scheduler name, with batch and eps
-// under SchedulerParams' rule. workers bounds countbatch/auto's
-// span-parallel multinomial draw (0 means auto-detect GOMAXPROCS —
-// results are byte-identical either way).
-func SchedulerByName(name string, batch int, eps float64, workers int) (Scheduler, error) {
+// under SchedulerParams' rule.
+func SchedulerByName(name string, batch int, eps float64) (Scheduler, error) {
 	s, batch, eps, err := resolveScheduler(name, batch, eps)
 	if err != nil {
 		return nil, err
 	}
-	return s.build(batch, eps, workers), nil
+	return s.build(batch, eps), nil
 }
 
 func resolveScheduler(name string, batch int, eps float64) (namedScheduler, int, float64, error) {

@@ -128,7 +128,7 @@ func TestSchedulerByName(t *testing.T) {
 		"countbatch": "countbatch",
 		"auto":       "auto",
 	} {
-		s, err := SchedulerByName(name, 0, 0, 0)
+		s, err := SchedulerByName(name, 0, 0)
 		if err != nil {
 			t.Fatalf("SchedulerByName(%q): %v", name, err)
 		}
@@ -136,7 +136,7 @@ func TestSchedulerByName(t *testing.T) {
 			t.Errorf("SchedulerByName(%q).Name() = %q, want %q", name, s.Name(), want)
 		}
 	}
-	if _, err := SchedulerByName("nope", 0, 0, 0); err == nil {
+	if _, err := SchedulerByName("nope", 0, 0); err == nil {
 		t.Error("unknown scheduler name accepted")
 	}
 }
@@ -182,11 +182,11 @@ func TestSchedulerParams(t *testing.T) {
 		if _, _, err := SchedulerParams(tc.name, tc.batch, tc.eps); err == nil {
 			t.Errorf("SchedulerParams(%q, %d, %g) accepted", tc.name, tc.batch, tc.eps)
 		}
-		if _, err := SchedulerByName(tc.name, tc.batch, tc.eps, 0); err == nil {
+		if _, err := SchedulerByName(tc.name, tc.batch, tc.eps); err == nil {
 			t.Errorf("SchedulerByName(%q, %d, %g) accepted", tc.name, tc.batch, tc.eps)
 		}
 	}
-	if _, err := SchedulerByName("batched", 0, 0, 0); err == nil || !strings.Contains(err.Error(), "auto") {
+	if _, err := SchedulerByName("batched", 0, 0); err == nil || !strings.Contains(err.Error(), "auto") {
 		t.Errorf("removed batched scheduler: error %v does not point at auto", err)
 	}
 }
