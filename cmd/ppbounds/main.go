@@ -8,7 +8,11 @@
 //	ppbounds rackoff -d 5 -t 1 -r 1       Lemma 5.3 bound
 //	ppbounds section8 -d 4 -t 2 -l 2      Section 8 cascade (b,h,k,a,ℓ,n)
 //
-// The table subcommands (thm43, cor44) evaluate their rows in one loop.
+// Every subcommand first applies bounds.Query.Check, the domain rule
+// /v1/bounds applies too: a query whose rows or values would overflow
+// float64 in log10 form is rejected before anything is evaluated, with
+// the same error text. Every accepted row takes microseconds, so the
+// tables are evaluated in one loop.
 package main
 
 import (
@@ -21,23 +25,6 @@ import (
 	"repro/internal/bounds"
 )
 
-// parseTable parses a table subcommand's flags. Their -workers flag was
-// removed; it stays defined so a command line that still passes it
-// learns why it fails.
-func parseTable(fs *flag.FlagSet, args []string) error {
-	fs.String("workers", "", "removed: rows are evaluated in one loop")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var removed error
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			removed = errors.New("-workers was removed: rows are evaluated in one loop")
-		}
-	})
-	return removed
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ppbounds:", err)
@@ -49,78 +36,85 @@ func run(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("subcommand required: thm43 | minstates | cor44 | rackoff | section8")
 	}
-	switch args[0] {
+	q := bounds.Query{Op: args[0]}
+	fs := flag.NewFlagSet(q.Op, flag.ContinueOnError)
+	// The table subcommands' -workers flag was removed; it stays
+	// defined there so a command line that still passes it learns why
+	// it fails.
+	removedWorkers := func() { fs.String("workers", "", "removed: rows are evaluated in one loop") }
+	switch q.Op {
 	case "thm43":
-		fs := flag.NewFlagSet("thm43", flag.ContinueOnError)
-		dmax := fs.Int("dmax", 10, "max state count")
-		w := fs.Int64("w", 2, "interaction-width")
-		l := fs.Int64("l", 2, "leaders")
-		if err := parseTable(fs, args[1:]); err != nil {
-			return err
+		fs.IntVar(&q.D, "dmax", 10, "max state count")
+		fs.Int64Var(&q.W, "w", 2, "interaction-width")
+		fs.Int64Var(&q.L, "l", 2, "leaders")
+		removedWorkers()
+	case "minstates":
+		fs.Float64Var(&q.Log10N, "log10n", 9, "log10 of the threshold n")
+		fs.Int64Var(&q.M, "m", 2, "width and leader bound")
+	case "cor44":
+		fs.IntVar(&q.KMax, "kmax", 20, "max tower level (n = 2^(2^k))")
+		fs.Float64Var(&q.H, "h", 0.49, "exponent h < 1/2")
+		fs.Int64Var(&q.M, "m", 2, "width and leader bound")
+		removedWorkers()
+	case "rackoff":
+		fs.IntVar(&q.D, "d", 5, "states |P|")
+		fs.Int64Var(&q.T, "t", 1, "‖T‖∞")
+		fs.Int64Var(&q.R, "r", 1, "‖target‖∞")
+	case "section8":
+		fs.IntVar(&q.D, "d", 4, "states |P| (≥ 2)")
+		fs.Int64Var(&q.T, "t", 2, "‖T‖∞")
+		fs.Int64Var(&q.L, "l", 2, "‖ρ_L‖∞")
+	default:
+		return fmt.Errorf("unknown subcommand %q", args[0])
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	var removed error
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" {
+			removed = errors.New("-workers was removed: rows are evaluated in one loop")
 		}
-		fmt.Printf("Theorem 4.3: n ≤ (4+4·%d+2·%d)^(d^((d+2)²))\n", *w, *l)
-		for d := 1; d <= *dmax; d++ {
-			m := bounds.Theorem43MaxN(d, *w, *l)
+	})
+	if removed != nil {
+		return removed
+	}
+	if err := q.Check(); err != nil {
+		return err
+	}
+
+	switch q.Op {
+	case "thm43":
+		fmt.Printf("Theorem 4.3: n ≤ (4+4·%d+2·%d)^(d^((d+2)²))\n", q.W, q.L)
+		for d := 1; d <= q.D; d++ {
+			m := bounds.Theorem43MaxN(d, q.W, q.L)
 			fmt.Printf("  d=%-3d log10(max n) = %.4g\n", d, m.Log10())
 		}
-		return nil
 	case "minstates":
-		fs := flag.NewFlagSet("minstates", flag.ContinueOnError)
-		log10n := fs.Float64("log10n", 9, "log10 of the threshold n")
-		m := fs.Int64("m", 2, "width and leader bound")
-		if err := fs.Parse(args[1:]); err != nil {
-			return err
-		}
-		d := bounds.MinStatesTheorem43(*log10n, *m)
-		fmt.Printf("deciding (i ≥ n) with n = 1e%g and width/leaders ≤ %d needs ≥ %d states\n", *log10n, *m, d)
-		return nil
+		d := bounds.MinStatesTheorem43(q.Log10N, q.M)
+		fmt.Printf("deciding (i ≥ n) with n = 1e%g and width/leaders ≤ %d needs ≥ %d states\n", q.Log10N, q.M, d)
 	case "cor44":
-		fs := flag.NewFlagSet("cor44", flag.ContinueOnError)
-		kmax := fs.Int("kmax", 20, "max tower level (n = 2^(2^k))")
-		h := fs.Float64("h", 0.49, "exponent h < 1/2")
-		m := fs.Int64("m", 2, "width and leader bound")
-		if err := parseTable(fs, args[1:]); err != nil {
-			return err
-		}
-		fmt.Printf("Corollary 4.4 lower bound Ω((log log n)^%g) at n = 2^(2^k), m = %d\n", *h, *m)
-		for k := 1; k <= *kmax; k++ {
-			lb := bounds.Corollary44LowerBound(math.Pow(2, float64(k)), *h, *m)
+		fmt.Printf("Corollary 4.4 lower bound Ω((log log n)^%g) at n = 2^(2^k), m = %d\n", q.H, q.M)
+		for k := 1; k <= q.KMax; k++ {
+			lb := bounds.Corollary44LowerBound(math.Pow(2, float64(k)), q.H, q.M)
 			fmt.Printf("  k=%-3d states ≥ %.2f\n", k, lb)
 		}
-		return nil
 	case "rackoff":
-		fs := flag.NewFlagSet("rackoff", flag.ContinueOnError)
-		d := fs.Int("d", 5, "states |P|")
-		tn := fs.Int64("t", 1, "‖T‖∞")
-		rn := fs.Int64("r", 1, "‖target‖∞")
-		if err := fs.Parse(args[1:]); err != nil {
-			return err
-		}
-		m := bounds.Rackoff(*d, *rn, *tn)
+		m := bounds.Rackoff(q.D, q.R, q.T)
 		fmt.Printf("Lemma 5.3: covering word length ≤ (%d+%d)^(%d^%d): log10 = %.4g\n",
-			*rn, *tn, *d, *d, m.Log10())
-		return nil
+			q.R, q.T, q.D, q.D, m.Log10())
 	case "section8":
-		fs := flag.NewFlagSet("section8", flag.ContinueOnError)
-		d := fs.Int("d", 4, "states |P| (≥ 2)")
-		tn := fs.Int64("t", 2, "‖T‖∞")
-		l := fs.Int64("l", 2, "‖ρ_L‖∞")
-		if err := fs.Parse(args[1:]); err != nil {
-			return err
-		}
-		s, err := bounds.NewSection8(*d, *tn, *l)
+		s, err := bounds.NewSection8(q.D, q.T, q.L)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Section 8 cascade for d=%d, ‖T‖∞=%d, ‖ρL‖∞=%d:\n", *d, *tn, *l)
+		fmt.Printf("Section 8 cascade for d=%d, ‖T‖∞=%d, ‖ρL‖∞=%d:\n", q.D, q.T, q.L)
 		fmt.Printf("  b: log10 = %.4g\n", s.B.Log10())
 		fmt.Printf("  h: log10 = %.4g\n", s.H.Log10())
 		fmt.Printf("  k: log10 = %.4g\n", s.K.Log10())
 		fmt.Printf("  a: log10 = %.4g\n", s.A.Log10())
 		fmt.Printf("  ℓ: log10 = %.4g\n", s.L.Log10())
 		fmt.Printf("  n: log10 = %.4g (final bound on the threshold)\n", s.N.Log10())
-		return nil
-	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
+	return nil
 }

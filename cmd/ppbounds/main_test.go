@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSubcommands(t *testing.T) {
@@ -29,6 +31,54 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"section8", "-d", "1"}); err == nil {
 		t.Error("d=1 accepted by section8")
+	}
+}
+
+// runWithin runs the CLI on args under a deadline, turning a hang or a
+// panic into an error so a query outside the domain fails the test
+// instead of stalling or crashing it.
+func runWithin(args []string, d time.Duration) error {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("panic: %v", r)
+			}
+		}()
+		done <- run(args)
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		return fmt.Errorf("no answer within %v", d)
+	}
+}
+
+// Queries outside bounds.Query.Check's domain hung (minstates with a
+// negative m), panicked (non-positive table sizes), printed +Inf rows
+// or ran for seconds. Each must now fail at once with the domain
+// rule's error.
+func TestDomainErrors(t *testing.T) {
+	cases := [][]string{
+		{"minstates", "-m", "-1"},
+		{"minstates", "-log10n", "Inf"},
+		{"thm43", "-dmax", "-1"},
+		{"cor44", "-kmax", "-3"},
+		{"thm43", "-dmax", "15"},
+		{"thm43", "-dmax", "2000"},
+		{"rackoff", "-d", "200"},
+		{"rackoff", "-d", "100000", "-t", "1", "-r", "0"},
+		{"section8", "-d", "100"},
+		{"cor44", "-kmax", "1024"},
+		{"cor44", "-h", "0.5"},
+		{"thm43", "-w", "-5"},
+	}
+	for _, args := range cases {
+		err := runWithin(args, 5*time.Second)
+		if err == nil || !strings.HasPrefix(err.Error(), "bounds: ") {
+			t.Errorf("run(%v) = %v, want the domain rule's error", args, err)
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/bounds"
 	"repro/internal/canon"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -99,7 +100,9 @@ type VerifyParams struct {
 
 // BoundsParams are the /v1/bounds parameters: one of the ppbounds
 // subcommand evaluations. Fields mirror the CLI flags; only the
-// fields of the selected Op are hashed (the rest must be zero).
+// fields of the selected Op are hashed (the rest must be zero). They
+// are bounds.Query's fields in the same order, so a BoundsParams
+// converts to the query whose domain rule it must pass.
 type BoundsParams struct {
 	// Op is thm43, minstates, cor44, rackoff or section8.
 	Op string `json:"op"`
@@ -326,9 +329,10 @@ var boundsFields = map[string][]string{
 	"section8":  {"d", "t", "l"},
 }
 
-// normalize fills the selected bounds op's defaults and rejects
-// parameters that belong to a different op: a stray member would
-// otherwise split the cache between equal evaluations.
+// normalize fills the selected bounds op's defaults, rejects
+// parameters that belong to a different op (a stray member would
+// otherwise split the cache between equal evaluations) and applies
+// bounds.Query.Check, the one domain rule ppbounds applies too.
 func (p *BoundsParams) normalize() error {
 	fields, ok := boundsFields[p.Op]
 	if !ok {
@@ -371,7 +375,7 @@ func (p *BoundsParams) normalize() error {
 			return fmt.Errorf("key: bounds op %s does not take %q", p.Op, f.name)
 		}
 	}
-	return nil
+	return bounds.Query(*p).Check()
 }
 
 // Key is the content address of one normalized query: SHA-256 of the

@@ -147,6 +147,20 @@ func TestNormalizeRejects(t *testing.T) {
 		{Kind: KindBounds, Bounds: &BoundsParams{Op: "nope"}},
 		{Kind: KindBounds, Bounds: &BoundsParams{Op: "thm43", KMax: 5}},
 		{Kind: KindBounds, Spec: Spec{Protocol: "flock", Param: 4}, Bounds: &BoundsParams{Op: "thm43"}},
+		// Outside bounds.Query.Check's domain: each of these once hung a
+		// compute goroutine, panicked, computed a +Inf row whose JSON
+		// encoding failed, or ran for seconds.
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "minstates", M: -1}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "thm43", D: -1}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "cor44", KMax: -3}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "thm43", D: 15}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "rackoff", D: 200}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "thm43", D: 2000}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "section8", D: 100}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "cor44", KMax: 1024}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "cor44", H: 0.7}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "rackoff", T: -1}},
+		{Kind: KindBounds, Bounds: &BoundsParams{Op: "thm43", W: -5}},
 		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}},
 		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{}},
 		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2, 2}}},

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/serve/key"
 )
@@ -179,6 +180,53 @@ func TestRequestRejections(t *testing.T) {
 	}
 	if m.Admission.Available != m.Admission.Capacity {
 		t.Errorf("rejected requests leaked tokens: %d of %d available", m.Admission.Available, m.Admission.Capacity)
+	}
+}
+
+// Bounds queries outside bounds.Query.Check's domain are 400s before
+// admission, with the rule's own error text. Each of them once hung a
+// compute goroutine for good (minstates with m < 0), panicked, or
+// computed a +Inf row whose encoding failed into a 500 and a breaker
+// strike. The daemon runs under a short deadline and every request
+// under a longer one, so a hang fails the test instead of stalling it.
+func TestBoundsOutsideDomainRejected(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), Workers: 2, Deadline: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	bodies := []string{
+		`{"op":"minstates","m":-1}`,
+		`{"op":"thm43","d":-1}`,
+		`{"op":"cor44","kmax":-3}`,
+		`{"op":"thm43","d":15}`,
+		`{"op":"rackoff","d":200}`,
+		`{"op":"thm43","d":2000}`,
+		`{"op":"section8","d":100}`,
+		`{"op":"cor44","kmax":1024}`,
+	}
+	for _, body := range bodies {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/bounds", strings.NewReader(body)))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			var doc struct{ Error string }
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &doc) != nil ||
+				!strings.HasPrefix(doc.Error, "bounds: ") {
+				t.Errorf("%s: status %d, body %s; want 400 with the bounds domain error", body, rec.Code, rec.Body.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: no response within 10s", body)
+		}
+	}
+	var m MetricsSnapshot
+	get(t, h, "/metrics", &m)
+	if m.Admission.Available != m.Admission.Capacity {
+		t.Errorf("rejected bounds queries hold admission tokens: %d of %d available", m.Admission.Available, m.Admission.Capacity)
 	}
 }
 
