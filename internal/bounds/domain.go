@@ -49,11 +49,11 @@ const MaxLog10 = 1e308
 // big.Int is built, so Check is cheap on any input, and the evaluation
 // of an accepted query takes bounded time and reports finite numbers.
 func (q Query) Check() error {
+	if err := q.norms(); err != nil {
+		return err
+	}
 	switch q.Op {
 	case "thm43":
-		if err := q.norms(); err != nil {
-			return err
-		}
 		if q.D < 1 {
 			return fmt.Errorf("bounds: thm43: d must be ≥ 1, got %d", q.D)
 		}
@@ -61,16 +61,17 @@ func (q Query) Check() error {
 		d := float64(q.D)
 		return checkPow(fmt.Sprintf("thm43 row d=%d", q.D), 4+4*q.W+2*q.L, math.Pow(d, (d+2)*(d+2)))
 	case "minstates":
-		if err := q.norms(); err != nil {
-			return err
+		// m enters as the base 4+6m here and as log log 10m in cor44.
+		if q.M < 1 {
+			return fmt.Errorf("bounds: minstates: m must be ≥ 1, got %d", q.M)
 		}
 		if math.IsNaN(q.Log10N) || math.IsInf(q.Log10N, 0) {
 			return fmt.Errorf("bounds: minstates: log10n must be finite, got %g", q.Log10N)
 		}
 		return nil
 	case "cor44":
-		if err := q.norms(); err != nil {
-			return err
+		if q.M < 1 {
+			return fmt.Errorf("bounds: cor44: m must be ≥ 1, got %d", q.M)
 		}
 		if q.KMax < 1 {
 			return fmt.Errorf("bounds: cor44: kmax must be ≥ 1, got %d", q.KMax)
@@ -84,18 +85,12 @@ func (q Query) Check() error {
 		}
 		return nil
 	case "rackoff":
-		if err := q.norms(); err != nil {
-			return err
-		}
 		if q.D < 1 {
 			return fmt.Errorf("bounds: rackoff: d must be ≥ 1, got %d", q.D)
 		}
 		d := float64(q.D)
 		return checkPow(fmt.Sprintf("rackoff d=%d", q.D), q.T+q.R, math.Pow(d, d))
 	case "section8":
-		if err := q.norms(); err != nil {
-			return err
-		}
 		if q.D < 2 {
 			return fmt.Errorf("bounds: section8: d must be ≥ 2, got %d", q.D)
 		}
@@ -125,10 +120,6 @@ func (q Query) norms() error {
 		if n.v < 0 || n.v > MaxNorm {
 			return fmt.Errorf("bounds: %s: %s must lie in [0, %d], got %d", q.Op, n.name, int64(MaxNorm), n.v)
 		}
-	}
-	// minstates and cor44 take log(10m) and base 4+6m: m ≥ 1.
-	if (q.Op == "minstates" || q.Op == "cor44") && q.M < 1 {
-		return fmt.Errorf("bounds: %s: m must be ≥ 1, got %d", q.Op, q.M)
 	}
 	return nil
 }
