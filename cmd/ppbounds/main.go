@@ -69,6 +69,9 @@ func run(args []string) error {
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
 	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	var removed error

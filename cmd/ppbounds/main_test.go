@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +20,39 @@ func TestSubcommands(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
+// Asking a subcommand for help is not an error: the command prints the
+// usage to stderr and exits 0. Each case runs the command's main in a
+// child process of the test binary to see its exit status. cor44 has
+// its own -h (the exponent), so there only -help asks for help.
+func TestHelp(t *testing.T) {
+	if args := os.Getenv("PPBOUNDS_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"ppbounds"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cases := []string{
+		"thm43 -h", "minstates -h", "rackoff -h", "section8 -h",
+		"thm43 -help", "minstates -help", "cor44 -help", "rackoff -help", "section8 -help",
+	}
+	for _, args := range cases {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHelp$")
+		cmd.Env = append(os.Environ(), "PPBOUNDS_TEST_ARGS="+args)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Errorf("ppbounds %s: %v; stderr:\n%s", args, err, stderr.String())
+			continue
+		}
+		op := strings.Fields(args)[0]
+		if !strings.Contains(stderr.String(), "Usage of "+op) || strings.Contains(stderr.String(), "help requested") {
+			t.Errorf("ppbounds %s: stderr %q, want the usage alone", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("ppbounds %s: stdout %q, want none", args, stdout.String())
 		}
 	}
 }

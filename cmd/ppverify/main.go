@@ -8,9 +8,10 @@
 //	ppverify -protocol flock -param 6 -maxx 12 -workers 8
 //
 // Verification parallelizes across inputs only: -workers (default all
-// cores) sizes the input pool, and each input's closure is explored
-// sequentially in RAM. Results are byte-identical for any worker
-// count.
+// cores) sizes the input pool, the calling goroutine among its
+// workers, and each input's closure is explored sequentially in RAM,
+// in the storage of the worker's previous closure. Results are
+// byte-identical for any worker count.
 package main
 
 import (

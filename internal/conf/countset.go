@@ -37,6 +37,15 @@ func NewCountSet(width, capacityHint int) *CountSet {
 	}
 }
 
+// Reset empties the set, keeping its arena, hashes and table for the
+// vectors inserted next: ids restart at 0. Slices returned by At
+// before the Reset are invalid after it.
+func (s *CountSet) Reset() {
+	s.arena = s.arena[:0]
+	s.hashes = s.hashes[:0]
+	clear(s.table)
+}
+
 // Len returns the number of distinct vectors in the set.
 func (s *CountSet) Len() int { return len(s.hashes) }
 

@@ -139,3 +139,37 @@ func TestViewAndRestrictInto(t *testing.T) {
 		}
 	}
 }
+
+// A Reset set must behave exactly like a fresh one: ids restart at 0,
+// nothing inserted before the Reset is found, and growth past the kept
+// table still works.
+func TestCountSetReset(t *testing.T) {
+	s := NewCountSet(2, 0)
+	for i := 0; i < 100; i++ {
+		s.Insert([]int64{int64(i), 1})
+	}
+	s.Reset()
+	if s.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", s.Len())
+	}
+	if _, ok := s.Lookup([]int64{5, 1}); ok {
+		t.Fatal("Lookup found a vector inserted before Reset")
+	}
+	for i := 0; i < 300; i++ {
+		id, added := s.Insert([]int64{int64(i), 2})
+		if id != i || !added {
+			t.Fatalf("Insert %d after Reset = (%d, %v)", i, id, added)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		if got := s.At(i); got[0] != int64(i) || got[1] != 2 {
+			t.Fatalf("At(%d) = %v", i, got)
+		}
+		if id, ok := s.Lookup([]int64{int64(i), 2}); !ok || id != i {
+			t.Fatalf("Lookup %d = (%d, %v)", i, id, ok)
+		}
+	}
+	if _, ok := s.Lookup([]int64{5, 1}); ok {
+		t.Fatal("Lookup found a vector inserted before Reset")
+	}
+}

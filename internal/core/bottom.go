@@ -321,7 +321,7 @@ func findPumpWord(net *petri.Net, alpha conf.Config, qMask []bool, maxDepth int,
 		return true
 	}
 
-	set := conf.NewCountSet(d, 256)
+	set := conf.NewCountSet(d, 16)
 	set.Insert(alphaCounts)
 	parent := []int32{-1}
 	via := []int32{-1}

@@ -681,7 +681,7 @@ func E11LargeNBatch() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E11 %s: %w", sw.Protocol, err)
 		}
-		m, err := shard.Plan(sw, 2)
+		m, err := shard.PlanCost(sw, 2, shard.UniformCost{})
 		if err != nil {
 			return nil, fmt.Errorf("E11 %s: %w", sw.Protocol, err)
 		}

@@ -30,6 +30,18 @@
 // the same driver Reach runs to the end, so node ids, edges and the
 // truncation point do not depend on where growth paused.
 //
+// A closure owns its arrays until its caller hands them over:
+// Net.ReachReusing(old, from, budget) builds the closure of from in
+// old's CountSet (emptied by CountSet.Reset, its table kept) and in
+// old's edge and tree arrays, and from then on old and every view
+// taken from it — Config, CSR, Edges, the configurations ForEach
+// passes — read the new closure's memory and are invalid. Reuse is
+// the caller's choice alone: Reach and StartReach always build fresh
+// (they are ReachReusing's set-up with old = nil), Release does not
+// recycle anything, and no closure storage is pooled across callers.
+// A caller that reuses copies out whatever must outlive the next
+// build, as verify.Range's workers do with each report.
+//
 // Budgets (Budget.MaxConfigs, depth and agent caps) truncate
 // deterministically: the closure returns with exactly the budgeted
 // node count and an error that says the budget, not the instance,

@@ -131,7 +131,7 @@ func (n *Net) KarpMiller(from conf.Config, maxNodes int) (*KMTree, error) {
 	}
 	d := n.space.Len()
 	idx := n.Index()
-	seen := conf.NewCountSet(d, 256)
+	seen := conf.NewCountSet(d, 16)
 	scratch := make([]int64, d)
 
 	tree := &KMTree{net: n}

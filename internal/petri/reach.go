@@ -98,10 +98,11 @@ type Edge struct {
 // BFS tree in dense int32 arrays. No per-node allocation happens on the
 // exploration hot path.
 //
-// A closure is either built whole by Reach, or started by StartReach
-// and grown one BFS level at a time by Grow. Both run the same BFS, so
-// node ids, edges and the truncation point do not depend on how the
-// closure was grown.
+// A closure is either built whole by Reach (or ReachReusing, in the
+// storage of a closure the caller is done with), or started by
+// StartReach and grown one BFS level at a time by Grow. All run the
+// same BFS, so node ids, edges and the truncation point do not depend
+// on how the closure was grown.
 type ReachSet struct {
 	net     *Net
 	set     *conf.CountSet
@@ -131,7 +132,16 @@ type ReachSet struct {
 // inspect partial results while being unable to mistake them for exact
 // ones.
 func (n *Net) Reach(from conf.Config, budget Budget) (*ReachSet, error) {
-	rs, err := n.StartReach(from, budget)
+	return n.ReachReusing(nil, from, budget)
+}
+
+// ReachReusing is Reach building the closure in the storage of old, a
+// closure the caller is done with; nil builds fresh, as Reach does.
+// After the call old and every view taken from it (Config, CSR, Edges)
+// are invalid: its arrays hold the new closure. The new closure does
+// not depend on old; reuse only saves allocations.
+func (n *Net) ReachReusing(old *ReachSet, from conf.Config, budget Budget) (*ReachSet, error) {
+	rs, err := n.startReach(old, from, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -142,17 +152,38 @@ func (n *Net) Reach(from conf.Config, budget Budget) (*ReachSet, error) {
 // StartReach returns the closure of from that holds only the root,
 // ready to be grown by Grow within the budget.
 func (n *Net) StartReach(from conf.Config, budget Budget) (*ReachSet, error) {
+	return n.startReach(nil, from, budget)
+}
+
+// startReach is the one set-up path of every closure: the root alone,
+// in old's emptied arrays when old is not nil, in fresh ones
+// otherwise.
+func (n *Net) startReach(old *ReachSet, from conf.Config, budget Budget) (*ReachSet, error) {
 	if !from.Space().Equal(n.space) {
 		return nil, errors.New("petri: initial configuration over wrong space")
 	}
 	d := n.space.Len()
-	set := conf.NewCountSet(d, 256)
+	rs := old
+	if rs == nil {
+		rs = &ReachSet{}
+	}
+	set := rs.set
+	if set == nil || set.Width() != d {
+		set = conf.NewCountSet(d, 16)
+	} else {
+		set.Reset()
+	}
 	set.Insert(from.RawCounts())
-	rs := &ReachSet{net: n, set: set}
-	rs.parent = append(rs.parent, -1)
-	rs.via = append(rs.via, -1)
-	rs.depth = append(rs.depth, 0)
-	rs.edgeOff = append(rs.edgeOff, 0, 0) // padded for the unexpanded root
+	*rs = ReachSet{
+		net:     n,
+		set:     set,
+		edgeOff: append(rs.edgeOff[:0], 0, 0), // padded for the unexpanded root
+		edgeTo:  rs.edgeTo[:0],
+		edgeVia: rs.edgeVia[:0],
+		parent:  append(rs.parent[:0], -1),
+		via:     append(rs.via[:0], -1),
+		depth:   append(rs.depth[:0], 0),
+	}
 	rs.grow = &expander{
 		rs:         rs,
 		idx:        n.Index(),
@@ -352,8 +383,9 @@ func (rs *ReachSet) Release() {}
 
 // Config returns the configuration with the given node id as a
 // zero-copy view into the closure arena. The counts must not be
-// mutated. The view stays valid for the life of the ReachSet; use
-// Clone to detach a configuration that must not keep the arena alive.
+// mutated. The view stays valid for the life of the ReachSet, until
+// the ReachSet is handed to ReachReusing; use Clone to detach a
+// configuration that must outlive it or not keep the arena alive.
 func (rs *ReachSet) Config(id int) conf.Config {
 	return conf.View(rs.net.space, rs.set.At(id))
 }

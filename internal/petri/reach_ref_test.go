@@ -385,3 +385,74 @@ func TestGrowMatchesReach(t *testing.T) {
 		}
 	}
 }
+
+// A chain of ReachReusing calls, each building in the previous
+// closure's storage, must give exactly what a fresh Reach gives for the
+// same root — node order, edges, depths, parents, Complete and the
+// error — while closures grow, shrink, end on MaxConfigs and on
+// MaxDepth, and switch to a net of another width and back.
+func TestReachReusingMatchesReach(t *testing.T) {
+	p, err := counting.FlockOfBirds(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flock := func(x int64) conf.Config {
+		return p.InitialConfig(conf.MustFromMap(p.Space(), map[string]int64{"i": x}))
+	}
+	split, splitFrom := wideSplitNet(t, 12)
+	full := petri.Budget{MaxConfigs: 1 << 16}
+	steps := []struct {
+		name      string
+		net       *petri.Net
+		from      conf.Config
+		budget    petri.Budget
+		truncated bool
+		grows     int // +1: more nodes than the step before, −1: fewer, 0: either
+	}{
+		{"x=2", p.Net(), flock(2), full, false, +1},
+		{"x=6", p.Net(), flock(6), full, false, +1},
+		{"x=9", p.Net(), flock(9), full, false, +1},
+		{"shrink x=3", p.Net(), flock(3), full, false, -1},
+		{"maxConfigs", p.Net(), flock(9), petri.Budget{MaxConfigs: 20}, true, 0},
+		{"maxDepth", p.Net(), flock(8), petri.Budget{MaxConfigs: 1 << 16, MaxDepth: 3}, true, 0},
+		{"other width", split, splitFrom, full, false, 0},
+		{"back x=7", p.Net(), flock(7), full, false, 0},
+		{"x=0", p.Net(), flock(0), full, false, -1},
+	}
+	var ws *petri.ReachSet
+	prev := 0
+	for _, s := range steps {
+		want, wantErr := s.net.Reach(s.from, s.budget)
+		got, gotErr := s.net.ReachReusing(ws, s.from, s.budget)
+		if got == nil || want == nil {
+			t.Fatalf("%s: nil closure (reused err %v, fresh err %v)", s.name, gotErr, wantErr)
+		}
+		if (wantErr != nil) != s.truncated || s.grows*(want.Len()-prev) < 0 || s.grows != 0 && want.Len() == prev {
+			t.Fatalf("%s: %d nodes after %d, err %v: the step no longer covers its case", s.name, want.Len(), prev, wantErr)
+		}
+		prev = want.Len()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: err %v, fresh Reach %v", s.name, gotErr, wantErr)
+		}
+		if got.Complete != want.Complete || got.Len() != want.Len() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("%s: (Complete %v, %d nodes, %d edges), fresh Reach (%v, %d, %d)", s.name,
+				got.Complete, got.Len(), got.NumEdges(), want.Complete, want.Len(), want.NumEdges())
+		}
+		gc, wc := got.CSR(), want.CSR()
+		if fmt.Sprint(gc.Off, gc.Dst) != fmt.Sprint(wc.Off, wc.Dst) {
+			t.Fatalf("%s: CSR differs from fresh Reach", s.name)
+		}
+		for id := 0; id < want.Len(); id++ {
+			if !got.Config(id).Equal(want.Config(id)) || got.Depth(id) != want.Depth(id) ||
+				got.Parent(id) != want.Parent(id) || fmt.Sprint(got.Edges(id)) != fmt.Sprint(want.Edges(id)) ||
+				fmt.Sprint(got.PathTo(id)) != fmt.Sprint(want.PathTo(id)) {
+				t.Fatalf("%s: node %d differs from fresh Reach", s.name, id)
+			}
+		}
+		if id, ok := got.ID(s.from); !ok || id != 0 {
+			t.Fatalf("%s: root lookup = (%d, %v), want (0, true)", s.name, id, ok)
+		}
+		assertEqualToReference(t, got, gotErr, referenceReach(s.net, s.from, s.budget))
+		ws = got
+	}
+}

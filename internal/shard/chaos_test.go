@@ -62,7 +62,7 @@ func TestDispatchChaosSchedules(t *testing.T) {
 // is caught by the checksum on the next attempt's read, quarantined
 // and recomputed to the bit-identical artifact.
 func TestResumeTornCellWrite(t *testing.T) {
-	m, err := Plan(testSpec(), 1)
+	m, err := PlanCost(testSpec(), 1, UniformCost{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // A pre-checksum cell partial is quarantined and its cell recomputed,
 // and the finished shard matches a fresh run bit for bit.
 func TestLegacyCellPartialResumes(t *testing.T) {
-	m, err := Plan(testSpec(), 1)
+	m, err := PlanCost(testSpec(), 1, UniformCost{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,16 +92,18 @@ func CostByName(name, scheduler string) (CostModel, error) {
 }
 
 // PlanCost partitions the sweep into at most shards specs of
-// near-equal total cost under the model. Like Plan it walks the
-// (size × trial) grid size-major and cuts contiguous runs, so the
-// manifest is a pure function of (spec, shards, model) and any host
-// re-derives it byte-identically. Cuts land at cell granularity, so
+// near-equal total cost under the model. It walks the (size × trial)
+// grid size-major and cuts contiguous runs — a shard covers a trial
+// block of one size, whole sizes, or a mix, never an interleaving —
+// so the manifest is a pure function of (spec, shards, model) and any
+// host re-derives it byte-identically. Cuts land at cell granularity, so
 // one cell costlier than the quantile width swallows its whole shard;
 // quantiles falling inside the same cell produce no empty shards —
 // the manifest may carry fewer specs than requested.
 //
-// PlanCost with UniformCost is exactly Plan: equal cost is equal
-// trial count when every trial costs 1.
+// Under UniformCost every trial costs 1, so shards have near-equal
+// trial counts; sweeps over geometric size ranges should prefer a
+// workload-matched model so large-x shards don't straggle.
 func PlanCost(sw SweepSpec, shards int, model CostModel) (*Manifest, error) {
 	if err := sw.Validate(); err != nil {
 		return nil, err
@@ -138,7 +140,7 @@ func PlanCost(sw SweepSpec, shards int, model CostModel) (*Manifest, error) {
 		m.CostModel = model.Name()
 	}
 	// Boundary i is the largest cell index k with cum(k) ≤ ⌊i·total/shards⌋;
-	// under UniformCost this reduces to k = ⌊i·cells/shards⌋, the Plan cut.
+	// under UniformCost this reduces to k = ⌊i·cells/shards⌋.
 	cut := func(i int) int {
 		q := int64(i) * total / int64(shards)
 		// Largest whole-size index si with prefix[si] ≤ q, then trials

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -22,24 +23,37 @@ func geometricSpec() SweepSpec {
 	return sw
 }
 
-// PlanCost under UniformCost must reproduce Plan exactly — same cuts,
-// same ids, same bytes — so the legacy planner is one model of the
-// weighted one, not a separate code path.
+// PlanCost under UniformCost must reproduce the equal-trial-count plan
+// exactly — boundary i at cell ⌊i·cells/shards⌋ of the size-major
+// grid, same cuts, same ids — so manifests cut before cost models
+// existed keep their bytes, and the uniform planner is one model of
+// the weighted one, not a separate code path.
 func TestPlanCostUniformMatchesPlan(t *testing.T) {
 	for _, sw := range []SweepSpec{testSpec(), geometricSpec()} {
 		for _, shards := range []int{1, 2, 3, 5, 7, 24, 1000} {
-			a, err := Plan(sw, shards)
-			if err != nil {
-				t.Fatalf("Plan(%d): %v", shards, err)
-			}
-			b, err := PlanCost(sw, shards, UniformCost{})
+			m, err := PlanCost(sw, shards, UniformCost{})
 			if err != nil {
 				t.Fatalf("PlanCost(%d, uniform): %v", shards, err)
 			}
-			ab, _ := json.Marshal(a)
-			bb, _ := json.Marshal(b)
-			if string(ab) != string(bb) {
-				t.Errorf("shards=%d: PlanCost(uniform) differs from Plan:\n%s\nvs\n%s", shards, ab, bb)
+			cells := len(sw.Sizes) * sw.Trials
+			n := min(shards, cells)
+			want := &Manifest{Schema: ManifestSchema, Sweep: sw}
+			for i, lo := 1, 0; i <= n; i++ {
+				hi := i * cells / n
+				spec := Spec{ID: fmt.Sprintf("s%03d", i-1)}
+				for k := lo; k < hi; {
+					si := k / sw.Trials
+					end := min(hi, (si+1)*sw.Trials)
+					spec.Cells = append(spec.Cells, Cell{X: sw.Sizes[si], TrialLo: k - si*sw.Trials, TrialHi: end - si*sw.Trials})
+					k = end
+				}
+				want.Shards = append(want.Shards, spec)
+				lo = hi
+			}
+			got, _ := json.Marshal(m)
+			wantBytes, _ := json.Marshal(want)
+			if string(got) != string(wantBytes) {
+				t.Errorf("shards=%d: PlanCost(uniform) differs from the equal-trial-count plan:\n%s\nvs\n%s", shards, got, wantBytes)
 			}
 		}
 	}
@@ -75,9 +89,9 @@ func TestPlanCostReducesImbalance(t *testing.T) {
 	sw := geometricSpec()
 	model := LinearCost{}
 	for _, shards := range []int{2, 4, 8} {
-		linear, err := Plan(sw, shards)
+		linear, err := PlanCost(sw, shards, UniformCost{})
 		if err != nil {
-			t.Fatalf("Plan(%d): %v", shards, err)
+			t.Fatalf("PlanCost(%d, UniformCost{}): %v", shards, err)
 		}
 		weighted, err := PlanCost(sw, shards, model)
 		if err != nil {
@@ -103,8 +117,7 @@ func TestPlanCostReducesImbalance(t *testing.T) {
 }
 
 // A cost-weighted manifest records its model name; the uniform model
-// (and hence Plan) leaves the field empty so legacy manifest bytes are
-// unchanged.
+// leaves the field empty so legacy manifest bytes are unchanged.
 func TestPlanCostStampsModel(t *testing.T) {
 	sw := testSpec()
 	m, err := PlanCost(sw, 2, LinearCost{})
@@ -114,7 +127,7 @@ func TestPlanCostStampsModel(t *testing.T) {
 	if m.CostModel != "linear" {
 		t.Errorf("CostModel = %q, want linear", m.CostModel)
 	}
-	u, err := Plan(sw, 2)
+	u, err := PlanCost(sw, 2, UniformCost{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +164,7 @@ func TestPlanCostMergeMatchesPlan(t *testing.T) {
 		}
 		return merged
 	}
-	linear, err := Plan(sw, 3)
+	linear, err := PlanCost(sw, 3, UniformCost{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +230,7 @@ func BenchmarkPlanImbalance(b *testing.B) {
 	model := LinearCost{}
 	var li, wi float64
 	for i := 0; i < b.N; i++ {
-		linear, err := Plan(sw, 4)
+		linear, err := PlanCost(sw, 4, UniformCost{})
 		if err != nil {
 			b.Fatal(err)
 		}

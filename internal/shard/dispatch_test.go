@@ -43,7 +43,7 @@ func dispatchPlan(t *testing.T) *Manifest {
 // interleaving must reproduce.
 func baselineMergedBytes(t *testing.T, sw SweepSpec) []byte {
 	t.Helper()
-	m, err := Plan(sw, 1)
+	m, err := PlanCost(sw, 1, UniformCost{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,7 +333,7 @@ func TestMergePartialErrors(t *testing.T) {
 // flipped byte is caught.
 func TestCellLineRoundTrip(t *testing.T) {
 	sw := testSpec()
-	m, err := Plan(sw, 1)
+	m, err := PlanCost(sw, 1, UniformCost{})
 	if err != nil {
 		t.Fatal(err)
 	}

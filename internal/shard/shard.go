@@ -1,6 +1,6 @@
 // Package shard turns a single-process population-protocol sweep into
-// a fan-out/fan-in pipeline: Plan deterministically partitions a sweep
-// (protocol × population sizes × trial blocks) into self-contained
+// a fan-out/fan-in pipeline: PlanCost deterministically partitions a
+// sweep (protocol × population sizes × trial blocks) into self-contained
 // shard specs any process on any machine can execute, Run executes one
 // shard on the sim engine and emits a partial-result artifact, and
 // Merge folds any set of partial artifacts back into exactly the
@@ -279,16 +279,4 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("shard: shards cover %d sizes, sweep has %d", len(covered), len(m.Sweep.Sizes))
 	}
 	return nil
-}
-
-// Plan deterministically partitions the sweep into at most shards
-// specs of near-equal trial count. The (size × trial) grid is walked
-// size-major and cut into contiguous runs, so a shard covers a trial
-// block of one size, whole sizes, or a mix — never an interleaving.
-// The same (spec, shards) input always yields the identical manifest.
-// Plan is PlanCost under UniformCost; sweeps over geometric size
-// ranges should prefer PlanCost with a workload-matched model so
-// large-x shards don't straggle.
-func Plan(sw SweepSpec, shards int) (*Manifest, error) {
-	return PlanCost(sw, shards, UniformCost{})
 }

@@ -47,12 +47,12 @@ func TestMergeMatchesSingleProcessSweep(t *testing.T) {
 		t.Fatalf("Sweep: %v", err)
 	}
 	for _, shards := range []int{1, 2, 4, 7, 24, 100} {
-		m, err := Plan(sw, shards)
+		m, err := PlanCost(sw, shards, UniformCost{})
 		if err != nil {
-			t.Fatalf("Plan(%d): %v", shards, err)
+			t.Fatalf("PlanCost(%d, UniformCost{}): %v", shards, err)
 		}
 		if err := m.Validate(); err != nil {
-			t.Fatalf("Plan(%d) invalid: %v", shards, err)
+			t.Fatalf("PlanCost(%d, UniformCost{}) invalid: %v", shards, err)
 		}
 		arts := make([]*Artifact, 0, len(m.Shards))
 		for _, spec := range m.Shards {
@@ -87,7 +87,7 @@ func TestMergeMatchesSingleProcessSweep(t *testing.T) {
 // merge) must not perturb the merge: the accumulators are integers.
 func TestMergeSurvivesJSONRoundTrip(t *testing.T) {
 	sw := testSpec()
-	m, err := Plan(sw, 2)
+	m, err := PlanCost(sw, 2, UniformCost{})
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -139,16 +139,16 @@ func TestPlanPartitionsGrid(t *testing.T) {
 			sw.Sizes[i] = int64(10 + i)
 		}
 		sw.Trials = tc.trials
-		m, err := Plan(sw, tc.shards)
+		m, err := PlanCost(sw, tc.shards, UniformCost{})
 		if err != nil {
-			t.Fatalf("Plan(%+v): %v", tc, err)
+			t.Fatalf("PlanCost(%+v, UniformCost{}): %v", tc, err)
 		}
 		if err := m.Validate(); err != nil {
-			t.Errorf("Plan(%+v) does not tile the grid: %v", tc, err)
+			t.Errorf("PlanCost(%+v, UniformCost{}) does not tile the grid: %v", tc, err)
 		}
 		wantShards := min(tc.shards, tc.sizes*tc.trials)
 		if len(m.Shards) != wantShards {
-			t.Errorf("Plan(%+v) = %d shards, want %d", tc, len(m.Shards), wantShards)
+			t.Errorf("PlanCost(%+v, UniformCost{}) = %d shards, want %d", tc, len(m.Shards), wantShards)
 		}
 		// Near-equal balance: shard trial counts differ by at most 1.
 		lo, hi := m.Shards[0].Trials(), m.Shards[0].Trials()
@@ -157,7 +157,7 @@ func TestPlanPartitionsGrid(t *testing.T) {
 			lo, hi = min(lo, n), max(hi, n)
 		}
 		if hi-lo > 1 {
-			t.Errorf("Plan(%+v): unbalanced shards (trials %d..%d)", tc, lo, hi)
+			t.Errorf("PlanCost(%+v, UniformCost{}): unbalanced shards (trials %d..%d)", tc, lo, hi)
 		}
 	}
 }
@@ -177,7 +177,7 @@ func TestPlanGolden(t *testing.T) {
 		Scheduler:  "countbatch",
 		Epsilon:    0.05,
 	}
-	m, err := Plan(sw, 5)
+	m, err := PlanCost(sw, 5, UniformCost{})
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -220,11 +220,11 @@ func TestPlanRejectsBadSpecs(t *testing.T) {
 		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, Scheduler: "batched"},
 	}
 	for i, sw := range bad {
-		if _, err := Plan(sw, 2); err == nil {
+		if _, err := PlanCost(sw, 2, UniformCost{}); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, sw)
 		}
 	}
-	if _, err := Plan(testSpec(), 0); err == nil {
+	if _, err := PlanCost(testSpec(), 0, UniformCost{}); err == nil {
 		t.Error("zero shard count accepted")
 	}
 }
@@ -238,7 +238,7 @@ func TestBuildRejectsNonCounting(t *testing.T) {
 }
 
 func TestRunUnknownShard(t *testing.T) {
-	m, err := Plan(testSpec(), 2)
+	m, err := PlanCost(testSpec(), 2, UniformCost{})
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestRunUnknownShard(t *testing.T) {
 }
 
 func TestRunCancelled(t *testing.T) {
-	m, err := Plan(testSpec(), 1)
+	m, err := PlanCost(testSpec(), 1, UniformCost{})
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestRunCancelled(t *testing.T) {
 // runShards executes every shard of a fresh plan of testSpec.
 func runShards(t *testing.T, shards int) []*Artifact {
 	t.Helper()
-	m, err := Plan(testSpec(), shards)
+	m, err := PlanCost(testSpec(), shards, UniformCost{})
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}

@@ -14,9 +14,14 @@
 // Results are deterministic regardless of parallelism: Input runs
 // both reachability passes over one shared reverse-CSR view of the
 // closure (zero-copy from petri, see that package's ownership
-// invariants), and Range fans independent inputs out to a bounded
-// worker pool while collecting reports in enumeration order, so
-// tables and first-error semantics never depend on scheduling.
+// invariants), and Range runs independent inputs on one pool shaped
+// like the simulator's trial pool — the caller plus helpers claiming
+// inputs through one atomic index — and collects reports in
+// enumeration order, so tables and first-error semantics never depend
+// on scheduling. Each Range worker builds every closure in the storage
+// of its previous one (petri.Net.ReachReusing); reports copy out what
+// they keep, so nothing returned aliases a worker's storage. Input
+// builds fresh.
 package verify
 
 import (
@@ -68,11 +73,23 @@ type Report struct {
 // reverse graph is built once and no per-node adjacency slices are
 // allocated.
 func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget) (*Report, error) {
+	report := new(Report)
+	if _, err := check(p, input, pred, budget, nil, report); err != nil {
+		return nil, err
+	}
+	return report, nil
+}
+
+// check is Input writing into report, with the closure built in the
+// storage of ws (see petri.Net.ReachReusing; nil builds fresh). It
+// returns the closure, also on error, for the caller's next check to
+// reuse; nothing in report aliases it.
+func check(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget, ws *petri.ReachSet, report *Report) (*petri.ReachSet, error) {
 	expected := pred(input)
 	initial := p.InitialConfig(input)
-	rs, err := p.Net().Reach(initial, budget)
+	rs, err := p.Net().ReachReusing(ws, initial, budget)
 	if err != nil {
-		return nil, fmt.Errorf("verify %v: %w", input, err)
+		return rs, fmt.Errorf("verify %v: %w", input, err)
 	}
 	radj := rs.CSR().Reverse()
 
@@ -97,7 +114,7 @@ func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Bud
 			stable = append(stable, id)
 		}
 	}
-	report := &Report{
+	*report = Report{
 		Input:         input.Clone(),
 		Expected:      expected,
 		Configs:       rs.Len(),
@@ -107,7 +124,7 @@ func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Bud
 		report.OK = false
 		c := rs.Config(0).Clone() // detach from the closure arena
 		report.Counterexample = &c
-		return report, nil
+		return rs, nil
 	}
 	canStabilize := graph.ReachableFrom(radj, stable, reachesBad)
 	report.OK = true
@@ -119,7 +136,7 @@ func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Bud
 			break
 		}
 	}
-	return report, nil
+	return rs, nil
 }
 
 // RangeResult aggregates the verification of many inputs.
@@ -146,12 +163,15 @@ func (r *RangeResult) FirstFailure() *Report {
 // maxTotal] over the protocol's initial states: the bounded analogue of
 // the well-specification problem for the given predicate.
 //
-// Inputs are independent, so they fan out to a bounded worker pool
-// (the sim.RunMany pattern); reports are collected in enumeration
-// order and the first error by that order is returned, so results and
-// errors are deterministic regardless of scheduling. The pool has
-// Budget.Workers workers (0 = GOMAXPROCS), at most one per input; each
-// input's closure is explored sequentially.
+// Inputs are independent, so they run on one pool of min(workers,
+// inputs) workers (Budget.Workers, 0 = GOMAXPROCS), the calling
+// goroutine being one of them: workers claim inputs in enumeration
+// order through one atomic index, and each input's closure is explored
+// sequentially. Every worker builds each closure in the storage of its
+// previous one; reports are detached copies written by index. The
+// first error by enumeration order is returned, and inputs past an
+// error are skipped, so results and errors are deterministic
+// regardless of scheduling.
 func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget petri.Budget) (*RangeResult, error) {
 	if minTotal < 0 || maxTotal < minTotal {
 		return nil, errors.New("verify: invalid total range")
@@ -169,81 +189,62 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 			return nil, err
 		}
 	}
-	reports := make([]*Report, len(inputs))
+	reports := make([]Report, len(inputs))
 	errs := make([]error, len(inputs))
-	workers := min(budget.EffectiveWorkers(), len(inputs))
-	if workers <= 1 {
-		for i, ic := range inputs {
-			reports[i], errs[i] = verifyOne(p, ic, pred, budget)
-			if errs[i] != nil {
-				return nil, errs[i]
+	// minFailed is the smallest input index that errored so far. Inputs
+	// are claimed in index order, so a worker whose claim lies above it
+	// stops: every input below the first failure is still verified, and
+	// the first-by-index error below is exactly the sequential one.
+	var next, minFailed atomic.Int64
+	minFailed.Store(int64(len(inputs)))
+	work := func() {
+		var ws *petri.ReachSet
+		for {
+			i := next.Add(1) - 1
+			if i >= int64(len(inputs)) || i > minFailed.Load() {
+				return
+			}
+			embedded, err := inputs[i].Embed(p.Space())
+			if err == nil {
+				ws, err = check(p, embedded, pred, budget, ws, &reports[i])
+			}
+			if err == nil {
+				continue
+			}
+			errs[i] = err
+			for {
+				cur := minFailed.Load()
+				if i >= cur || minFailed.CompareAndSwap(cur, i) {
+					break
+				}
 			}
 		}
-	} else {
-		// minFailed is the smallest input index that errored so far;
-		// workers skip only jobs above it, so every input below the
-		// first failure is still verified and the first-by-index error
-		// below stays exactly the sequential one — only work past the
-		// failure point is saved.
-		var minFailed atomic.Int64
-		minFailed.Store(int64(len(inputs)))
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					if int64(i) > minFailed.Load() {
-						continue
-					}
-					reports[i], errs[i] = verifyOne(p, inputs[i], pred, budget)
-					if errs[i] != nil {
-						for {
-							cur := minFailed.Load()
-							if int64(i) >= cur || minFailed.CompareAndSwap(cur, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		for i := range inputs {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
 	}
-	result := &RangeResult{}
+	var wg sync.WaitGroup
+	for w := 1; w < min(budget.EffectiveWorkers(), len(inputs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	// An input is skipped only above a failed one, so the first error
+	// by index comes before every skipped report.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	result := &RangeResult{Reports: reports}
 	for i, report := range reports {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if report == nil {
-			// Unreachable: a nil report means the job was skipped after
-			// an earlier-index failure, which the loop returns first.
-			return nil, errors.New("verify: internal: input skipped without error")
-		}
-		if report.Configs > result.MaxConfigs {
-			result.MaxConfigs = report.Configs
-		}
-		result.Reports = append(result.Reports, *report)
+		result.MaxConfigs = max(result.MaxConfigs, report.Configs)
 		if !report.OK {
-			result.Failures = append(result.Failures, len(result.Reports)-1)
+			result.Failures = append(result.Failures, i)
 		}
 	}
 	return result, nil
-}
-
-// verifyOne embeds one enumerated input into the protocol space and
-// verifies it.
-func verifyOne(p *core.Protocol, ic conf.Config, pred Predicate, budget petri.Budget) (*Report, error) {
-	embedded, err := ic.Embed(p.Space())
-	if err != nil {
-		return nil, err
-	}
-	return Input(p, embedded, pred, budget)
 }
 
 // Counting verifies a protocol against φ_{i≥n} for all input sizes

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -193,6 +194,17 @@ func TestRangeParallelBudgetError(t *testing.T) {
 	}
 }
 
+// sameReport reports whether two reports agree in every field,
+// counterexample counts included.
+func sameReport(a, b Report) bool {
+	if !a.Input.Equal(b.Input) || a.Expected != b.Expected || a.OK != b.OK ||
+		a.Configs != b.Configs || a.StableConfigs != b.StableConfigs ||
+		(a.Counterexample == nil) != (b.Counterexample == nil) {
+		return false
+	}
+	return a.Counterexample == nil || a.Counterexample.Equal(*b.Counterexample)
+}
+
 // Range reports must be byte-identical for every worker budget: the
 // input pool collects in enumeration order and each closure is
 // explored sequentially, so only the wall clock may differ.
@@ -219,11 +231,121 @@ func TestRangeDeterministicAcrossWorkers(t *testing.T) {
 				ref.MaxConfigs, len(ref.Reports), len(ref.Failures))
 		}
 		for i := range res.Reports {
-			got, want := res.Reports[i], ref.Reports[i]
-			if !got.Input.Equal(want.Input) || got.Expected != want.Expected || got.OK != want.OK ||
-				got.Configs != want.Configs || got.StableConfigs != want.StableConfigs {
+			if got, want := res.Reports[i], ref.Reports[i]; !sameReport(got, want) {
 				t.Errorf("w=%d report %d: %+v vs w=1 %+v", workers, i, got, want)
 			}
 		}
+	}
+}
+
+// pairOrTrap is ill-specified on most inputs: pairs of i settle as d
+// (output 1), a lone agent flips i ↔ p (outputs 1 and 0), and p + d
+// falls into the trap z + z (output 0). Against φ_{i≥2} its Range
+// mixes verified inputs (x = 0, 2) with failing ones of both kinds:
+// no stable configuration at all (odd x), and stable all-d
+// configurations that the trap keeps out of reach (even x ≥ 4), whose
+// counterexample lies deep in the closure. Closures grow with x, so
+// each worker's reused closure storage meets every verdict.
+func pairOrTrap(t *testing.T) *core.Protocol {
+	t.Helper()
+	space := conf.MustSpace("i", "p", "d", "z")
+	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
+	var ts []petri.Transition
+	for _, tr := range []struct {
+		name      string
+		pre, post conf.Config
+	}{
+		{"ii", u("i").Scale(2), u("d").Scale(2)},
+		{"ip", u("i"), u("p")},
+		{"pi", u("p"), u("i")},
+		{"pd", u("p").Add(u("d")), u("z").Scale(2)},
+	} {
+		tt, err := petri.NewTransition(tr.name, tr.pre, tr.post)
+		if err != nil {
+			t.Fatalf("transition: %v", err)
+		}
+		ts = append(ts, tt)
+	}
+	net, err := petri.New(space, ts)
+	if err != nil {
+		t.Fatalf("net: %v", err)
+	}
+	p, err := core.NewProtocol("pairortrap", net, conf.New(space), []string{"i"},
+		map[string]core.Output{"i": core.Out1, "p": core.Out0, "d": core.Out1, "z": core.Out0})
+	if err != nil {
+		t.Fatalf("NewProtocol: %v", err)
+	}
+	return p
+}
+
+// Every report of a Range over failing and verified inputs must equal
+// the report Input gives for that input alone, at every worker count:
+// a closure built in a worker's reused storage never leaks into a
+// verdict, a size or a counterexample.
+func TestRangeMatchesInputOnIllSpecified(t *testing.T) {
+	p := pairOrTrap(t)
+	pred := CountingPredicate("i", 2)
+	const maxX = 9
+	var want []Report
+	var wantFailures []int
+	deep := 0 // counterexamples other than the initial configuration
+	for x := int64(0); x <= maxX; x++ {
+		input := conf.MustFromMap(p.Space(), map[string]int64{"i": x})
+		r, err := Input(p, input, pred, budget)
+		if err != nil {
+			t.Fatalf("Input(x=%d): %v", x, err)
+		}
+		if !r.OK {
+			wantFailures = append(wantFailures, int(x))
+			if !r.Counterexample.Equal(p.InitialConfig(input)) {
+				deep++
+			}
+		}
+		want = append(want, *r)
+	}
+	if fmt.Sprint(wantFailures) != "[1 3 4 5 6 7 8 9]" || deep != 3 {
+		t.Fatalf("failing inputs %v with %d deep counterexamples, want [1 3 4 5 6 7 8 9] with 3 (x = 4, 6, 8)",
+			wantFailures, deep)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b := budget
+		b.Workers = workers
+		res, err := Range(p, pred, 0, maxX, b)
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if len(res.Reports) != len(want) || fmt.Sprint(res.Failures) != fmt.Sprint(wantFailures) {
+			t.Fatalf("w=%d: %d reports, failures %v; want %d, %v",
+				workers, len(res.Reports), res.Failures, len(want), wantFailures)
+		}
+		for i, got := range res.Reports {
+			if !sameReport(got, want[i]) {
+				t.Errorf("w=%d report %d: %+v (counterexample %v), Input gives %+v (counterexample %v)",
+					workers, i, got, got.Counterexample, want[i], want[i].Counterexample)
+			}
+		}
+	}
+}
+
+// Range on a small counting instance (seven inputs), one worker. The
+// ceiling is the measured count plus about 10%: 402 allocations per
+// call when every closure was built fresh, 201 since each is built in
+// the storage of the one before.
+func TestRangeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	p, err := counting.Example42(2)
+	if err != nil {
+		t.Fatalf("Example42: %v", err)
+	}
+	b := petri.Budget{MaxConfigs: 1 << 20, Workers: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Counting(p, "i", 2, 6, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 221 {
+		t.Errorf("Range allocates %.0f times per call, ceiling 221", allocs)
 	}
 }
