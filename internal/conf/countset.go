@@ -40,10 +40,24 @@ func NewCountSet(width, capacityHint int) *CountSet {
 // Reset empties the set, keeping its arena, hashes and table for the
 // vectors inserted next: ids restart at 0. Slices returned by At
 // before the Reset are invalid after it.
+//
+// Reset costs O(Len), not O(table size): a set whose table grew for
+// one big closure resets as cheaply as a small one. It clears only the
+// occupied slots, in reverse id order. Every slot an id's probe passes
+// before its own holds a smaller id (ids are placed in increasing
+// order, by Insert and by grow alike), so when an id is cleared its
+// probe sequence is still intact and leads to its slot.
 func (s *CountSet) Reset() {
+	for id := len(s.hashes) - 1; id >= 0; id-- {
+		e := int32(id + 1)
+		i := s.hashes[id] & s.mask
+		for s.table[i] != e {
+			i = (i + 1) & s.mask
+		}
+		s.table[i] = 0
+	}
 	s.arena = s.arena[:0]
 	s.hashes = s.hashes[:0]
-	clear(s.table)
 }
 
 // Len returns the number of distinct vectors in the set.

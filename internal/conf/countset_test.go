@@ -173,3 +173,63 @@ func TestCountSetReset(t *testing.T) {
 		t.Fatal("Lookup found a vector inserted before Reset")
 	}
 }
+
+// Reset clears only the occupied slots; after thousands of inserts,
+// with growths and long probe chains among them, every slot must read
+// empty, and the inserts and lookups that follow must be exact. Each
+// round refills the kept table with a different number of vectors and
+// is checked against a map.
+func TestCountSetResetClearsTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := NewCountSet(3, 0)
+	for round, n := range []int{5000, 12, 3000, 0, 700, 9000} {
+		ref := make(map[[3]int64]int)
+		for len(ref) < n {
+			v := [3]int64{rng.Int63n(40), rng.Int63n(40), rng.Int63n(40)}
+			id, added := s.Insert(v[:])
+			want, seen := ref[v]
+			if !seen {
+				want = len(ref)
+				ref[v] = want
+			}
+			if id != want || added == seen {
+				t.Fatalf("round %d: Insert(%v) = (%d, %v), want (%d, %v)", round, v, id, added, want, !seen)
+			}
+		}
+		for v, want := range ref {
+			if id, ok := s.Lookup(v[:]); !ok || id != want {
+				t.Fatalf("round %d: Lookup(%v) = (%d, %v), want %d", round, v, id, ok, want)
+			}
+		}
+		s.Reset()
+		for i, e := range s.table {
+			if e != 0 {
+				t.Fatalf("round %d: slot %d of %d holds %d after Reset", round, i, len(s.table), e)
+			}
+		}
+		for v := range ref {
+			if _, ok := s.Lookup(v[:]); ok {
+				t.Fatalf("round %d: Lookup(%v) found a vector inserted before Reset", round, v)
+			}
+		}
+	}
+}
+
+// Reset costs O(Len), not O(table): emptying eight vectors out of a
+// 2^20-slot table should take about as long as out of a 16-slot one.
+func BenchmarkCountSetReset(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		hint int
+	}{{"table=16", 0}, {"table=2^20", 1 << 19}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewCountSet(4, c.hint)
+			for i := 0; i < b.N; i++ {
+				for v := int64(0); v < 8; v++ {
+					s.Insert([]int64{v, 1, 2, 3})
+				}
+				s.Reset()
+			}
+		})
+	}
+}

@@ -34,14 +34,25 @@ func Component(net *petri.Net, rho conf.Config, budget petri.Budget) ([]conf.Con
 // closure this says ρ's SCC is the whole closure. For configurations
 // with infinite closures the check errs on budget rather than guessing.
 func IsBottom(net *petri.Net, rho conf.Config, budget petri.Budget) (bool, error) {
+	size, err := bottomComponentSize(net, rho, budget)
+	return size > 0, err
+}
+
+// bottomComponentSize answers IsBottom and Component's size from one
+// closure: the size of ρ's T-component when ρ is T-bottom, 0 when it
+// is not. A bottom ρ's component is its whole closure, so no member
+// list is built.
+func bottomComponentSize(net *petri.Net, rho conf.Config, budget petri.Budget) (int, error) {
 	rs, err := net.Reach(rho, budget)
 	if err != nil {
-		return false, fmt.Errorf("bottom check: %w", err)
+		return 0, fmt.Errorf("bottom check: %w", err)
 	}
-	_, ncomp := graph.SCCOf(rs.CSR())
 	// ρ is bottom iff every reachable configuration is mutually
 	// reachable with ρ, i.e. the whole (finite) closure is one SCC.
-	return ncomp == 1, nil
+	if _, ncomp := graph.SCCOf(rs.CSR()); ncomp != 1 {
+		return 0, nil
+	}
+	return rs.Len(), nil
 }
 
 // BottomCert is a witness for Theorem 6.1: words σ, w, a state subset Q
@@ -93,7 +104,10 @@ type maskCandidate struct {
 	netQ   *petri.Net
 	idxMap []int
 	seen   *conf.CountSet
-	isBot  []bool
+	// botSize holds, per id in seen, the T|Q-component size of α|Q
+	// when α|Q is T|Q-bottom and 0 when it is not (or its closure
+	// exceeded the budget).
+	botSize []int
 }
 
 // ReachBottom searches constructively for a Theorem 6.1 certificate.
@@ -206,17 +220,16 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 			alpha.RestrictInto(alphaQ, mc.idxMap)
 			qid, added := mc.seen.Insert(alphaQ)
 			if added {
-				b, err := IsBottom(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.subBudget())
+				size, err := bottomComponentSize(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.subBudget())
 				if err != nil {
 					// Closure too large to certify bottomness: treat as
 					// not bottom for search purposes, but account for
 					// the skip so an exhausted search is diagnosable.
-					b = false
 					skipped++
 				}
-				mc.isBot = append(mc.isBot, b)
+				mc.botSize = append(mc.botSize, size)
 			}
-			if !mc.isBot[qid] {
+			if mc.botSize[qid] == 0 {
 				continue
 			}
 			w, beta, found := findPumpWord(net, alpha, mc.mask, pumpDepth, opts.subBudget())
@@ -231,13 +244,8 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 				// not pin its arena.
 				Alpha:         alpha.Clone(),
 				Beta:          beta,
-				ComponentSize: 0,
+				ComponentSize: mc.botSize[qid],
 			}
-			comp, err := Component(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.subBudget())
-			if err != nil {
-				return nil, err
-			}
-			cert.ComponentSize = len(comp)
 			if err := VerifyBottomCert(net, rho, cert, opts.subBudget()); err != nil {
 				return nil, fmt.Errorf("core: internal: pumping certificate failed verification: %w", err)
 			}
@@ -260,18 +268,22 @@ func (o ReachBottomOptions) subBudget() petri.Budget {
 // bottomFromCompleteClosure picks the closest reachable bottom-SCC
 // configuration as α, with Q = P and w = ε.
 func bottomFromCompleteClosure(net *petri.Net, rs *petri.ReachSet) (*BottomCert, error) {
-	comp, ncomp := graph.SCCOf(rs.CSR())
-	cond := graph.CondenseCSR(rs.CSR(), comp, ncomp)
-	bottoms := graph.BottomComponents(cond)
-	isBottom := make([]bool, ncomp)
-	for _, b := range bottoms {
-		isBottom[b] = true
+	g := rs.CSR()
+	comp, ncomp := graph.SCCOf(g)
+	// A component is bottom iff no edge leaves it.
+	exits := make([]bool, ncomp)
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, w := range g.Succ(v) {
+			if comp[w] != comp[v] {
+				exits[comp[v]] = true
+			}
+		}
 	}
 	// BFS order = increasing depth, so the first node in a bottom SCC
 	// has a shortest σ.
 	best := -1
 	for id := 0; id < rs.Len(); id++ {
-		if isBottom[comp[id]] {
+		if !exits[comp[id]] {
 			best = id
 			break
 		}
@@ -279,17 +291,22 @@ func bottomFromCompleteClosure(net *petri.Net, rs *petri.ReachSet) (*BottomCert,
 	if best < 0 {
 		return nil, errors.New("core: internal: complete closure has no bottom SCC")
 	}
+	size := 0
+	for _, c := range comp {
+		if c == comp[best] {
+			size++
+		}
+	}
 	// Clone: the certificate outlives the closure and must not pin its
 	// arena.
 	alpha := rs.Config(best).Clone()
-	members := graph.Members(comp, ncomp)
 	return &BottomCert{
 		Sigma:         rs.PathTo(best),
 		W:             nil,
 		Q:             net.Space().Names(),
 		Alpha:         alpha,
 		Beta:          alpha,
-		ComponentSize: len(members[comp[best]]),
+		ComponentSize: size,
 	}, nil
 }
 
@@ -400,7 +417,14 @@ func VerifyBottomCert(net *petri.Net, rho conf.Config, cert *BottomCert, budget 
 	if err != nil {
 		return err
 	}
-	if !alpha.Restrict(qSpace).Equal(beta.Restrict(qSpace)) {
+	// With Q = P the restrictions are the identity: check α, β and the
+	// net itself rather than rebuilding the net and its index.
+	wholeP := qSpace.Equal(space)
+	alphaQ, betaQ := alpha, beta
+	if !wholeP {
+		alphaQ, betaQ = alpha.Restrict(qSpace), beta.Restrict(qSpace)
+	}
+	if !alphaQ.Equal(betaQ) {
 		return errors.New("core: α|Q ≠ β|Q")
 	}
 	inQ := make(map[string]bool, len(cert.Q))
@@ -415,23 +439,21 @@ func VerifyBottomCert(net *petri.Net, rho conf.Config, cert *BottomCert, budget 
 			return fmt.Errorf("core: state %q not pumped: α=%d β=%d", space.Name(i), alpha.Get(i), beta.Get(i))
 		}
 	}
-	netQ, err := net.Restrict(qSpace)
+	netQ := net
+	if !wholeP {
+		if netQ, err = net.Restrict(qSpace); err != nil {
+			return err
+		}
+	}
+	size, err := bottomComponentSize(netQ, alphaQ, budget)
 	if err != nil {
 		return err
 	}
-	bot, err := IsBottom(netQ, alpha.Restrict(qSpace), budget)
-	if err != nil {
-		return err
-	}
-	if !bot {
+	if size == 0 {
 		return errors.New("core: α|Q is not T|Q-bottom")
 	}
-	comp, err := Component(netQ, alpha.Restrict(qSpace), budget)
-	if err != nil {
-		return err
-	}
-	if len(comp) != cert.ComponentSize {
-		return fmt.Errorf("core: component size %d, certificate says %d", len(comp), cert.ComponentSize)
+	if size != cert.ComponentSize {
+		return fmt.Errorf("core: component size %d, certificate says %d", size, cert.ComponentSize)
 	}
 	return nil
 }

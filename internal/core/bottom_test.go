@@ -166,6 +166,51 @@ func TestVerifyBottomCertRejectsTampering(t *testing.T) {
 	if err := VerifyBottomCert(net, rho, nil, budget); err == nil {
 		t.Error("nil certificate accepted")
 	}
+
+	// Q = P, checked on the net itself: α = a can leave for c and
+	// never come back, so it is not bottom whatever size is claimed.
+	space3 := conf.MustSpace("a", "b", "c")
+	u3 := func(n string) conf.Config { return conf.MustUnit(space3, n) }
+	exit := mkNet(t, space3,
+		mkTr(t, "ab", u3("a"), u3("b")),
+		mkTr(t, "ba", u3("b"), u3("a")),
+		mkTr(t, "bc", u3("b"), u3("c")),
+	)
+	notBottom := &BottomCert{Q: space3.Names(), Alpha: u3("a"), Beta: u3("a"), ComponentSize: 2}
+	wantRejected(t, "Q = P, non-bottom α", VerifyBottomCert(exit, u3("a"), notBottom, budget), "not T|Q-bottom")
+
+	// Q ⊂ P, checked on the restricted net T|Q: the pump net's
+	// certificate with a wrong size, and a pumping certificate whose
+	// α|Q = a can leave for c under T|Q.
+	pump := mkNet(t, space,
+		mkTr(t, "pump", u("a"), u("a").Add(u("b"))),
+	)
+	cert, err = ReachBottom(pump, u("a"), ReachBottomOptions{Budget: budget})
+	if err != nil {
+		t.Fatalf("ReachBottom(pump): %v", err)
+	}
+	if len(cert.Q) != 1 || cert.ComponentSize != 1 {
+		t.Fatalf("pump certificate Q = %v, size %d; want [a], 1", cert.Q, cert.ComponentSize)
+	}
+	bad = *cert
+	bad.ComponentSize = 2
+	wantRejected(t, "Q ⊂ P, wrong size", VerifyBottomCert(pump, u("a"), &bad, budget), "component size 1")
+
+	leak := mkNet(t, space3,
+		mkTr(t, "pump", u3("a"), u3("a").Add(u3("b"))),
+		mkTr(t, "leak", u3("a"), u3("c")),
+	)
+	pumped := &BottomCert{W: []int{0}, Q: []string{"a", "c"}, Alpha: u3("a"), Beta: u3("a").Add(u3("b")), ComponentSize: 1}
+	wantRejected(t, "Q ⊂ P, non-bottom α|Q", VerifyBottomCert(leak, u3("a"), pumped, budget), "not T|Q-bottom")
+}
+
+func wantRejected(t *testing.T, what string, err error, reason string) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s: certificate accepted", what)
+	} else if !strings.Contains(err.Error(), reason) {
+		t.Errorf("%s: rejected with %q, want %q", what, err, reason)
+	}
 }
 
 func TestReachBottomOnExample42(t *testing.T) {

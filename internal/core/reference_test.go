@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/conf"
+	"repro/internal/graph"
 	"repro/internal/petri"
 )
 
@@ -25,7 +27,7 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 	if reachErr == nil {
 		// Complete closure: Q = P and any reachable bottom-SCC member is
 		// a T-bottom configuration.
-		cert, err := bottomFromCompleteClosure(net, rs)
+		cert, err := referenceBottomFromCompleteClosure(net, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -86,9 +88,10 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 
 	skipped := 0 // distinct (Q, α|Q) bottom checks lost to the budget
 	scratchQ := make([]int64, maxQ)
+	isBot := make([][]bool, len(candidates)) // per candidate, by id in seen
 	for id := 0; id < rs.Len() && id < maxCand; id++ {
 		alpha := rs.Config(id)
-		for _, mc := range candidates {
+		for ci, mc := range candidates {
 			alphaQ := scratchQ[:mc.qSpace.Len()]
 			alpha.RestrictInto(alphaQ, mc.idxMap)
 			qid, added := mc.seen.Insert(alphaQ)
@@ -101,9 +104,9 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 					b = false
 					skipped++
 				}
-				mc.isBot = append(mc.isBot, b)
+				isBot[ci] = append(isBot[ci], b)
 			}
-			if !mc.isBot[qid] {
+			if !isBot[ci][qid] {
 				continue
 			}
 			w, beta, found := findPumpWord(net, alpha, mc.mask, pumpDepth, opts.subBudget())
@@ -135,6 +138,37 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 		return nil, fmt.Errorf("%w (%d distinct (Q, α|Q) bottom checks hit the closure budget; raise SubBudget.MaxConfigs)", ErrNoBottom, skipped)
 	}
 	return nil, ErrNoBottom
+}
+
+// referenceBottomFromCompleteClosure is bottomFromCompleteClosure by
+// way of the deduplicated condensation and every component's member
+// list: the bounded branch's oracle.
+func referenceBottomFromCompleteClosure(net *petri.Net, rs *petri.ReachSet) (*BottomCert, error) {
+	comp, ncomp := graph.SCCOf(rs.CSR())
+	cond := graph.CondenseCSR(rs.CSR(), comp, ncomp)
+	isBottom := make([]bool, ncomp)
+	for _, b := range graph.BottomComponents(cond) {
+		isBottom[b] = true
+	}
+	best := -1
+	for id := 0; id < rs.Len(); id++ {
+		if isBottom[comp[id]] {
+			best = id
+			break
+		}
+	}
+	if best < 0 {
+		return nil, errors.New("core: internal: complete closure has no bottom SCC")
+	}
+	alpha := rs.Config(best).Clone()
+	members := graph.Members(comp, ncomp)
+	return &BottomCert{
+		Sigma:         rs.PathTo(best),
+		Q:             net.Space().Names(),
+		Alpha:         alpha,
+		Beta:          alpha,
+		ComponentSize: len(members[comp[best]]),
+	}, nil
 }
 
 // ReferenceReachBottom exposes the oracle to the external test package,

@@ -44,26 +44,44 @@ func (g CSR) Succ(v int) []int32 { return g.Dst[g.Off[v]:g.Off[v+1]] }
 // Reverse returns the reversed graph in CSR form, built with a
 // counting sort — two passes over the edge array, no per-node slices.
 func (g CSR) Reverse() CSR {
+	r, _ := g.ReverseInto(CSR{}, nil)
+	return r
+}
+
+// ReverseInto is Reverse building the reversed graph in r's arrays and
+// using cursor as the counting sort's per-node scratch, each reused
+// when its capacity suffices and reallocated otherwise. It returns the
+// reversed graph and the cursor for the next call; r's previous
+// contents are overwritten.
+func (g CSR) ReverseInto(r CSR, cursor []int32) (CSR, []int32) {
 	n := g.NumNodes()
-	r := CSR{
-		Off: make([]int32, n+1),
-		Dst: make([]int32, len(g.Dst)),
-	}
+	r.Off = resize(r.Off, n+1)
+	clear(r.Off)
+	r.Dst = resize(r.Dst, len(g.Dst))
 	for _, w := range g.Dst {
 		r.Off[w+1]++
 	}
 	for v := 0; v < n; v++ {
 		r.Off[v+1] += r.Off[v]
 	}
-	next := make([]int32, n)
-	copy(next, r.Off[:n])
+	cursor = resize(cursor, n)
+	copy(cursor, r.Off[:n])
 	for v := 0; v < n; v++ {
 		for _, w := range g.Succ(v) {
-			r.Dst[next[w]] = int32(v)
-			next[w]++
+			r.Dst[cursor[w]] = int32(v)
+			cursor[w]++
 		}
 	}
-	return r
+	return r, cursor
+}
+
+// resize returns s with length n, reusing its array when the capacity
+// suffices. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SCC computes the strongly connected components of the graph given as
@@ -224,33 +242,35 @@ func CanReach(adj [][]int, targets []int) []bool {
 // the result buffer (cleared first) so repeated passes over one graph
 // allocate nothing beyond the queue.
 func ReachableFrom(g CSR, sources []int, reach []bool) []bool {
+	reach, _ = ReachableFromInto(g, sources, reach, nil)
+	return reach
+}
+
+// ReachableFromInto is ReachableFrom with a reusable BFS queue: reach
+// and queue are reused when their capacity suffices and reallocated
+// otherwise. It returns the result and the queue for the next call.
+// The queue is read through a head index, so it never holds more than
+// one slot per node.
+func ReachableFromInto(g CSR, sources []int, reach []bool, queue []int32) ([]bool, []int32) {
 	n := g.NumNodes()
-	if cap(reach) >= n {
-		reach = reach[:n]
-		for i := range reach {
-			reach[i] = false
-		}
-	} else {
-		reach = make([]bool, n)
-	}
-	queue := make([]int32, 0, len(sources))
+	reach = resize(reach, n)
+	clear(reach)
+	queue = resize(queue, n)[:0]
 	for _, s := range sources {
 		if !reach[s] {
 			reach[s] = true
 			queue = append(queue, int32(s))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Succ(int(v)) {
+	for head := 0; head < len(queue); head++ {
+		for _, w := range g.Succ(int(queue[head])) {
 			if !reach[w] {
 				reach[w] = true
 				queue = append(queue, w)
 			}
 		}
 	}
-	return reach
+	return reach, queue
 }
 
 // Reverse returns the reversed adjacency lists.

@@ -186,8 +186,12 @@ func TestCSRRoundTrip(t *testing.T) {
 	}
 }
 
+// ReverseInto carries its arrays from trial to trial, over graphs
+// that grow and shrink, and must still equal the fresh Reverse.
 func TestCSRReverseMatchesReverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var reused CSR
+	var cursor []int32
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(12)
 		adj := make([][]int, n)
@@ -199,17 +203,22 @@ func TestCSRReverseMatchesReverse(t *testing.T) {
 			}
 		}
 		want := Reverse(adj)
-		got := NewCSR(adj).Reverse()
-		for v := 0; v < n; v++ {
-			succ := got.Succ(v)
-			if len(succ) != len(want[v]) {
-				t.Fatalf("reverse Succ(%d) = %v, want %v", v, succ, want[v])
+		reused, cursor = NewCSR(adj).ReverseInto(reused, cursor)
+		for _, got := range []CSR{NewCSR(adj).Reverse(), reused} {
+			if got.NumNodes() != n {
+				t.Fatalf("reverse has %d nodes, want %d", got.NumNodes(), n)
 			}
-			// Reverse (adjacency) emits sources in increasing v order,
-			// which is exactly the counting-sort order of CSR.Reverse.
-			for i := range succ {
-				if int(succ[i]) != want[v][i] {
+			for v := 0; v < n; v++ {
+				succ := got.Succ(v)
+				if len(succ) != len(want[v]) {
 					t.Fatalf("reverse Succ(%d) = %v, want %v", v, succ, want[v])
+				}
+				// Reverse (adjacency) emits sources in increasing v order,
+				// which is exactly the counting-sort order of CSR.Reverse.
+				for i := range succ {
+					if int(succ[i]) != want[v][i] {
+						t.Fatalf("reverse Succ(%d) = %v, want %v", v, succ, want[v])
+					}
 				}
 			}
 		}
@@ -218,7 +227,8 @@ func TestCSRReverseMatchesReverse(t *testing.T) {
 
 func TestReachableFromMatchesCanReach(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var buf []bool
+	var buf, intoBuf []bool
+	var queue []int32
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(12)
 		adj := make([][]int, n)
@@ -237,9 +247,13 @@ func TestReachableFromMatchesCanReach(t *testing.T) {
 		}
 		want := CanReach(adj, targets)
 		buf = ReachableFrom(NewCSR(adj).Reverse(), targets, buf) // reused buffer
+		intoBuf, queue = ReachableFromInto(NewCSR(adj).Reverse(), targets, intoBuf, queue)
+		if len(buf) != n || len(intoBuf) != n {
+			t.Fatalf("results have %d and %d nodes, want %d", len(buf), len(intoBuf), n)
+		}
 		for v := range want {
-			if want[v] != buf[v] {
-				t.Fatalf("node %d: CanReach=%v ReachableFrom=%v", v, want[v], buf[v])
+			if want[v] != buf[v] || want[v] != intoBuf[v] {
+				t.Fatalf("node %d: CanReach=%v ReachableFrom=%v ReachableFromInto=%v", v, want[v], buf[v], intoBuf[v])
 			}
 		}
 	}

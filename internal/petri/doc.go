@@ -35,12 +35,14 @@
 // old's CountSet (emptied by CountSet.Reset, its table kept) and in
 // old's edge and tree arrays, and from then on old and every view
 // taken from it — Config, CSR, Edges, the configurations ForEach
-// passes — read the new closure's memory and are invalid. Reuse is
-// the caller's choice alone: Reach and StartReach always build fresh
+// passes — read the new closure's memory and are invalid; the BFS
+// driver and its scratch buffer are reused with them. Reuse is the
+// caller's choice alone: Reach and StartReach always build fresh
 // (they are ReachReusing's set-up with old = nil), Release does not
-// recycle anything, and no closure storage is pooled across callers.
-// A caller that reuses copies out whatever must outlive the next
-// build, as verify.Range's workers do with each report.
+// recycle anything, and petri pools nothing. A caller that reuses
+// copies out whatever must outlive the next build. verify keeps its
+// closures in a private pool of workspaces that never hands storage
+// out: its reports copy their input and counterexample.
 //
 // Budgets (Budget.MaxConfigs, depth and agent caps) truncate
 // deterministically: the closure returns with exactly the budgeted

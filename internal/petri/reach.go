@@ -113,8 +113,11 @@ type ReachSet struct {
 	via     []int32 // transition fired from parent, −1 at the root
 	depth   []int32
 
-	// grow is the BFS driver; nil once growth has ended.
+	// grow is the BFS driver; nil once growth has ended. It points to
+	// exp, which outlives growth so that ReachReusing can reuse its
+	// scratch buffer.
 	grow *expander
+	exp  expander
 	// trunc is the error a truncated closure reports: a wrapped
 	// ErrBudget or ErrCancelled, set when growth ends.
 	trunc error
@@ -174,6 +177,10 @@ func (n *Net) startReach(old *ReachSet, from conf.Config, budget Budget) (*Reach
 		set.Reset()
 	}
 	set.Insert(from.RawCounts())
+	scratch := rs.exp.scratch
+	if cap(scratch) < d {
+		scratch = make([]int64, d)
+	}
 	*rs = ReachSet{
 		net:     n,
 		set:     set,
@@ -184,13 +191,14 @@ func (n *Net) startReach(old *ReachSet, from conf.Config, budget Budget) (*Reach
 		via:     append(rs.via[:0], -1),
 		depth:   append(rs.depth[:0], 0),
 	}
-	rs.grow = &expander{
+	rs.exp = expander{
 		rs:         rs,
 		idx:        n.Index(),
 		budget:     budget,
 		maxConfigs: budget.maxConfigs(), // int32-clamped
-		scratch:    make([]int64, d),
+		scratch:    scratch[:d],
 	}
+	rs.grow = &rs.exp
 	return rs, nil
 }
 

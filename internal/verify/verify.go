@@ -18,10 +18,17 @@
 // like the simulator's trial pool — the caller plus helpers claiming
 // inputs through one atomic index — and collects reports in
 // enumeration order, so tables and first-error semantics never depend
-// on scheduling. Each Range worker builds every closure in the storage
-// of its previous one (petri.Net.ReachReusing); reports copy out what
-// they keep, so nothing returned aliases a worker's storage. Input
-// builds fresh.
+// on scheduling.
+//
+// Every check runs in a workspace taken from a package-private
+// sync.Pool for the call — one per Range worker, the caller's
+// included, and one per Input — and put back at its end: the last
+// closure (rebuilt in place by petri.Net.ReachReusing), the reverse
+// CSR, the BFS queue, the bad and stable id lists and the visit
+// arrays. A workspace keeps the size of the largest input it served,
+// so a job settles to no allocation beyond what its reports keep.
+// Reports copy out their input and counterexample; nothing returned
+// aliases pooled storage.
 package verify
 
 import (
@@ -73,30 +80,50 @@ type Report struct {
 // reverse graph is built once and no per-node adjacency slices are
 // allocated.
 func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget) (*Report, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
 	report := new(Report)
-	if _, err := check(p, input, pred, budget, nil, report); err != nil {
+	if err := check(p, input.Clone(), pred, budget, ws, report); err != nil {
 		return nil, err
 	}
 	return report, nil
 }
 
-// check is Input writing into report, with the closure built in the
-// storage of ws (see petri.Net.ReachReusing; nil builds fresh). It
-// returns the closure, also on error, for the caller's next check to
-// reuse; nothing in report aliases it.
-func check(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget, ws *petri.ReachSet, report *Report) (*petri.ReachSet, error) {
+// workspace is the storage one check builds in and the next reuses.
+// Its arrays grow to the largest input served, so a job whose inputs
+// grow with x reallocates only until it has met its largest one.
+type workspace struct {
+	rs           *petri.ReachSet
+	radj         graph.CSR
+	cursor       []int32
+	queue        []int32
+	bad, stable  []int
+	reachesBad   []bool
+	canStabilize []bool
+}
+
+// workspaces recycles workspaces across Input and Range calls. A
+// workspace never leaves this package: check copies out everything a
+// report keeps, so no result aliases pooled storage.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// check is Input writing into report, with the closure and every
+// intermediate built in the storage of ws. Nothing in report aliases
+// ws; report.Input is input itself, which the caller hands over.
+func check(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget, ws *workspace, report *Report) error {
 	expected := pred(input)
 	initial := p.InitialConfig(input)
-	rs, err := p.Net().ReachReusing(ws, initial, budget)
+	rs, err := p.Net().ReachReusing(ws.rs, initial, budget)
+	ws.rs = rs
 	if err != nil {
-		return rs, fmt.Errorf("verify %v: %w", input, err)
+		return fmt.Errorf("verify %v: %w", input, err)
 	}
-	radj := rs.CSR().Reverse()
+	ws.radj, ws.cursor = rs.CSR().ReverseInto(ws.radj, ws.cursor)
 
 	// A node is "bad" for output j when its own output set already
 	// violates S_j membership; a node is in S_j iff it cannot reach a
 	// bad node (the closure is forward-closed, so this is exact).
-	var bad []int
+	ws.bad = ws.bad[:0]
 	for id := 0; id < rs.Len(); id++ {
 		out := p.OutputOf(rs.Config(id))
 		violates := out != core.Set1
@@ -104,39 +131,39 @@ func check(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Bud
 			violates = out&(core.SetStar|core.Set1) != 0
 		}
 		if violates {
-			bad = append(bad, id)
+			ws.bad = append(ws.bad, id)
 		}
 	}
-	reachesBad := graph.ReachableFrom(radj, bad, nil)
-	var stable []int
+	ws.reachesBad, ws.queue = graph.ReachableFromInto(ws.radj, ws.bad, ws.reachesBad, ws.queue)
+	ws.stable = ws.stable[:0]
 	for id := 0; id < rs.Len(); id++ {
-		if !reachesBad[id] {
-			stable = append(stable, id)
+		if !ws.reachesBad[id] {
+			ws.stable = append(ws.stable, id)
 		}
 	}
 	*report = Report{
-		Input:         input.Clone(),
+		Input:         input,
 		Expected:      expected,
 		Configs:       rs.Len(),
-		StableConfigs: len(stable),
+		StableConfigs: len(ws.stable),
 	}
-	if len(stable) == 0 {
+	if len(ws.stable) == 0 {
 		report.OK = false
 		c := rs.Config(0).Clone() // detach from the closure arena
 		report.Counterexample = &c
-		return rs, nil
+		return nil
 	}
-	canStabilize := graph.ReachableFrom(radj, stable, reachesBad)
+	ws.canStabilize, ws.queue = graph.ReachableFromInto(ws.radj, ws.stable, ws.canStabilize, ws.queue)
 	report.OK = true
 	for id := 0; id < rs.Len(); id++ {
-		if !canStabilize[id] {
+		if !ws.canStabilize[id] {
 			report.OK = false
 			c := rs.Config(id).Clone() // detach from the closure arena
 			report.Counterexample = &c
 			break
 		}
 	}
-	return rs, nil
+	return nil
 }
 
 // RangeResult aggregates the verification of many inputs.
@@ -198,7 +225,8 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 	var next, minFailed atomic.Int64
 	minFailed.Store(int64(len(inputs)))
 	work := func() {
-		var ws *petri.ReachSet
+		ws := workspaces.Get().(*workspace)
+		defer workspaces.Put(ws)
 		for {
 			i := next.Add(1) - 1
 			if i >= int64(len(inputs)) || i > minFailed.Load() {
@@ -206,7 +234,7 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 			}
 			embedded, err := inputs[i].Embed(p.Space())
 			if err == nil {
-				ws, err = check(p, embedded, pred, budget, ws, &reports[i])
+				err = check(p, embedded, pred, budget, ws, &reports[i])
 			}
 			if err == nil {
 				continue
