@@ -66,40 +66,6 @@ func BenchmarkAblationCoverForwardWitness(b *testing.B) {
 	}
 }
 
-// Ablation: reachability-closure cost with and without an agent cap —
-// quantifies why Budget.MaxAgents exists for non-conservative nets
-// (conservative nets pay only the pruning-check overhead).
-func BenchmarkAblationClosureUncapped(b *testing.B) {
-	p, err := counting.Example42(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	from := p.InitialConfig(conf.MustFromMap(p.Space(), map[string]int64{"i": 5}))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Net().Reach(from, petri.Budget{MaxConfigs: 1 << 18}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationClosureAgentCapped(b *testing.B) {
-	p, err := counting.Example42(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	from := p.InitialConfig(conf.MustFromMap(p.Space(), map[string]int64{"i": 5}))
-	cap := from.Agents() // conservative: cap is never exceeded
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Net().Reach(from, petri.Budget{MaxConfigs: 1 << 18, MaxAgents: cap}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Ablation: closure-substrate dedup — the seed-era string-keyed map
 // (conf.Config.Key materialized per lookup, one Config allocation per
 // attempted fire, per-node Clone semantics) against the arena-backed

@@ -13,7 +13,6 @@ package conf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -139,12 +138,4 @@ func (s *Space) Equal(t *Space) bool {
 		}
 	}
 	return true
-}
-
-// SortedNames returns the state names in lexicographic order. It is used
-// by deterministic printers.
-func (s *Space) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
-	return out
 }

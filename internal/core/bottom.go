@@ -81,16 +81,10 @@ var ErrNoBottom = errors.New("core: bottom-configuration search exhausted withou
 
 // ReachBottomOptions tunes the certificate search.
 type ReachBottomOptions struct {
-	// Closure budget for the top-level forward exploration from ρ.
+	// Budget bounds every closure of the search: the top-level forward
+	// exploration from ρ, the Karp–Miller tree, the T|Q closures of the
+	// bottom checks and the BFS for the pumping word w.
 	Budget petri.Budget
-	// SubBudget bounds the T|Q closures used for bottom checks. Zero
-	// applies Budget.
-	SubBudget petri.Budget
-	// PumpDepth bounds the BFS searching for the pumping word w. Zero
-	// means 4·|P|.
-	PumpDepth int
-	// MaxCandidates bounds how many visited α are tried. Zero means all.
-	MaxCandidates int
 }
 
 // maskCandidate is the per-candidate-Q state of the certificate
@@ -152,7 +146,7 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 		if err != nil {
 			return nil, err
 		}
-		if err := VerifyBottomCert(net, rho, cert, opts.subBudget()); err != nil {
+		if err := VerifyBottomCert(net, rho, cert, opts.Budget); err != nil {
 			return nil, fmt.Errorf("core: internal: bounded certificate failed verification: %w", err)
 		}
 		return cert, nil
@@ -198,16 +192,10 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 		return nil, ErrNoBottom
 	}
 
-	pumpDepth := opts.PumpDepth
-	if pumpDepth <= 0 {
-		pumpDepth = 4 * space.Len()
-	}
-
 	skipped := 0 // distinct (Q, α|Q) bottom checks lost to the budget
 	scratchQ := make([]int64, maxQ)
-	// Without MaxCandidates every node up to the closure's truncation
-	// point is a candidate.
-	for id := 0; opts.MaxCandidates <= 0 || id < opts.MaxCandidates; id++ {
+	// Every node up to the closure's truncation point is a candidate.
+	for id := 0; ; id++ {
 		for id >= rs.Len() && !done {
 			done = rs.Grow()
 		}
@@ -220,7 +208,7 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 			alpha.RestrictInto(alphaQ, mc.idxMap)
 			qid, added := mc.seen.Insert(alphaQ)
 			if added {
-				size, err := bottomComponentSize(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.subBudget())
+				size, err := bottomComponentSize(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.Budget)
 				if err != nil {
 					// Closure too large to certify bottomness: treat as
 					// not bottom for search purposes, but account for
@@ -232,7 +220,7 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 			if mc.botSize[qid] == 0 {
 				continue
 			}
-			w, beta, found := findPumpWord(net, alpha, mc.mask, pumpDepth, opts.subBudget())
+			w, beta, found := findPumpWord(net, alpha, mc.mask, opts.Budget)
 			if !found {
 				continue
 			}
@@ -246,23 +234,16 @@ func ReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptions) (*Bot
 				Beta:          beta,
 				ComponentSize: mc.botSize[qid],
 			}
-			if err := VerifyBottomCert(net, rho, cert, opts.subBudget()); err != nil {
+			if err := VerifyBottomCert(net, rho, cert, opts.Budget); err != nil {
 				return nil, fmt.Errorf("core: internal: pumping certificate failed verification: %w", err)
 			}
 			return cert, nil
 		}
 	}
 	if skipped > 0 {
-		return nil, fmt.Errorf("%w (%d distinct (Q, α|Q) bottom checks hit the closure budget; raise SubBudget.MaxConfigs)", ErrNoBottom, skipped)
+		return nil, fmt.Errorf("%w (%d distinct (Q, α|Q) bottom checks hit the closure budget; raise Budget.MaxConfigs)", ErrNoBottom, skipped)
 	}
 	return nil, ErrNoBottom
-}
-
-func (o ReachBottomOptions) subBudget() petri.Budget {
-	if o.SubBudget == (petri.Budget{}) {
-		return o.Budget
-	}
-	return o.SubBudget
 }
 
 // bottomFromCompleteClosure picks the closest reachable bottom-SCC
@@ -310,14 +291,15 @@ func bottomFromCompleteClosure(net *petri.Net, rs *petri.ReachSet) (*BottomCert,
 	}, nil
 }
 
-// findPumpWord searches breadth-first from α for a word w with
-// β|Q = α|Q and β(p) > α(p) for every p outside Q. The visited set is
-// the same arena-backed integer-hash substrate as the closure engine;
-// firing runs through a scratch buffer, so the search allocates only
-// the arena itself.
-func findPumpWord(net *petri.Net, alpha conf.Config, qMask []bool, maxDepth int, budget petri.Budget) ([]int, conf.Config, bool) {
+// findPumpWord searches breadth-first from α, over words of length at
+// most 4·|P|, for a word w with β|Q = α|Q and β(p) > α(p) for every p
+// outside Q. The visited set is the same arena-backed integer-hash
+// substrate as the closure engine; firing runs through a scratch
+// buffer, so the search allocates only the arena itself.
+func findPumpWord(net *petri.Net, alpha conf.Config, qMask []bool, budget petri.Budget) ([]int, conf.Config, bool) {
 	space := net.Space()
 	d := space.Len()
+	maxDepth := int32(4 * d)
 	idx := net.Index()
 	alphaCounts := alpha.RawCounts()
 
@@ -354,7 +336,7 @@ func findPumpWord(net *petri.Net, alpha conf.Config, qMask []bool, maxDepth int,
 		maxConfigs = 1<<31 - 1
 	}
 	for head := 0; head < set.Len(); head++ {
-		if int(depth[head]) >= maxDepth {
+		if depth[head] >= maxDepth {
 			continue
 		}
 		cur := set.At(head)

@@ -233,50 +233,3 @@ func TestReachBottomOnExample42(t *testing.T) {
 		}
 	}
 }
-
-// When every candidate bottom check dies on the sub-closure budget,
-// the exhausted search must say how many checks were skipped instead
-// of silently reporting "no certificate": that count is the signal
-// that SubBudget — not the instance — is what failed.
-func TestReachBottomReportsSkippedBudgetChecks(t *testing.T) {
-	// pump makes b unbounded (so the Karp–Miller path runs, with
-	// Q = {a, c, d}); the c ⇄ d shuffle gives every α|Q a 3-node
-	// T|Q-closure, above the deliberately tiny SubBudget.
-	space := conf.MustSpace("a", "b", "c", "d")
-	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
-	net := mkNet(t, space,
-		mkTr(t, "pump", u("a"), u("a").Add(u("b"))),
-		mkTr(t, "cd", u("c"), u("d")),
-		mkTr(t, "dc", u("d"), u("c")),
-	)
-	rho := u("a").Add(u("c").Scale(2))
-	_, err := ReachBottom(net, rho, ReachBottomOptions{
-		Budget:    petri.Budget{MaxConfigs: 64},
-		SubBudget: petri.Budget{MaxConfigs: 2},
-	})
-	if !errors.Is(err, ErrNoBottom) {
-		t.Fatalf("err = %v, want ErrNoBottom", err)
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "bottom checks hit the closure budget") {
-		t.Errorf("error does not surface the skipped checks: %q", msg)
-	}
-	// The distinct α|Q values are the three c/d splits of (1, ·, ·).
-	if !strings.Contains(msg, "(3 distinct") {
-		t.Errorf("error does not carry the skip count: %q", msg)
-	}
-
-	// With an adequate sub-budget the same instance yields a verified
-	// certificate — proving the skip accounting pointed at the right
-	// knob.
-	cert, err := ReachBottom(net, rho, ReachBottomOptions{
-		Budget:    petri.Budget{MaxConfigs: 64},
-		SubBudget: petri.Budget{MaxConfigs: 1 << 10},
-	})
-	if err != nil {
-		t.Fatalf("adequate sub-budget: %v", err)
-	}
-	if err := VerifyBottomCert(net, rho, cert, petri.Budget{MaxConfigs: 1 << 10}); err != nil {
-		t.Errorf("certificate rejected: %v", err)
-	}
-}

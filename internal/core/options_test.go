@@ -8,8 +8,9 @@ import (
 	"repro/internal/petri"
 )
 
-// ReachBottomOptions knobs: SubBudget defaulting, MaxCandidates and
-// PumpDepth limits, and the failure mode when the search is starved.
+// ReachBottomOptions has one knob, the Budget bounding every closure
+// of the search: a generous one yields a pumping certificate, a
+// starved one an explicit error.
 func TestReachBottomOptionKnobs(t *testing.T) {
 	space := conf.MustSpace("a", "b")
 	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
@@ -19,21 +20,12 @@ func TestReachBottomOptionKnobs(t *testing.T) {
 	rho := u("a")
 
 	// Generous budget: certificate found.
-	cert, err := ReachBottom(net, rho, ReachBottomOptions{
-		Budget:    petri.Budget{MaxConfigs: 64},
-		SubBudget: petri.Budget{MaxConfigs: 128},
-		PumpDepth: 2,
-	})
+	cert, err := ReachBottom(net, rho, ReachBottomOptions{Budget: petri.Budget{MaxConfigs: 64}})
 	if err != nil {
 		t.Fatalf("ReachBottom: %v", err)
 	}
 	if len(cert.W) == 0 {
 		t.Error("expected a pumping word")
-	}
-
-	// PumpDepth 0 defaults to 4|P| and still succeeds.
-	if _, err := ReachBottom(net, rho, ReachBottomOptions{Budget: petri.Budget{MaxConfigs: 64}}); err != nil {
-		t.Errorf("default PumpDepth failed: %v", err)
 	}
 
 	// Karp–Miller starved by a tiny node budget: explicit error, not a

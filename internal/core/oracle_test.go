@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/conf"
@@ -20,8 +22,8 @@ type bottomInstance struct {
 }
 
 // bottomInstances returns E8's four instances, the protocols of the
-// integration test's certificate check, and a pump net with a c ⇄ d
-// shuffle whose bottom checks a starved SubBudget skips.
+// integration test's certificate check, a pump net beside a c ⇄ d
+// shuffle, and the instance whose bottom checks outgrow its budget.
 func bottomInstances(t testing.TB) []bottomInstance {
 	t.Helper()
 	var out []bottomInstance
@@ -72,7 +74,78 @@ func bottomInstances(t testing.TB) []bottomInstance {
 		mustTr(t, "cd", u4("c"), u4("d")),
 		mustTr(t, "dc", u4("d"), u4("c")),
 	), u4("a").Add(u4("c").Scale(2)), 1 << 12})
+
+	net, rho := skippedChecksInstance(t)
+	out = append(out, bottomInstance{"skippedChecks", net, rho, 1 << 10})
 	return out
+}
+
+// skippedChecksInstance returns a net and ρ on which ReachBottom at
+// MaxConfigs 64 skips bottom checks for the budget and ends without a
+// certificate, and at 1 << 10 finds one. One Budget bounds the
+// top-level closure, the Karp–Miller tree and the T|Q closures alike,
+// so the instance makes a T|Q closure larger than the other two. From
+// x the net either drops 70 c's beside a2, where the c ⇄ d shuffle
+// stays frozen because its catalyst b is never made, or starts
+// a1 + y1, where a1 pumps b while y walks a chain of length 14.
+// Q = P∖{b} drops the catalyst, so the T|Q closure of any α|Q holding
+// the c's has 71 shuffle states, while the Karp–Miller tree stays
+// under 64 nodes. The a1 candidates are not T|Q-bottom before y
+// reaches the end of its chain, which lies beyond the budgeted
+// closure's wide (y, b) grid.
+func skippedChecksInstance(t testing.TB) (*petri.Net, conf.Config) {
+	t.Helper()
+	const n, chain = 70, 14
+	names := []string{"x", "a1", "a2", "b", "c", "d"}
+	for i := 1; i <= chain; i++ {
+		names = append(names, fmt.Sprintf("y%d", i))
+	}
+	space := conf.MustSpace(names...)
+	u := func(s string) conf.Config { return conf.MustUnit(space, s) }
+	trs := []petri.Transition{
+		mustTr(t, "drop", u("x"), u("a2").Add(u("c").Scale(n))),
+		mustTr(t, "start", u("x"), u("a1").Add(u("y1"))),
+		mustTr(t, "pump", u("a1"), u("a1").Add(u("b"))),
+		mustTr(t, "cd", u("b").Add(u("c")), u("b").Add(u("d"))),
+		mustTr(t, "dc", u("d"), u("c")),
+	}
+	for i := 1; i < chain; i++ {
+		trs = append(trs, mustTr(t, fmt.Sprintf("step%d", i), u(fmt.Sprintf("y%d", i)), u(fmt.Sprintf("y%d", i+1))))
+	}
+	return mustNet(t, space, trs...), u("x")
+}
+
+// When bottom checks die on the closure budget and no candidate yields
+// a certificate, the exhausted search must say how many checks were
+// skipped instead of silently reporting "no certificate": that count
+// is the signal that the budget — not the instance — is what failed.
+func TestReachBottomReportsSkippedBudgetChecks(t *testing.T) {
+	net, rho := skippedChecksInstance(t)
+	_, err := core.ReachBottom(net, rho, core.ReachBottomOptions{Budget: petri.Budget{MaxConfigs: 64}})
+	if !errors.Is(err, core.ErrNoBottom) {
+		t.Fatalf("err = %v, want ErrNoBottom", err)
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "bottom checks hit the closure budget; raise Budget.MaxConfigs") {
+		t.Errorf("error does not surface the skipped checks: %q", msg)
+	}
+	// The skipped α|Q are x (whose T|Q closure holds the shuffle) and
+	// a2 + 70c.
+	if !strings.Contains(msg, "(2 distinct") {
+		t.Errorf("error does not carry the skip count: %q", msg)
+	}
+
+	// With an adequate budget the same instance yields a verified
+	// certificate — proving the skip accounting pointed at the right
+	// knob.
+	budget := petri.Budget{MaxConfigs: 1 << 10}
+	cert, err := core.ReachBottom(net, rho, core.ReachBottomOptions{Budget: budget})
+	if err != nil {
+		t.Fatalf("adequate budget: %v", err)
+	}
+	if err := core.VerifyBottomCert(net, rho, cert, budget); err != nil {
+		t.Errorf("certificate rejected: %v", err)
+	}
 }
 
 func mustNet(t testing.TB, space *conf.Space, trs ...petri.Transition) *petri.Net {
@@ -109,33 +182,22 @@ func assertSameAsReference(t testing.TB, net *petri.Net, rho conf.Config, opts c
 
 // ReachBottom grows its top-level closure lazily; the certificate and
 // the error must still be exactly those of the eager search, on every
-// instance and under every option that changes where the closure, the
-// candidate loop or the sub-closures stop. Every grid point runs at
-// two worker counts: Budget.Workers sizes verify's input pool and must
-// not change the search.
+// instance, at its own budget and at budgets that stop the closure
+// and the sub-closures early. Every grid point runs at two worker
+// counts: Budget.Workers sizes verify's input pool and must not change
+// the search.
 func TestReachBottomMatchesReference(t *testing.T) {
 	for _, in := range bottomInstances(t) {
 		grid := map[string]core.ReachBottomOptions{
-			"own":           {Budget: petri.Budget{MaxConfigs: in.budget}},
-			"budget1":       {Budget: petri.Budget{MaxConfigs: 1}},
-			"budget64":      {Budget: petri.Budget{MaxConfigs: 64}},
-			"maxDepth2":     {Budget: petri.Budget{MaxConfigs: 1 << 12, MaxDepth: 2}},
-			"maxDepth5":     {Budget: petri.Budget{MaxConfigs: 1 << 12, MaxDepth: 5}},
-			"maxAgents":     {Budget: petri.Budget{MaxConfigs: 1 << 12, MaxAgents: in.rho.Agents() + 2}},
-			"candidates1":   {Budget: petri.Budget{MaxConfigs: 64}, MaxCandidates: 1},
-			"candidates3":   {Budget: petri.Budget{MaxConfigs: 64}, MaxCandidates: 3},
-			"starvedSub":    {Budget: petri.Budget{MaxConfigs: 64}, SubBudget: petri.Budget{MaxConfigs: 2}},
-			"pumpDepth1":    {Budget: petri.Budget{MaxConfigs: 64}, PumpDepth: 1},
-			"depthAndAgent": {Budget: petri.Budget{MaxConfigs: 1 << 12, MaxDepth: 4, MaxAgents: in.rho.Agents() + 1}},
+			"own":      {Budget: petri.Budget{MaxConfigs: in.budget}},
+			"budget1":  {Budget: petri.Budget{MaxConfigs: 1}},
+			"budget64": {Budget: petri.Budget{MaxConfigs: 64}},
 		}
 		for gname, opts := range grid {
 			for _, workers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", in.name, gname, workers), func(t *testing.T) {
 					opts := opts
 					opts.Budget.Workers = workers
-					if opts.SubBudget != (petri.Budget{}) {
-						opts.SubBudget.Workers = workers
-					}
 					assertSameAsReference(t, in.net, in.rho, opts)
 				})
 			}
@@ -144,25 +206,29 @@ func TestReachBottomMatchesReference(t *testing.T) {
 }
 
 // FuzzReachBottom decodes its bytes into a net of at most 4 states and
-// 4 transitions, an initial configuration and small budgets, and
+// 4 transitions, an initial configuration and a small budget, and
 // requires ReachBottom to agree with the eager reference.
 func FuzzReachBottom(f *testing.F) {
 	// Byte layout: states−1, transitions, then per transition the pre
-	// and post counts, then ρ, MaxConfigs−1, MaxDepth, MaxAgents,
-	// Workers−1, SubBudget.MaxConfigs, PumpDepth, MaxCandidates.
-	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 63, 0, 0, 0, 0, 0, 0}) // pump: a → a + b
-	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 40, 3, 5, 1, 0, 1, 2}) // pump under depth and agent caps
-	f.Add([]byte{3, 3,                                          // pump beside a c ⇄ d shuffle, starved SubBudget
+	// and post counts, then ρ, MaxConfigs−1, Workers−1.
+	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 63, 0}) // pump: a → a + b
+	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 3, 1})  // pump under a tiny budget, two workers
+	f.Add([]byte{3, 3,                           // pump beside a c ⇄ d shuffle
 		1, 0, 0, 0, 1, 1, 0, 0,
 		0, 0, 1, 0, 0, 0, 0, 1,
 		0, 0, 0, 1, 0, 0, 1, 0,
-		1, 0, 2, 0, 63, 0, 0, 1, 2, 0, 0})
+		1, 0, 2, 0, 63, 0})
+	f.Add([]byte{3, 3, // the same shuffle under a budget its Karp–Miller tree outgrows
+		1, 0, 0, 0, 1, 1, 0, 0,
+		0, 0, 1, 0, 0, 0, 0, 1,
+		0, 0, 0, 1, 0, 0, 1, 0,
+		1, 0, 3, 0, 2, 0})
 	f.Add([]byte{3, 4, // conservative chain a → b → c ⇄ d
 		1, 0, 0, 0, 0, 1, 0, 0,
 		0, 1, 0, 0, 0, 0, 1, 0,
 		0, 0, 1, 0, 0, 0, 0, 1,
 		0, 0, 0, 1, 0, 0, 1, 0,
-		2, 0, 0, 0, 63, 0, 0, 0, 0, 0, 0})
+		2, 0, 0, 0, 63, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -193,17 +259,10 @@ func FuzzReachBottom(f *testing.F) {
 		}
 		net := mustNet(t, space, trs...)
 		rho := vec(4)
-		opts := core.ReachBottomOptions{
-			Budget: petri.Budget{
-				MaxConfigs: 1 + next()%64,
-				MaxDepth:   next() % 6,
-				MaxAgents:  int64(next() % 8),
-				Workers:    1 + next()%2,
-			},
-			SubBudget:     petri.Budget{MaxConfigs: next() % 32},
-			PumpDepth:     next() % 6,
-			MaxCandidates: next() % 8,
-		}
+		opts := core.ReachBottomOptions{Budget: petri.Budget{
+			MaxConfigs: 1 + next()%64,
+			Workers:    1 + next()%2,
+		}}
 		assertSameAsReference(t, net, rho, opts)
 	})
 }

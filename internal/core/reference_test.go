@@ -31,7 +31,7 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 		if err != nil {
 			return nil, err
 		}
-		if err := VerifyBottomCert(net, rho, cert, opts.subBudget()); err != nil {
+		if err := VerifyBottomCert(net, rho, cert, opts.Budget); err != nil {
 			return nil, fmt.Errorf("core: internal: bounded certificate failed verification: %w", err)
 		}
 		return cert, nil
@@ -77,26 +77,17 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 		return nil, ErrNoBottom
 	}
 
-	pumpDepth := opts.PumpDepth
-	if pumpDepth <= 0 {
-		pumpDepth = 4 * space.Len()
-	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = rs.Len()
-	}
-
 	skipped := 0 // distinct (Q, α|Q) bottom checks lost to the budget
 	scratchQ := make([]int64, maxQ)
 	isBot := make([][]bool, len(candidates)) // per candidate, by id in seen
-	for id := 0; id < rs.Len() && id < maxCand; id++ {
+	for id := 0; id < rs.Len(); id++ {
 		alpha := rs.Config(id)
 		for ci, mc := range candidates {
 			alphaQ := scratchQ[:mc.qSpace.Len()]
 			alpha.RestrictInto(alphaQ, mc.idxMap)
 			qid, added := mc.seen.Insert(alphaQ)
 			if added {
-				b, err := IsBottom(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.subBudget())
+				b, err := IsBottom(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.Budget)
 				if err != nil {
 					// Closure too large to certify bottomness: treat as
 					// not bottom for search purposes, but account for
@@ -109,7 +100,7 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 			if !isBot[ci][qid] {
 				continue
 			}
-			w, beta, found := findPumpWord(net, alpha, mc.mask, pumpDepth, opts.subBudget())
+			w, beta, found := findPumpWord(net, alpha, mc.mask, opts.Budget)
 			if !found {
 				continue
 			}
@@ -123,19 +114,19 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 				Beta:          beta,
 				ComponentSize: 0,
 			}
-			comp, err := Component(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.subBudget())
+			comp, err := Component(mc.netQ, conf.View(mc.qSpace, mc.seen.At(qid)), opts.Budget)
 			if err != nil {
 				return nil, err
 			}
 			cert.ComponentSize = len(comp)
-			if err := VerifyBottomCert(net, rho, cert, opts.subBudget()); err != nil {
+			if err := VerifyBottomCert(net, rho, cert, opts.Budget); err != nil {
 				return nil, fmt.Errorf("core: internal: pumping certificate failed verification: %w", err)
 			}
 			return cert, nil
 		}
 	}
 	if skipped > 0 {
-		return nil, fmt.Errorf("%w (%d distinct (Q, α|Q) bottom checks hit the closure budget; raise SubBudget.MaxConfigs)", ErrNoBottom, skipped)
+		return nil, fmt.Errorf("%w (%d distinct (Q, α|Q) bottom checks hit the closure budget; raise Budget.MaxConfigs)", ErrNoBottom, skipped)
 	}
 	return nil, ErrNoBottom
 }

@@ -82,15 +82,6 @@ func (n *Net) NumEdges() int { return len(n.edges) }
 // PNet returns the underlying Petri net.
 func (n *Net) PNet() *petri.Net { return n.pnet }
 
-// EdgeAt returns the i-th edge.
-func (n *Net) EdgeAt(i int) Edge { return n.edges[i] }
-
-// StateIndex returns the index of a control-state name.
-func (n *Net) StateIndex(name string) (int, bool) {
-	i, ok := n.sidx[name]
-	return i, ok
-}
-
 // controlAdjacency returns S-level adjacency lists induced by E.
 func (n *Net) controlAdjacency() [][]int {
 	adj := make([][]int, len(n.states))

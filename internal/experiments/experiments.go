@@ -587,7 +587,7 @@ func E9Stabilized() (*Table, error) {
 func E10Convergence() (*Table, error) {
 	t := &Table{
 		ID:     "E10",
-		Title:  "uniform-scheduler convergence of counting protocols",
+		Title:  "weighted-scheduler convergence of counting protocols",
 		Claim:  "all constructions converge to the correct consensus; interactions grow with population",
 		Header: []string{"protocol", "x", "expected", "trials", "correct", "mean steps"},
 	}

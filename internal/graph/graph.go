@@ -178,14 +178,9 @@ func SCCOf(g CSR) (comp []int, ncomp int) {
 	return comp, ncomp
 }
 
-// Condense builds the condensation graph: one node per component, edges
-// between distinct components, deduplicated. Component ids follow SCC's
-// numbering.
-func Condense(adj [][]int, comp []int, ncomp int) [][]int {
-	return CondenseCSR(NewCSR(adj), comp, ncomp)
-}
-
-// CondenseCSR is Condense over a CSR graph.
+// CondenseCSR builds the condensation graph: one node per component,
+// edges between distinct components, deduplicated. Component ids
+// follow SCC's numbering.
 func CondenseCSR(g CSR, comp []int, ncomp int) [][]int {
 	out := make([][]int, ncomp)
 	seen := make(map[[2]int]bool)
@@ -226,15 +221,6 @@ func Members(comp []int, ncomp int) [][]int {
 		out[c] = append(out[c], v)
 	}
 	return out
-}
-
-// CanReach computes, for every node, whether some node in the target set
-// is reachable (including trivially, when the node itself is a target).
-// It runs a reverse BFS from the targets. Callers that need several
-// passes over the same graph should build the reverse CSR once and use
-// ReachableFrom.
-func CanReach(adj [][]int, targets []int) []bool {
-	return ReachableFrom(NewCSR(adj).Reverse(), targets, nil)
 }
 
 // ReachableFrom computes, for every node, whether it is reachable from

@@ -46,7 +46,7 @@ func TestCondenseAndBottom(t *testing.T) {
 	// Two cycles {0,1} -> {2,3}; bottom is {2,3}.
 	adj := [][]int{{1}, {0, 2}, {3}, {2}}
 	comp, ncomp := SCC(adj)
-	cond := Condense(adj, comp, ncomp)
+	cond := CondenseCSR(NewCSR(adj), comp, ncomp)
 	bottoms := BottomComponents(cond)
 	if len(bottoms) != 1 {
 		t.Fatalf("bottoms = %v, want one", bottoms)
@@ -63,9 +63,10 @@ func TestCondenseAndBottom(t *testing.T) {
 }
 
 func TestCanReach(t *testing.T) {
-	// 0 -> 1 -> 2; 3 isolated.
+	// 0 -> 1 -> 2; 3 isolated. A node can reach the target set when a
+	// BFS from the targets over the reverse graph finds it.
 	adj := [][]int{{1}, {2}, nil, nil}
-	reach := CanReach(adj, []int{2})
+	reach := ReachableFrom(NewCSR(adj).Reverse(), []int{2}, nil)
 	want := []bool{true, true, true, false}
 	for i, w := range want {
 		if reach[i] != w {
@@ -225,6 +226,10 @@ func TestCSRReverseMatchesReverse(t *testing.T) {
 	}
 }
 
+// ReachableFrom and ReachableFromInto, forward over a graph and
+// backward over its reverse (which node can reach a seed), must agree
+// with a naive transitive closure of the adjacency lists on random
+// graphs, with buffers reused across graphs of different sizes.
 func TestReachableFromMatchesCanReach(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf, intoBuf []bool
@@ -239,21 +244,50 @@ func TestReachableFromMatchesCanReach(t *testing.T) {
 				}
 			}
 		}
-		var targets []int
+		var seeds []int
 		for v := 0; v < n; v++ {
 			if rng.Intn(4) == 0 {
-				targets = append(targets, v)
+				seeds = append(seeds, v)
 			}
 		}
-		want := CanReach(adj, targets)
-		buf = ReachableFrom(NewCSR(adj).Reverse(), targets, buf) // reused buffer
-		intoBuf, queue = ReachableFromInto(NewCSR(adj).Reverse(), targets, intoBuf, queue)
-		if len(buf) != n || len(intoBuf) != n {
-			t.Fatalf("results have %d and %d nodes, want %d", len(buf), len(intoBuf), n)
+		// path[u][v]: v is reachable from u by a word of length ≥ 0.
+		path := make([][]bool, n)
+		for u := range path {
+			path[u] = make([]bool, n)
+			path[u][u] = true
+			for _, w := range adj[u] {
+				path[u][w] = true
+			}
 		}
-		for v := range want {
-			if want[v] != buf[v] || want[v] != intoBuf[v] {
-				t.Fatalf("node %d: CanReach=%v ReachableFrom=%v ReachableFromInto=%v", v, want[v], buf[v], intoBuf[v])
+		for k := 0; k < n; k++ {
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					path[u][v] = path[u][v] || path[u][k] && path[k][v]
+				}
+			}
+		}
+		g := NewCSR(adj)
+		for _, dir := range []struct {
+			name string
+			g    CSR
+			want func(s, v int) bool
+		}{
+			{"forward", g, func(s, v int) bool { return path[s][v] }},
+			{"reverse", g.Reverse(), func(s, v int) bool { return path[v][s] }},
+		} {
+			buf = ReachableFrom(dir.g, seeds, buf)
+			intoBuf, queue = ReachableFromInto(dir.g, seeds, intoBuf, queue)
+			if len(buf) != n || len(intoBuf) != n {
+				t.Fatalf("%s: results have %d and %d nodes, want %d", dir.name, len(buf), len(intoBuf), n)
+			}
+			for v := 0; v < n; v++ {
+				want := false
+				for _, s := range seeds {
+					want = want || dir.want(s, v)
+				}
+				if buf[v] != want || intoBuf[v] != want {
+					t.Fatalf("%s node %d: closure=%v ReachableFrom=%v ReachableFromInto=%v", dir.name, v, want, buf[v], intoBuf[v])
+				}
 			}
 		}
 	}

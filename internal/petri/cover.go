@@ -115,9 +115,6 @@ func (n *Net) ShortestCoveringWord(from, target conf.Config, budget Budget) (*Co
 				continue
 			}
 			sum := sumCounts(scratch)
-			if budget.MaxAgents > 0 && sum > budget.MaxAgents {
-				return nil, errBudget("cover-search", numNodes)
-			}
 			if maximal.someGeq(scratch, sum) {
 				continue
 			}

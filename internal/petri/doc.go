@@ -22,7 +22,7 @@
 //     expands every closure in RAM: nodes in id order, each node's
 //     transitions in index order. Node ids, edges, shortest-word trees
 //     and truncation points therefore depend only on the net, the
-//     root and the budget caps — never on Budget.Workers, which sizes
+//     root and Budget.MaxConfigs — never on Budget.Workers, which sizes
 //     the input pool of callers that explore many closures at once.
 //
 // A closure can also be grown lazily: StartReach returns it holding
@@ -44,8 +44,9 @@
 // closures in a private pool of workspaces that never hands storage
 // out: its reports copy their input and counterexample.
 //
-// Budgets (Budget.MaxConfigs, depth and agent caps) truncate
-// deterministically: the closure returns with exactly the budgeted
-// node count and an error that says the budget, not the instance,
-// ended the search.
+// Budget.MaxConfigs truncates deterministically: the closure returns
+// with exactly the budgeted node count and an error that says the
+// budget, not the instance, ended the search. Budget.Cancel truncates
+// at the next cancellation checkpoint, with an error wrapping
+// ErrCancelled.
 package petri

@@ -17,13 +17,6 @@ type Budget struct {
 	// MaxConfigs caps the number of distinct configurations visited.
 	// Zero means DefaultMaxConfigs.
 	MaxConfigs int
-	// MaxAgents prunes configurations with more agents. Zero means
-	// unlimited. Pruning makes the closure incomplete, which Reach
-	// records rather than hiding.
-	MaxAgents int64
-	// MaxDepth caps the exploration depth (word length). Zero means
-	// unlimited.
-	MaxDepth int
 	// Workers sizes the input pool of callers that explore many
 	// closures at once (verify.Range). 0 means auto-detect
 	// (GOMAXPROCS). A single closure is always explored sequentially,
@@ -123,7 +116,7 @@ type ReachSet struct {
 	trunc error
 
 	// Complete reports that growth has ended with the exact closure: no
-	// budget, depth or agent truncation occurred. It is false while the
+	// budget or cancellation truncated it. It is false while the
 	// closure is still growing. Analyses that require exactness must
 	// check it.
 	Complete bool
@@ -203,8 +196,8 @@ func (n *Net) startReach(old *ReachSet, from conf.Config, budget Budget) (*Reach
 }
 
 // Grow expands the closure's next BFS level. It reports done once
-// growth has ended, either because the frontier is empty or because a
-// budget, depth or agent cap or Budget.Cancel truncated the closure
+// growth has ended, either because the frontier is empty or because
+// Budget.MaxConfigs or Budget.Cancel truncated the closure
 // (Complete=false); Grow on an ended closure is a no-op. Between calls
 // every accessor, CSR included, sees the closure grown so far; a CSR
 // taken before a Grow is invalid after it. Truncation is not an error
@@ -243,11 +236,6 @@ func (e *expander) run(levels int) bool {
 			return e.stop(errCancelled("reach", rs.set.Len()))
 		}
 		depth := rs.depth[level]
-		if budget.MaxDepth > 0 && int(depth) >= budget.MaxDepth {
-			// Unexpanded frontier: the closure may be missing deeper
-			// configurations.
-			return e.stop(errBudget("reach", rs.set.Len()))
-		}
 		levelEnd := level + 1
 		for levelEnd < len(rs.depth) && rs.depth[levelEnd] == depth {
 			levelEnd++
@@ -264,10 +252,6 @@ func (e *expander) run(levels int) bool {
 		}
 		level = levelEnd
 		if level == rs.set.Len() {
-			if e.pruned {
-				// MaxAgents pruned a successor somewhere.
-				return e.stop(errBudget("reach", rs.set.Len()))
-			}
 			return false
 		}
 		e.next = level
@@ -287,8 +271,7 @@ type expander struct {
 	idx        *Index
 	budget     Budget
 	maxConfigs int
-	next       int  // BFS queue head: the first unexpanded node id
-	pruned     bool // MaxAgents dropped a successor
+	next       int // BFS queue head: the first unexpanded node id
 	scratch    []int64
 }
 
@@ -305,10 +288,6 @@ func (e *expander) expandNode(head int) bool {
 	cur := rs.set.At(head)
 	for ti := 0; ti < nt; ti++ {
 		if !e.idx.FireInto(ti, cur, e.scratch) {
-			continue
-		}
-		if e.budget.MaxAgents > 0 && sumCounts(e.scratch) > e.budget.MaxAgents {
-			e.pruned = true
 			continue
 		}
 		id, added, full := rs.set.InsertCapped(e.scratch, conf.HashCounts(e.scratch), e.maxConfigs)
@@ -467,22 +446,4 @@ func (rs *ReachSet) ForEach(fn func(id int, c conf.Config) bool) {
 			return
 		}
 	}
-}
-
-// AdjacencyLists returns the closure's edge structure as plain
-// adjacency lists. It allocates one slice per node; graph algorithms
-// on the hot path should use CSR instead.
-func (rs *ReachSet) AdjacencyLists() [][]int {
-	adj := make([][]int, rs.set.Len())
-	for id := range adj {
-		lo, hi := rs.edgeOff[id], rs.edgeOff[id+1]
-		if lo == hi {
-			continue
-		}
-		adj[id] = make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			adj[id] = append(adj[id], int(rs.edgeTo[i]))
-		}
-	}
-	return adj
 }

@@ -2,9 +2,8 @@
 // seed-era reference: a []conf.Config slice deduplicated through a
 // map[string]int over Config.Key, firing with Transition.Fire. The
 // arena closure must be node-for-node and edge-for-edge identical on
-// the E4/E8 nets — including truncated-budget, agent-capped and
-// depth-capped explorations — and no Budget.Workers setting may
-// change a ReachSet.
+// the E4/E8 nets — including explorations truncated by MaxConfigs —
+// and no Budget.Workers setting may change a ReachSet.
 package petri_test
 
 import (
@@ -47,18 +46,10 @@ func referenceReach(n *petri.Net, from conf.Config, budget petri.Budget) *refRea
 		maxConfigs = petri.DefaultMaxConfigs
 	}
 	for head := 0; head < len(rs.configs); head++ {
-		if budget.MaxDepth > 0 && rs.depth[head] >= budget.MaxDepth {
-			rs.complete = false
-			continue
-		}
 		cur := rs.configs[head]
 		for ti := 0; ti < n.Len(); ti++ {
 			next, ok := n.At(ti).Fire(cur)
 			if !ok {
-				continue
-			}
-			if budget.MaxAgents > 0 && next.Agents() > budget.MaxAgents {
-				rs.complete = false
 				continue
 			}
 			id, exists := rs.index[next.Key()]
@@ -73,7 +64,6 @@ func referenceReach(n *petri.Net, from conf.Config, budget petri.Budget) *refRea
 			rs.edges[head] = append(rs.edges[head], petri.Edge{Trans: ti, To: id})
 		}
 	}
-	rs.err = !rs.complete
 	return rs
 }
 
@@ -223,11 +213,9 @@ func wideSplitNet(t *testing.T, n int64) (*petri.Net, conf.Config) {
 
 func TestReachMatchesReference(t *testing.T) {
 	budgets := map[string]petri.Budget{
-		"default":     {MaxConfigs: 1 << 16},
-		"truncated":   {MaxConfigs: 100},
-		"tiny":        {MaxConfigs: 3},
-		"agentCapped": {MaxConfigs: 1 << 16, MaxAgents: 5},
-		"depthCapped": {MaxConfigs: 1 << 16, MaxDepth: 4},
+		"default":   {MaxConfigs: 1 << 16},
+		"truncated": {MaxConfigs: 100},
+		"tiny":      {MaxConfigs: 3},
 	}
 	for name, inst := range e4e8Instances(t) {
 		for bname, budget := range budgets {
@@ -253,7 +241,7 @@ func TestReachParallelMatchesSequential(t *testing.T) {
 	budgets := map[string]petri.Budget{
 		"default":   {MaxConfigs: 1 << 16},
 		"truncated": {MaxConfigs: 500},
-		"capped":    {MaxConfigs: 1 << 16, MaxAgents: 7},
+		"capped":    {MaxConfigs: 7},
 	}
 	for name, inst := range e4e8Instances(t) {
 		for bname, budget := range budgets {
@@ -314,11 +302,9 @@ func TestReachParallelMatchesSequential(t *testing.T) {
 // their final edges, the frontier with none.
 func TestGrowMatchesReach(t *testing.T) {
 	budgets := map[string]petri.Budget{
-		"default":     {MaxConfigs: 1 << 14},
-		"truncated":   {MaxConfigs: 100},
-		"tiny":        {MaxConfigs: 3},
-		"agentCapped": {MaxConfigs: 1 << 14, MaxAgents: 5},
-		"depthCapped": {MaxConfigs: 1 << 14, MaxDepth: 4},
+		"default":   {MaxConfigs: 1 << 14},
+		"truncated": {MaxConfigs: 100},
+		"tiny":      {MaxConfigs: 3},
 	}
 	for name, inst := range e4e8Instances(t) {
 		for bname, budget := range budgets {
@@ -389,8 +375,8 @@ func TestGrowMatchesReach(t *testing.T) {
 // A chain of ReachReusing calls, each building in the previous
 // closure's storage, must give exactly what a fresh Reach gives for the
 // same root — node order, edges, depths, parents, Complete and the
-// error — while closures grow, shrink, end on MaxConfigs and on
-// MaxDepth, and switch to a net of another width and back.
+// error — while closures grow, shrink, end on MaxConfigs, and switch
+// to a net of another width and back.
 func TestReachReusingMatchesReach(t *testing.T) {
 	p, err := counting.FlockOfBirds(4)
 	if err != nil {
@@ -414,7 +400,7 @@ func TestReachReusingMatchesReach(t *testing.T) {
 		{"x=9", p.Net(), flock(9), full, false, +1},
 		{"shrink x=3", p.Net(), flock(3), full, false, -1},
 		{"maxConfigs", p.Net(), flock(9), petri.Budget{MaxConfigs: 20}, true, 0},
-		{"maxDepth", p.Net(), flock(8), petri.Budget{MaxConfigs: 1 << 16, MaxDepth: 3}, true, 0},
+		{"maxConfigs again", p.Net(), flock(8), petri.Budget{MaxConfigs: 50}, true, +1},
 		{"other width", split, splitFrom, full, false, 0},
 		{"back x=7", p.Net(), flock(7), full, false, 0},
 		{"x=0", p.Net(), flock(0), full, false, -1},

@@ -207,13 +207,21 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 	if err != nil {
 		return nil, err
 	}
+	// Each enumerated input is embedded into the protocol's space, a
+	// fresh copy the input's report keeps.
 	var inputs []conf.Config
+	var embedErr error
 	for total := minTotal; total <= maxTotal; total++ {
 		if err := conf.EnumerateTotal(inputSpace, total, func(c conf.Config) bool {
-			inputs = append(inputs, c.Clone())
-			return true
+			var embedded conf.Config
+			embedded, embedErr = c.Embed(p.Space())
+			inputs = append(inputs, embedded)
+			return embedErr == nil
 		}); err != nil {
 			return nil, err
+		}
+		if embedErr != nil {
+			return nil, embedErr
 		}
 	}
 	reports := make([]Report, len(inputs))
@@ -232,10 +240,7 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 			if i >= int64(len(inputs)) || i > minFailed.Load() {
 				return
 			}
-			embedded, err := inputs[i].Embed(p.Space())
-			if err == nil {
-				err = check(p, embedded, pred, budget, ws, &reports[i])
-			}
+			err := check(p, inputs[i], pred, budget, ws, &reports[i])
 			if err == nil {
 				continue
 			}

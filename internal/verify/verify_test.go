@@ -333,7 +333,8 @@ func TestRangeMatchesInputOnIllSpecified(t *testing.T) {
 // the storage of the one before, with the reverse CSR, id lists and
 // BFS arrays still fresh per input; 69 with those kept in a pooled
 // workspace but each closure's expander fresh; 48 with the expander
-// and its scratch buffer reused as well and each input cloned once.
+// and its scratch buffer reused as well and each input cloned once;
+// 41 with each input embedded straight from the enumeration, no clone.
 func TestRangeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -348,7 +349,7 @@ func TestRangeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 53 {
-		t.Errorf("Range allocates %.0f times per call, ceiling 53", allocs)
+	if allocs > 46 {
+		t.Errorf("Range allocates %.0f times per call, ceiling 46", allocs)
 	}
 }
