@@ -44,7 +44,7 @@ func BenchmarkAblationCoverKarpMiller(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree, err := net.KarpMiller(from, 1<<18)
+		tree, err := net.KarpMiller(from, petri.Budget{MaxConfigs: 1 << 18})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestCoverabilityDecidersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backward %v: %v", target, err)
 		}
-		tree, err := net.KarpMiller(from, 1<<18)
+		tree, err := net.KarpMiller(from, petri.Budget{MaxConfigs: 1 << 18})
 		if err != nil {
 			t.Fatalf("KM: %v", err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -79,7 +80,11 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be non-negative (got %d)", *workers)
 	}
-	res, err := verify.Counting(p, "i", n, limit, petri.Budget{MaxConfigs: *maxConfigs, Workers: *workers})
+	if err := verify.CheckCounting(p, "i"); err != nil {
+		return err
+	}
+	res, err := verify.Range(context.Background(), p, verify.CountingPredicate("i", n), 0, limit,
+		petri.Budget{MaxConfigs: *maxConfigs}, *workers)
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,7 @@ func TestPackageDocsStateInvariants(t *testing.T) {
 		"internal/conf": {"InPlace", "arena", "insertion order"},
 		// Arena/CSR ownership, and one sequential closure driver whose
 		// results no worker setting changes.
-		"internal/petri": {"arena", "CSR", "zero-copy", "Sequential exploration order", "never on Budget.Workers"},
+		"internal/petri": {"arena", "CSR", "zero-copy", "Sequential exploration order", "depend only on the net, the root and Budget.MaxConfigs"},
 		// Bounded exactness and deterministic report order (PR 4).
 		"internal/verify": {"exact", "enumeration order", "budget"},
 		// The shared canonical-JSON/checksum convention (PR 8).

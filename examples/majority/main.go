@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,12 +26,12 @@ func main() {
 
 	// Exhaustive verification against the predicate evaluator.
 	pred := spec.MajorityPred("A", "B")
-	res, err := verify.Range(protocol, func(input conf.Config) bool {
+	res, err := verify.Range(context.Background(), protocol, func(input conf.Config) bool {
 		return pred.Eval(map[string]int64{
 			"A": input.GetName("A"),
 			"B": input.GetName("B"),
 		})
-	}, 0, 7, petri.Budget{MaxConfigs: 1 << 18})
+	}, 0, 7, petri.Budget{MaxConfigs: 1 << 18}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/conf"
@@ -172,6 +173,12 @@ func assertSameAsReference(t testing.TB, net *petri.Net, rho conf.Config, opts c
 	t.Helper()
 	got, gotErr := core.ReachBottom(net, rho, opts)
 	want, wantErr := core.ReferenceReachBottom(net, rho, opts)
+	assertSameResult(t, got, gotErr, want, wantErr)
+}
+
+// assertSameResult requires the identical certificate and error text.
+func assertSameResult(t testing.TB, got *core.BottomCert, gotErr error, want *core.BottomCert, wantErr error) {
+	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("err = %v, reference %v", gotErr, wantErr)
 	}
@@ -180,12 +187,47 @@ func assertSameAsReference(t testing.TB, net *petri.Net, rho conf.Config, opts c
 	}
 }
 
+// A firing onto a marking already in the Karp–Miller tree adds no
+// node, so Budget.MaxConfigs caps distinct markings. On the pump
+// beside a c ⇄ d shuffle (ρ = a + 2c) the tree holds 6, and 6 is the
+// smallest budget at which ReachBottom returns a verified certificate
+// (its largest sub-closure has 3 nodes); at 5 the tree outgrows it.
+func TestReachBottomKarpMillerCountsDistinctMarkings(t *testing.T) {
+	var in bottomInstance
+	for _, c := range bottomInstances(t) {
+		if c.name == "pumpShuffle" {
+			in = c
+		}
+	}
+	tree, err := in.net.KarpMiller(in.rho, petri.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.Nodes) != 6 {
+		t.Fatalf("Karp–Miller tree has %d nodes, want its 6 distinct markings", len(tree.Nodes))
+	}
+	for _, maxConfigs := range []int{6, 12} {
+		budget := petri.Budget{MaxConfigs: maxConfigs}
+		cert, err := core.ReachBottom(in.net, in.rho, core.ReachBottomOptions{Budget: budget})
+		if err != nil {
+			t.Fatalf("MaxConfigs %d: %v", maxConfigs, err)
+		}
+		if err := core.VerifyBottomCert(in.net, in.rho, cert, budget); err != nil {
+			t.Fatalf("MaxConfigs %d: certificate rejected: %v", maxConfigs, err)
+		}
+	}
+	_, err = core.ReachBottom(in.net, in.rho, core.ReachBottomOptions{Budget: petri.Budget{MaxConfigs: 5}})
+	if !errors.Is(err, petri.ErrBudget) || !strings.Contains(err.Error(), "karp-miller") {
+		t.Fatalf("MaxConfigs 5: err = %v, want the Karp–Miller budget error", err)
+	}
+}
+
 // ReachBottom grows its top-level closure lazily; the certificate and
 // the error must still be exactly those of the eager search, on every
 // instance, at its own budget and at budgets that stop the closure
-// and the sub-closures early. Every grid point runs at two worker
-// counts: Budget.Workers sizes verify's input pool and must not change
-// the search.
+// and the sub-closures early. The wN subtests run the search on N
+// goroutines at once over the one net, as a server answering
+// concurrent requests does; each run must match the reference.
 func TestReachBottomMatchesReference(t *testing.T) {
 	for _, in := range bottomInstances(t) {
 		grid := map[string]core.ReachBottomOptions{
@@ -196,9 +238,21 @@ func TestReachBottomMatchesReference(t *testing.T) {
 		for gname, opts := range grid {
 			for _, workers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", in.name, gname, workers), func(t *testing.T) {
-					opts := opts
-					opts.Budget.Workers = workers
-					assertSameAsReference(t, in.net, in.rho, opts)
+					certs := make([]*core.BottomCert, workers)
+					errs := make([]error, workers)
+					var wg sync.WaitGroup
+					for w := range workers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							certs[w], errs[w] = core.ReachBottom(in.net, in.rho, opts)
+						}()
+					}
+					wg.Wait()
+					want, wantErr := core.ReferenceReachBottom(in.net, in.rho, opts)
+					for w := range workers {
+						assertSameResult(t, certs[w], errs[w], want, wantErr)
+					}
 				})
 			}
 		}
@@ -210,25 +264,25 @@ func TestReachBottomMatchesReference(t *testing.T) {
 // requires ReachBottom to agree with the eager reference.
 func FuzzReachBottom(f *testing.F) {
 	// Byte layout: states−1, transitions, then per transition the pre
-	// and post counts, then ρ, MaxConfigs−1, Workers−1.
-	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 63, 0}) // pump: a → a + b
-	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 3, 1})  // pump under a tiny budget, two workers
-	f.Add([]byte{3, 3,                           // pump beside a c ⇄ d shuffle
+	// and post counts, then ρ, MaxConfigs−1.
+	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 63}) // pump: a → a + b
+	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 0, 3})  // pump under a tiny budget
+	f.Add([]byte{3, 3,                        // pump beside a c ⇄ d shuffle
 		1, 0, 0, 0, 1, 1, 0, 0,
 		0, 0, 1, 0, 0, 0, 0, 1,
 		0, 0, 0, 1, 0, 0, 1, 0,
-		1, 0, 2, 0, 63, 0})
+		1, 0, 2, 0, 63})
 	f.Add([]byte{3, 3, // the same shuffle under a budget its Karp–Miller tree outgrows
 		1, 0, 0, 0, 1, 1, 0, 0,
 		0, 0, 1, 0, 0, 0, 0, 1,
 		0, 0, 0, 1, 0, 0, 1, 0,
-		1, 0, 3, 0, 2, 0})
+		1, 0, 3, 0, 2})
 	f.Add([]byte{3, 4, // conservative chain a → b → c ⇄ d
 		1, 0, 0, 0, 0, 1, 0, 0,
 		0, 1, 0, 0, 0, 0, 1, 0,
 		0, 0, 1, 0, 0, 0, 0, 1,
 		0, 0, 0, 1, 0, 0, 1, 0,
-		2, 0, 0, 0, 63, 0})
+		2, 0, 0, 0, 63})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -259,10 +313,7 @@ func FuzzReachBottom(f *testing.F) {
 		}
 		net := mustNet(t, space, trs...)
 		rho := vec(4)
-		opts := core.ReachBottomOptions{Budget: petri.Budget{
-			MaxConfigs: 1 + next()%64,
-			Workers:    1 + next()%2,
-		}}
+		opts := core.ReachBottomOptions{Budget: petri.Budget{MaxConfigs: 1 + next()%64}}
 		assertSameAsReference(t, net, rho, opts)
 	})
 }

@@ -40,7 +40,7 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 	// Unbounded (or too large): derive candidate Q sets from Karp–Miller
 	// pumpable places. The restricted space, net and index map of every
 	// mask are built once, outside the (candidate × mask) loop.
-	tree, err := net.KarpMiller(rho, opts.Budget.MaxConfigs)
+	tree, err := net.KarpMiller(rho, opts.Budget)
 	if err != nil {
 		return nil, fmt.Errorf("reach-bottom: %w", err)
 	}

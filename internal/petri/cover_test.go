@@ -134,7 +134,7 @@ func TestShortestCoveringWordMinimal(t *testing.T) {
 func TestKarpMillerBounded(t *testing.T) {
 	n := chainNet(t)
 	from := conf.MustFromMap(tSpace, map[string]int64{"a": 2})
-	tree, err := n.KarpMiller(from, 0)
+	tree, err := n.KarpMiller(from, Budget{})
 	if err != nil {
 		t.Fatalf("KarpMiller: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestKarpMillerUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tree, err := n.KarpMiller(conf.MustUnit(tSpace, "a"), 0)
+	tree, err := n.KarpMiller(conf.MustUnit(tSpace, "a"), Budget{})
 	if err != nil {
 		t.Fatalf("KarpMiller: %v", err)
 	}

@@ -22,8 +22,8 @@
 //     expands every closure in RAM: nodes in id order, each node's
 //     transitions in index order. Node ids, edges, shortest-word trees
 //     and truncation points therefore depend only on the net, the
-//     root and Budget.MaxConfigs — never on Budget.Workers, which sizes
-//     the input pool of callers that explore many closures at once.
+//     root and Budget.MaxConfigs; callers that explore many closures
+//     at once (verify.Range) run one sequential walk per worker.
 //
 // A closure can also be grown lazily: StartReach returns it holding
 // only the root, and each ReachSet.Grow expands one BFS level through
@@ -31,7 +31,7 @@
 // truncation point do not depend on where growth paused.
 //
 // A closure owns its arrays until its caller hands them over:
-// Net.ReachReusing(old, from, budget) builds the closure of from in
+// Net.ReachReusing(ctx, old, from, budget) builds the closure of from in
 // old's CountSet (emptied by CountSet.Reset, its table kept) and in
 // old's edge and tree arrays, and from then on old and every view
 // taken from it — Config, CSR, Edges, the configurations ForEach
@@ -46,7 +46,9 @@
 //
 // Budget.MaxConfigs truncates deterministically: the closure returns
 // with exactly the budgeted node count and an error that says the
-// budget, not the instance, ended the search. Budget.Cancel truncates
-// at the next cancellation checkpoint, with an error wrapping
-// ErrCancelled.
+// budget, not the instance, ended the search. The ctx of ReachReusing
+// truncates once it is done, at the next cancellation checkpoint (each
+// BFS level boundary and every 1024 nodes), with an error wrapping
+// ErrCancelled; a closure keeps no reference to ctx after its growth
+// ends. Reach and StartReach are never cancelled.
 package petri

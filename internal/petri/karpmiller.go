@@ -97,10 +97,8 @@ func extFireInto(idx *Index, ti int, src, dst []int64) bool {
 
 // KMNode is a node of the Karp–Miller tree.
 type KMNode struct {
-	Marking  ExtMarking
-	Parent   int // −1 at the root
-	Via      int // transition index fired from the parent, −1 at the root
-	Children []int
+	Marking ExtMarking
+	Parent  int // −1 at the root
 }
 
 // KMTree is a Karp–Miller coverability tree.
@@ -109,26 +107,22 @@ type KMTree struct {
 	Nodes []KMNode
 }
 
-// KarpMiller builds the Karp–Miller tree from the given configuration.
-// maxNodes (0 = default) caps the construction defensively; the
-// algorithm itself always terminates.
+// KarpMiller builds the Karp–Miller tree from the given configuration,
+// in its "set" variant: a firing that lands on a marking already in the
+// tree is neither expanded nor kept, which is sound for boundedness and
+// coverability-set computation. Budget.MaxConfigs caps the number of
+// distinct markings defensively; the algorithm itself always
+// terminates.
 //
 // Markings are deduplicated through the same arena-backed integer-hash
-// set as the reachability closure (no string keys); tree nodes with
-// equal markings share one arena vector, and firing/acceleration run
-// in a scratch buffer.
-func (n *Net) KarpMiller(from conf.Config, maxNodes int) (*KMTree, error) {
+// set as the reachability closure (no string keys); node id equals
+// arena id equals BFS order, and firing/acceleration run in a scratch
+// buffer.
+func (n *Net) KarpMiller(from conf.Config, budget Budget) (*KMTree, error) {
 	if !from.Space().Equal(n.space) {
 		return nil, errors.New("petri: initial configuration over wrong space")
 	}
-	if maxNodes <= 0 {
-		maxNodes = DefaultMaxConfigs
-	}
-	// Marking ids live in the CountSet's int32 table: clamp like
-	// Budget.maxConfigs rather than wrap.
-	if maxNodes > maxInt32 {
-		maxNodes = maxInt32
-	}
+	maxNodes := budget.maxConfigs()
 	d := n.space.Len()
 	idx := n.Index()
 	seen := conf.NewCountSet(d, 16)
@@ -136,12 +130,9 @@ func (n *Net) KarpMiller(from conf.Config, maxNodes int) (*KMTree, error) {
 
 	tree := &KMTree{net: n}
 	rootID, _ := seen.Insert(NewExtMarking(from))
-	tree.Nodes = append(tree.Nodes, KMNode{Marking: ExtMarking(seen.At(rootID)), Parent: -1, Via: -1})
-	queue := []int{0}
+	tree.Nodes = append(tree.Nodes, KMNode{Marking: ExtMarking(seen.At(rootID)), Parent: -1})
 
-	for len(queue) > 0 {
-		head := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(tree.Nodes); head++ {
 		cur := tree.Nodes[head].Marking
 		for ti := 0; ti < len(n.trans); ti++ {
 			if !extFireInto(idx, ti, cur, scratch) {
@@ -160,18 +151,12 @@ func (n *Net) KarpMiller(from conf.Config, maxNodes int) (*KMTree, error) {
 					}
 				}
 			}
-			sid, added := seen.Insert(next)
-			id := len(tree.Nodes)
-			tree.Nodes = append(tree.Nodes, KMNode{Marking: ExtMarking(seen.At(sid)), Parent: head, Via: ti})
-			tree.Nodes[head].Children = append(tree.Nodes[head].Children, id)
-			// Expand only markings not seen anywhere in the tree so far
-			// (the "set" variant, sound for boundedness and
-			// coverability-set computation).
-			if added {
-				queue = append(queue, id)
+			sid, added, full := seen.InsertCapped(next, conf.HashCounts(next), maxNodes)
+			if full {
+				return nil, errBudget("karp-miller", seen.Len())
 			}
-			if len(tree.Nodes) > maxNodes {
-				return nil, errBudget("karp-miller", len(tree.Nodes))
+			if added {
+				tree.Nodes = append(tree.Nodes, KMNode{Marking: ExtMarking(seen.At(sid)), Parent: head})
 			}
 		}
 	}

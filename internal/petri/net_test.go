@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -177,29 +178,52 @@ func TestReachCancel(t *testing.T) {
 	}
 	from := conf.MustUnit(tSpace, "a")
 
-	// A pre-closed channel aborts at the first level boundary.
-	closed := make(chan struct{})
-	close(closed)
-	rs, err := n.Reach(from, Budget{MaxConfigs: 1 << 20, Cancel: closed})
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if rs == nil || rs.Complete {
-		t.Fatalf("cancelled closure marked complete: %+v", rs)
+	// A context cancelled up front aborts at the first level boundary,
+	// in fresh storage and in the storage of a finished closure.
+	pre, cancelPre := context.WithCancel(context.Background())
+	cancelPre()
+	var old *ReachSet
+	for _, reuse := range []bool{false, true} {
+		rs, err := n.ReachReusing(pre, old, from, Budget{MaxConfigs: 1 << 20})
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("reuse=%v: err = %v, want ErrCancelled", reuse, err)
+		}
+		if rs == nil || rs.Complete || rs.Len() != 1 {
+			t.Fatalf("reuse=%v: pre-cancelled closure = %+v, want the root alone, incomplete", reuse, rs)
+		}
+		if rs.exp.done != nil {
+			t.Fatalf("reuse=%v: ended closure still holds its caller's Done channel", reuse)
+		}
+		old = rs
 	}
 
-	// Cancelling mid-walk stops it promptly even with a huge budget.
-	cancel := make(chan struct{})
-	done := make(chan error, 1)
+	// Cancelling mid-walk stops it promptly even with a huge budget:
+	// the walk is past its first checkpoints when the cancel lands.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan *ReachSet, 1)
+	var walkErr error
 	go func() {
-		_, err := n.Reach(from, Budget{MaxConfigs: 1 << 30, Cancel: cancel})
-		done <- err
+		rs, err := n.ReachReusing(ctx, nil, from, Budget{MaxConfigs: 1 << 30})
+		walkErr = err
+		done <- rs
 	}()
-	close(cancel)
+	time.Sleep(20 * time.Millisecond)
+	cancel()
 	select {
-	case err := <-done:
-		if !errors.Is(err, ErrCancelled) && !errors.Is(err, ErrBudget) {
-			t.Fatalf("err = %v, want ErrCancelled (or ErrBudget if it raced)", err)
+	case rs := <-done:
+		if !errors.Is(walkErr, ErrCancelled) {
+			t.Fatalf("err = %v, want ErrCancelled", walkErr)
+		}
+		if rs.Complete || rs.Len() < 2 {
+			t.Fatalf("mid-walk cancel: Complete=%v after %d nodes, want a partial closure", rs.Complete, rs.Len())
+		}
+		// The partial closure is exactly a truncation: the same walk
+		// capped at its length reports the same nodes.
+		capped, _ := n.Reach(from, Budget{MaxConfigs: rs.Len()})
+		for id := 0; id < rs.Len(); id++ {
+			if !rs.Config(id).Equal(capped.Config(id)) {
+				t.Fatalf("node %d: cancelled %v, capped %v", id, rs.Config(id), capped.Config(id))
+			}
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled exploration still running")

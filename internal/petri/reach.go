@@ -1,9 +1,9 @@
 package petri
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/conf"
 	"repro/internal/graph"
@@ -17,44 +17,6 @@ type Budget struct {
 	// MaxConfigs caps the number of distinct configurations visited.
 	// Zero means DefaultMaxConfigs.
 	MaxConfigs int
-	// Workers sizes the input pool of callers that explore many
-	// closures at once (verify.Range). 0 means auto-detect
-	// (GOMAXPROCS). A single closure is always explored sequentially,
-	// so Workers never changes one.
-	Workers int
-	// Cancel, when non-nil, aborts the exploration once the channel is
-	// closed (typically a serving request's ctx.Done()): Reach stops at
-	// the next cancellation checkpoint and returns the partial closure
-	// with Complete=false and an error wrapping ErrCancelled, so a
-	// timed-out or disconnected caller frees its workers promptly
-	// instead of finishing a closure nobody will read. Cancellation
-	// never corrupts the partial set — it is exactly a truncation.
-	Cancel <-chan struct{}
-}
-
-// cancelled polls the Cancel channel without blocking.
-func (b Budget) cancelled() bool {
-	if b.Cancel == nil {
-		return false
-	}
-	select {
-	case <-b.Cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// EffectiveWorkers resolves the Workers field: 0 auto-detects
-// GOMAXPROCS, anything else is clamped below at 1.
-func (b Budget) EffectiveWorkers() int {
-	if b.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if b.Workers < 1 {
-		return 1
-	}
-	return b.Workers
 }
 
 // DefaultMaxConfigs is the visited-set cap used when Budget.MaxConfigs
@@ -128,7 +90,7 @@ type ReachSet struct {
 // inspect partial results while being unable to mistake them for exact
 // ones.
 func (n *Net) Reach(from conf.Config, budget Budget) (*ReachSet, error) {
-	return n.ReachReusing(nil, from, budget)
+	return n.ReachReusing(context.Background(), nil, from, budget)
 }
 
 // ReachReusing is Reach building the closure in the storage of old, a
@@ -136,8 +98,14 @@ func (n *Net) Reach(from conf.Config, budget Budget) (*ReachSet, error) {
 // After the call old and every view taken from it (Config, CSR, Edges)
 // are invalid: its arrays hold the new closure. The new closure does
 // not depend on old; reuse only saves allocations.
-func (n *Net) ReachReusing(old *ReachSet, from conf.Config, budget Budget) (*ReachSet, error) {
-	rs, err := n.startReach(old, from, budget)
+//
+// Once ctx is done the walk stops at its next cancellation checkpoint
+// and returns the partial closure, with Complete=false and an error
+// wrapping ErrCancelled, so a timed-out or disconnected caller frees
+// its worker instead of finishing a closure nobody will read. The
+// partial closure is exactly a truncation.
+func (n *Net) ReachReusing(ctx context.Context, old *ReachSet, from conf.Config, budget Budget) (*ReachSet, error) {
+	rs, err := n.startReach(ctx, old, from, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -146,15 +114,16 @@ func (n *Net) ReachReusing(old *ReachSet, from conf.Config, budget Budget) (*Rea
 }
 
 // StartReach returns the closure of from that holds only the root,
-// ready to be grown by Grow within the budget.
+// ready to be grown by Grow within the budget. Its growth is never
+// cancelled.
 func (n *Net) StartReach(from conf.Config, budget Budget) (*ReachSet, error) {
-	return n.startReach(nil, from, budget)
+	return n.startReach(context.Background(), nil, from, budget)
 }
 
 // startReach is the one set-up path of every closure: the root alone,
 // in old's emptied arrays when old is not nil, in fresh ones
-// otherwise.
-func (n *Net) startReach(old *ReachSet, from conf.Config, budget Budget) (*ReachSet, error) {
+// otherwise, growing until ctx is done.
+func (n *Net) startReach(ctx context.Context, old *ReachSet, from conf.Config, budget Budget) (*ReachSet, error) {
 	if !from.Space().Equal(n.space) {
 		return nil, errors.New("petri: initial configuration over wrong space")
 	}
@@ -187,7 +156,7 @@ func (n *Net) startReach(old *ReachSet, from conf.Config, budget Budget) (*Reach
 	rs.exp = expander{
 		rs:         rs,
 		idx:        n.Index(),
-		budget:     budget,
+		done:       ctx.Done(),
 		maxConfigs: budget.maxConfigs(), // int32-clamped
 		scratch:    scratch[:d],
 	}
@@ -197,11 +166,11 @@ func (n *Net) startReach(old *ReachSet, from conf.Config, budget Budget) (*Reach
 
 // Grow expands the closure's next BFS level. It reports done once
 // growth has ended, either because the frontier is empty or because
-// Budget.MaxConfigs or Budget.Cancel truncated the closure
-// (Complete=false); Grow on an ended closure is a no-op. Between calls
-// every accessor, CSR included, sees the closure grown so far; a CSR
-// taken before a Grow is invalid after it. Truncation is not an error
-// of Grow: it shows as done with Complete=false.
+// Budget.MaxConfigs truncated the closure (Complete=false); Grow on
+// an ended closure is a no-op. Between calls every accessor, CSR
+// included, sees the closure grown so far; a CSR taken before a Grow
+// is invalid after it. Truncation is not an error of Grow: it shows as
+// done with Complete=false.
 func (rs *ReachSet) Grow() (done bool) { return rs.growLevels(1) }
 
 // growLevels expands up to levels BFS levels (all of them when levels
@@ -217,6 +186,7 @@ func (rs *ReachSet) growLevels(levels int) bool {
 	rs.edgeOff = rs.edgeOff[:e.next+1]
 	if !e.run(levels) {
 		rs.grow = nil
+		e.done = nil // a reused closure keeps no finished caller's context
 		rs.Complete = rs.trunc == nil
 	}
 	rs.finalizeEdges()
@@ -230,9 +200,8 @@ func (rs *ReachSet) growLevels(levels int) bool {
 // contiguous id range.
 func (e *expander) run(levels int) bool {
 	rs := e.rs
-	budget := e.budget
 	for level := e.next; levels != 0; levels-- {
-		if budget.cancelled() {
+		if e.cancelled() {
 			return e.stop(errCancelled("reach", rs.set.Len()))
 		}
 		depth := rs.depth[level]
@@ -243,7 +212,7 @@ func (e *expander) run(levels int) bool {
 		for head := level; head < levelEnd; head++ {
 			// Wide levels re-check cancellation every 1024 nodes so a
 			// deadline lands mid-level, not only at level boundaries.
-			if head&1023 == 1023 && budget.cancelled() {
+			if head&1023 == 1023 && e.cancelled() {
 				return e.stop(errCancelled("reach", rs.set.Len()))
 			}
 			if !e.expandNode(head) {
@@ -269,10 +238,20 @@ func (e *expander) stop(err error) bool {
 type expander struct {
 	rs         *ReachSet
 	idx        *Index
-	budget     Budget
+	done       <-chan struct{} // the caller's ctx.Done(); nil never cancels
 	maxConfigs int
 	next       int // BFS queue head: the first unexpanded node id
 	scratch    []int64
+}
+
+// cancelled polls the caller's context without blocking.
+func (e *expander) cancelled() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // expandNode fires every transition of one node in transition order,
@@ -339,8 +318,8 @@ func errBudget(op string, visited int) error {
 }
 
 // ErrCancelled is reported (wrapped) when an exploration is aborted by
-// Budget.Cancel. It is a truncation, not a failure of the net: the
-// caller asked the search to stop.
+// its caller's context. It is a truncation, not a failure of the net:
+// the caller asked the search to stop.
 var ErrCancelled = errors.New("petri: exploration cancelled")
 
 func errCancelled(op string, visited int) error {

@@ -3,12 +3,16 @@
 // map[string]int over Config.Key, firing with Transition.Fire. The
 // arena closure must be node-for-node and edge-for-edge identical on
 // the E4/E8 nets — including explorations truncated by MaxConfigs —
-// and no Budget.Workers setting may change a ReachSet.
+// and neither a live context nor a concurrent walk over the same net
+// may change a ReachSet.
 package petri_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/conf"
@@ -234,9 +238,13 @@ func TestReachMatchesReference(t *testing.T) {
 	}
 }
 
-// Budget.Workers sizes verify.Range's input pool, never a closure:
-// Reach under any worker count must yield the ReachSet of Workers=1
-// byte for byte, including truncated searches.
+// Every closure of one net is built sequentially and shares nothing
+// mutable with another: verify.Range builds closures of one protocol
+// on several workers at once, each under the request's context. So a
+// walk run on w goroutines at once (the wN subtests), each through
+// ReachReusing under a live context that is never cancelled, must
+// yield the ReachSet sequential Reach builds, byte for byte, including
+// truncated searches.
 func TestReachParallelMatchesSequential(t *testing.T) {
 	budgets := map[string]petri.Budget{
 		"default":   {MaxConfigs: 1 << 16},
@@ -248,45 +256,28 @@ func TestReachParallelMatchesSequential(t *testing.T) {
 			if name == "pump(unbounded)" && bname == "default" {
 				budget.MaxConfigs = 1 << 10
 			}
-			seqBudget := budget
-			seqBudget.Workers = 1
-			seq, seqErr := inst.net.Reach(inst.from, seqBudget)
+			seq, seqErr := inst.net.Reach(inst.from, budget)
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, bname, workers), func(t *testing.T) {
-					b := budget
-					b.Workers = workers
-					got, gotErr := inst.net.Reach(inst.from, b)
-					if (seqErr != nil) != (gotErr != nil) {
-						t.Fatalf("err: workers=1 %v, workers=%d %v", seqErr, workers, gotErr)
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					got := make([]*petri.ReachSet, workers)
+					errs := make([]error, workers)
+					var wg sync.WaitGroup
+					for w := range workers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							got[w], errs[w] = inst.net.ReachReusing(ctx, nil, inst.from, budget)
+						}()
 					}
-					if got.Complete != seq.Complete || got.Len() != seq.Len() {
-						t.Fatalf("Complete/Len: workers=%d (%v, %d), workers=1 (%v, %d)",
-							workers, got.Complete, got.Len(), seq.Complete, seq.Len())
-					}
-					for id := 0; id < seq.Len(); id++ {
-						if !got.Config(id).Equal(seq.Config(id)) {
-							t.Fatalf("node %d: workers=N %v, workers=1 %v", id, got.Config(id), seq.Config(id))
+					wg.Wait()
+					for w := range workers {
+						if fmt.Sprint(errs[w]) != fmt.Sprint(seqErr) {
+							t.Fatalf("walk %d: err %v, sequential %v", w, errs[w], seqErr)
 						}
-						if got.Depth(id) != seq.Depth(id) {
-							t.Fatalf("node %d depth: workers=N %d, workers=1 %d", id, got.Depth(id), seq.Depth(id))
-						}
-						ge, se := got.Edges(id), seq.Edges(id)
-						if len(ge) != len(se) {
-							t.Fatalf("node %d: %d edges at workers=N, %d at workers=1", id, len(ge), len(se))
-						}
-						for i := range ge {
-							if ge[i] != se[i] {
-								t.Fatalf("node %d edge %d: workers=N %+v, workers=1 %+v", id, i, ge[i], se[i])
-							}
-						}
-						gw, sw := got.PathTo(id), seq.PathTo(id)
-						if len(gw) != len(sw) {
-							t.Fatalf("node %d word: workers=N %v, workers=1 %v", id, gw, sw)
-						}
-						for i := range gw {
-							if gw[i] != sw[i] {
-								t.Fatalf("node %d word: workers=N %v, workers=1 %v", id, gw, sw)
-							}
+						if err := closureDiff(got[w], seq); err != nil {
+							t.Fatalf("walk %d of %d: %v", w, workers, err)
 						}
 					}
 				})
@@ -295,9 +286,32 @@ func TestReachParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// closureDiff reports the first way got differs from want: Complete,
+// size, CSR, or a node's configuration, depth, parent, edges or
+// shortest word.
+func closureDiff(got, want *petri.ReachSet) error {
+	if got.Complete != want.Complete || got.Len() != want.Len() || got.NumEdges() != want.NumEdges() {
+		return fmt.Errorf("(Complete %v, %d nodes, %d edges), want (%v, %d, %d)",
+			got.Complete, got.Len(), got.NumEdges(), want.Complete, want.Len(), want.NumEdges())
+	}
+	gc, wc := got.CSR(), want.CSR()
+	if !slices.Equal(gc.Off, wc.Off) || !slices.Equal(gc.Dst, wc.Dst) {
+		return errors.New("CSR differs")
+	}
+	for id := 0; id < want.Len(); id++ {
+		if !got.Config(id).Equal(want.Config(id)) || got.Depth(id) != want.Depth(id) ||
+			got.Parent(id) != want.Parent(id) || !slices.Equal(got.Edges(id), want.Edges(id)) ||
+			!slices.Equal(got.PathTo(id), want.PathTo(id)) {
+			return fmt.Errorf("node %d differs", id)
+		}
+	}
+	return nil
+}
+
 // Growing a closure one BFS level at a time, with every accessor read
 // between levels, must end in the closure one-shot Reach builds — and
-// so in the reference — at every worker count. Between
+// so in the reference. The wN subtests grow N closures of the root at
+// once, one per goroutine over the one net, and check each. Between
 // levels the CSR must already cover every node: expanded nodes with
 // their final edges, the frontier with none.
 func TestGrowMatchesReach(t *testing.T) {
@@ -311,65 +325,86 @@ func TestGrowMatchesReach(t *testing.T) {
 			if name == "pump(unbounded)" && bname == "default" {
 				budget.MaxConfigs = 1 << 10
 			}
+			whole, wholeErr := inst.net.Reach(inst.from, budget)
+			if whole == nil {
+				t.Fatalf("Reach returned nil set (err %v)", wholeErr)
+			}
 			for _, workers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, bname, workers), func(t *testing.T) {
-					b := budget
-					b.Workers = workers
-					whole, wholeErr := inst.net.Reach(inst.from, b)
-					if whole == nil {
-						t.Fatalf("Reach returned nil set (err %v)", wholeErr)
+					grown := make([]*petri.ReachSet, workers)
+					errs := make([]error, workers)
+					var wg sync.WaitGroup
+					for w := range workers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							grown[w], errs[w] = growChecked(inst.net, inst.from, budget, whole)
+						}()
 					}
-					rs, err := inst.net.StartReach(inst.from, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					levelLo, levelHi := 0, 1 // the level Grow expands next
-					for done := false; !done; {
-						done = rs.Grow()
-						if !done && rs.Complete {
-							t.Fatal("Complete while the closure is still growing")
+					wg.Wait()
+					ref := referenceReach(inst.net, inst.from, budget)
+					for w, rs := range grown {
+						if errs[w] != nil {
+							t.Fatalf("closure %d of %d: %v", w, workers, errs[w])
 						}
-						csr := rs.CSR()
-						if len(csr.Off) != rs.Len()+1 || int(csr.Off[rs.Len()]) != rs.NumEdges() {
-							t.Fatalf("paused CSR has %d offsets ending at %d, want %d ending at %d",
-								len(csr.Off), csr.Off[len(csr.Off)-1], rs.Len()+1, rs.NumEdges())
-						}
-						for id := levelLo; id < levelHi; id++ {
-							got := csr.Dst[csr.Off[id]:csr.Off[id+1]]
-							want := whole.Edges(id)
-							if len(got) != len(want) {
-								t.Fatalf("node %d: %d edges mid-growth, %d in Reach", id, len(got), len(want))
-							}
-							for i := range got {
-								if int(got[i]) != want[i].To {
-									t.Fatalf("node %d edge %d: %d mid-growth, %+v in Reach", id, i, got[i], want[i])
-								}
-							}
-						}
-						for id := levelHi; id < rs.Len(); id++ {
-							if csr.Off[id] != csr.Off[id+1] {
-								t.Fatalf("frontier node %d has edges before its expansion", id)
-							}
-							if !rs.Config(id).Equal(whole.Config(id)) {
-								t.Fatalf("node %d: %v mid-growth, %v in Reach", id, rs.Config(id), whole.Config(id))
-							}
-							if w, ww := rs.PathTo(id), whole.PathTo(id); fmt.Sprint(w) != fmt.Sprint(ww) {
-								t.Fatalf("node %d word %v mid-growth, %v in Reach", id, w, ww)
-							}
-						}
-						levelLo, levelHi = levelHi, rs.Len()
+						assertEqualToReference(t, rs, wholeErr, ref)
 					}
-					if !rs.Grow() {
-						t.Fatal("Grow after the end reports growth; want a no-op")
-					}
-					if rs.Complete != whole.Complete {
-						t.Fatalf("Complete = %v, Reach %v", rs.Complete, whole.Complete)
-					}
-					assertEqualToReference(t, rs, wholeErr, referenceReach(inst.net, inst.from, budget))
 				})
 			}
 		}
 	}
+}
+
+// growChecked grows the closure of from level by level, checking at
+// every pause that it agrees with whole, the closure Reach built.
+func growChecked(net *petri.Net, from conf.Config, budget petri.Budget, whole *petri.ReachSet) (*petri.ReachSet, error) {
+	rs, err := net.StartReach(from, budget)
+	if err != nil {
+		return nil, err
+	}
+	levelLo, levelHi := 0, 1 // the level Grow expands next
+	for done := false; !done; {
+		done = rs.Grow()
+		if !done && rs.Complete {
+			return nil, errors.New("Complete while the closure is still growing")
+		}
+		csr := rs.CSR()
+		if len(csr.Off) != rs.Len()+1 || int(csr.Off[rs.Len()]) != rs.NumEdges() {
+			return nil, fmt.Errorf("paused CSR has %d offsets ending at %d, want %d ending at %d",
+				len(csr.Off), csr.Off[len(csr.Off)-1], rs.Len()+1, rs.NumEdges())
+		}
+		for id := levelLo; id < levelHi; id++ {
+			got := csr.Dst[csr.Off[id]:csr.Off[id+1]]
+			want := whole.Edges(id)
+			if len(got) != len(want) {
+				return nil, fmt.Errorf("node %d: %d edges mid-growth, %d in Reach", id, len(got), len(want))
+			}
+			for i := range got {
+				if int(got[i]) != want[i].To {
+					return nil, fmt.Errorf("node %d edge %d: %d mid-growth, %+v in Reach", id, i, got[i], want[i])
+				}
+			}
+		}
+		for id := levelHi; id < rs.Len(); id++ {
+			if csr.Off[id] != csr.Off[id+1] {
+				return nil, fmt.Errorf("frontier node %d has edges before its expansion", id)
+			}
+			if !rs.Config(id).Equal(whole.Config(id)) {
+				return nil, fmt.Errorf("node %d: %v mid-growth, %v in Reach", id, rs.Config(id), whole.Config(id))
+			}
+			if w, ww := rs.PathTo(id), whole.PathTo(id); fmt.Sprint(w) != fmt.Sprint(ww) {
+				return nil, fmt.Errorf("node %d word %v mid-growth, %v in Reach", id, w, ww)
+			}
+		}
+		levelLo, levelHi = levelHi, rs.Len()
+	}
+	if !rs.Grow() {
+		return nil, errors.New("Grow after the end reports growth; want a no-op")
+	}
+	if rs.Complete != whole.Complete {
+		return nil, fmt.Errorf("Complete = %v, Reach %v", rs.Complete, whole.Complete)
+	}
+	return rs, nil
 }
 
 // A chain of ReachReusing calls, each building in the previous
@@ -409,7 +444,7 @@ func TestReachReusingMatchesReach(t *testing.T) {
 	prev := 0
 	for _, s := range steps {
 		want, wantErr := s.net.Reach(s.from, s.budget)
-		got, gotErr := s.net.ReachReusing(ws, s.from, s.budget)
+		got, gotErr := s.net.ReachReusing(context.Background(), ws, s.from, s.budget)
 		if got == nil || want == nil {
 			t.Fatalf("%s: nil closure (reused err %v, fresh err %v)", s.name, gotErr, wantErr)
 		}
@@ -420,20 +455,8 @@ func TestReachReusingMatchesReach(t *testing.T) {
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: err %v, fresh Reach %v", s.name, gotErr, wantErr)
 		}
-		if got.Complete != want.Complete || got.Len() != want.Len() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("%s: (Complete %v, %d nodes, %d edges), fresh Reach (%v, %d, %d)", s.name,
-				got.Complete, got.Len(), got.NumEdges(), want.Complete, want.Len(), want.NumEdges())
-		}
-		gc, wc := got.CSR(), want.CSR()
-		if fmt.Sprint(gc.Off, gc.Dst) != fmt.Sprint(wc.Off, wc.Dst) {
-			t.Fatalf("%s: CSR differs from fresh Reach", s.name)
-		}
-		for id := 0; id < want.Len(); id++ {
-			if !got.Config(id).Equal(want.Config(id)) || got.Depth(id) != want.Depth(id) ||
-				got.Parent(id) != want.Parent(id) || fmt.Sprint(got.Edges(id)) != fmt.Sprint(want.Edges(id)) ||
-				fmt.Sprint(got.PathTo(id)) != fmt.Sprint(want.PathTo(id)) {
-				t.Fatalf("%s: node %d differs from fresh Reach", s.name, id)
-			}
+		if err := closureDiff(got, want); err != nil {
+			t.Fatalf("%s: %v, against fresh Reach", s.name, err)
 		}
 		if id, ok := got.ID(s.from); !ok || id != 0 {
 			t.Fatalf("%s: root lookup = (%d, %v), want (0, true)", s.name, id, ok)

@@ -112,14 +112,14 @@ func (s *Server) computeVerify(ctx context.Context, q *key.Query) (json.RawMessa
 		return nil, fmt.Errorf("serve: %s is not a counting protocol", q.Spec.Protocol)
 	}
 	state := p.InitialStates()[0]
-	// The request's cancellation rides the budget into the closure
-	// walk, so an expired deadline stops the BFS mid-level instead of
-	// holding the admission tokens until the budget drains.
-	rr, err := verify.Counting(p, state, n, q.Verify.MaxX, petri.Budget{
-		MaxConfigs: q.Verify.Budget,
-		Workers:    s.workers,
-		Cancel:     ctx.Done(),
-	})
+	if err := verify.CheckCounting(p, state); err != nil {
+		return nil, err
+	}
+	// The request's context reaches the closure walk, so an expired
+	// deadline stops the BFS mid-level instead of holding the
+	// admission tokens until the budget drains.
+	rr, err := verify.Range(ctx, p, verify.CountingPredicate(state, n), 0, q.Verify.MaxX,
+		petri.Budget{MaxConfigs: q.Verify.Budget}, s.workers)
 	if err != nil {
 		return nil, err
 	}

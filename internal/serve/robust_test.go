@@ -15,10 +15,10 @@ import (
 	"repro/internal/faultfs"
 )
 
-// A request whose compute cannot finish inside its deadline resolves
-// as 503 + Retry-After with the job in timed_out — a verify walk is
-// cancellable at every closure level, so even a 1ns deadline is seen
-// promptly rather than after the full walk.
+// A request whose deadline has passed resolves as 503 + Retry-After
+// with the job in timed_out. A 1ns deadline expires before the compute
+// starts; TestDeadlineLandsMidClosure covers one that lands inside the
+// closure walk.
 func TestDeadlineTimesOutCompute(t *testing.T) {
 	s, err := New(Config{StoreDir: t.TempDir(), Workers: 2, Deadline: time.Nanosecond})
 	if err != nil {
@@ -46,6 +46,39 @@ func TestDeadlineTimesOutCompute(t *testing.T) {
 	// The tokens came back: a cheap follow-up sails through.
 	if rec, _ := post(t, h, "/v1/bounds", `{"op":"rackoff"}`); rec.Code != http.StatusServiceUnavailable && rec.Code != http.StatusOK {
 		t.Fatalf("follow-up after timeout: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// The deadline lands inside the closure walk, not in admission:
+// uncancelled, this query's compute takes ≈1.6 s on a 2-vCPU VM (its
+// largest closure has 337842 configurations), over 30 times the 50 ms
+// deadline. The request context reaches every verify closure, so the
+// walk stops at its next checkpoint and the client gets 503 with
+// Retry-After and a timed_out job a few milliseconds after the
+// deadline.
+func TestDeadlineLandsMidClosure(t *testing.T) {
+	const deadline = 50 * time.Millisecond
+	s, err := New(Config{StoreDir: t.TempDir(), Workers: 2, Deadline: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	start := time.Now()
+	rec, _ := post(t, h, "/v1/verify", `{"spec":{"protocol":"power2","param":7},"max_x":160}`)
+	elapsed := time.Since(start)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request past its deadline: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("503 without a Retry-After hint")
+	}
+	if elapsed > 10*deadline {
+		t.Errorf("answered after %v; a walk that polls its context stops within a few ms of the %v deadline", elapsed, deadline)
+	}
+	var m MetricsSnapshot
+	get(t, h, "/metrics", &m)
+	if m.Timeouts != 1 || m.Jobs["timed_out"] != 1 {
+		t.Errorf("timeouts=%d jobs=%v, want one timed_out job", m.Timeouts, m.Jobs)
 	}
 }
 

@@ -348,8 +348,9 @@ func writeResult(w http.ResponseWriter, job string, k key.Key, cache, kind strin
 // The whole walk runs under a compute deadline (Config.Deadline, or a
 // per-query default priced from the admission cost). When it expires
 // — or the client disconnects — the context cancellation propagates
-// into the engines (sim polls it, petri.Budget.Cancel carries it into
-// the verify closure walk), the job lands in timed_out, the held
+// into the engines (sim polls it; verify.Range hands it to every
+// closure walk, which polls it per level and every 1024 nodes), the
+// job lands in timed_out, the held
 // admission tokens are released immediately, and the client gets 503
 // with a Retry-After derived from the admission balance.
 func (s *Server) run(r *http.Request, q *key.Query, out reply, compute func(context.Context) (json.RawMessage, error)) {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,7 +85,7 @@ func verifyPred(t *testing.T, p Pred, minTotal, maxTotal int64) {
 		}
 		return p.Eval(counts)
 	}
-	res, err := verify.Range(proto, pred, minTotal, maxTotal, budget)
+	res, err := verify.Range(context.Background(), proto, pred, minTotal, maxTotal, budget, 0)
 	if err != nil {
 		t.Fatalf("verify %v: %v", p, err)
 	}
@@ -143,7 +144,7 @@ func TestMajority(t *testing.T) {
 	pred := func(input conf.Config) bool {
 		return input.GetName("A") > input.GetName("B")
 	}
-	res, err := verify.Range(p, pred, 0, 6, budget)
+	res, err := verify.Range(context.Background(), p, pred, 0, 6, budget, 0)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}

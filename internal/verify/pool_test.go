@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -65,7 +66,7 @@ func freshReports(t *testing.T, p *core.Protocol, pred Predicate, minTotal, maxT
 				t.Fatal(err)
 			}
 			var r Report
-			if err := check(p, embedded, pred, budget, &workspace{}, &r); err != nil {
+			if err := check(context.Background(), p, embedded, pred, budget, &workspace{}, &r); err != nil {
 				t.Fatalf("check(%v): %v", embedded, err)
 			}
 			out = append(out, r)
@@ -90,7 +91,7 @@ func (c poolCase) run() (*RangeResult, error) {
 	if c.min == 0 {
 		return Counting(c.p, "i", c.n, c.max, budget)
 	}
-	return Range(c.p, CountingPredicate("i", c.n), c.min, c.max, budget)
+	return Range(context.Background(), c.p, CountingPredicate("i", c.n), c.min, c.max, budget, 0)
 }
 
 // runPoolCase runs one range on the pooled workspaces and compares

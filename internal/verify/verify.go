@@ -32,8 +32,10 @@
 package verify
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -78,12 +80,12 @@ type Report struct {
 // reachability passes (who can reach a bad node; who can reach a
 // stable node) run over the closure's shared CSR edge structure: the
 // reverse graph is built once and no per-node adjacency slices are
-// allocated.
+// allocated. It is never cancelled.
 func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget) (*Report, error) {
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
 	report := new(Report)
-	if err := check(p, input.Clone(), pred, budget, ws, report); err != nil {
+	if err := check(context.Background(), p, input.Clone(), pred, budget, ws, report); err != nil {
 		return nil, err
 	}
 	return report, nil
@@ -107,13 +109,14 @@ type workspace struct {
 // report keeps, so no result aliases pooled storage.
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-// check is Input writing into report, with the closure and every
-// intermediate built in the storage of ws. Nothing in report aliases
-// ws; report.Input is input itself, which the caller hands over.
-func check(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget, ws *workspace, report *Report) error {
+// check is Input writing into report under ctx, with the closure and
+// every intermediate built in the storage of ws. Nothing in report
+// aliases ws; report.Input is input itself, which the caller hands
+// over.
+func check(ctx context.Context, p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget, ws *workspace, report *Report) error {
 	expected := pred(input)
 	initial := p.InitialConfig(input)
-	rs, err := p.Net().ReachReusing(ws.rs, initial, budget)
+	rs, err := p.Net().ReachReusing(ctx, ws.rs, initial, budget)
 	ws.rs = rs
 	if err != nil {
 		return fmt.Errorf("verify %v: %w", input, err)
@@ -191,15 +194,18 @@ func (r *RangeResult) FirstFailure() *Report {
 // the well-specification problem for the given predicate.
 //
 // Inputs are independent, so they run on one pool of min(workers,
-// inputs) workers (Budget.Workers, 0 = GOMAXPROCS), the calling
-// goroutine being one of them: workers claim inputs in enumeration
-// order through one atomic index, and each input's closure is explored
-// sequentially. Every worker builds each closure in the storage of its
-// previous one; reports are detached copies written by index. The
-// first error by enumeration order is returned, and inputs past an
-// error are skipped, so results and errors are deterministic
-// regardless of scheduling.
-func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget petri.Budget) (*RangeResult, error) {
+// inputs) workers (0 = GOMAXPROCS), the calling goroutine being one of
+// them: workers claim inputs in enumeration order through one atomic
+// index, and each input's closure is explored sequentially. Every
+// worker builds each closure in the storage of its previous one;
+// reports are detached copies written by index. The first error by
+// enumeration order is returned, and inputs past an error are skipped,
+// so results and errors are deterministic regardless of scheduling.
+//
+// Once ctx is done every worker's closure stops at its next
+// cancellation checkpoint, so Range returns an error wrapping
+// petri.ErrCancelled and no helper outlives the call.
+func Range(ctx context.Context, p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget petri.Budget, workers int) (*RangeResult, error) {
 	if minTotal < 0 || maxTotal < minTotal {
 		return nil, errors.New("verify: invalid total range")
 	}
@@ -240,7 +246,7 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 			if i >= int64(len(inputs)) || i > minFailed.Load() {
 				return
 			}
-			err := check(p, inputs[i], pred, budget, ws, &reports[i])
+			err := check(ctx, p, inputs[i], pred, budget, ws, &reports[i])
 			if err == nil {
 				continue
 			}
@@ -253,8 +259,11 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 			}
 		}
 	}
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(budget.EffectiveWorkers(), len(inputs)); w++ {
+	for w := 1; w < min(workers, len(inputs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -282,10 +291,21 @@ func Range(p *core.Protocol, pred Predicate, minTotal, maxTotal int64, budget pe
 
 // Counting verifies a protocol against φ_{i≥n} for all input sizes
 // x ∈ [0, maxX]: the standard acceptance test for the counting
-// constructions of Section 4.
+// constructions of Section 4. It runs on every core and is never
+// cancelled; CheckCounting and Range make the same call under a
+// context and a worker count.
 func Counting(p *core.Protocol, state string, n int64, maxX int64, budget petri.Budget) (*RangeResult, error) {
-	if len(p.InitialStates()) != 1 || p.InitialStates()[0] != state {
-		return nil, fmt.Errorf("verify: counting protocols must have I = {%s}", state)
+	if err := CheckCounting(p, state); err != nil {
+		return nil, err
 	}
-	return Range(p, CountingPredicate(state, n), 0, maxX, budget)
+	return Range(context.Background(), p, CountingPredicate(state, n), 0, maxX, budget, 0)
+}
+
+// CheckCounting reports an error unless the protocol's initial states
+// are exactly {state}, the shape φ_{state≥n} is defined over.
+func CheckCounting(p *core.Protocol, state string) error {
+	if len(p.InitialStates()) != 1 || p.InitialStates()[0] != state {
+		return fmt.Errorf("verify: counting protocols must have I = {%s}", state)
+	}
+	return nil
 }

@@ -1,10 +1,12 @@
 package verify
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -140,7 +142,7 @@ func TestRangeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Example41: %v", err)
 	}
-	if _, err := Range(p, CountingPredicate("i", 2), 3, 1, budget); err == nil {
+	if _, err := Range(context.Background(), p, CountingPredicate("i", 2), 3, 1, budget, 0); err == nil {
 		t.Error("inverted range accepted")
 	}
 	if _, err := Counting(p, "p", 2, 3, budget); err == nil {
@@ -205,7 +207,7 @@ func sameReport(a, b Report) bool {
 	return a.Counterexample == nil || a.Counterexample.Equal(*b.Counterexample)
 }
 
-// Range reports must be byte-identical for every worker budget: the
+// Range reports must be byte-identical for every worker count: the
 // input pool collects in enumeration order and each closure is
 // explored sequentially, so only the wall clock may differ.
 func TestRangeDeterministicAcrossWorkers(t *testing.T) {
@@ -215,9 +217,7 @@ func TestRangeDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var ref *RangeResult
 	for _, workers := range []int{1, 2, 4, 8} {
-		b := budget
-		b.Workers = workers
-		res, err := Counting(p, "i", 4, 7, b)
+		res, err := Range(context.Background(), p, CountingPredicate("i", 4), 0, 7, budget, workers)
 		if err != nil {
 			t.Fatalf("w=%d: %v", workers, err)
 		}
@@ -308,9 +308,7 @@ func TestRangeMatchesInputOnIllSpecified(t *testing.T) {
 			wantFailures, deep)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		b := budget
-		b.Workers = workers
-		res, err := Range(p, pred, 0, maxX, b)
+		res, err := Range(context.Background(), p, pred, 0, maxX, budget, workers)
 		if err != nil {
 			t.Fatalf("w=%d: %v", workers, err)
 		}
@@ -334,7 +332,9 @@ func TestRangeMatchesInputOnIllSpecified(t *testing.T) {
 // BFS arrays still fresh per input; 69 with those kept in a pooled
 // workspace but each closure's expander fresh; 48 with the expander
 // and its scratch buffer reused as well and each input cloned once;
-// 41 with each input embedded straight from the enumeration, no clone.
+// 41 with each input embedded straight from the enumeration, no
+// clone. Those counts went through Counting; Range alone, its
+// predicate built once outside the loop, makes 38 of them.
 func TestRangeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -343,13 +343,61 @@ func TestRangeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Example42: %v", err)
 	}
-	b := petri.Budget{MaxConfigs: 1 << 20, Workers: 1}
+	b := petri.Budget{MaxConfigs: 1 << 20}
+	pred := CountingPredicate("i", 2)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Counting(p, "i", 2, 6, b); err != nil {
+		if _, err := Range(context.Background(), p, pred, 0, 6, b, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 46 {
-		t.Errorf("Range allocates %.0f times per call, ceiling 46", allocs)
+	if allocs > 42 {
+		t.Errorf("Range allocates %.0f times per call, ceiling 42", allocs)
+	}
+}
+
+// A cancelled context ends a Range at every worker count: up front,
+// and mid-walk on closures that only cancellation can end (each input
+// pumps p forever). The error wraps petri.ErrCancelled, and Range
+// returns only after its helpers have.
+func TestRangeCancel(t *testing.T) {
+	space := conf.MustSpace("i", "p")
+	pump, err := petri.NewTransition("pump", conf.MustUnit(space, "i"), conf.MustFromMap(space, map[string]int64{"i": 1, "p": 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := petri.New(space, []petri.Transition{pump})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProtocol("pump", net, conf.New(space), []string{"i"},
+		map[string]core.Output{"i": core.Out1, "p": core.Out0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A walk that outlived its cancellation would end on this budget
+	// with ErrBudget instead.
+	b := petri.Budget{MaxConfigs: 1 << 22}
+	pred := CountingPredicate("i", 1)
+	for _, workers := range []int{1, 2, 4} {
+		for _, when := range []string{"before", "mid-walk"} {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			if when == "before" {
+				cancel()
+			} else {
+				time.AfterFunc(20*time.Millisecond, cancel)
+			}
+			_, err := Range(ctx, p, pred, 1, 4, b, workers)
+			cancel()
+			if !errors.Is(err, petri.ErrCancelled) {
+				t.Fatalf("w=%d cancelled %s: err = %v, want petri.ErrCancelled", workers, when, err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+				if time.Now().After(deadline) {
+					t.Fatalf("w=%d cancelled %s: %d goroutines after Range, %d before", workers, when, runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 }
