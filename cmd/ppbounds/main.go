@@ -2,11 +2,11 @@
 //
 // Usage:
 //
-//	ppbounds thm43 -dmax 10 -w 2 -l 2     Theorem 4.3 table
-//	ppbounds minstates -log10n 100 -m 2   states needed for a given n
-//	ppbounds cor44 -kmax 20 -h 0.49 -m 2  Corollary 4.4 curve at n=2^(2^k)
-//	ppbounds rackoff -d 5 -t 1 -r 1       Lemma 5.3 bound
-//	ppbounds section8 -d 4 -t 2 -l 2      Section 8 cascade (b,h,k,a,ℓ,n)
+//	ppbounds thm43 -dmax 10 -w 2 -l 2       Theorem 4.3 table
+//	ppbounds minstates -log10n 100 -m 2     states needed for a given n
+//	ppbounds cor44 -kmax 20 -exp 0.49 -m 2  Corollary 4.4 curve at n=2^(2^k)
+//	ppbounds rackoff -d 5 -t 1 -r 1         Lemma 5.3 bound
+//	ppbounds section8 -d 4 -t 2 -l 2        Section 8 cascade (b,h,k,a,ℓ,n)
 //
 // Every subcommand first applies bounds.Query.Check, the domain rule
 // /v1/bounds applies too: a query whose rows or values would overflow
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"repro/internal/bounds"
 )
@@ -54,7 +55,7 @@ func run(args []string) error {
 		fs.Int64Var(&q.M, "m", 2, "width and leader bound")
 	case "cor44":
 		fs.IntVar(&q.KMax, "kmax", 20, "max tower level (n = 2^(2^k))")
-		fs.Float64Var(&q.H, "h", 0.49, "exponent h < 1/2")
+		fs.Float64Var(&q.H, "exp", 0.49, "exponent h < 1/2")
 		fs.Int64Var(&q.M, "m", 2, "width and leader bound")
 		removedWorkers()
 	case "rackoff":
@@ -67,6 +68,17 @@ func run(args []string) error {
 		fs.Int64Var(&q.L, "l", 2, "‖ρ_L‖∞")
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
+	}
+	// cor44's exponent flag was -h. A command line that still gives
+	// -h a value (-h=0.3, or any argument after it, as the flag
+	// package read it) learns the new name; a bare -h asks for help.
+	if q.Op == "cor44" {
+		for i, a := range args[1:] {
+			if strings.HasPrefix(a, "-h=") || strings.HasPrefix(a, "--h=") ||
+				(a == "-h" || a == "--h") && i+2 < len(args) {
+				return errors.New("-h was renamed -exp")
+			}
+		}
 	}
 	if err := fs.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

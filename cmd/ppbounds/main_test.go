@@ -26,8 +26,7 @@ func TestSubcommands(t *testing.T) {
 
 // Asking a subcommand for help is not an error: the command prints the
 // usage to stderr and exits 0. Each case runs the command's main in a
-// child process of the test binary to see its exit status. cor44 has
-// its own -h (the exponent), so there only -help asks for help.
+// child process of the test binary to see its exit status.
 func TestHelp(t *testing.T) {
 	if args := os.Getenv("PPBOUNDS_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"ppbounds"}, strings.Fields(args)...)
@@ -35,7 +34,7 @@ func TestHelp(t *testing.T) {
 		os.Exit(0)
 	}
 	cases := []string{
-		"thm43 -h", "minstates -h", "rackoff -h", "section8 -h",
+		"thm43 -h", "minstates -h", "cor44 -h", "rackoff -h", "section8 -h",
 		"thm43 -help", "minstates -help", "cor44 -help", "rackoff -help", "section8 -help",
 	}
 	for _, args := range cases {
@@ -106,7 +105,7 @@ func TestDomainErrors(t *testing.T) {
 		{"rackoff", "-d", "100000", "-t", "1", "-r", "0"},
 		{"section8", "-d", "100"},
 		{"cor44", "-kmax", "1024"},
-		{"cor44", "-h", "0.5"},
+		{"cor44", "-exp", "0.5"},
 		{"thm43", "-w", "-5"},
 	}
 	for _, args := range cases {
@@ -114,6 +113,24 @@ func TestDomainErrors(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), "bounds: ") {
 			t.Errorf("run(%v) = %v, want the domain rule's error", args, err)
 		}
+	}
+}
+
+// cor44's exponent flag was renamed from -h to -exp; giving -h a value
+// names the rename.
+func TestRenamedExponentFlag(t *testing.T) {
+	for _, args := range [][]string{
+		{"cor44", "-h", "0.3"},
+		{"cor44", "-h=0.3"},
+		{"cor44", "-kmax", "5", "-h", "0.3"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "-h was renamed -exp") {
+			t.Errorf("%v: error %v does not name the rename", args, err)
+		}
+	}
+	if err := run([]string{"cor44", "-kmax", "2", "-exp", "0.3"}); err != nil {
+		t.Errorf("cor44 -exp 0.3: %v", err)
 	}
 }
 

@@ -285,10 +285,8 @@ func runDispatch(ctx context.Context, args []string, out io.Writer) error {
 		dir         = fs.String("dir", "", "shared queue directory (leases, artifacts, cell partials)")
 		workers     = fs.Int("workers", 0, "size of the trial pool (0 = all cores); results are identical for any value")
 		leaseTTL    = fs.Duration("lease-ttl", time.Minute, "steal a shard whose lease heartbeat sequence number has not advanced for this long of local time")
-		heartbeat   = fs.Duration("heartbeat", 0, "lease refresh period (0 = lease-ttl/4)")
 		maxAttempts = fs.Int("max-attempts", 3, "per-shard acquisition cap before the shard is marked failed")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "initial queue rescan delay while peers hold every open shard (backs off with jitter)")
-		pollMax     = fs.Duration("poll-max", 0, "idle rescan backoff cap (0 = 8×poll)")
 		retries     = fs.Int("retry-attempts", 0, "tries per queue operation before giving up on transient I/O errors (0 = 5)")
 		retryBase   = fs.Duration("retry-base", 0, "first transient-retry backoff, doubling with full jitter (0 = 20ms)")
 		failAfter   = fs.Int("fail-after-cells", 0, "TESTING: die after persisting N cells, leaving lease and partials (simulates SIGKILL)")
@@ -297,8 +295,26 @@ func runDispatch(ctx context.Context, args []string, out io.Writer) error {
 		outPath     = fs.String("o", "", "also merge the drained queue to this path")
 	)
 	ruleOf := stopRuleFlags(fs)
+	// Two tuning flags were removed; they stay defined so a command
+	// line that still passes them learns why it fails.
+	removedWhy := map[string]string{
+		"heartbeat": "the heartbeat is lease-ttl/4",
+		"poll-max":  "the idle backoff cap is 8×poll",
+	}
+	for name, why := range removedWhy {
+		fs.String(name, "", "removed: "+why)
+	}
 	if err := fs.Parse(args); err != nil {
 		return flagErr(err)
+	}
+	var removed error
+	fs.Visit(func(f *flag.Flag) {
+		if why, ok := removedWhy[f.Name]; ok {
+			removed = fmt.Errorf("-%s was removed: %s", f.Name, why)
+		}
+	})
+	if removed != nil {
+		return removed
 	}
 	if *dir == "" {
 		return errors.New("dispatch: -dir is required")
@@ -329,10 +345,8 @@ func runDispatch(ctx context.Context, args []string, out io.Writer) error {
 		Dir:            *dir,
 		Workers:        *workers,
 		LeaseTTL:       *leaseTTL,
-		Heartbeat:      *heartbeat,
 		MaxAttempts:    *maxAttempts,
 		Poll:           *poll,
-		PollMax:        *pollMax,
 		RetryAttempts:  *retries,
 		RetryBase:      *retryBase,
 		FS:             fsys,

@@ -242,6 +242,22 @@ func TestRunPartialsResumeCLI(t *testing.T) {
 // (fault injection), worker 2 steals the expired lease, resumes from
 // the cell partials, drains the queue and merges — byte-identically
 // to the plain 2-shard plan/run/merge pipeline.
+// dispatch's -heartbeat and -poll-max were removed; passing either
+// names the removal and the value now derived in its place.
+func TestRunRemovedDispatchFlags(t *testing.T) {
+	for _, c := range []struct{ flag, why string }{
+		{"-heartbeat", "lease-ttl/4"},
+		{"-poll-max", "8×poll"},
+	} {
+		err := run(context.Background(),
+			[]string{"dispatch", "-plan", "plan.json", "-dir", t.TempDir(), c.flag, "1s"},
+			&strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), c.flag+" was removed") || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("dispatch %s 1s: error %v does not name the removal", c.flag, err)
+		}
+	}
+}
+
 func TestDispatchKillRedispatchCLI(t *testing.T) {
 	dir := t.TempDir()
 	mustRun(t, planArgs(dir, 2, "plan.json")...)

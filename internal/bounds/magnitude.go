@@ -76,14 +76,6 @@ func (m Magnitude) Exact() (*big.Int, bool) {
 // IsExact reports whether the magnitude carries an exact value.
 func (m Magnitude) IsExact() bool { return m.exact != nil }
 
-// Digits returns the number of decimal digits (1 for zero).
-func (m Magnitude) Digits() float64 {
-	if m.exact != nil && m.exact.Sign() == 0 {
-		return 1
-	}
-	return math.Floor(m.log10) + 1
-}
-
 // Cmp compares the magnitude with a big.Int: −1, 0, +1. For inexact
 // magnitudes the comparison uses log10 and is reliable away from
 // equality (the use case: astronomically separated bounds).
@@ -137,21 +129,6 @@ func Pow(base int64, exp *big.Int) Magnitude {
 
 // PowInt is Pow with an int64 exponent.
 func PowInt(base, exp int64) Magnitude { return Pow(base, big.NewInt(exp)) }
-
-// PowMag returns base^exp where the exponent itself is a Magnitude.
-func PowMag(base int64, exp Magnitude) Magnitude {
-	if e, ok := exp.Exact(); ok {
-		return Pow(base, e)
-	}
-	if base <= 0 {
-		panic("bounds: inexact exponent requires positive base")
-	}
-	// log10(base^exp) = exp·log10(base); exp itself is only known by its
-	// log, so the result's log10 is 10^exp.log10 · log10(base), which
-	// can overflow float64 — saturate at +Inf, which is fine for
-	// comparisons against anything finite.
-	return FromLog10(math.Pow(10, exp.log10) * math.Log10(float64(base)))
-}
 
 // MulInt returns m·n for a non-negative int64.
 func (m Magnitude) MulInt(n int64) Magnitude {

@@ -115,20 +115,6 @@ func (c Config) GetName(name string) int64 {
 	return c.v[i]
 }
 
-// WithName returns a copy of c with the named state's count replaced.
-func (c Config) WithName(name string, n int64) (Config, error) {
-	i, ok := c.space.Index(name)
-	if !ok {
-		return Config{}, fmt.Errorf("conf: state %q not in space %v", name, c.space)
-	}
-	if n < 0 {
-		return Config{}, fmt.Errorf("conf: negative count %d for state %q", n, name)
-	}
-	out := c.Clone()
-	out.v[i] = n
-	return out, nil
-}
-
 // Clone returns an independent copy of the configuration.
 func (c Config) Clone() Config {
 	out := Config{space: c.space, v: make([]int64, len(c.v))}
@@ -177,50 +163,11 @@ func (c Config) Support() []int {
 	return out
 }
 
-// AddAt adds d (which may be negative) to state i's count in place and
-// returns the new count. It is the single-state complement of the
-// in-place API for callers that own the receiver (e.g. built it with
-// Clone or New); the caller is responsible for keeping counts
-// non-negative. (The simulation engine's step path mutates the
-// RawCounts slice directly instead.)
-func (c Config) AddAt(i int, d int64) int64 {
-	c.v[i] += d
-	return c.v[i]
-}
-
 // RawCounts returns the configuration's backing count slice; mutating
 // it mutates the configuration. Like the other in-place methods it is
 // reserved for callers that own the receiver (simulation engines) and
 // must keep every count non-negative.
 func (c Config) RawCounts() []int64 { return c.v }
-
-// AddInPlace adds d to the receiver componentwise, mutating it. Both
-// configurations must be over the same space; the caller owns the
-// receiver.
-func (c Config) AddInPlace(d Config) {
-	c.mustSameSpace(d)
-	for i, n := range d.v {
-		c.v[i] += n
-	}
-}
-
-// SubInPlace subtracts d from the receiver componentwise when d ≤ c,
-// mutating it and reporting ok=true; otherwise it leaves the receiver
-// unchanged and reports ok=false. The caller owns the receiver.
-func (c Config) SubInPlace(d Config) bool {
-	c.mustSameSpace(d)
-	for i, n := range d.v {
-		if c.v[i] < n {
-			// Roll back the prefix already subtracted.
-			for j := 0; j < i; j++ {
-				c.v[j] += d.v[j]
-			}
-			return false
-		}
-		c.v[i] -= n
-	}
-	return true
-}
 
 // AddDeltaInPlace adds the dense displacement d (one slot per state,
 // indexed like the space, entries may be negative) to the receiver in
@@ -416,17 +363,6 @@ func (c Config) String() string {
 		fmt.Fprintf(&b, "%d·%s", e.n, e.name)
 	}
 	return b.String()
-}
-
-// Counts returns the configuration as a name→count map, omitting zeros.
-func (c Config) Counts() map[string]int64 {
-	out := make(map[string]int64)
-	for i, n := range c.v {
-		if n != 0 {
-			out[c.space.Name(i)] = n
-		}
-	}
-	return out
 }
 
 func (c Config) mustSameSpace(d Config) {

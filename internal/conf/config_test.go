@@ -35,10 +35,6 @@ func TestFromMapAndCounts(t *testing.T) {
 	if got := c.Agents(); got != 7 {
 		t.Errorf("Agents = %d, want 7", got)
 	}
-	counts := c.Counts()
-	if len(counts) != 2 || counts["i"] != 2 || counts["q"] != 5 {
-		t.Errorf("Counts = %v", counts)
-	}
 }
 
 func TestFromMapErrors(t *testing.T) {
@@ -157,23 +153,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestWithName(t *testing.T) {
-	c := MustFromMap(testSpace, map[string]int64{"i": 2})
-	d, err := c.WithName("p", 7)
-	if err != nil {
-		t.Fatalf("WithName: %v", err)
-	}
-	if d.GetName("p") != 7 || c.GetName("p") != 0 {
-		t.Error("WithName mutated receiver or failed to set")
-	}
-	if _, err := c.WithName("nope", 1); err == nil {
-		t.Error("WithName unknown state accepted")
-	}
-	if _, err := c.WithName("p", -1); err == nil {
-		t.Error("WithName negative accepted")
-	}
-}
-
 // Property: Add is commutative and associative; Sub inverts Add.
 func TestQuickAddLaws(t *testing.T) {
 	commutes := func(x, y [4]int16) bool {
@@ -240,15 +219,17 @@ func TestQuickNorms(t *testing.T) {
 func TestInPlaceAddSub(t *testing.T) {
 	a := MustFromMap(testSpace, map[string]int64{"i": 3, "p": 1})
 	d := MustFromMap(testSpace, map[string]int64{"i": 1, "q": 2})
-	a.AddInPlace(d)
-	if want := MustFromMap(testSpace, map[string]int64{"i": 4, "p": 1, "q": 2}); !a.Equal(want) {
-		t.Errorf("AddInPlace: got %v, want %v", a, want)
+	if !a.AddDeltaInPlace(d.RawCounts()) {
+		t.Fatal("AddDeltaInPlace refused an addition")
 	}
-	if !a.SubInPlace(d) {
-		t.Fatal("SubInPlace refused a valid subtraction")
+	if want := MustFromMap(testSpace, map[string]int64{"i": 4, "p": 1, "q": 2}); !a.Equal(want) {
+		t.Errorf("in-place add: got %v, want %v", a, want)
+	}
+	if !a.AddDeltaInPlace(negated(d)) {
+		t.Fatal("AddDeltaInPlace refused a valid subtraction")
 	}
 	if want := MustFromMap(testSpace, map[string]int64{"i": 3, "p": 1}); !a.Equal(want) {
-		t.Errorf("SubInPlace: got %v, want %v", a, want)
+		t.Errorf("in-place sub: got %v, want %v", a, want)
 	}
 }
 
@@ -257,24 +238,11 @@ func TestSubInPlaceRollsBack(t *testing.T) {
 	// including components before the one that went negative.
 	a := MustFromMap(testSpace, map[string]int64{"i": 5, "q": 1})
 	d := MustFromMap(testSpace, map[string]int64{"i": 2, "q": 3})
-	if a.SubInPlace(d) {
-		t.Fatal("SubInPlace accepted d ≰ a")
+	if a.AddDeltaInPlace(negated(d)) {
+		t.Fatal("AddDeltaInPlace accepted d ≰ a")
 	}
 	if want := MustFromMap(testSpace, map[string]int64{"i": 5, "q": 1}); !a.Equal(want) {
-		t.Errorf("failed SubInPlace mutated receiver: %v", a)
-	}
-}
-
-func TestAddAt(t *testing.T) {
-	a := MustFromMap(testSpace, map[string]int64{"i": 2})
-	if got := a.AddAt(0, 3); got != 5 {
-		t.Errorf("AddAt returned %d, want 5", got)
-	}
-	if got := a.AddAt(0, -5); got != 0 {
-		t.Errorf("AddAt returned %d, want 0", got)
-	}
-	if a.GetName("i") != 0 {
-		t.Errorf("AddAt did not mutate: %v", a)
+		t.Errorf("failed in-place subtraction mutated receiver: %v", a)
 	}
 }
 
@@ -286,7 +254,7 @@ func TestCopyFromAndRawCounts(t *testing.T) {
 		t.Errorf("CopyFrom: got %v, want %v", dst, src)
 	}
 	// CopyFrom must copy values, not alias the source.
-	dst.AddAt(1, 1)
+	dst.RawCounts()[1]++
 	if src.GetName("p") != 7 {
 		t.Error("CopyFrom aliased the source")
 	}
@@ -326,23 +294,31 @@ func TestAddDeltaInPlaceLengthMismatch(t *testing.T) {
 	randomConfig([4]int16{1, 1, 1, 1}).AddDeltaInPlace([]int64{1, 2})
 }
 
-// Property: the in-place operations agree with their value-returning
-// counterparts.
+// negated returns −d as a displacement.
+func negated(d Config) []int64 {
+	out := make([]int64, d.Space().Len())
+	for i := range out {
+		out[i] = -d.Get(i)
+	}
+	return out
+}
+
+// Property: the in-place displacement agrees with its value-returning
+// counterparts, and a refused one leaves the receiver untouched.
 func TestQuickInPlaceAgree(t *testing.T) {
 	add := func(x, y [4]int16) bool {
 		a, d := randomConfig(x), randomConfig(y)
 		want := a.Add(d)
-		a.AddInPlace(d)
-		return a.Equal(want)
+		return a.AddDeltaInPlace(d.RawCounts()) && a.Equal(want)
 	}
 	if err := quick.Check(add, nil); err != nil {
-		t.Errorf("AddInPlace law: %v", err)
+		t.Errorf("in-place add law: %v", err)
 	}
 	sub := func(x, y [4]int16) bool {
 		a, d := randomConfig(x), randomConfig(y)
 		want, wantOK := a.Sub(d)
 		before := a.Clone()
-		ok := a.SubInPlace(d)
+		ok := a.AddDeltaInPlace(negated(d))
 		if ok != wantOK {
 			return false
 		}
@@ -352,6 +328,6 @@ func TestQuickInPlaceAgree(t *testing.T) {
 		return a.Equal(want)
 	}
 	if err := quick.Check(sub, nil); err != nil {
-		t.Errorf("SubInPlace law: %v", err)
+		t.Errorf("in-place sub law: %v", err)
 	}
 }

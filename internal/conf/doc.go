@@ -6,10 +6,9 @@
 //
 //   - Configs are value-like. Arithmetic methods return fresh Configs
 //     and never mutate their receiver unless the method name says so:
-//     the InPlace suffix (AddInPlace, SubInPlace, AddDeltaInPlace),
-//     AddAt, CopyFrom and the RawCounts backing-slice accessor are the
-//     explicit mutation surface the hot paths use; everything else is
-//     safe to share.
+//     the InPlace suffix (AddDeltaInPlace), CopyFrom and the RawCounts
+//     backing-slice accessor are the explicit mutation surface the hot
+//     paths use; everything else is safe to share.
 //   - CountSet owns its counts. Every distinct count vector inserted
 //     into a CountSet is copied once into a single flat int64 arena;
 //     the node id is its insertion order, and At returns a view into

@@ -40,29 +40,6 @@ func EnumerateTotal(space *Space, total int64, fn func(Config) bool) error {
 	return nil
 }
 
-// EnumerateUpTo calls fn with every configuration having at most total
-// agents, grouped by increasing total. The Config passed to fn is reused
-// between calls; clone it to retain it.
-func EnumerateUpTo(space *Space, total int64, fn func(Config) bool) error {
-	for t := int64(0); t <= total; t++ {
-		stopped := false
-		err := EnumerateTotal(space, t, func(c Config) bool {
-			if !fn(c) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
 // CountTotal returns the number of configurations with exactly total
 // agents over a d-state space: C(total+d−1, d−1). It saturates at
 // math.MaxInt64 on overflow, which callers treat as "too many".

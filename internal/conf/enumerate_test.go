@@ -46,22 +46,6 @@ func TestEnumerateTotalNegative(t *testing.T) {
 	}
 }
 
-func TestEnumerateUpTo(t *testing.T) {
-	s := MustSpace("a", "b")
-	count := 0
-	err := EnumerateUpTo(s, 3, func(c Config) bool {
-		count++
-		return true
-	})
-	if err != nil {
-		t.Fatalf("EnumerateUpTo: %v", err)
-	}
-	// totals 0..3 over 2 states: 1+2+3+4 = 10.
-	if count != 10 {
-		t.Fatalf("enumerated %d, want 10", count)
-	}
-}
-
 func TestCountTotal(t *testing.T) {
 	tests := []struct {
 		d     int

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -284,36 +285,103 @@ func FuzzReachBottom(f *testing.F) {
 		0, 0, 0, 1, 0, 0, 1, 0,
 		2, 0, 0, 0, 63})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		d := 1 + next()%4
-		names := []string{"a", "b", "c", "d"}[:d]
-		space := conf.MustSpace(names...)
-		vec := func(max int) conf.Config {
-			counts := make([]int64, d)
-			for i := range counts {
-				counts[i] = int64(next() % max)
-			}
-			c, err := conf.FromSlice(space, counts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}
-		nt := next() % 5
-		trs := make([]petri.Transition, nt)
-		for i := range trs {
-			trs[i] = mustTr(t, fmt.Sprintf("t%d", i), vec(3), vec(3))
-		}
-		net := mustNet(t, space, trs...)
+		next := byteReader(data)
+		net, vec := decodeNet(t, next)
 		rho := vec(4)
 		opts := core.ReachBottomOptions{Budget: petri.Budget{MaxConfigs: 1 + next()%64}}
 		assertSameAsReference(t, net, rho, opts)
 	})
+}
+
+// byteReader returns data one byte at a time, then zeros.
+func byteReader(data []byte) func() int {
+	return func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+}
+
+// decodeNet reads FuzzReachBottom's net from next: states−1 (mod 4),
+// transitions (mod 5), then per transition the pre and post counts,
+// each below 3. vec reads one configuration over the net's space,
+// every count below max.
+func decodeNet(t testing.TB, next func() int) (net *petri.Net, vec func(max int) conf.Config) {
+	t.Helper()
+	d := 1 + next()%4
+	space := conf.MustSpace([]string{"a", "b", "c", "d"}[:d]...)
+	vec = func(max int) conf.Config {
+		counts := make([]int64, d)
+		for i := range counts {
+			counts[i] = int64(next() % max)
+		}
+		c, err := conf.FromSlice(space, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	trs := make([]petri.Transition, next()%5)
+	for i := range trs {
+		trs[i] = mustTr(t, fmt.Sprintf("t%d", i), vec(3), vec(3))
+	}
+	return mustNet(t, space, trs...), vec
+}
+
+// The backward algorithm (Net.Coverable) is the coverability oracle:
+// on seeded random nets and targets from FuzzReachBottom's generator,
+// the Karp–Miller tree's Covers and the forward ShortestCoveringWord
+// must give its answer, and a forward word must cover the target.
+// A forward search its budget truncates gives no answer and is not
+// compared; the test requires most instances to be compared, and both
+// answers to occur.
+func TestCoverabilityDecidersAgreeOnRandomNets(t *testing.T) {
+	const instances = 2000
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 48)
+	var coverable, notCoverable, truncated int
+	for i := 0; i < instances; i++ {
+		rng.Read(data)
+		next := byteReader(data)
+		net, vec := decodeNet(t, next)
+		from, target := vec(4), vec(4)
+		back, err := net.Coverable(from, target, 0)
+		if err != nil {
+			t.Fatalf("instance %d: Coverable: %v", i, err)
+		}
+		tree, err := net.KarpMiller(from, petri.Budget{MaxConfigs: 1 << 16})
+		if err != nil {
+			t.Fatalf("instance %d: KarpMiller: %v", i, err)
+		}
+		if km := tree.Covers(target); km != back {
+			t.Errorf("instance %d (%v from %v, target %v): Karp–Miller says %v, backward %v", i, net, from, target, km, back)
+		}
+		w, err := net.ShortestCoveringWord(from, target, petri.Budget{MaxConfigs: 1 << 10})
+		switch {
+		case errors.Is(err, petri.ErrBudget):
+			truncated++
+			continue
+		case err != nil:
+			t.Fatalf("instance %d: ShortestCoveringWord: %v", i, err)
+		}
+		if fwd := w != nil; fwd != back {
+			t.Errorf("instance %d (%v from %v, target %v): forward says %v, backward %v", i, net, from, target, fwd, back)
+			continue
+		}
+		if w == nil {
+			notCoverable++
+			continue
+		}
+		coverable++
+		if got, err := net.FireWord(from, w.Word); err != nil || !target.Leq(got) {
+			t.Errorf("instance %d: forward word %v reaches %v, %v; does not cover %v", i, w.Word, got, err, target)
+		}
+	}
+	if truncated > instances/10 || coverable == 0 || notCoverable == 0 {
+		t.Errorf("compared %d coverable and %d uncoverable instances, %d forward searches truncated", coverable, notCoverable, truncated)
+	}
+	t.Logf("coverable %d, not coverable %d, forward truncated %d", coverable, notCoverable, truncated)
 }

@@ -53,20 +53,6 @@ const (
 	Set1                          // some agent outputs 1
 )
 
-// Has reports whether the set contains the given output value.
-func (s OutputSet) Has(o Output) bool {
-	switch o {
-	case Out0:
-		return s&Set0 != 0
-	case OutStar:
-		return s&SetStar != 0
-	case Out1:
-		return s&Set1 != 0
-	default:
-		return false
-	}
-}
-
 // String renders the output set, e.g. "{0,1}".
 func (s OutputSet) String() string {
 	out := "{"
@@ -196,15 +182,6 @@ func (p *Protocol) GammaTable() []Output {
 	out := make([]Output, len(p.gamma))
 	copy(out, p.gamma)
 	return out
-}
-
-// GammaName returns γ(p) for the named state.
-func (p *Protocol) GammaName(name string) (Output, error) {
-	i, ok := p.Space().Index(name)
-	if !ok {
-		return 0, fmt.Errorf("core: state %q not in space", name)
-	}
-	return p.gamma[i], nil
 }
 
 // OutputStates returns the names of states with the given output value.

@@ -115,11 +115,8 @@ func TestProtocolAccessors(t *testing.T) {
 	if got := p.InitialStates(); len(got) != 1 || got[0] != "i" {
 		t.Errorf("InitialStates = %v", got)
 	}
-	if o, err := p.GammaName("pb"); err != nil || o != Out0 {
-		t.Errorf("GammaName(pb) = %v, %v", o, err)
-	}
-	if _, err := p.GammaName("nope"); err == nil {
-		t.Error("GammaName(nope) succeeded")
+	if i, ok := p.Space().Index("pb"); !ok || p.Gamma(i) != Out0 {
+		t.Errorf("γ(pb) is not 0 (state found: %v)", ok)
 	}
 	zeros := p.OutputStates(Out0)
 	if len(zeros) != 3 {
@@ -135,7 +132,7 @@ func TestOutputOf(t *testing.T) {
 	space := p.Space()
 	mixed := conf.MustFromMap(space, map[string]int64{"i": 1, "ib": 1})
 	s := p.OutputOf(mixed)
-	if !s.Has(Out0) || !s.Has(Out1) || s.Has(OutStar) {
+	if s != Set0|Set1 {
 		t.Errorf("OutputOf(mixed) = %v", s)
 	}
 	if got := p.OutputOf(conf.New(space)); got != 0 {

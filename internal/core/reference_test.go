@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"testing"
 
 	"repro/internal/conf"
 	"repro/internal/graph"
@@ -136,9 +138,9 @@ func referenceReachBottom(net *petri.Net, rho conf.Config, opts ReachBottomOptio
 // list: the bounded branch's oracle.
 func referenceBottomFromCompleteClosure(net *petri.Net, rs *petri.ReachSet) (*BottomCert, error) {
 	comp, ncomp := graph.SCCOf(rs.CSR())
-	cond := graph.CondenseCSR(rs.CSR(), comp, ncomp)
+	cond := condenseCSR(rs.CSR(), comp, ncomp)
 	isBottom := make([]bool, ncomp)
-	for _, b := range graph.BottomComponents(cond) {
+	for _, b := range bottomComponents(cond) {
 		isBottom[b] = true
 	}
 	best := -1
@@ -165,3 +167,59 @@ func referenceBottomFromCompleteClosure(net *petri.Net, rs *petri.ReachSet) (*Bo
 // ReferenceReachBottom exposes the oracle to the external test package,
 // which can build instances from the protocol packages that import core.
 var ReferenceReachBottom = referenceReachBottom
+
+// condenseCSR builds the condensation graph: one node per component,
+// edges between distinct components, deduplicated. Component ids
+// follow graph.SCC's numbering.
+func condenseCSR(g graph.CSR, comp []int, ncomp int) [][]int {
+	out := make([][]int, ncomp)
+	seen := make(map[[2]int]bool)
+	for v := 0; v < g.NumNodes(); v++ {
+		a := comp[v]
+		for _, w := range g.Succ(v) {
+			b := comp[w]
+			if a == b {
+				continue
+			}
+			key := [2]int{a, b}
+			if !seen[key] {
+				seen[key] = true
+				out[a] = append(out[a], b)
+			}
+		}
+	}
+	return out
+}
+
+// bottomComponents returns the component ids that have no outgoing edge
+// in the condensation: the bottom (sink) SCCs. A node in a bottom SCC
+// can reach exactly its own component.
+func bottomComponents(cond [][]int) []int {
+	var out []int
+	for c, succ := range cond {
+		if len(succ) == 0 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func TestCondenseAndBottom(t *testing.T) {
+	// Two cycles {0,1} -> {2,3}; bottom is {2,3}.
+	adj := [][]int{{1}, {0, 2}, {3}, {2}}
+	comp, ncomp := graph.SCC(adj)
+	cond := condenseCSR(graph.NewCSR(adj), comp, ncomp)
+	bottoms := bottomComponents(cond)
+	if len(bottoms) != 1 {
+		t.Fatalf("bottoms = %v, want one", bottoms)
+	}
+	if bottoms[0] != comp[2] {
+		t.Errorf("bottom = %d, want component of node 2 (%d)", bottoms[0], comp[2])
+	}
+	members := graph.Members(comp, ncomp)
+	got := members[comp[2]]
+	sort.Ints(got)
+	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Errorf("bottom members = %v, want [2 3]", got)
+	}
+}

@@ -79,9 +79,6 @@ func (n *Net) NumStates() int { return len(n.states) }
 // NumEdges returns |E|.
 func (n *Net) NumEdges() int { return len(n.edges) }
 
-// PNet returns the underlying Petri net.
-func (n *Net) PNet() *petri.Net { return n.pnet }
-
 // controlAdjacency returns S-level adjacency lists induced by E.
 func (n *Net) controlAdjacency() [][]int {
 	adj := make([][]int, len(n.states))
@@ -140,21 +137,6 @@ func (n *Net) Displacement(path []int) []int64 {
 		d := n.pnet.At(n.edges[ei].Trans).Delta()
 		for i, v := range d {
 			out[i] += v
-		}
-	}
-	return out
-}
-
-// DisplacementOfParikh returns Δ for an edge-multiplicity vector.
-func (n *Net) DisplacementOfParikh(parikh []int64) []int64 {
-	out := make([]int64, n.pnet.Space().Len())
-	for ei, c := range parikh {
-		if c == 0 {
-			continue
-		}
-		d := n.pnet.At(n.edges[ei].Trans).Delta()
-		for i, v := range d {
-			out[i] += c * v
 		}
 	}
 	return out

@@ -97,9 +97,6 @@ func TestParikhAndDisplacement(t *testing.T) {
 	if d[0] != 1 || d[1] != -1 {
 		t.Errorf("Displacement = %v", d)
 	}
-	if dp := n.DisplacementOfParikh(p); dp[0] != 1 || dp[1] != -1 {
-		t.Errorf("DisplacementOfParikh = %v", dp)
-	}
 	label := n.Label(cyc)
 	if len(label) != 3 || label[0] != 0 || label[1] != 1 || label[2] != 1 {
 		t.Errorf("Label = %v", label)

@@ -20,6 +20,21 @@ import (
 //	e3: s1 -(z→∅)-> s1     Δ = (0, 0, −1)   drains z
 func lemma73Net(t *testing.T) *Net {
 	t.Helper()
+	n, err := New([]string{"s0", "s1"}, lemma73PNet(t), []Edge{
+		{From: "s0", Trans: 0, To: "s1"},
+		{From: "s1", Trans: 1, To: "s0"},
+		{From: "s1", Trans: 2, To: "s1"},
+		{From: "s1", Trans: 3, To: "s1"},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return n
+}
+
+// lemma73PNet is the Petri net under lemma73Net's control graph.
+func lemma73PNet(t *testing.T) *petri.Net {
+	t.Helper()
 	space := conf.MustSpace("x", "y", "z")
 	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
 	mkTr := func(name string, pre, post conf.Config) petri.Transition {
@@ -38,16 +53,7 @@ func lemma73Net(t *testing.T) *Net {
 	if err != nil {
 		t.Fatalf("petri: %v", err)
 	}
-	n, err := New([]string{"s0", "s1"}, pnet, []Edge{
-		{From: "s0", Trans: 0, To: "s1"},
-		{From: "s1", Trans: 1, To: "s0"},
-		{From: "s1", Trans: 2, To: "s1"},
-		{From: "s1", Trans: 3, To: "s1"},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return n
+	return pnet
 }
 
 // buildTheta assembles a multicycle from cycle templates repeated the
@@ -195,8 +201,8 @@ func TestLemma73LengthBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lemma73: %v", err)
 	}
-	d := n.PNet().Space().Len()
-	bound := bounds.Lemma73MulticycleLength(d, n.NumEdges(), int64(n.NumStates()), n.PNet().NormInf())
+	pnet := lemma73PNet(t)
+	bound := bounds.Lemma73MulticycleLength(pnet.Space().Len(), n.NumEdges(), int64(n.NumStates()), pnet.NormInf())
 	if !bound.GeqInt(res.Length) {
 		t.Errorf("|Θ'| = %d exceeds Lemma 7.3 bound %v", res.Length, bound)
 	}

@@ -853,17 +853,3 @@ func Index() []NamedExperiment {
 		{"E12w", E12wServeReplayWarm},
 	}
 }
-
-// All runs every experiment in order.
-func All() ([]*Table, error) {
-	idx := Index()
-	out := make([]*Table, 0, len(idx))
-	for _, e := range idx {
-		tbl, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}

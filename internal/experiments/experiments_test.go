@@ -10,15 +10,19 @@ import (
 // pass. This is the integration test that every reproduction claim can
 // be regenerated.
 func TestAllExperiments(t *testing.T) {
-	tables, err := All()
-	if err != nil {
-		t.Fatalf("All: %v", err)
-	}
-	if len(tables) != 15 {
-		t.Fatalf("experiments = %d, want 15", len(tables))
+	idx := Index()
+	if len(idx) != 15 {
+		t.Fatalf("experiments = %d, want 15", len(idx))
 	}
 	seen := make(map[string]bool)
-	for _, tbl := range tables {
+	for _, e := range idx {
+		tbl, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if tbl.ID != e.ID {
+			t.Errorf("Index entry %s produced table %s", e.ID, tbl.ID)
+		}
 		if tbl.ID == "" || tbl.Title == "" || tbl.Claim == "" {
 			t.Errorf("table %q missing metadata", tbl.ID)
 		}

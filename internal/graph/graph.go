@@ -1,6 +1,6 @@
 // Package graph provides the directed-graph algorithms the protocol
-// analyses are built on: strongly connected components (Tarjan),
-// condensations, bottom components and reachability fixpoints.
+// analyses are built on: strongly connected components (Tarjan), their
+// member lists and reachability fixpoints.
 //
 // Graphs are plain adjacency lists over integer node ids, matching the
 // node ids of petri.ReachSet closures.
@@ -176,42 +176,6 @@ func SCCOf(g CSR) (comp []int, ncomp int) {
 		}
 	}
 	return comp, ncomp
-}
-
-// CondenseCSR builds the condensation graph: one node per component,
-// edges between distinct components, deduplicated. Component ids
-// follow SCC's numbering.
-func CondenseCSR(g CSR, comp []int, ncomp int) [][]int {
-	out := make([][]int, ncomp)
-	seen := make(map[[2]int]bool)
-	for v := 0; v < g.NumNodes(); v++ {
-		a := comp[v]
-		for _, w := range g.Succ(v) {
-			b := comp[w]
-			if a == b {
-				continue
-			}
-			key := [2]int{a, b}
-			if !seen[key] {
-				seen[key] = true
-				out[a] = append(out[a], b)
-			}
-		}
-	}
-	return out
-}
-
-// BottomComponents returns the component ids that have no outgoing edge
-// in the condensation: the bottom (sink) SCCs. A node in a bottom SCC
-// can reach exactly its own component.
-func BottomComponents(cond [][]int) []int {
-	var out []int
-	for c, succ := range cond {
-		if len(succ) == 0 {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Members returns, for each component, the list of node ids it contains.

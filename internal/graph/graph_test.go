@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -39,26 +38,6 @@ func TestSCCSelfLoopAndIsolated(t *testing.T) {
 	comp, ncomp := SCC(adj)
 	if ncomp != 2 || comp[0] == comp[1] {
 		t.Errorf("comp = %v ncomp = %d", comp, ncomp)
-	}
-}
-
-func TestCondenseAndBottom(t *testing.T) {
-	// Two cycles {0,1} -> {2,3}; bottom is {2,3}.
-	adj := [][]int{{1}, {0, 2}, {3}, {2}}
-	comp, ncomp := SCC(adj)
-	cond := CondenseCSR(NewCSR(adj), comp, ncomp)
-	bottoms := BottomComponents(cond)
-	if len(bottoms) != 1 {
-		t.Fatalf("bottoms = %v, want one", bottoms)
-	}
-	if bottoms[0] != comp[2] {
-		t.Errorf("bottom = %d, want component of node 2 (%d)", bottoms[0], comp[2])
-	}
-	members := Members(comp, ncomp)
-	got := members[comp[2]]
-	sort.Ints(got)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("bottom members = %v, want [2 3]", got)
 	}
 }
 

@@ -47,9 +47,6 @@ func NewSystem(rows [][]int64) (*System, error) {
 // Rows returns the number of equations.
 func (s *System) Rows() int { return s.rows }
 
-// Cols returns the number of unknowns.
-func (s *System) Cols() int { return s.cols }
-
 // Eval returns A·x.
 func (s *System) Eval(x []int64) ([]int64, error) {
 	if len(x) != s.cols {

@@ -176,7 +176,7 @@ func TestMinimalSolutionsBruteForce(t *testing.T) {
 		var all [][]int64
 		var rec func(prefix []int64)
 		rec = func(prefix []int64) {
-			if len(prefix) == s.Cols() {
+			if len(prefix) == s.cols {
 				x := append([]int64(nil), prefix...)
 				if !isZero(x) && s.IsSolution(x) {
 					all = append(all, x)
@@ -256,7 +256,7 @@ func TestDecomposeRandom(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		// Random ℕ-combination of basis elements is a solution; it must
 		// decompose back to something summing to it.
-		x := make([]int64, s.Cols())
+		x := make([]int64, s.cols)
 		for _, b := range basis {
 			c := int64(rng.Intn(4))
 			for j := range x {

@@ -9,15 +9,15 @@
 //   - Arena ownership. Every configuration discovered by a closure
 //     lives once, flat, in a conf.CountSet arena; node id equals
 //     insertion order, which equals BFS discovery order. Firing runs
-//     through reusable scratch buffers (Index.FireInto, BackFireInto,
-//     and the ω-aware variant Karp–Miller uses), so the search path
-//     allocates nothing per step.
+//     through reusable scratch buffers (Index.FireInto,
+//     Index.BackFireInto and the ω-aware variant Karp–Miller uses), so
+//     the search path allocates nothing per step.
 //   - CSR edge sharing. ReachSet records edges in compressed-sparse-
 //     row form and ReachSet.CSR hands the offset/target/transition
 //     arrays to internal/graph zero-copy: graph algorithms (SCC,
-//     condensation, reverse reachability) read the closure's memory,
-//     they do not copy it. The arrays are owned by the ReachSet and
-//     immutable once exploration finishes.
+//     reverse reachability) read the closure's memory, they do not
+//     copy it. The arrays are owned by the ReachSet and immutable once
+//     exploration finishes.
 //   - Sequential exploration order. One driver, on one goroutine,
 //     expands every closure in RAM: nodes in id order, each node's
 //     transitions in index order. Node ids, edges, shortest-word trees

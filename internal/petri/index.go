@@ -12,30 +12,28 @@ type SparseEntry struct {
 
 // Index is the precomputed dependency structure of a net used by
 // incremental simulation engines: sparse views of every transition's
-// precondition and displacement, plus the inverse map from states to
-// the transitions whose enabledness/weight can change when that state's
-// count changes. Nets are immutable, so the index is computed once and
-// shared.
+// precondition and displacement, plus, per transition, the transitions
+// whose enabledness/weight can change when it fires. Nets are
+// immutable, so the index is computed once and shared.
 type Index struct {
-	pre        [][]SparseEntry // per transition: support of Pre
-	delta      [][]SparseEntry // per transition: nonzero Post−Pre entries
-	dependents [][]int         // per state: transitions with Pre on it
-	affected   [][]int         // per transition: deduped dependents of its delta support
+	pre      [][]SparseEntry // per transition: support of Pre
+	delta    [][]SparseEntry // per transition: nonzero Post−Pre entries
+	affected [][]int         // per transition: deduped dependents of its delta support
 }
 
 // buildIndex computes the index for a net.
 func buildIndex(n *Net) *Index {
 	d := n.space.Len()
 	idx := &Index{
-		pre:        make([][]SparseEntry, len(n.trans)),
-		delta:      make([][]SparseEntry, len(n.trans)),
-		dependents: make([][]int, d),
+		pre:   make([][]SparseEntry, len(n.trans)),
+		delta: make([][]SparseEntry, len(n.trans)),
 	}
+	dependents := make([][]int, d) // per state: transitions with Pre on it
 	for ti, t := range n.trans {
 		for i := 0; i < d; i++ {
 			if need := t.Pre.Get(i); need > 0 {
 				idx.pre[ti] = append(idx.pre[ti], SparseEntry{State: i, N: need})
-				idx.dependents[i] = append(idx.dependents[i], ti)
+				dependents[i] = append(dependents[i], ti)
 			}
 			if dv := t.Post.Get(i) - t.Pre.Get(i); dv != 0 {
 				idx.delta[ti] = append(idx.delta[ti], SparseEntry{State: i, N: dv})
@@ -46,7 +44,7 @@ func buildIndex(n *Net) *Index {
 	mark := make([]bool, len(n.trans))
 	for ti := range n.trans {
 		for _, e := range idx.delta[ti] {
-			for _, dt := range idx.dependents[e.State] {
+			for _, dt := range dependents[e.State] {
 				if !mark[dt] {
 					mark[dt] = true
 					idx.affected[ti] = append(idx.affected[ti], dt)
@@ -67,12 +65,6 @@ func (x *Index) Pre(ti int) []SparseEntry { return x.pre[ti] }
 // Delta returns the sparse nonzero displacement of transition ti. The
 // returned slice is shared and must not be mutated.
 func (x *Index) Delta(ti int) []SparseEntry { return x.delta[ti] }
-
-// Dependents returns the transitions whose precondition involves the
-// given state: exactly those whose instance weight can change when the
-// state's count changes. The returned slice is shared and must not be
-// mutated.
-func (x *Index) Dependents(state int) []int { return x.dependents[state] }
 
 // AggregateDelta accumulates the displacement of firing each
 // transition ti fires[ti] times into the dense per-state vector disp
@@ -112,8 +104,8 @@ func (x *Index) FireInto(ti int, src, dst []int64) bool {
 
 // BackFireInto writes into dst the minimal configuration from which
 // firing ti covers the target counts: max(Pre, target − Δ(ti))
-// componentwise, clamped at zero. It is the scratch-buffer form of
-// Transition.BackFire used by the backward coverability loop.
+// componentwise, clamped at zero. It is the predecessor basis step of
+// the backward coverability loop, written into a reusable buffer.
 func (x *Index) BackFireInto(ti int, target, dst []int64) {
 	copy(dst, target)
 	for _, e := range x.delta[ti] {

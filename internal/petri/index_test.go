@@ -20,12 +20,6 @@ func TestIndexChain(t *testing.T) {
 	if got := idx.Delta(0); !reflect.DeepEqual(got, []SparseEntry{{State: 0, N: -1}, {State: 1, N: 1}}) {
 		t.Errorf("Delta(ab) = %v", got)
 	}
-	if got := idx.Dependents(1); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("Dependents(b) = %v", got)
-	}
-	if got := idx.Dependents(2); len(got) != 0 {
-		t.Errorf("Dependents(c) = %v, want none", got)
-	}
 	// Firing ab changes a and b, affecting both transitions; firing bc
 	// changes b and c, affecting only bc (nothing depends on c).
 	for ti, want := range [][]int{{0, 1}, {1}} {

@@ -127,25 +127,6 @@ func (n *Net) Enabled(c conf.Config) []int {
 	return out
 }
 
-// Successors returns every configuration reachable from c in one step,
-// paired with the index of the fired transition.
-func (n *Net) Successors(c conf.Config) []Step {
-	out := make([]Step, 0, len(n.trans))
-	for i, t := range n.trans {
-		if next, ok := t.Fire(c); ok {
-			out = append(out, Step{Trans: i, To: next})
-		}
-	}
-	return out
-}
-
-// Step is one firing: the index of the transition and the configuration
-// it produces.
-type Step struct {
-	Trans int
-	To    conf.Config
-}
-
 // FireWord fires the word of transition indices from c, returning the
 // final configuration. It fails if any step is disabled.
 func (n *Net) FireWord(c conf.Config, word []int) (conf.Config, error) {

@@ -54,8 +54,7 @@ func TestNetAccessors(t *testing.T) {
 func TestSuccessorsAndFireWord(t *testing.T) {
 	n := chainNet(t)
 	from := conf.MustFromMap(tSpace, map[string]int64{"a": 1, "b": 1})
-	succ := n.Successors(from)
-	if len(succ) != 2 {
+	if succ := n.Enabled(from); len(succ) != 2 {
 		t.Fatalf("successors = %d, want 2", len(succ))
 	}
 	got, err := n.FireWord(from, []int{0, 1, 1})

@@ -89,27 +89,6 @@ func (t Transition) Fire(c conf.Config) (conf.Config, bool) {
 	return rest.Add(t.Post), true
 }
 
-// BackFire returns the minimal configuration from which firing t covers
-// target: max(Pre, target − Δ(t)) componentwise. It is the predecessor
-// basis step of the backward coverability algorithm.
-func (t Transition) BackFire(target conf.Config) conf.Config {
-	space := target.Space()
-	counts := make([]int64, space.Len())
-	for i := range counts {
-		need := target.Get(i) - (t.Post.Get(i) - t.Pre.Get(i))
-		if pre := t.Pre.Get(i); need < pre {
-			need = pre
-		}
-		counts[i] = need
-	}
-	out, err := conf.FromSlice(space, counts)
-	if err != nil {
-		// Unreachable: counts are clamped at Pre ≥ 0.
-		panic(err)
-	}
-	return out
-}
-
 // Restrict returns t|Q, the transition whose sides are restricted to the
 // target space (Section 5 of the paper).
 func (t Transition) Restrict(q *conf.Space) Transition {

@@ -91,16 +91,22 @@ func TestBackFire(t *testing.T) {
 	// t: a -> 2b. To cover {b:3} we need max(pre, target−Δ):
 	// a: max(1, 0−(−1)) = 1; b: max(0, 3−2) = 1.
 	tr := mk(t, "t", map[string]int64{"a": 1}, map[string]int64{"b": 2})
+	n, err := New(tSpace, []Transition{tr})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	target := conf.MustFromMap(tSpace, map[string]int64{"b": 3})
-	got := tr.BackFire(target)
+	dst := make([]int64, tSpace.Len())
+	n.Index().BackFireInto(0, target.RawCounts(), dst)
+	got := conf.View(tSpace, dst)
 	want := conf.MustFromMap(tSpace, map[string]int64{"a": 1, "b": 1})
 	if !got.Equal(want) {
-		t.Errorf("BackFire = %v, want %v", got, want)
+		t.Errorf("BackFireInto = %v, want %v", got, want)
 	}
-	// Firing t from the BackFire result must cover the target.
+	// Firing t from the BackFireInto result must cover the target.
 	after, ok := tr.Fire(got)
 	if !ok || !target.Leq(after) {
-		t.Errorf("BackFire result does not cover: %v, %v", after, ok)
+		t.Errorf("BackFireInto result does not cover: %v, %v", after, ok)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestResumeTornCellWrite(t *testing.T) {
 		t.Fatalf("tear did not fire: %v", faulty.Fired())
 	}
 	// The resume catches it: quarantine, recompute, identical output.
-	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	res, counters, err := RunResumableStop(context.Background(), m, "s000", 0, dir, sim.StopRule{}, nil)
 	if err != nil {
 		t.Fatalf("resume over torn cell: %v", err)
 	}

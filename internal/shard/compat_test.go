@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // The pre-checksum format, written before artifacts were sealed, is
@@ -32,7 +34,7 @@ func TestLegacyCellPartialResumes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, cellFileName(cell)), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	res, counters, err := RunResumableStop(context.Background(), m, "s000", 0, dir, sim.StopRule{}, nil)
 	if err != nil {
 		t.Fatalf("resume over pre-checksum partial: %v", err)
 	}

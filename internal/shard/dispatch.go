@@ -75,22 +75,18 @@ type DispatchOptions struct {
 	// dispatcher may steal the shard. Zero means 1 minute. It bounds
 	// how long a dead worker's shard sits idle, and unlike a
 	// wall-clock stamp comparison it is immune to cross-host clock
-	// skew.
+	// skew. The owner refreshes its lease every LeaseTTL/4 (at least
+	// 1ms), so a live lease is never observed unchanged for a TTL.
 	LeaseTTL time.Duration
-	// Heartbeat is the owner's lease-refresh period. Zero means
-	// LeaseTTL/4.
-	Heartbeat time.Duration
 	// MaxAttempts caps acquisitions per shard: a shard whose lease
 	// expires on its MaxAttempts-th attempt is marked terminally
 	// failed instead of redispatched. Zero means 3.
 	MaxAttempts int
 	// Poll is the *initial* wait between queue scans when every open
 	// shard is leased elsewhere; consecutive idle scans back off
-	// exponentially (full jitter) up to PollMax, so large idle fleets
+	// exponentially (full jitter) up to 8×Poll, so large idle fleets
 	// don't hammer one directory in lockstep. Zero means 500ms.
 	Poll time.Duration
-	// PollMax caps the idle-scan backoff. Zero means 8×Poll.
-	PollMax time.Duration
 	// RetryAttempts bounds per-operation retries of transient queue
 	// I/O errors (ESTALE, EINTR, EIO, …). Zero means 5; exhaustion
 	// surfaces as ErrQueueIO.
@@ -123,20 +119,11 @@ func (o DispatchOptions) withDefaults() DispatchOptions {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = time.Minute
 	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.LeaseTTL / 4
-	}
-	if o.Heartbeat <= 0 { // sub-4ns TTLs in steal tests
-		o.Heartbeat = time.Millisecond
-	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
 	if o.Poll <= 0 {
 		o.Poll = 500 * time.Millisecond
-	}
-	if o.PollMax <= 0 {
-		o.PollMax = 8 * o.Poll
 	}
 	return o
 }
@@ -301,8 +288,8 @@ func Dispatch(ctx context.Context, m *Manifest, opts DispatchOptions) (*Dispatch
 		// rescanning, so an idle fleet's scans decorrelate instead of
 		// hammering the directory in lockstep.
 		window := opts.Poll << idle
-		if window > opts.PollMax || window <= 0 {
-			window = opts.PollMax
+		if pollMax := 8 * opts.Poll; window > pollMax || window <= 0 {
+			window = pollMax
 		}
 		if idle < 30 {
 			idle++
@@ -520,7 +507,7 @@ func (d *dispatcher) runShard(ctx context.Context, shardID string, lease Lease) 
 	return nil
 }
 
-// heartbeat refreshes the lease every Heartbeat period, incrementing
+// heartbeat refreshes the lease every LeaseTTL/4, incrementing
 // the monotonic Seq that scanners watch for liveness (the wall-clock
 // stamp is refreshed too, for operators). If the lease no longer
 // carries our token — a peer presumed us dead and stole the shard —
@@ -529,7 +516,11 @@ func (d *dispatcher) runShard(ctx context.Context, shardID string, lease Lease) 
 // rather than a hazard.
 func (d *dispatcher) heartbeat(ctx context.Context, stop <-chan struct{}, shardID string, lease Lease, cancel context.CancelFunc) {
 	path := LeasePath(d.opts.Dir, shardID)
-	ticker := time.NewTicker(d.opts.Heartbeat)
+	period := d.opts.LeaseTTL / 4
+	if period <= 0 { // sub-4ns TTLs in steal tests
+		period = time.Millisecond
+	}
+	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	for {
 		select {

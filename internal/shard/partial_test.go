@@ -392,14 +392,14 @@ func TestScanPartialDir(t *testing.T) {
 	}
 	dir := t.TempDir()
 	// Shard s000 finishes (part file); s001 leaves loose cells.
-	a0, _, err := RunResumable(context.Background(), m, "s000", 0, PartialsDir(dir))
+	a0, _, err := RunResumableStop(context.Background(), m, "s000", 0, PartialsDir(dir), sim.StopRule{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteArtifact(DonePath(dir, "s000"), a0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunResumable(context.Background(), m, "s001", 0, PartialsDir(dir)); err != nil {
+	if _, _, err := RunResumableStop(context.Background(), m, "s001", 0, PartialsDir(dir), sim.StopRule{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	arts, cells, err := ScanPartialDir(dir)

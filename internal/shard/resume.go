@@ -85,46 +85,42 @@ func decodeCell(data []byte, origin string) (*CellArtifact, error) {
 	return &ca, nil
 }
 
-// RunResumable is Run with per-cell persistence in dir: cells whose
-// partial artifacts already exist (and verify) are loaded instead of
-// recomputed, and every freshly computed cell is persisted (sealed
-// with a content checksum, fsynced, atomic rename) as soon as it and
-// every cell before it have completed — a worker killed mid-shard
-// loses at most the cells in flight (those holding one of its
-// ≤ workers running trials, and any finished behind the oldest of
-// them), and the next attempt (same process or a dispatcher retry on
-// another host) picks up from the surviving cells. A corrupt partial
-// (torn write, bit rot, checksum mismatch) is quarantined to
-// corrupt/ with a reason file and its cell recomputed. An empty dir
-// persists nothing.
+// RunResumableStop is Run with per-cell persistence in dir and the
+// anytime extensions. Cells whose partial artifacts already exist (and
+// verify) are loaded instead of recomputed, and every freshly computed
+// cell is persisted (sealed with a content checksum, fsynced, atomic
+// rename) as soon as it and every cell before it have completed — a
+// worker killed mid-shard loses at most the cells in flight (those
+// holding one of its ≤ workers running trials, and any finished behind
+// the oldest of them), and the next attempt (same process or a
+// dispatcher retry on another host) picks up from the surviving cells.
+// A corrupt partial (torn write, bit rot, checksum mismatch) is
+// quarantined to corrupt/ with a reason file and its cell recomputed.
+// An empty dir persists nothing.
 //
 // Positional seeds make resumed and fresh cells bit-identical, so the
 // assembled Artifact carries exactly the Points of an uninterrupted
 // Run (the Host stamp is the finishing process's). The returned
 // Counters report loaded/computed cells, quarantines and transient
 // retries.
-func RunResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string) (*Artifact, Counters, error) {
-	return RunResumableStop(ctx, m, shardID, workers, dir, sim.StopRule{}, nil)
-}
-
-// RunResumableStop is RunResumable with the anytime extensions: an
-// optional stop rule and an optional streaming sink. Before computing
-// a cell, the runner folds the point's gap-free prefix — from cells
-// it already holds and, given a dir, from cells other shards
-// persisted there — and skips the cell when the rule is already
-// satisfied at an earlier boundary. The skip is purely an
-// optimization: MergePartial truncates at the same canonical boundary
-// whether or not the post-stop cells exist, so racing workers that
-// compute a few extra cells never change the reported document. sink
-// (may be nil) fires once per cell the shard contributes, loaded or
-// computed, in plan order.
+//
+// rule (the zero StopRule never stops) and sink (may be nil) are the
+// anytime extensions. Before computing a cell, the runner folds the
+// point's gap-free prefix — from cells it already holds and, given a
+// dir, from cells other shards persisted there — and skips the cell
+// when the rule is already satisfied at an earlier boundary. The skip
+// is purely an optimization: MergePartial truncates at the same
+// canonical boundary whether or not the post-stop cells exist, so
+// racing workers that compute a few extra cells never change the
+// reported document. sink fires once per cell the shard contributes,
+// loaded or computed, in plan order.
 func RunResumableStop(ctx context.Context, m *Manifest, shardID string, workers int, dir string, rule sim.StopRule, sink sim.CellSink) (*Artifact, Counters, error) {
 	var c Counters
 	art, err := runResumable(ctx, m, shardID, workers, dir, 0, newQueueEnv(nil, 0, 0, &c), rule, sink)
 	return art, c, err
 }
 
-// runResumable is the one cell executor behind Run, RunResumable*,
+// runResumable is the one cell executor behind Run, RunResumableStop,
 // Dispatch and ppserve's /v1/sweep. It walks the shard's cells in plan
 // order in waves. Each cell of a wave is loaded as a verified partial
 // when dir is set, skipped when the stop rule is already satisfied on

@@ -32,7 +32,7 @@ func TestRunResumableMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	res, counters, err := RunResumableStop(context.Background(), m, "s000", 0, dir, sim.StopRule{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRunResumableKillResume(t *testing.T) {
 	if err := os.WriteFile(poison, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resumed, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	resumed, counters, err := RunResumableStop(context.Background(), m, "s000", 0, dir, sim.StopRule{}, nil)
 	if err != nil {
 		t.Fatalf("resume over corrupt partial must recover, got %v", err)
 	}
@@ -137,7 +137,7 @@ func TestRunResumableRejectsForeignPartials(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, _, err := RunResumable(context.Background(), m, "s000", 0, dir); err != nil {
+	if _, _, err := RunResumableStop(context.Background(), m, "s000", 0, dir, sim.StopRule{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := sw
@@ -146,7 +146,7 @@ func TestRunResumableRejectsForeignPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunResumable(context.Background(), m2, "s000", 0, dir); err == nil {
+	if _, _, err := RunResumableStop(context.Background(), m2, "s000", 0, dir, sim.StopRule{}, nil); err == nil {
 		t.Error("partials of a different sweep accepted")
 	}
 }
@@ -162,7 +162,7 @@ func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		baseline, _, err := RunResumable(context.Background(), m, "s000", 0, dir)
+		baseline, _, err := RunResumableStop(context.Background(), m, "s000", 0, dir, sim.StopRule{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
 		if err := faultfs.AtomicWrite(faultfs.OS(), path, data); err != nil {
 			t.Fatal(err)
 		}
-		res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+		res, counters, err := RunResumableStop(context.Background(), m, "s000", 0, dir, sim.StopRule{}, nil)
 		if err != nil {
 			t.Fatalf("reseal=%v: tampered partial must be quarantined and recomputed, got %v", reseal, err)
 		}

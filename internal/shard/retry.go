@@ -26,7 +26,7 @@ var ErrQueueIO = errors.New("shard: queue I/O failed after retries")
 
 // queueEnv bundles what every queue-directory touch needs: the
 // (injectable) filesystem seam, the transient-retry policy, and the
-// degradation counters. One env serves one Dispatch or RunResumable
+// degradation counters. One env serves one Dispatch or RunResumableStop
 // call; counters are only touched from its goroutine.
 type queueEnv struct {
 	fsys     faultfs.FS

@@ -7,7 +7,7 @@
 // Stats/SweepPoints a single-process run would have produced.
 //
 // There is one executor, one fold and one retry policy. Run,
-// RunResumable, RunResumableStop, Dispatch and ppserve's /v1/sweep all
+// RunResumableStop, Dispatch and ppserve's /v1/sweep all
 // run cells through one unexported cell executor: in plan order, it
 // loads a verified partial when given a partials directory, skips a
 // cell when the stop rule already holds on the size's folded prefix,
@@ -34,7 +34,7 @@
 //
 // On top of the plan/run/merge core sit the scaling layers: PlanCost
 // cuts shards at equal expected cost under a pluggable CostModel so
-// large-population cells don't straggle; RunResumable persists each
+// large-population cells don't straggle; RunResumableStop persists each
 // completed cell by atomic rename so a killed worker loses at most
 // the cells in flight (those holding one of its ≤ workers running
 // trials, and any finished behind the oldest of them); and Dispatch

@@ -412,12 +412,5 @@ func (st *State) Count(i int) int64 { return st.cv[i] }
 // disabled).
 func (st *State) Weight(ti int) float64 { return st.weights[ti] }
 
-// TotalWeight returns the exact sum of all instance weights, rebuilding
-// the running total first.
-func (st *State) TotalWeight() float64 {
-	st.rebuild()
-	return st.total
-}
-
 // Snapshot returns an independent copy of the current configuration.
 func (st *State) Snapshot() conf.Config { return st.counts.Clone() }

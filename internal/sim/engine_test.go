@@ -192,8 +192,8 @@ func TestEngineApplyAggregateMatchesSequentialFires(t *testing.T) {
 				t.Errorf("%s: weight(%d) aggregate %v, sequential %v", p.Name(), ti, agg.Weight(ti), seq.Weight(ti))
 			}
 		}
-		if agg.TotalWeight() != seq.TotalWeight() {
-			t.Errorf("%s: total weight aggregate %v, sequential %v", p.Name(), agg.TotalWeight(), seq.TotalWeight())
+		if totalWeight(agg) != totalWeight(seq) {
+			t.Errorf("%s: total weight aggregate %v, sequential %v", p.Name(), totalWeight(agg), totalWeight(seq))
 		}
 	}
 }
@@ -214,7 +214,7 @@ func TestEngineApplyAggregateRejectsNegative(t *testing.T) {
 		t.Fatalf("Reset: %v", err)
 	}
 	before := st.Snapshot()
-	agentsBefore, outBefore, totalBefore := st.Agents(), st.Output(), st.TotalWeight()
+	agentsBefore, outBefore, totalBefore := st.Agents(), st.Output(), totalWeight(st)
 	// Fire the first i-consuming merge far more often than 5 agents allow.
 	fires := make([]int64, p.Net().Len())
 	fires[0] = 100
@@ -225,9 +225,16 @@ func TestEngineApplyAggregateRejectsNegative(t *testing.T) {
 	if !st.Snapshot().Equal(before) {
 		t.Errorf("rejected aggregate mutated counts: %v -> %v", before, st.Snapshot())
 	}
-	if st.Agents() != agentsBefore || st.Output() != outBefore || st.TotalWeight() != totalBefore {
+	if st.Agents() != agentsBefore || st.Output() != outBefore || totalWeight(st) != totalBefore {
 		t.Error("rejected aggregate mutated derived state")
 	}
+}
+
+// totalWeight returns the exact sum of st's instance weights,
+// rebuilding the running total first.
+func totalWeight(st *State) float64 {
+	st.rebuild()
+	return st.total
 }
 
 func TestEngineTotalWeight(t *testing.T) {
@@ -248,8 +255,8 @@ func TestEngineTotalWeight(t *testing.T) {
 	for ti := 0; ti < p.Net().Len(); ti++ {
 		want += instanceWeight(p.Net().At(ti).Pre, snap)
 	}
-	if got := st.TotalWeight(); got != want {
-		t.Errorf("TotalWeight = %v, want %v", got, want)
+	if got := totalWeight(st); got != want {
+		t.Errorf("total weight = %v, want %v", got, want)
 	}
 }
 

@@ -173,12 +173,17 @@ func TestNegateOutputs(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	// T must now output 0 and everything else 1.
-	o, err := p.GammaName("T")
-	if err != nil || o != core.Out0 {
-		t.Errorf("γ(T) = %v, %v; want 0", o, err)
+	gamma := func(name string) core.Output {
+		i, ok := p.Space().Index(name)
+		if !ok {
+			t.Fatalf("no state %q", name)
+		}
+		return p.Gamma(i)
 	}
-	o, err = p.GammaName("z")
-	if err != nil || o != core.Out1 {
-		t.Errorf("γ(z) = %v, %v; want 1", o, err)
+	if o := gamma("T"); o != core.Out0 {
+		t.Errorf("γ(T) = %v; want 0", o)
+	}
+	if o := gamma("z"); o != core.Out1 {
+		t.Errorf("γ(z) = %v; want 1", o)
 	}
 }
