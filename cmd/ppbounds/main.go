@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -28,13 +29,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ppbounds:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("subcommand required: thm43 | minstates | cor44 | rackoff | section8")
 	}
@@ -101,36 +102,36 @@ func run(args []string) error {
 
 	switch q.Op {
 	case "thm43":
-		fmt.Printf("Theorem 4.3: n ≤ (4+4·%d+2·%d)^(d^((d+2)²))\n", q.W, q.L)
+		fmt.Fprintf(out, "Theorem 4.3: n ≤ (4+4·%d+2·%d)^(d^((d+2)²))\n", q.W, q.L)
 		for d := 1; d <= q.D; d++ {
 			m := bounds.Theorem43MaxN(d, q.W, q.L)
-			fmt.Printf("  d=%-3d log10(max n) = %.4g\n", d, m.Log10())
+			fmt.Fprintf(out, "  d=%-3d log10(max n) = %.4g\n", d, m.Log10())
 		}
 	case "minstates":
 		d := bounds.MinStatesTheorem43(q.Log10N, q.M)
-		fmt.Printf("deciding (i ≥ n) with n = 1e%g and width/leaders ≤ %d needs ≥ %d states\n", q.Log10N, q.M, d)
+		fmt.Fprintf(out, "deciding (i ≥ n) with n = 1e%g and width/leaders ≤ %d needs ≥ %d states\n", q.Log10N, q.M, d)
 	case "cor44":
-		fmt.Printf("Corollary 4.4 lower bound Ω((log log n)^%g) at n = 2^(2^k), m = %d\n", q.H, q.M)
+		fmt.Fprintf(out, "Corollary 4.4 lower bound Ω((log log n)^%g) at n = 2^(2^k), m = %d\n", q.H, q.M)
 		for k := 1; k <= q.KMax; k++ {
 			lb := bounds.Corollary44LowerBound(math.Pow(2, float64(k)), q.H, q.M)
-			fmt.Printf("  k=%-3d states ≥ %.2f\n", k, lb)
+			fmt.Fprintf(out, "  k=%-3d states ≥ %.2f\n", k, lb)
 		}
 	case "rackoff":
 		m := bounds.Rackoff(q.D, q.R, q.T)
-		fmt.Printf("Lemma 5.3: covering word length ≤ (%d+%d)^(%d^%d): log10 = %.4g\n",
+		fmt.Fprintf(out, "Lemma 5.3: covering word length ≤ (%d+%d)^(%d^%d): log10 = %.4g\n",
 			q.R, q.T, q.D, q.D, m.Log10())
 	case "section8":
 		s, err := bounds.NewSection8(q.D, q.T, q.L)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Section 8 cascade for d=%d, ‖T‖∞=%d, ‖ρL‖∞=%d:\n", q.D, q.T, q.L)
-		fmt.Printf("  b: log10 = %.4g\n", s.B.Log10())
-		fmt.Printf("  h: log10 = %.4g\n", s.H.Log10())
-		fmt.Printf("  k: log10 = %.4g\n", s.K.Log10())
-		fmt.Printf("  a: log10 = %.4g\n", s.A.Log10())
-		fmt.Printf("  ℓ: log10 = %.4g\n", s.L.Log10())
-		fmt.Printf("  n: log10 = %.4g (final bound on the threshold)\n", s.N.Log10())
+		fmt.Fprintf(out, "Section 8 cascade for d=%d, ‖T‖∞=%d, ‖ρL‖∞=%d:\n", q.D, q.T, q.L)
+		fmt.Fprintf(out, "  b: log10 = %.4g\n", s.B.Log10())
+		fmt.Fprintf(out, "  h: log10 = %.4g\n", s.H.Log10())
+		fmt.Fprintf(out, "  k: log10 = %.4g\n", s.K.Log10())
+		fmt.Fprintf(out, "  a: log10 = %.4g\n", s.A.Log10())
+		fmt.Fprintf(out, "  ℓ: log10 = %.4g\n", s.L.Log10())
+		fmt.Fprintf(out, "  n: log10 = %.4g (final bound on the threshold)\n", s.N.Log10())
 	}
 	return nil
 }

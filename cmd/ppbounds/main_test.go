@@ -1,26 +1,51 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
+var update = flag.Bool("update", false, "rewrite the output golden")
+
+// The printed text of every subcommand, at its defaults and at one
+// other query, is pinned by testdata/output.golden.txt.
 func TestSubcommands(t *testing.T) {
 	cases := [][]string{
-		{"thm43", "-dmax", "4"},
-		{"minstates", "-log10n", "100", "-m", "2"},
-		{"cor44", "-kmax", "5"},
-		{"rackoff", "-d", "4"},
-		{"section8", "-d", "3"},
+		{"thm43"}, {"thm43", "-dmax", "4", "-w", "3", "-l", "1"},
+		{"minstates"}, {"minstates", "-log10n", "1e200", "-m", "3"},
+		{"cor44"}, {"cor44", "-kmax", "24", "-exp", "0.45", "-m", "1"},
+		{"rackoff"}, {"rackoff", "-d", "4", "-t", "2", "-r", "3"},
+		{"section8"}, {"section8", "-d", "3", "-t", "1", "-l", "4"},
 	}
+	var b strings.Builder
 	for _, args := range cases {
-		if err := run(args); err != nil {
+		fmt.Fprintf(&b, "$ ppbounds %s\n", strings.Join(args, " "))
+		if err := run(args, &b); err != nil {
 			t.Errorf("run(%v): %v", args, err)
 		}
+	}
+	golden := filepath.Join("testdata", "output.golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("output drifted from %s\ngot:\n%s\nwant:\n%s", golden, b.String(), want)
 	}
 }
 
@@ -57,13 +82,13 @@ func TestHelp(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Error("missing subcommand accepted")
 	}
-	if err := run([]string{"nope"}); err == nil {
+	if err := run([]string{"nope"}, io.Discard); err == nil {
 		t.Error("unknown subcommand accepted")
 	}
-	if err := run([]string{"section8", "-d", "1"}); err == nil {
+	if err := run([]string{"section8", "-d", "1"}, io.Discard); err == nil {
 		t.Error("d=1 accepted by section8")
 	}
 }
@@ -79,7 +104,7 @@ func runWithin(args []string, d time.Duration) error {
 				done <- fmt.Errorf("panic: %v", r)
 			}
 		}()
-		done <- run(args)
+		done <- run(args, io.Discard)
 	}()
 	select {
 	case err := <-done:
@@ -124,12 +149,12 @@ func TestRenamedExponentFlag(t *testing.T) {
 		{"cor44", "-h=0.3"},
 		{"cor44", "-kmax", "5", "-h", "0.3"},
 	} {
-		err := run(args)
+		err := run(args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-h was renamed -exp") {
 			t.Errorf("%v: error %v does not name the rename", args, err)
 		}
 	}
-	if err := run([]string{"cor44", "-kmax", "2", "-exp", "0.3"}); err != nil {
+	if err := run([]string{"cor44", "-kmax", "2", "-exp", "0.3"}, io.Discard); err != nil {
 		t.Errorf("cor44 -exp 0.3: %v", err)
 	}
 }
@@ -138,7 +163,7 @@ func TestRenamedExponentFlag(t *testing.T) {
 // the removal.
 func TestRemovedWorkersFlag(t *testing.T) {
 	for _, sub := range []string{"thm43", "cor44"} {
-		err := run([]string{sub, "-workers", "2"})
+		err := run([]string{sub, "-workers", "2"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-workers was removed") {
 			t.Errorf("%s -workers 2: error %v does not name the removal", sub, err)
 		}

@@ -34,6 +34,9 @@ type Table struct {
 	Header  []string
 	Rows    [][]string
 	Verdict string // the measured outcome vs the claim
+	// Timing names the Header columns that hold wall-clock times: the
+	// only cells that differ between two runs of the same build.
+	Timing []string
 }
 
 // Render prints the table in aligned plain text.
@@ -661,6 +664,7 @@ func E11LargeNBatch() (*Table, error) {
 			"10^8+ agents in milliseconds per run, agreeing with the exact " +
 			"semantics; shard/merge reproduces the single-process sweep exactly",
 		Header: []string{"protocol", "agents", "expected", "trials", "correct", "mean ia", "±95% CI", "sweep wall"},
+		Timing: []string{"sweep wall"},
 	}
 	const trials = 5
 	sweeps := []shard.SweepSpec{

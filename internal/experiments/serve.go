@@ -210,6 +210,7 @@ func E12ServeReplayCold() (*Table, error) {
 		Title:  "ppserve query replay: cold daemon, every query computes",
 		Claim:  "a fresh store answers no query from cache; every result is computed once and persisted",
 		Header: []string{"pass", "queries", "cache hits", "p50", "p99"},
+		Timing: []string{"p50", "p99"},
 	}
 	cold, _, err := serveReplays(freshDaemon, e12Replays, 0)
 	if err != nil {
@@ -246,6 +247,7 @@ func E12wServeReplayWarm() (*Table, error) {
 		Title:  "ppserve query replay: warm store, every query is a lookup",
 		Claim:  "a warmed store serves the identical mix entirely from cache, far below cold compute latency",
 		Header: []string{"pass", "queries", "cache hits", "p50", "p99"},
+		Timing: []string{"p50", "p99"},
 	}
 	cold, warm, err := serveReplays(freshDaemon, e12Replays, e12WarmPasses)
 	if err != nil {

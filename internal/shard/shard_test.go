@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -186,18 +188,66 @@ func TestPlanGolden(t *testing.T) {
 		t.Fatalf("marshal: %v", err)
 	}
 	got = append(got, '\n')
-	golden := filepath.Join("testdata", "plan.golden.json")
+	checkGolden(t, filepath.Join("testdata", "plan.golden.json"), got)
+
+	// The planner's cut table: every spec crossed with every model,
+	// shard count and trial block, one compact manifest per line.
+	geometric := testSpec()
+	geometric.Sizes = nil
+	for k := 4; k <= 12; k++ {
+		geometric.Sizes = append(geometric.Sizes, int64(1)<<k)
+	}
+	manyTrials := testSpec()
+	manyTrials.Sizes = []int64{3, 5, 8, 13, 21, 34, 55, 89}
+	manyTrials.Trials = 20
+	for _, tc := range []struct {
+		name string
+		sw   SweepSpec
+	}{{"power2", sw}, {"geometric", geometric}, {"many-trials", manyTrials}} {
+		var b bytes.Buffer
+		for _, model := range []CostModel{UniformCost{}, LinearCost{}, LogCost{}} {
+			for _, shards := range []int{1, 2, 3, 5, 7} {
+				for _, block := range []int{0, 1, 2, 3, tc.sw.Trials} {
+					m, err := PlanCostBlock(tc.sw, shards, model, block)
+					if err != nil {
+						t.Fatalf("%s: PlanCostBlock(%d, %s, %d): %v", tc.name, shards, model.Name(), block, err)
+					}
+					line, err := json.Marshal(m)
+					if err != nil {
+						t.Fatalf("marshal: %v", err)
+					}
+					fmt.Fprintf(&b, "%s shards=%d block=%d %s\n", model.Name(), shards, block, line)
+				}
+			}
+		}
+		checkGolden(t, filepath.Join("testdata", "plans", tc.name+".golden.txt"), b.Bytes())
+	}
+}
+
+// checkGolden compares got with the golden file at path, rewriting it
+// first under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatalf("update golden: %v", err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatalf("update golden: %v", err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if string(got) != string(want) {
-		t.Errorf("manifest drifted from golden file %s\ngot:\n%s\nwant:\n%s", golden, got, want)
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := range min(len(gl), len(wl)) {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("%s drifted at line %d:\ngot:  %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s drifted: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
 
