@@ -52,7 +52,7 @@ var apiKept = map[string]string{
 //
 // The scan matches identifiers by name, without types. Its blind spot
 // is a name that also means something else elsewhere: an unused
-// method called Input passes because verify.Input is called, and a
+// method called Input passes because core.Protocol.Input is called, and a
 // function named like a field or local passes because of it.
 func TestExportedAPIHasCallers(t *testing.T) {
 	type decl struct {

@@ -273,19 +273,22 @@ func BenchmarkSweepFlock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	xs := []int64{16, 32, 64, 128}
+	var cells []sim.Cell
+	for _, x := range []int64{16, 32, 64, 128} {
+		cells = append(cells, sim.Cell{X: x, TrialHi: 8})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := sim.Sweep(context.Background(), p, "i", xs, func(x int64) bool { return x >= 8 }, 8,
-			sim.Options{Seed: 42, MaxSteps: 400_000, StablePatience: 2_000})
+		err := sim.SweepCells(context.Background(), p, "i", cells, func(x int64) bool { return x >= 8 },
+			sim.Options{Seed: 42, MaxSteps: 400_000, StablePatience: 2_000}, func(ci int, st sim.Stats) error {
+				if st.Correct != st.Trials {
+					return fmt.Errorf("x=%d: %d/%d correct", cells[ci].X, st.Correct, st.Trials)
+				}
+				return nil
+			})
 		if err != nil {
 			b.Fatal(err)
-		}
-		for _, pt := range pts {
-			if pt.Stats.Correct != pt.Stats.Trials {
-				b.Fatalf("x=%d: %d/%d correct", pt.X, pt.Stats.Correct, pt.Stats.Trials)
-			}
 		}
 	}
 }
@@ -492,20 +495,19 @@ func BenchmarkCountBatchedStep(b *testing.B) {
 }
 
 // BenchmarkVerifyInput measures a single-input verification of
-// Example 4.2 with 9 agents total.
+// Example 4.2 with 9 agents total: a one-worker Range over one input.
 func BenchmarkVerifyInput(b *testing.B) {
 	p, err := counting.Example42(3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	input := conf.MustFromMap(p.Space(), map[string]int64{"i": 6})
 	pred := verify.CountingPredicate("i", 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := verify.Input(p, input, pred, petri.Budget{MaxConfigs: 1 << 18})
-		if err != nil || !rep.OK {
-			b.Fatalf("report %+v, %v", rep, err)
+		res, err := verify.Range(context.Background(), p, pred, 6, 6, petri.Budget{MaxConfigs: 1 << 18}, 1)
+		if err != nil || len(res.Reports) != 1 || len(res.Failures) != 0 {
+			b.Fatalf("result %+v, %v", res, err)
 		}
 	}
 }

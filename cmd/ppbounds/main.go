@@ -8,12 +8,15 @@
 //	ppbounds rackoff -d 5 -t 1 -r 1         Lemma 5.3 bound
 //	ppbounds section8 -d 4 -t 2 -l 2        Section 8 cascade (b,h,k,a,ℓ,n)
 //
-// Every subcommand first applies bounds.Query.Check, the domain rule
-// /v1/bounds applies too: a query whose rows or values would overflow
-// float64 in log10 form is rejected before anything is evaluated, with
-// the same error text. Rows are evaluated in one loop: the costliest
-// accepted row, thm43's exact d = 2 value, takes about a millisecond,
-// and every other row under a microsecond.
+// The flags and their defaults are bounds' parameter table, the one
+// /v1/bounds fills omitted members from, and every subcommand prints
+// the text of bounds.Query.Eval, the evaluation /v1/bounds returns.
+// Eval first applies bounds.Query.Check, the domain rule: a query
+// whose rows or values would overflow float64 in log10 form is
+// rejected before anything is evaluated, with the same error text.
+// Rows are evaluated in one loop: the costliest accepted row, thm43's
+// exact d = 2 value, takes about a millisecond, and every other row
+// under a microsecond.
 package main
 
 import (
@@ -21,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -41,34 +43,14 @@ func run(args []string, out io.Writer) error {
 	}
 	q := bounds.Query{Op: args[0]}
 	fs := flag.NewFlagSet(q.Op, flag.ContinueOnError)
+	if !q.Flags(fs) {
+		return fmt.Errorf("unknown subcommand %q", args[0])
+	}
 	// The table subcommands' -workers flag was removed; it stays
 	// defined there so a command line that still passes it learns why
 	// it fails.
-	removedWorkers := func() { fs.String("workers", "", "removed: rows are evaluated in one loop") }
-	switch q.Op {
-	case "thm43":
-		fs.IntVar(&q.D, "dmax", 10, "max state count")
-		fs.Int64Var(&q.W, "w", 2, "interaction-width")
-		fs.Int64Var(&q.L, "l", 2, "leaders")
-		removedWorkers()
-	case "minstates":
-		fs.Float64Var(&q.Log10N, "log10n", 9, "log10 of the threshold n")
-		fs.Int64Var(&q.M, "m", 2, "width and leader bound")
-	case "cor44":
-		fs.IntVar(&q.KMax, "kmax", 20, "max tower level (n = 2^(2^k))")
-		fs.Float64Var(&q.H, "exp", 0.49, "exponent h < 1/2")
-		fs.Int64Var(&q.M, "m", 2, "width and leader bound")
-		removedWorkers()
-	case "rackoff":
-		fs.IntVar(&q.D, "d", 5, "states |P|")
-		fs.Int64Var(&q.T, "t", 1, "‖T‖∞")
-		fs.Int64Var(&q.R, "r", 1, "‖target‖∞")
-	case "section8":
-		fs.IntVar(&q.D, "d", 4, "states |P| (≥ 2)")
-		fs.Int64Var(&q.T, "t", 2, "‖T‖∞")
-		fs.Int64Var(&q.L, "l", 2, "‖ρ_L‖∞")
-	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+	if q.Op == "thm43" || q.Op == "cor44" {
+		fs.String("workers", "", "removed: rows are evaluated in one loop")
 	}
 	// cor44's exponent flag was -h. A command line that still gives
 	// -h a value (-h=0.3, or any argument after it, as the flag
@@ -96,42 +78,38 @@ func run(args []string, out io.Writer) error {
 	if removed != nil {
 		return removed
 	}
-	if err := q.Check(); err != nil {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	res, err := q.Eval()
+	if err != nil {
 		return err
 	}
-
 	switch q.Op {
 	case "thm43":
 		fmt.Fprintf(out, "Theorem 4.3: n ≤ (4+4·%d+2·%d)^(d^((d+2)²))\n", q.W, q.L)
-		for d := 1; d <= q.D; d++ {
-			m := bounds.Theorem43MaxN(d, q.W, q.L)
-			fmt.Fprintf(out, "  d=%-3d log10(max n) = %.4g\n", d, m.Log10())
+		for _, r := range res.Rows {
+			fmt.Fprintf(out, "  d=%-3d log10(max n) = %.4g\n", r.K, r.Value)
 		}
 	case "minstates":
-		d := bounds.MinStatesTheorem43(q.Log10N, q.M)
-		fmt.Fprintf(out, "deciding (i ≥ n) with n = 1e%g and width/leaders ≤ %d needs ≥ %d states\n", q.Log10N, q.M, d)
+		fmt.Fprintf(out, "deciding (i ≥ n) with n = 1e%g and width/leaders ≤ %d needs ≥ %d states\n", q.Log10N, q.M, int(res.Value))
 	case "cor44":
 		fmt.Fprintf(out, "Corollary 4.4 lower bound Ω((log log n)^%g) at n = 2^(2^k), m = %d\n", q.H, q.M)
-		for k := 1; k <= q.KMax; k++ {
-			lb := bounds.Corollary44LowerBound(math.Pow(2, float64(k)), q.H, q.M)
-			fmt.Fprintf(out, "  k=%-3d states ≥ %.2f\n", k, lb)
+		for _, r := range res.Rows {
+			fmt.Fprintf(out, "  k=%-3d states ≥ %.2f\n", r.K, r.Value)
 		}
 	case "rackoff":
-		m := bounds.Rackoff(q.D, q.R, q.T)
 		fmt.Fprintf(out, "Lemma 5.3: covering word length ≤ (%d+%d)^(%d^%d): log10 = %.4g\n",
-			q.R, q.T, q.D, q.D, m.Log10())
+			q.R, q.T, q.D, q.D, res.Value)
 	case "section8":
-		s, err := bounds.NewSection8(q.D, q.T, q.L)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "Section 8 cascade for d=%d, ‖T‖∞=%d, ‖ρL‖∞=%d:\n", q.D, q.T, q.L)
-		fmt.Fprintf(out, "  b: log10 = %.4g\n", s.B.Log10())
-		fmt.Fprintf(out, "  h: log10 = %.4g\n", s.H.Log10())
-		fmt.Fprintf(out, "  k: log10 = %.4g\n", s.K.Log10())
-		fmt.Fprintf(out, "  a: log10 = %.4g\n", s.A.Log10())
-		fmt.Fprintf(out, "  ℓ: log10 = %.4g\n", s.L.Log10())
-		fmt.Fprintf(out, "  n: log10 = %.4g (final bound on the threshold)\n", s.N.Log10())
+		c := res.Cascade
+		fmt.Fprintf(out, "  b: log10 = %.4g\n", c["b"])
+		fmt.Fprintf(out, "  h: log10 = %.4g\n", c["h"])
+		fmt.Fprintf(out, "  k: log10 = %.4g\n", c["k"])
+		fmt.Fprintf(out, "  a: log10 = %.4g\n", c["a"])
+		fmt.Fprintf(out, "  ℓ: log10 = %.4g\n", c["l"])
+		fmt.Fprintf(out, "  n: log10 = %.4g (final bound on the threshold)\n", c["n"])
 	}
 	return nil
 }

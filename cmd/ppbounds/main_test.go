@@ -169,3 +169,27 @@ func TestRemovedWorkersFlag(t *testing.T) {
 		}
 	}
 }
+
+// flag stops at the first positional argument, so a stray one would
+// silently drop every flag after it; each must be rejected by name.
+func TestStrayArguments(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		stray string
+	}{
+		{[]string{"minstates", "100"}, "100"},
+		{[]string{"thm43", "-dmax", "2", "junk"}, "junk"},
+		{[]string{"cor44", "extra", "-kmax", "3"}, "extra"},
+		{[]string{"rackoff", "5"}, "5"},
+		{[]string{"section8", "-d", "3", "x"}, "x"},
+	} {
+		var out strings.Builder
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), `unexpected argument "`+tc.stray+`"`) {
+			t.Errorf("run(%v) = %v, want it to name the argument %q", tc.args, err, tc.stray)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed %q", tc.args, out.String())
+		}
+	}
+}

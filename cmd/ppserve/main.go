@@ -112,7 +112,7 @@ func runServe(ctx context.Context, args []string, out io.Writer) error {
 	storeMaxMB := fs.Int64("store-max-mb", 0, "store footprint bound in MiB, enforced by LRU eviction (0 = unbounded)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the injected fault schedule (with -chaos-faults)")
 	chaosFaults := fs.Int("chaos-faults", 0, "inject this many seeded faults under the store (0 = none; chaos drills only)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	var storeFS faultfs.FS
@@ -182,7 +182,7 @@ func runGC(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ppserve gc", flag.ContinueOnError)
 	storeDir := fs.String("store", "ppserve-store", "result store directory")
 	ttl := fs.Duration("quarantine-ttl", 7*24*time.Hour, "drop quarantined files older than this (0 = keep forever)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	rep, err := store.GC(*storeDir, store.GCOptions{QuarantineTTL: *ttl})
@@ -198,6 +198,19 @@ func runGC(args []string, out io.Writer) error {
 type replayQuery struct {
 	Path string          `json:"path"`
 	Body json.RawMessage `json:"body"`
+}
+
+// parseFlags parses a subcommand's flags and rejects a positional
+// argument: the flag package stops at the first one, so the flags
+// after it would go unread.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
 }
 
 func readQueries(path string) ([]replayQuery, error) {
@@ -242,7 +255,7 @@ func runReplay(ctx context.Context, args []string, out io.Writer) error {
 	file := fs.String("file", "", "JSONL query file (required)")
 	passes := fs.Int("passes", 2, "number of replay passes")
 	minHitRate := fs.Float64("min-hit-rate", 0, "fail unless the final pass's hit rate reaches this floor")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *file == "" {

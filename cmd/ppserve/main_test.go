@@ -171,3 +171,27 @@ func TestExampleQueriesFile(t *testing.T) {
 		}
 	}
 }
+
+// flag stops at the first positional argument, so a stray one would
+// silently drop every flag after it; each must be rejected by name
+// before a subcommand opens a store or a listener.
+func TestStrayArguments(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "store")
+	for _, tc := range []struct {
+		args []string
+		stray string
+	}{
+		{[]string{"serve", "extra", "-store", store}, "extra"},
+		{[]string{"serve", "-store", store, "-addr", "127.0.0.1:0", "extra"}, "extra"},
+		{[]string{"gc", "-store", store, "extra"}, "extra"},
+		{[]string{"replay", "-file", "q.jsonl", "extra"}, "extra"},
+	} {
+		err := run(context.Background(), tc.args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), `unexpected argument "`+tc.stray+`"`) {
+			t.Errorf("run(%v) = %v, want it to name the argument %q", tc.args, err, tc.stray)
+		}
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Errorf("a rejected subcommand created %s (stat: %v)", store, err)
+	}
+}

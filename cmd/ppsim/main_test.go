@@ -74,3 +74,21 @@ func TestRunRemovedWorkersFlag(t *testing.T) {
 		t.Errorf("-workers 2: error %v does not name the removal", err)
 	}
 }
+
+// flag stops at the first positional argument, so a stray one would
+// silently drop every flag after it; each must be rejected by name.
+func TestStrayArguments(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		stray string
+	}{
+		{[]string{"flock"}, "flock"},
+		{[]string{"-x", "5", "flock"}, "flock"},
+		{[]string{"-protocol", "flock", "extra", "-x", "5"}, "extra"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), `unexpected argument "`+tc.stray+`"`) {
+			t.Errorf("run(%v) = %v, want it to name the argument %q", tc.args, err, tc.stray)
+		}
+	}
+}

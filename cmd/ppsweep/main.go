@@ -171,7 +171,7 @@ func runPlan(args []string, out io.Writer) error {
 		block     = fs.Int("block", 0, "dice each size's trial axis into blocks of this many trials, so cell boundaries are shard-count independent (0 = one cell per size per shard)")
 		outPath   = fs.String("o", "plan.json", "manifest output path")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return flagErr(err)
 	}
 	xs, err := parseSizes(*sizes)
@@ -225,7 +225,7 @@ func runShard(ctx context.Context, args []string, out io.Writer) error {
 		outPath  = fs.String("o", "", "artifact output path (default part-<shard>.json)")
 	)
 	ruleOf := stopRuleFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return flagErr(err)
 	}
 	if *shardID == "" {
@@ -304,7 +304,7 @@ func runDispatch(ctx context.Context, args []string, out io.Writer) error {
 	for name, why := range removedWhy {
 		fs.String(name, "", "removed: "+why)
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return flagErr(err)
 	}
 	var removed error
@@ -503,7 +503,7 @@ func runStatus(args []string, out io.Writer) error {
 		dir      = fs.String("dir", "", "queue or partials directory to inspect")
 	)
 	ruleOf := stopRuleFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return flagErr(err)
 	}
 	if *dir == "" {
@@ -634,6 +634,19 @@ func parseSizes(s string) ([]int64, error) {
 		xs = append(xs, x)
 	}
 	return xs, nil
+}
+
+// parseFlags parses a subcommand's flags and rejects a positional
+// argument: the flag package stops at the first one, so the flags
+// after it would go unread.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
 }
 
 func flagErr(err error) error {

@@ -560,3 +560,29 @@ func TestStatusForeignPlanCLI(t *testing.T) {
 		t.Errorf("foreign-plan status: got %v", err)
 	}
 }
+
+// flag stops at the first positional argument, so a stray one would
+// silently drop every flag after it; each must be rejected by name.
+// merge and merge-bench take their input files as arguments.
+func TestStrayArguments(t *testing.T) {
+	dir := t.TempDir()
+	plan := filepath.Join(dir, "p.json")
+	for _, tc := range []struct {
+		args []string
+		stray string
+	}{
+		{append(planArgs(dir, 2, "p.json"), "extra"), "extra"},
+		{[]string{"plan", "extra", "-protocol", "flock"}, "extra"},
+		{[]string{"run", "-plan", plan, "s000"}, "s000"},
+		{[]string{"dispatch", "extra", "-plan", plan}, "extra"},
+		{[]string{"status", "extra", "-plan", plan}, "extra"},
+	} {
+		err := run(context.Background(), tc.args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), `unexpected argument "`+tc.stray+`"`) {
+			t.Errorf("run(%v) = %v, want it to name the argument %q", tc.args, err, tc.stray)
+		}
+	}
+	if _, err := os.Stat(plan); !os.IsNotExist(err) {
+		t.Errorf("a rejected plan command wrote %s (stat: %v)", plan, err)
+	}
+}

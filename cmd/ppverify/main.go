@@ -53,6 +53,9 @@ func run(args []string) error {
 		}
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	var removed error
 	fs.Visit(func(f *flag.Flag) {
 		if strings.HasPrefix(f.Name, "spill-") {

@@ -44,3 +44,21 @@ func TestRunRemovedSpillFlags(t *testing.T) {
 		}
 	}
 }
+
+// flag stops at the first positional argument, so a stray one would
+// silently drop every flag after it; each must be rejected by name.
+func TestStrayArguments(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		stray string
+	}{
+		{[]string{"flock"}, "flock"},
+		{[]string{"-maxx", "3", "flock"}, "flock"},
+		{[]string{"-protocol", "flock", "extra", "-maxx", "3"}, "extra"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), `unexpected argument "`+tc.stray+`"`) {
+			t.Errorf("run(%v) = %v, want it to name the argument %q", tc.args, err, tc.stray)
+		}
+	}
+}

@@ -5,30 +5,6 @@ import (
 	"math"
 )
 
-// Query is one bounds evaluation as ppbounds and /v1/bounds ask for
-// it: Op names it, the other fields are its parameters (zero where the
-// op takes none).
-type Query struct {
-	// Op is thm43, minstates, cor44, rackoff or section8.
-	Op string
-	// D is the state count: thm43 evaluates rows d = 1..D; rackoff and
-	// section8 take it as |P|.
-	D int
-	// W and L are the interaction width and the leader norm (thm43);
-	// section8 takes L as ‖ρ_L‖∞.
-	W, L int64
-	// T and R are ‖T‖∞ and ‖target‖∞ (rackoff; section8 takes T).
-	T, R int64
-	// Log10N is log10 of minstates' threshold n.
-	Log10N float64
-	// H is Corollary 4.4's exponent, in (0, 1/2).
-	H float64
-	// M bounds the width and the leaders (minstates, cor44).
-	M int64
-	// KMax is cor44's last row: k = 1..KMax, n = 2^(2^k).
-	KMax int
-}
-
 // MaxNorm bounds every norm parameter (w, l, t, r, m). It is far above
 // the norm of any protocol built here, and keeps every base a bound
 // raises (at most 4 + 4w + 2l) an exact int64 and float64.

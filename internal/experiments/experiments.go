@@ -685,7 +685,7 @@ func E11LargeNBatch() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E11 %s: %w", sw.Protocol, err)
 		}
-		m, err := shard.PlanCost(sw, 2, shard.UniformCost{})
+		m, err := shard.PlanCostBlock(sw, 2, shard.UniformCost{}, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E11 %s: %w", sw.Protocol, err)
 		}

@@ -59,8 +59,8 @@ func plantStoreObject(t *testing.T, root string) (string, key.Key) {
 
 var quarantineCallers = []quarantineCaller{
 	{"shard executor", func(t *testing.T, root string) (string, string, func(faultfs.FS) int) {
-		m, err := shard.PlanCost(shard.SweepSpec{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{2},
-			Trials: 2, Seed: 1, MaxSteps: 50_000, Patience: 1_000}, 1, shard.UniformCost{})
+		m, err := shard.PlanCostBlock(shard.SweepSpec{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{2},
+			Trials: 2, Seed: 1, MaxSteps: 50_000, Patience: 1_000}, 1, shard.UniformCost{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

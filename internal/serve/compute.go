@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 
-	"repro/internal/bounds"
 	"repro/internal/petri"
 	"repro/internal/registry"
 	"repro/internal/serve/key"
@@ -27,7 +25,11 @@ func (s *Server) compute(ctx context.Context, q *key.Query) (json.RawMessage, er
 	case key.KindVerify:
 		return s.computeVerify(ctx, q)
 	case key.KindBounds:
-		return computeBounds(q.Bounds)
+		res, err := q.Bounds.Eval()
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res)
 	default:
 		return nil, fmt.Errorf("serve: no compute for kind %q", q.Kind)
 	}
@@ -130,68 +132,6 @@ func (s *Server) computeVerify(ctx context.Context, q *key.Query) (json.RawMessa
 		OK:         rr.OK(),
 		Failures:   rr.Failures,
 		MaxConfigs: rr.MaxConfigs,
-	}
-	return json.Marshal(res)
-}
-
-// BoundsRow is one row of a /v1/bounds result table.
-type BoundsRow struct {
-	K     int     `json:"k"`
-	Value float64 `json:"value"`
-}
-
-// BoundsResult is the /v1/bounds result document. Scalar ops fill
-// Value; table ops (thm43, cor44) fill Rows; section8 fills Cascade.
-type BoundsResult struct {
-	Op      string             `json:"op"`
-	Value   float64            `json:"value,omitempty"`
-	Rows    []BoundsRow        `json:"rows,omitempty"`
-	Cascade map[string]float64 `json:"cascade,omitempty"`
-	// Unit names what the numbers are (log10, states, ...), so the
-	// document is self-describing.
-	Unit string `json:"unit"`
-}
-
-// computeBounds mirrors the ppbounds subcommands over the same
-// internal/bounds entry points, returning values instead of printed
-// tables.
-func computeBounds(bp *key.BoundsParams) (json.RawMessage, error) {
-	res := BoundsResult{Op: bp.Op}
-	switch bp.Op {
-	case "thm43":
-		res.Unit = "log10(max n) per d"
-		for d := 1; d <= bp.D; d++ {
-			m := bounds.Theorem43MaxN(d, bp.W, bp.L)
-			res.Rows = append(res.Rows, BoundsRow{K: d, Value: m.Log10()})
-		}
-	case "minstates":
-		res.Unit = "states"
-		res.Value = float64(bounds.MinStatesTheorem43(bp.Log10N, bp.M))
-	case "cor44":
-		res.Unit = "state lower bound per k (n = 2^(2^k))"
-		for k := 1; k <= bp.KMax; k++ {
-			lb := bounds.Corollary44LowerBound(math.Pow(2, float64(k)), bp.H, bp.M)
-			res.Rows = append(res.Rows, BoundsRow{K: k, Value: lb})
-		}
-	case "rackoff":
-		res.Unit = "log10(covering word length)"
-		res.Value = bounds.Rackoff(bp.D, bp.R, bp.T).Log10()
-	case "section8":
-		res.Unit = "log10 per cascade stage"
-		s8, err := bounds.NewSection8(bp.D, bp.T, bp.L)
-		if err != nil {
-			return nil, err
-		}
-		res.Cascade = map[string]float64{
-			"b": s8.B.Log10(),
-			"h": s8.H.Log10(),
-			"k": s8.K.Log10(),
-			"a": s8.A.Log10(),
-			"l": s8.L.Log10(),
-			"n": s8.N.Log10(),
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown bounds op %q", bp.Op)
 	}
 	return json.Marshal(res)
 }

@@ -29,7 +29,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"repro/internal/bounds"
 	"repro/internal/canon"
@@ -98,28 +97,10 @@ type VerifyParams struct {
 	Budget int `json:"budget"`
 }
 
-// BoundsParams are the /v1/bounds parameters: one of the ppbounds
-// subcommand evaluations. Fields mirror the CLI flags; only the
-// fields of the selected Op are hashed (the rest must be zero). They
-// are bounds.Query's fields in the same order, so a BoundsParams
-// converts to the query whose domain rule it must pass.
-type BoundsParams struct {
-	// Op is thm43, minstates, cor44, rackoff or section8.
-	Op string `json:"op"`
-	// D is the state count (thm43: max; minstates/rackoff/section8: |P|).
-	D int `json:"d,omitempty"`
-	// W and L are interaction width and leader norms (thm43, section8).
-	W int64 `json:"w,omitempty"`
-	L int64 `json:"l,omitempty"`
-	// T and R are ‖T‖∞ and ‖target‖∞ (rackoff, section8).
-	T int64 `json:"t,omitempty"`
-	R int64 `json:"r,omitempty"`
-	// Log10N and M parameterize minstates; H and M cor44, with KMax rows.
-	Log10N float64 `json:"log10n,omitempty"`
-	H      float64 `json:"h,omitempty"`
-	M      int64   `json:"m,omitempty"`
-	KMax   int     `json:"kmax,omitempty"`
-}
+// BoundsParams are the /v1/bounds parameters: one bounds.Query, the
+// evaluation a ppbounds subcommand prints. Only the fields of the
+// selected Op are hashed (the rest must be zero).
+type BoundsParams = bounds.Query
 
 // SweepParams are the /v1/sweep parameters: a multi-size anytime
 // sweep over the shard planner, streamed as NDJSON cell deltas and
@@ -234,7 +215,7 @@ func (q *Query) Normalize() error {
 		if q.Spec != (Spec{}) {
 			return fmt.Errorf("key: bounds queries take no protocol spec (got %+v)", q.Spec)
 		}
-		return q.Bounds.normalize()
+		return normalizeBounds(q.Bounds)
 	case KindSweep:
 		if q.Sweep == nil || q.Simulate != nil || q.Verify != nil || q.Bounds != nil {
 			return fmt.Errorf("key: %s query must carry exactly the sweep parameter block", q.Kind)
@@ -320,62 +301,19 @@ func normalizeRun(seed *int64, maxSteps, patience *int, scheduler *string, batch
 	return err
 }
 
-// boundsFields lists the parameters each bounds op takes.
-var boundsFields = map[string][]string{
-	"thm43":     {"d", "w", "l"},
-	"minstates": {"log10n", "m"},
-	"cor44":     {"kmax", "h", "m"},
-	"rackoff":   {"d", "t", "r"},
-	"section8":  {"d", "t", "l"},
-}
-
-// normalize fills the selected bounds op's defaults, rejects
+// normalizeBounds fills the selected bounds op's defaults, rejects
 // parameters that belong to a different op (a stray member would
 // otherwise split the cache between equal evaluations) and applies
 // bounds.Query.Check, the one domain rule ppbounds applies too.
-func (p *BoundsParams) normalize() error {
-	fields, ok := boundsFields[p.Op]
-	if !ok {
+func normalizeBounds(p *BoundsParams) error {
+	known, stray := p.Defaults()
+	if !known {
 		return fmt.Errorf("key: unknown bounds op %q (have thm43, minstates, cor44, rackoff, section8)", p.Op)
 	}
-	// Defaults mirror the ppbounds flag defaults.
-	defaults := BoundsParams{Op: p.Op}
-	switch p.Op {
-	case "thm43":
-		defaults.D, defaults.W, defaults.L = 10, 2, 2
-	case "minstates":
-		defaults.Log10N, defaults.M = 9, 2
-	case "cor44":
-		defaults.KMax, defaults.H, defaults.M = 20, 0.49, 2
-	case "rackoff":
-		defaults.D, defaults.T, defaults.R = 5, 1, 1
-	case "section8":
-		defaults.D, defaults.T, defaults.L = 4, 2, 2
+	if stray != "" {
+		return fmt.Errorf("key: bounds op %s does not take %q", p.Op, stray)
 	}
-	for _, f := range [...]struct {
-		name string
-		zero bool
-		def  func()
-	}{
-		{"d", p.D == 0, func() { p.D = defaults.D }},
-		{"w", p.W == 0, func() { p.W = defaults.W }},
-		{"l", p.L == 0, func() { p.L = defaults.L }},
-		{"t", p.T == 0, func() { p.T = defaults.T }},
-		{"r", p.R == 0, func() { p.R = defaults.R }},
-		{"log10n", p.Log10N == 0, func() { p.Log10N = defaults.Log10N }},
-		{"h", p.H == 0, func() { p.H = defaults.H }},
-		{"m", p.M == 0, func() { p.M = defaults.M }},
-		{"kmax", p.KMax == 0, func() { p.KMax = defaults.KMax }},
-	} {
-		takes := slices.Contains(fields, f.name)
-		switch {
-		case takes && f.zero:
-			f.def()
-		case !takes && !f.zero:
-			return fmt.Errorf("key: bounds op %s does not take %q", p.Op, f.name)
-		}
-	}
-	return bounds.Query(*p).Check()
+	return p.Check()
 }
 
 // Key is the content address of one normalized query: SHA-256 of the

@@ -62,7 +62,7 @@ func TestDispatchChaosSchedules(t *testing.T) {
 // is caught by the checksum on the next attempt's read, quarantined
 // and recomputed to the bit-identical artifact.
 func TestResumeTornCellWrite(t *testing.T) {
-	m, err := PlanCost(testSpec(), 1, UniformCost{})
+	m, err := PlanCostBlock(testSpec(), 1, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

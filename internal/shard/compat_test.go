@@ -21,7 +21,7 @@ import (
 // A pre-checksum cell partial is quarantined and its cell recomputed,
 // and the finished shard matches a fresh run bit for bit.
 func TestLegacyCellPartialResumes(t *testing.T) {
-	m, err := PlanCost(testSpec(), 1, UniformCost{})
+	m, err := PlanCostBlock(testSpec(), 1, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type CostModel interface {
 }
 
 // UniformCost weighs every trial equally, reproducing the legacy
-// equal-trial-count cut: Plan is PlanCost under UniformCost.
+// equal-trial-count cut.
 type UniformCost struct{}
 
 func (UniformCost) Name() string          { return "uniform" }
@@ -91,33 +91,47 @@ func CostByName(name, scheduler string) (CostModel, error) {
 	}
 }
 
-// PlanCost partitions the sweep into at most shards specs of
+// PlanCostBlock partitions the sweep into at most shards specs of
 // near-equal total cost under the model. It walks the (size × trial)
-// grid size-major and cuts contiguous runs — a shard covers a trial
-// block of one size, whole sizes, or a mix, never an interleaving —
-// so the manifest is a pure function of (spec, shards, model) and any
-// host re-derives it byte-identically. Cuts land at cell granularity, so
-// one cell costlier than the quantile width swallows its whole shard;
-// quantiles falling inside the same cell produce no empty shards —
-// the manifest may carry fewer specs than requested.
+// grid size-major in units of block trials (one trial when block is
+// 0) and cuts contiguous runs — a shard covers a trial block of one
+// size, whole sizes, or a mix, never an interleaving — so the manifest
+// is a pure function of (spec, shards, model, block) and any host
+// re-derives it byte-identically. Boundary i is the largest unit
+// index k whose cumulative cost is ≤ ⌊i·total/shards⌋, and the last
+// shard takes the rest. One unit costlier than the quantile width
+// swallows its whole shard; quantiles falling inside the same unit
+// produce no empty shards, so the manifest may carry fewer specs than
+// requested. Under UniformCost every trial costs 1, so shards have
+// near-equal trial counts; sweeps over geometric size ranges should
+// prefer a workload-matched model so large-x shards don't straggle.
 //
-// Under UniformCost every trial costs 1, so shards have near-equal
-// trial counts; sweeps over geometric size ranges should prefer a
-// workload-matched model so large-x shards don't straggle.
-func PlanCost(sw SweepSpec, shards int, model CostModel) (*Manifest, error) {
+// block > 0 dices each size's trials into cells [0,block),
+// [block,2·block), … (the last one ragged), and a shard's overlap with
+// a size is one cell per block; block = 0 emits that overlap as one
+// cell. The dice makes every cell boundary a pure function of (spec,
+// block) — independent of the shard count — which is what anytime
+// stopping needs: the StopRule is evaluated at cell boundaries, so on
+// a diced plan the stopping decision (and hence the reported artifact)
+// is identical whether the sweep ran on 1 worker or 100, cut 2 ways or
+// 7. It also fixes the granularity of streamed deltas and of resumable
+// persistence. The manifest records the dice in its Block field.
+func PlanCostBlock(sw SweepSpec, shards int, model CostModel, block int) (*Manifest, error) {
+	if block < 0 {
+		return nil, fmt.Errorf("shard: negative trial block %d", block)
+	}
 	if err := sw.Validate(); err != nil {
 		return nil, err
 	}
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count must be positive")
 	}
-	cellsTotal := len(sw.Sizes) * sw.Trials
-	if shards > cellsTotal {
-		shards = cellsTotal
-	}
+	unit := max(block, 1)
+	perSize := (sw.Trials + unit - 1) / unit // units per size
+	shards = min(shards, len(sw.Sizes)*perSize)
 	// Per-size trial cost and size-major prefix sums over whole sizes:
-	// the cumulative cost of the first k grid cells is
-	// prefix[k/Trials] + (k%Trials)·cost[k/Trials].
+	// the cumulative cost of the first j units of size si is
+	// prefix[si] + j·unit·cost[si].
 	cost := make([]int64, len(sw.Sizes))
 	prefix := make([]int64, len(sw.Sizes)+1)
 	for i, x := range sw.Sizes {
@@ -135,124 +149,46 @@ func PlanCost(sw SweepSpec, shards int, model CostModel) (*Manifest, error) {
 	if total > math.MaxInt64/int64(shards) {
 		return nil, fmt.Errorf("shard: total cost %d too large for %d-shard quantiles", total, shards)
 	}
-	m := &Manifest{Schema: ManifestSchema, Sweep: sw, Shards: make([]Spec, 0, shards)}
+	m := &Manifest{Schema: ManifestSchema, Sweep: sw, Block: block, Shards: make([]Spec, 0, shards)}
 	if model.Name() != (UniformCost{}).Name() {
 		m.CostModel = model.Name()
 	}
-	// Boundary i is the largest cell index k with cum(k) ≤ ⌊i·total/shards⌋;
-	// under UniformCost this reduces to k = ⌊i·cells/shards⌋.
+	// cut returns boundary i as a trial position of the size-major
+	// grid. Inside size si, whole units cost less than the whole size,
+	// so the boundary never reaches the size's ragged end.
+	gridEnd := len(sw.Sizes) * sw.Trials
 	cut := func(i int) int {
 		q := int64(i) * total / int64(shards)
-		// Largest whole-size index si with prefix[si] ≤ q, then trials
-		// within that size.
 		si := 0
 		for si < len(sw.Sizes) && prefix[si+1] <= q {
 			si++
 		}
 		if si == len(sw.Sizes) {
-			return cellsTotal
+			return gridEnd
 		}
-		return si*sw.Trials + int((q-prefix[si])/cost[si])
+		return si*sw.Trials + int((q-prefix[si])/(int64(unit)*cost[si]))*unit
 	}
 	prev := 0
 	for i := 1; i <= shards; i++ {
 		hi := cut(i)
 		if i == shards {
-			hi = cellsTotal // guard against ⌊·⌋ shaving the last cell
+			hi = gridEnd // guard against ⌊·⌋ shaving the last unit
 		}
 		if hi <= prev {
-			continue // quantile landed inside the previous cut's cell
+			continue // quantile landed inside the previous cut's unit
 		}
 		spec := Spec{ID: fmt.Sprintf("s%03d", len(m.Shards))}
 		for si := prev / sw.Trials; si*sw.Trials < hi; si++ {
-			tLo := max(prev, si*sw.Trials) - si*sw.Trials
-			tHi := min(hi, (si+1)*sw.Trials) - si*sw.Trials
-			spec.Cells = append(spec.Cells, Cell{X: sw.Sizes[si], TrialLo: tLo, TrialHi: tHi})
-		}
-		m.Shards = append(m.Shards, spec)
-		prev = hi
-	}
-	return m, nil
-}
-
-// PlanCostBlock is PlanCost with the trial axis diced into fixed
-// blocks of block trials before the cut: per size, cells are
-// [0,block), [block,2·block), … (the last one ragged), and shards are
-// contiguous runs of whole blocks at near-equal cost. The dice makes
-// every cell boundary a pure function of (spec, block) — independent
-// of the shard count — which is what anytime stopping needs: the
-// StopRule is evaluated at cell boundaries, so on a diced plan the
-// stopping decision (and hence the reported artifact) is identical
-// whether the sweep ran on 1 worker or 100, cut 2 ways or 7. It also
-// fixes the granularity of streamed deltas and of resumable
-// persistence. block = 0 is exactly PlanCost; the manifest records
-// the dice in its Block field.
-func PlanCostBlock(sw SweepSpec, shards int, model CostModel, block int) (*Manifest, error) {
-	if block < 0 {
-		return nil, fmt.Errorf("shard: negative trial block %d", block)
-	}
-	if block == 0 {
-		return PlanCost(sw, shards, model)
-	}
-	if err := sw.Validate(); err != nil {
-		return nil, err
-	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("shard: shard count must be positive")
-	}
-	// The diced grid, size-major like PlanCost's walk.
-	var cells []Cell
-	var costs []int64
-	var total int64
-	for _, x := range sw.Sizes {
-		unit := model.TrialCost(x)
-		if unit < 1 {
-			return nil, fmt.Errorf("shard: cost model %s gives non-positive cost %d at x=%d", model.Name(), unit, x)
-		}
-		for lo := 0; lo < sw.Trials; lo += block {
-			hi := min(lo+block, sw.Trials)
-			n := int64(hi - lo)
-			if unit > math.MaxInt64/n || total > math.MaxInt64-unit*n {
-				return nil, fmt.Errorf("shard: total cost overflows int64 under model %s", model.Name())
+			lo := max(prev, si*sw.Trials) - si*sw.Trials
+			end := min(hi, (si+1)*sw.Trials) - si*sw.Trials
+			step := end - lo
+			if block > 0 {
+				step = block
 			}
-			cells = append(cells, Cell{X: x, TrialLo: lo, TrialHi: hi})
-			costs = append(costs, unit*n)
-			total += unit * n
-		}
-	}
-	if shards > len(cells) {
-		shards = len(cells)
-	}
-	if total > math.MaxInt64/int64(shards) {
-		return nil, fmt.Errorf("shard: total cost %d too large for %d-shard quantiles", total, shards)
-	}
-	m := &Manifest{Schema: ManifestSchema, Sweep: sw, Block: block, Shards: make([]Spec, 0, shards)}
-	if model.Name() != (UniformCost{}).Name() {
-		m.CostModel = model.Name()
-	}
-	// Quantile cuts at block granularity: boundary i is the largest
-	// block index k whose cumulative cost is ≤ ⌊i·total/shards⌋.
-	prev, cum := 0, int64(0)
-	k := 0
-	for i := 1; i <= shards; i++ {
-		q := int64(i) * total / int64(shards)
-		for k < len(cells) && cum+costs[k] <= q {
-			cum += costs[k]
-			k++
-		}
-		hi := k
-		if i == shards {
-			hi = len(cells) // guard against ⌊·⌋ shaving the last block
-			for k < len(cells) {
-				cum += costs[k]
-				k++
+			for ; lo < end; lo += step {
+				spec.Cells = append(spec.Cells, Cell{X: sw.Sizes[si], TrialLo: lo, TrialHi: min(lo+step, end)})
 			}
 		}
-		if hi <= prev {
-			continue // quantile landed inside the previous cut's block
-		}
-		spec := Spec{ID: fmt.Sprintf("s%03d", len(m.Shards))}
-		spec.Cells = append(spec.Cells, cells[prev:hi]...)
 		m.Shards = append(m.Shards, spec)
 		prev = hi
 	}

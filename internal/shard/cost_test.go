@@ -23,7 +23,7 @@ func geometricSpec() SweepSpec {
 	return sw
 }
 
-// PlanCost under UniformCost must reproduce the equal-trial-count plan
+// PlanCostBlock (block 0) under UniformCost must reproduce the equal-trial-count plan
 // exactly — boundary i at cell ⌊i·cells/shards⌋ of the size-major
 // grid, same cuts, same ids — so manifests cut before cost models
 // existed keep their bytes, and the uniform planner is one model of
@@ -31,9 +31,9 @@ func geometricSpec() SweepSpec {
 func TestPlanCostUniformMatchesPlan(t *testing.T) {
 	for _, sw := range []SweepSpec{testSpec(), geometricSpec()} {
 		for _, shards := range []int{1, 2, 3, 5, 7, 24, 1000} {
-			m, err := PlanCost(sw, shards, UniformCost{})
+			m, err := PlanCostBlock(sw, shards, UniformCost{}, 0)
 			if err != nil {
-				t.Fatalf("PlanCost(%d, uniform): %v", shards, err)
+				t.Fatalf("PlanCostBlock(%d, uniform, 0): %v", shards, err)
 			}
 			cells := len(sw.Sizes) * sw.Trials
 			n := min(shards, cells)
@@ -53,7 +53,7 @@ func TestPlanCostUniformMatchesPlan(t *testing.T) {
 			got, _ := json.Marshal(m)
 			wantBytes, _ := json.Marshal(want)
 			if string(got) != string(wantBytes) {
-				t.Errorf("shards=%d: PlanCost(uniform) differs from the equal-trial-count plan:\n%s\nvs\n%s", shards, got, wantBytes)
+				t.Errorf("shards=%d: PlanCostBlock(uniform, 0) differs from the equal-trial-count plan:\n%s\nvs\n%s", shards, got, wantBytes)
 			}
 		}
 	}
@@ -65,15 +65,15 @@ func TestPlanCostTilesGrid(t *testing.T) {
 	for _, model := range []CostModel{UniformCost{}, LinearCost{}, LogCost{}} {
 		for _, sw := range []SweepSpec{testSpec(), geometricSpec()} {
 			for _, shards := range []int{1, 2, 3, 4, 7, 11, 40, 10000} {
-				m, err := PlanCost(sw, shards, model)
+				m, err := PlanCostBlock(sw, shards, model, 0)
 				if err != nil {
-					t.Fatalf("PlanCost(%d, %s): %v", shards, model.Name(), err)
+					t.Fatalf("PlanCostBlock(%d, %s, 0): %v", shards, model.Name(), err)
 				}
 				if err := m.Validate(); err != nil {
-					t.Errorf("PlanCost(%d, %s) does not tile the grid: %v", shards, model.Name(), err)
+					t.Errorf("PlanCostBlock(%d, %s, 0) does not tile the grid: %v", shards, model.Name(), err)
 				}
 				if len(m.Shards) > shards {
-					t.Errorf("PlanCost(%d, %s) produced %d shards", shards, model.Name(), len(m.Shards))
+					t.Errorf("PlanCostBlock(%d, %s, 0) produced %d shards", shards, model.Name(), len(m.Shards))
 				}
 			}
 		}
@@ -89,13 +89,13 @@ func TestPlanCostReducesImbalance(t *testing.T) {
 	sw := geometricSpec()
 	model := LinearCost{}
 	for _, shards := range []int{2, 4, 8} {
-		linear, err := PlanCost(sw, shards, UniformCost{})
+		linear, err := PlanCostBlock(sw, shards, UniformCost{}, 0)
 		if err != nil {
-			t.Fatalf("PlanCost(%d, UniformCost{}): %v", shards, err)
+			t.Fatalf("PlanCostBlock(%d, UniformCost{}, 0): %v", shards, err)
 		}
-		weighted, err := PlanCost(sw, shards, model)
+		weighted, err := PlanCostBlock(sw, shards, model, 0)
 		if err != nil {
-			t.Fatalf("PlanCost(%d): %v", shards, err)
+			t.Fatalf("PlanCostBlock(%d, %s, 0): %v", shards, model.Name(), err)
 		}
 		li := linear.Imbalance(model)
 		wi := weighted.Imbalance(model)
@@ -120,14 +120,14 @@ func TestPlanCostReducesImbalance(t *testing.T) {
 // leaves the field empty so legacy manifest bytes are unchanged.
 func TestPlanCostStampsModel(t *testing.T) {
 	sw := testSpec()
-	m, err := PlanCost(sw, 2, LinearCost{})
+	m, err := PlanCostBlock(sw, 2, LinearCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.CostModel != "linear" {
 		t.Errorf("CostModel = %q, want linear", m.CostModel)
 	}
-	u, err := PlanCost(sw, 2, UniformCost{})
+	u, err := PlanCostBlock(sw, 2, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestPlanCostMergeMatchesPlan(t *testing.T) {
 		}
 		return merged
 	}
-	linear, err := PlanCost(sw, 3, UniformCost{})
+	linear, err := PlanCostBlock(sw, 3, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := PlanCost(sw, 3, LinearCost{})
+	weighted, err := PlanCostBlock(sw, 3, LinearCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPlanCostOverflow(t *testing.T) {
 	sw := testSpec()
 	sw.Sizes = []int64{1 << 62}
 	sw.Trials = 4 // 4 · 2^62 wraps int64
-	if _, err := PlanCost(sw, 2, LinearCost{}); err == nil || !strings.Contains(err.Error(), "overflow") {
+	if _, err := PlanCostBlock(sw, 2, LinearCost{}, 0); err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Errorf("overflowing cost not rejected: %v", err)
 	}
 	// Spec.Cost saturates rather than wrapping when scored under a
@@ -230,11 +230,11 @@ func BenchmarkPlanImbalance(b *testing.B) {
 	model := LinearCost{}
 	var li, wi float64
 	for i := 0; i < b.N; i++ {
-		linear, err := PlanCost(sw, 4, UniformCost{})
+		linear, err := PlanCostBlock(sw, 4, UniformCost{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		weighted, err := PlanCost(sw, 4, model)
+		weighted, err := PlanCostBlock(sw, 4, model, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func writeLease(t *testing.T, path string, l *Lease) {
 // plan.
 func dispatchPlan(t *testing.T) *Manifest {
 	t.Helper()
-	m, err := PlanCost(testSpec(), 3, LinearCost{})
+	m, err := PlanCostBlock(testSpec(), 3, LinearCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func dispatchPlan(t *testing.T) *Manifest {
 // interleaving must reproduce.
 func baselineMergedBytes(t *testing.T, sw SweepSpec) []byte {
 	t.Helper()
-	m, err := PlanCost(sw, 1, UniformCost{})
+	m, err := PlanCostBlock(sw, 1, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

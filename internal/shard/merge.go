@@ -8,8 +8,9 @@ import (
 )
 
 // Merged is the fan-in result: exactly the []SweepPoint a
-// single-process sim.Sweep over the same spec would have produced,
-// point for point and bit for bit. It deliberately carries no host
+// single-process sweep over the same spec (one sim.SweepCells call,
+// one cell per size) would have produced, point for point and bit for
+// bit. It deliberately carries no host
 // metadata — the merged document is a pure function of the sweep spec,
 // so two merges of differently-sharded runs are byte-identical.
 type Merged struct {

@@ -333,7 +333,7 @@ func TestMergePartialErrors(t *testing.T) {
 // flipped byte is caught.
 func TestCellLineRoundTrip(t *testing.T) {
 	sw := testSpec()
-	m, err := PlanCost(sw, 1, UniformCost{})
+	m, err := PlanCostBlock(sw, 1, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // executor, kept only as the differential oracle for runResumable's
 // waves: per cell, in plan order, load a verified partial, else skip
 // when the stop rule already holds on the size's folded prefix, else
-// run the cell alone through sim.SweepRange and persist it. The
+// run the cell alone through sim.SweepCells and persist it. The
 // executor must report the same points and the same counters.
 func referenceRunResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string, rule sim.StopRule) (*Artifact, Counters, error) {
 	var counters Counters
@@ -58,11 +58,14 @@ func referenceRunResumable(ctx context.Context, m *Manifest, shardID string, wor
 			counters.CellsStopped++
 			continue
 		default:
-			points, err := sim.SweepRange(ctx, p, sw.InputState, []int64{c.X}, func(x int64) bool { return x >= n }, c.TrialLo, c.TrialHi, opts)
+			err := sim.SweepCells(ctx, p, sw.InputState, []sim.Cell{c},
+				func(x int64) bool { return x >= n }, opts, func(_ int, cs sim.Stats) error {
+					st = cs
+					return nil
+				})
 			if err != nil {
 				return nil, counters, fmt.Errorf("cell %+v: %w", c, err)
 			}
-			st = points[0].Stats
 			if dir != "" {
 				ca := CellArtifact{Schema: ArtifactSchema, Sweep: sw, Cell: c, Stats: st, Host: art.Host}
 				if err := env.writeSealedRetry(ctx, filepath.Join(dir, cellFileName(c)), &ca, &ca.Checksum); err != nil {

@@ -23,7 +23,7 @@ import (
 // the Points of the plain runner, and leave one sealed partial per
 // cell.
 func TestRunResumableMatchesRun(t *testing.T) {
-	m, err := PlanCost(testSpec(), 2, UniformCost{})
+	m, err := PlanCostBlock(testSpec(), 2, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunResumableMatchesRun(t *testing.T) {
 // rot) is quarantined into corrupt/ with a reason file and recomputed
 // — never merged, never an error, never re-read forever.
 func TestRunResumableKillResume(t *testing.T) {
-	m, err := PlanCost(testSpec(), 1, UniformCost{}) // 4 cells, one per size
+	m, err := PlanCostBlock(testSpec(), 1, UniformCost{}, 0) // 4 cells, one per size
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRunResumableKillResume(t *testing.T) {
 // mask.
 func TestRunResumableRejectsForeignPartials(t *testing.T) {
 	sw := testSpec()
-	m, err := PlanCost(sw, 1, UniformCost{})
+	m, err := PlanCostBlock(sw, 1, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRunResumableRejectsForeignPartials(t *testing.T) {
 	}
 	other := sw
 	other.Seed++
-	m2, err := PlanCost(other, 1, UniformCost{})
+	m2, err := PlanCostBlock(other, 1, UniformCost{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRunResumableRejectsForeignPartials(t *testing.T) {
 // fails the internal-consistency check that mirrors Merge's.
 func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
 	for _, reseal := range []bool{false, true} {
-		m, err := PlanCost(testSpec(), 1, UniformCost{})
+		m, err := PlanCostBlock(testSpec(), 1, UniformCost{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

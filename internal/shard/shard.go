@@ -1,5 +1,5 @@
 // Package shard turns a single-process population-protocol sweep into
-// a fan-out/fan-in pipeline: PlanCost deterministically partitions a
+// a fan-out/fan-in pipeline: PlanCostBlock deterministically partitions a
 // sweep (protocol × population sizes × trial blocks) into self-contained
 // shard specs any process on any machine can execute, Run executes one
 // shard on the sim engine and emits a partial-result artifact, and
@@ -32,7 +32,7 @@
 //     precomputed means, so folding partials is associative and
 //     bit-identical to direct aggregation.
 //
-// On top of the plan/run/merge core sit the scaling layers: PlanCost
+// On top of the plan/run/merge core sit the scaling layers: PlanCostBlock
 // cuts shards at equal expected cost under a pluggable CostModel so
 // large-population cells don't straggle; RunResumableStop persists each
 // completed cell by atomic rename so a killed worker loses at most

@@ -32,7 +32,7 @@ func testSpec() SweepSpec {
 }
 
 // The headline acceptance property: plan → run shards → merge is
-// bit-identical to the single-process Sweep, for every shard count.
+// bit-identical to the single-process sweep, for every shard count.
 func TestMergeMatchesSingleProcessSweep(t *testing.T) {
 	sw := testSpec()
 	p, n, err := sw.Build()
@@ -43,18 +43,27 @@ func TestMergeMatchesSingleProcessSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Options: %v", err)
 	}
-	whole, err := sim.Sweep(context.Background(), p, sw.InputState, sw.Sizes,
-		func(x int64) bool { return x >= n }, sw.Trials, opts)
+	// The single-process sweep: one trial pool over one cell per size.
+	cells := make([]sim.Cell, len(sw.Sizes))
+	for i, x := range sw.Sizes {
+		cells[i] = sim.Cell{X: x, TrialHi: sw.Trials}
+	}
+	whole := make([]sim.SweepPoint, len(sw.Sizes))
+	err = sim.SweepCells(context.Background(), p, sw.InputState, cells, func(x int64) bool { return x >= n }, opts,
+		func(i int, st sim.Stats) error {
+			whole[i] = sim.SweepPoint{X: sw.Sizes[i], Stats: st}
+			return nil
+		})
 	if err != nil {
-		t.Fatalf("Sweep: %v", err)
+		t.Fatalf("SweepCells: %v", err)
 	}
 	for _, shards := range []int{1, 2, 4, 7, 24, 100} {
-		m, err := PlanCost(sw, shards, UniformCost{})
+		m, err := PlanCostBlock(sw, shards, UniformCost{}, 0)
 		if err != nil {
-			t.Fatalf("PlanCost(%d, UniformCost{}): %v", shards, err)
+			t.Fatalf("PlanCostBlock(%d, UniformCost{}, 0): %v", shards, err)
 		}
 		if err := m.Validate(); err != nil {
-			t.Fatalf("PlanCost(%d, UniformCost{}) invalid: %v", shards, err)
+			t.Fatalf("PlanCostBlock(%d, UniformCost{}, 0) invalid: %v", shards, err)
 		}
 		arts := make([]*Artifact, 0, len(m.Shards))
 		for _, spec := range m.Shards {
@@ -89,7 +98,7 @@ func TestMergeMatchesSingleProcessSweep(t *testing.T) {
 // merge) must not perturb the merge: the accumulators are integers.
 func TestMergeSurvivesJSONRoundTrip(t *testing.T) {
 	sw := testSpec()
-	m, err := PlanCost(sw, 2, UniformCost{})
+	m, err := PlanCostBlock(sw, 2, UniformCost{}, 0)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -141,16 +150,16 @@ func TestPlanPartitionsGrid(t *testing.T) {
 			sw.Sizes[i] = int64(10 + i)
 		}
 		sw.Trials = tc.trials
-		m, err := PlanCost(sw, tc.shards, UniformCost{})
+		m, err := PlanCostBlock(sw, tc.shards, UniformCost{}, 0)
 		if err != nil {
-			t.Fatalf("PlanCost(%+v, UniformCost{}): %v", tc, err)
+			t.Fatalf("PlanCostBlock(%+v, UniformCost{}, 0): %v", tc, err)
 		}
 		if err := m.Validate(); err != nil {
-			t.Errorf("PlanCost(%+v, UniformCost{}) does not tile the grid: %v", tc, err)
+			t.Errorf("PlanCostBlock(%+v, UniformCost{}, 0) does not tile the grid: %v", tc, err)
 		}
 		wantShards := min(tc.shards, tc.sizes*tc.trials)
 		if len(m.Shards) != wantShards {
-			t.Errorf("PlanCost(%+v, UniformCost{}) = %d shards, want %d", tc, len(m.Shards), wantShards)
+			t.Errorf("PlanCostBlock(%+v, UniformCost{}, 0) = %d shards, want %d", tc, len(m.Shards), wantShards)
 		}
 		// Near-equal balance: shard trial counts differ by at most 1.
 		lo, hi := m.Shards[0].Trials(), m.Shards[0].Trials()
@@ -159,7 +168,7 @@ func TestPlanPartitionsGrid(t *testing.T) {
 			lo, hi = min(lo, n), max(hi, n)
 		}
 		if hi-lo > 1 {
-			t.Errorf("PlanCost(%+v, UniformCost{}): unbalanced shards (trials %d..%d)", tc, lo, hi)
+			t.Errorf("PlanCostBlock(%+v, UniformCost{}, 0): unbalanced shards (trials %d..%d)", tc, lo, hi)
 		}
 	}
 }
@@ -179,7 +188,7 @@ func TestPlanGolden(t *testing.T) {
 		Scheduler:  "countbatch",
 		Epsilon:    0.05,
 	}
-	m, err := PlanCost(sw, 5, UniformCost{})
+	m, err := PlanCostBlock(sw, 5, UniformCost{}, 0)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -270,11 +279,11 @@ func TestPlanRejectsBadSpecs(t *testing.T) {
 		{Protocol: "flock", Param: 4, InputState: "i", Sizes: []int64{1}, Trials: 1, Scheduler: "batched"},
 	}
 	for i, sw := range bad {
-		if _, err := PlanCost(sw, 2, UniformCost{}); err == nil {
+		if _, err := PlanCostBlock(sw, 2, UniformCost{}, 0); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, sw)
 		}
 	}
-	if _, err := PlanCost(testSpec(), 0, UniformCost{}); err == nil {
+	if _, err := PlanCostBlock(testSpec(), 0, UniformCost{}, 0); err == nil {
 		t.Error("zero shard count accepted")
 	}
 }
@@ -288,7 +297,7 @@ func TestBuildRejectsNonCounting(t *testing.T) {
 }
 
 func TestRunUnknownShard(t *testing.T) {
-	m, err := PlanCost(testSpec(), 2, UniformCost{})
+	m, err := PlanCostBlock(testSpec(), 2, UniformCost{}, 0)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -298,7 +307,7 @@ func TestRunUnknownShard(t *testing.T) {
 }
 
 func TestRunCancelled(t *testing.T) {
-	m, err := PlanCost(testSpec(), 1, UniformCost{})
+	m, err := PlanCostBlock(testSpec(), 1, UniformCost{}, 0)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -312,7 +321,7 @@ func TestRunCancelled(t *testing.T) {
 // runShards executes every shard of a fresh plan of testSpec.
 func runShards(t *testing.T, shards int) []*Artifact {
 	t.Helper()
-	m, err := PlanCost(testSpec(), shards, UniformCost{})
+	m, err := PlanCostBlock(testSpec(), shards, UniformCost{}, 0)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}

@@ -6,14 +6,13 @@ import "fmt"
 // moment that cell completes: size x, the absolute trial range
 // [trialLo, trialHi) it covers, and the mergeable Stats over exactly
 // those trials. It is the streaming seam of the anytime sweep
-// pipeline — SweepRangeSink calls it once per finished point, the
-// shard runner once per persisted cell, and ppserve forwards each
-// call as one NDJSON delta line.
+// pipeline — the shard executor calls it once per finished cell, and
+// ppserve forwards each call as one NDJSON delta line.
 //
 // Sinks may be called from multiple worker goroutines concurrently
-// unless the caller documents otherwise. SweepRangeSink and the shard
-// executor serialize their calls and make them in plan order, so a
-// sink passed there needs no locking of its own. Consumers should
+// unless the caller documents otherwise. The shard executor
+// serializes its calls and makes them in plan order, so a sink passed
+// there needs no locking of its own. Consumers should
 // still rely only on the *set* of deltas: folding them through
 // Stats.Merge (associative, commutative) erases any order.
 type CellSink func(x int64, trialLo, trialHi int, stats Stats)

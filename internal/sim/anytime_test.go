@@ -8,71 +8,6 @@ import (
 	"repro/internal/registry"
 )
 
-// sinkDelta records one CellSink call.
-type sinkDelta struct {
-	x      int64
-	lo, hi int
-	stats  Stats
-}
-
-// TestSweepRangeSinkDeltasMatchReturn: the streamed deltas are exactly
-// the returned points — the same (x, range, Stats) in the same order —
-// for several worker counts.
-func TestSweepRangeSinkDeltasMatchReturn(t *testing.T) {
-	p, n, err := registry.Make("flock", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := []int64{2, 4, 8, 16}
-	expected := func(x int64) bool { return x >= n }
-	opts := Options{Seed: 7, MaxSteps: 200_000, StablePatience: 1_000}
-	for _, workers := range []int{1, 2, 7} {
-		o := opts
-		o.Workers = workers
-		var deltas []sinkDelta
-		points, err := SweepRangeSink(context.Background(), p, "i", xs, expected, 1, 5, o,
-			func(x int64, lo, hi int, st Stats) {
-				deltas = append(deltas, sinkDelta{x, lo, hi, st})
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(deltas) != len(points) {
-			t.Fatalf("workers=%d: %d deltas for %d points", workers, len(deltas), len(points))
-		}
-		// Deltas arrive in the order of xs.
-		for i, pt := range points {
-			d := deltas[i]
-			if d.x != pt.X || d.lo != 1 || d.hi != 5 || !reflect.DeepEqual(d.stats, pt.Stats) {
-				t.Errorf("workers=%d: delta %d = %+v, want x=%d [1,5) %+v",
-					workers, i, d, pt.X, pt.Stats)
-			}
-		}
-	}
-}
-
-// SweepRange must be exactly SweepRangeSink with a nil sink.
-func TestSweepRangeNilSinkEquivalent(t *testing.T) {
-	p, n, err := registry.Make("flock", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := []int64{3, 9}
-	expected := func(x int64) bool { return x >= n }
-	opts := Options{Seed: 3, MaxSteps: 200_000, StablePatience: 1_000}
-	a, err := SweepRange(context.Background(), p, "i", xs, expected, 0, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SweepRangeSink(context.Background(), p, "i", xs, expected, 0, 4, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("SweepRange %+v != SweepRangeSink(nil) %+v", a, b)
-	}
-}
-
 func TestStopRuleValidate(t *testing.T) {
 	good := []StopRule{{}, {TargetRelCI: 0.1}, {TargetRelCI: 0.5, MinTrials: 4}}
 	for _, r := range good {
@@ -160,7 +95,7 @@ func TestStopRuleDeterministicOnPrefixes(t *testing.T) {
 		oo := o
 		oo.Workers = workers
 		for lo := 0; lo < 16; lo += 4 {
-			st, err := RunRange(context.Background(), p, input, 9 >= n, lo, lo+4, oo)
+			st, err := runRange(context.Background(), p, input, 9 >= n, lo, lo+4, oo)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,8 +64,8 @@ type poolCell struct {
 	lo, hi   int
 }
 
-// runCells is the package's one trial pool, behind RunRange and every
-// sweep. It keeps min(opts.Workers or GOMAXPROCS, trials) workers for
+// runCells is the package's one trial pool, behind RunMany and
+// SweepCells. It keeps min(opts.Workers or GOMAXPROCS, trials) workers for
 // the whole call, the calling goroutine being one of them. Workers
 // claim trials in plan order — cell by cell, through one atomic index
 // — and fold each finished trial straight into its cell's Stats; no

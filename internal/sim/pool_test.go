@@ -117,7 +117,7 @@ func TestPoolWorkersBoundTotal(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		sched := countingScheduler{inner: Weighted{}, cur: new(atomic.Int64), max: new(atomic.Int64)}
 		opts := Options{Seed: 5, MaxSteps: 1 << 20, Scheduler: sched, Workers: workers}
-		if _, err := SweepRange(context.Background(), p, "i", xs, func(x int64) bool { return x >= n }, 0, 6, opts); err != nil {
+		if _, err := sweep(context.Background(), p, "i", xs, func(x int64) bool { return x >= n }, 0, 6, opts); err != nil {
 			t.Fatal(err)
 		}
 		if got := sched.max.Load(); got > int64(workers) {

@@ -17,9 +17,8 @@
 //     in a sweep is DeriveSeed(DeriveSeedK(base, x), t) — a pure
 //     function of the sweep's base seed and the trial's coordinates,
 //     never of execution order, worker count, or which process runs
-//     it. RunRange, SweepRange and SweepCells therefore execute any
-//     absolute trial range [lo, hi) bit-identically to the same
-//     trials of a full run.
+//     it. SweepCells therefore executes any absolute trial range
+//     [lo, hi) bit-identically to the same trials of a full run.
 //   - Stats are mergeable accumulators. Aggregates carry exact
 //     integer counts, sums (128-bit for Σ steps²) and extrema, never
 //     precomputed means, so Stats.Merge is associative and
@@ -27,19 +26,19 @@
 //     order — equals direct aggregation bit for bit. Means, variance
 //     and confidence intervals are methods computed at render time.
 //
-// Every multi-trial entry point runs on one trial pool (SweepCells):
-// a fixed set of workers, the caller among them, claims trials in plan
-// order across a whole list of cells, each worker on an engine State
-// it built and reuses, and each cell's Stats are delivered in plan
-// order the moment the cell and every cell before it are complete.
-// RunRange is a one-cell call, SweepRange a call with one cell per
-// size, and the shard executor hands a whole shard's cells over at
-// once; Options.Workers bounds the trials in flight across the call.
+// Both multi-trial entry points run on one trial pool: a fixed set of
+// workers, the caller among them, claims trials in plan order across
+// a whole list of cells, each worker on an engine State it built and
+// reuses, and each cell's Stats are delivered in plan order the moment
+// the cell and every cell before it are complete. RunMany is a
+// one-cell call, and SweepCells — behind the shard executor, which
+// hands a whole shard's cells over at once — takes any cell list;
+// Options.Workers bounds the trials in flight across the call.
 //
-// On top of those two invariants sits the anytime layer: a CellSink
-// threaded through SweepRangeSink streams each cell's Stats delta as
-// it is delivered (merging deltas is order-erasing anyway), and a
-// StopRule adds sequential stopping —
+// On top of those two invariants sits the anytime layer: a CellSink,
+// which the shard executor feeds from SweepCells' deliveries, streams
+// each cell's Stats delta (merging deltas is order-erasing anyway),
+// and a StopRule adds sequential stopping —
 // a point stops accruing trials once its relative confidence interval
 // meets the target, evaluated only on the gap-free prefix of its
 // cells folded in trial order, so the stopping decision is a pure
@@ -72,8 +71,7 @@ type Options struct {
 	StablePatience int
 	// Scheduler selects the interaction scheduler; nil means Weighted{}.
 	Scheduler Scheduler
-	// Workers bounds the trial pool behind RunMany, RunRange and the
-	// sweeps: at most this many trials run at once; 0 means
+	// Workers bounds the trial pool behind RunMany and SweepCells: at most this many trials run at once; 0 means
 	// GOMAXPROCS. Results are deterministic regardless of the value.
 	Workers int
 }
@@ -363,7 +361,7 @@ func DeriveSeed(base int64, trial int) int64 {
 }
 
 // DeriveSeedK is DeriveSeed for 64-bit indices on a separated
-// substream: Sweep derives each population size's base seed with it
+// substream: SweepCells derives each population size's base seed with it
 // before the per-trial DeriveSeed fan-out. The extra mix of the base
 // keeps (base, k) streams disjoint from DeriveSeed's (base, trial)
 // streams, so a sweep point's seed never aliases a trial seed of a
@@ -375,30 +373,19 @@ func DeriveSeedK(base, k int64) int64 {
 
 // RunMany executes trials runs with derived seeds and aggregates
 // statistics, comparing each consensus with the expected predicate
-// value. It is RunRange over the full trial range [0, trials).
+// value. Trial t runs on DeriveSeed(opts.Seed, t). It is one cell of
+// the package's trial pool (see SweepCells), so the statistics are
+// deterministic in opts.Seed regardless of scheduling. Cancelling ctx
+// stops the workers promptly — mid-run, not merely between trials —
+// and returns ctx.Err().
 func RunMany(ctx context.Context, p *core.Protocol, input conf.Config, expected bool, trials int, opts Options) (*Stats, error) {
 	if trials <= 0 {
 		return nil, errors.New("sim: trials must be positive")
 	}
-	return RunRange(ctx, p, input, expected, 0, trials, opts)
-}
-
-// RunRange executes the trials with absolute indices [trialLo, trialHi)
-// and aggregates statistics, comparing each consensus with the expected
-// predicate value. Per-trial seeds are derived from (opts.Seed, trial
-// index), so a range's trials are bit-identical to the same trials of a
-// full [0, n) run with the same base seed: disjoint ranges can run in
-// different processes and their Stats Merge into exactly the
-// single-process aggregate. It is a one-cell call of the package's
-// trial pool (see SweepCells), so the statistics are deterministic in
-// (Seed, range) regardless of scheduling. Cancelling ctx stops the
-// workers promptly — mid-run, not merely between trials — and returns
-// ctx.Err().
-func RunRange(ctx context.Context, p *core.Protocol, input conf.Config, expected bool, trialLo, trialHi int, opts Options) (*Stats, error) {
 	if !input.Space().Equal(p.Space()) {
 		return nil, errors.New("sim: input over wrong space")
 	}
-	cell := poolCell{initial: p.InitialConfig(input), seed: opts.Seed, expected: expected, lo: trialLo, hi: trialHi}
+	cell := poolCell{initial: p.InitialConfig(input), seed: opts.Seed, expected: expected, hi: trials}
 	var stats Stats
 	err := runCells(ctx, p, []poolCell{cell}, opts, func(_ int, st Stats) error {
 		stats = st

@@ -180,7 +180,7 @@ func TestRunMany(t *testing.T) {
 	}
 }
 
-// RunRange over subranges must reproduce, trial for trial, the
+// Trial ranges of one input must reproduce, trial for trial, the
 // corresponding slice of a full run: merging the partials of any
 // partition is bit-identical to the whole.
 func TestRunRangeMergesToRunMany(t *testing.T) {
@@ -203,9 +203,9 @@ func TestRunRangeMergesToRunMany(t *testing.T) {
 	} {
 		var merged Stats
 		for i := 0; i+1 < len(cuts); i++ {
-			part, err := RunRange(context.Background(), p, in, true, cuts[i], cuts[i+1], opts)
+			part, err := runRange(context.Background(), p, in, true, cuts[i], cuts[i+1], opts)
 			if err != nil {
-				t.Fatalf("RunRange[%d,%d): %v", cuts[i], cuts[i+1], err)
+				t.Fatalf("runRange[%d,%d): %v", cuts[i], cuts[i+1], err)
 			}
 			merged.Merge(*part)
 		}
@@ -213,10 +213,10 @@ func TestRunRangeMergesToRunMany(t *testing.T) {
 			t.Errorf("cuts %v: merged %+v != whole %+v", cuts, merged, *whole)
 		}
 	}
-	if _, err := RunRange(context.Background(), p, in, true, 5, 5, opts); err == nil {
+	if _, err := runRange(context.Background(), p, in, true, 5, 5, opts); err == nil {
 		t.Error("empty range accepted")
 	}
-	if _, err := RunRange(context.Background(), p, in, true, -1, 2, opts); err == nil {
+	if _, err := runRange(context.Background(), p, in, true, -1, 2, opts); err == nil {
 		t.Error("negative trialLo accepted")
 	}
 }

@@ -11,9 +11,9 @@
 // bounded, and reports budget exhaustion as an error instead of
 // guessing.
 //
-// Results are deterministic regardless of parallelism: Input runs
-// both reachability passes over one shared reverse-CSR view of the
-// closure (zero-copy from petri, see that package's ownership
+// Results are deterministic regardless of parallelism: each input's
+// check runs both reachability passes over one shared reverse-CSR view
+// of the closure (zero-copy from petri, see that package's ownership
 // invariants), and Range runs independent inputs on one pool shaped
 // like the simulator's trial pool — the caller plus helpers claiming
 // inputs through one atomic index — and collects reports in
@@ -22,7 +22,7 @@
 //
 // Every check runs in a workspace taken from a package-private
 // sync.Pool for the call — one per Range worker, the caller's
-// included, and one per Input — and put back at its end: the last
+// included — and put back at its end: the last
 // closure (rebuilt in place by petri.Net.ReachReusing), the reverse
 // CSR, the BFS queue, the bad and stable id lists and the visit
 // arrays. A workspace keeps the size of the largest input it served,
@@ -76,21 +76,6 @@ type Report struct {
 	Counterexample *conf.Config
 }
 
-// Input checks stable computation for a single input. Both
-// reachability passes (who can reach a bad node; who can reach a
-// stable node) run over the closure's shared CSR edge structure: the
-// reverse graph is built once and no per-node adjacency slices are
-// allocated. It is never cancelled.
-func Input(p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget) (*Report, error) {
-	ws := workspaces.Get().(*workspace)
-	defer workspaces.Put(ws)
-	report := new(Report)
-	if err := check(context.Background(), p, input.Clone(), pred, budget, ws, report); err != nil {
-		return nil, err
-	}
-	return report, nil
-}
-
 // workspace is the storage one check builds in and the next reuses.
 // Its arrays grow to the largest input served, so a job whose inputs
 // grow with x reallocates only until it has met its largest one.
@@ -104,13 +89,16 @@ type workspace struct {
 	canStabilize []bool
 }
 
-// workspaces recycles workspaces across Input and Range calls. A
+// workspaces recycles workspaces across Range calls. A
 // workspace never leaves this package: check copies out everything a
 // report keeps, so no result aliases pooled storage.
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-// check is Input writing into report under ctx, with the closure and
-// every intermediate built in the storage of ws. Nothing in report
+// check verifies stable computation for one input, writing into
+// report under ctx, with the closure and every intermediate built in
+// the storage of ws. Both reachability passes (who can reach a bad
+// node; who can reach a stable node) run over the closure's shared
+// CSR edge structure, and the reverse graph is built once. Nothing in report
 // aliases ws; report.Input is input itself, which the caller hands
 // over.
 func check(ctx context.Context, p *core.Protocol, input conf.Config, pred Predicate, budget petri.Budget, ws *workspace, report *Report) error {

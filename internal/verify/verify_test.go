@@ -16,6 +16,20 @@ import (
 
 var budget = petri.Budget{MaxConfigs: 1 << 18}
 
+// verifyOne verifies the one input of x agents of a protocol with a
+// single initial state, alone: a one-worker Range over [x, x].
+func verifyOne(t *testing.T, p *core.Protocol, x int64, pred Predicate, budget petri.Budget) (*Report, error) {
+	t.Helper()
+	res, err := Range(context.Background(), p, pred, x, x, budget, 1)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Reports) != 1 {
+		t.Fatalf("Range over [%d, %d]: %d reports, want 1", x, x, len(res.Reports))
+	}
+	return &res.Reports[0], nil
+}
+
 func TestCountingPredicate(t *testing.T) {
 	space := conf.MustSpace("i", "p")
 	pred := CountingPredicate("i", 3)
@@ -33,8 +47,7 @@ func TestInputExample42(t *testing.T) {
 		t.Fatalf("Example42: %v", err)
 	}
 	for x := int64(0); x <= 4; x++ {
-		input := conf.MustFromMap(p.Space(), map[string]int64{"i": x})
-		report, err := Input(p, input, CountingPredicate("i", 2), budget)
+		report, err := verifyOne(t, p, x, CountingPredicate("i", 2), budget)
 		if err != nil {
 			t.Fatalf("x=%d: %v", x, err)
 		}
@@ -75,13 +88,12 @@ func TestInputDetectsIllSpecified(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProtocol: %v", err)
 	}
-	input := conf.MustFromMap(space, map[string]int64{"i": 1})
 	// Whatever the predicate claims, the flip-flop never stabilizes.
 	for _, expected := range []bool{true, false} {
 		pred := func(conf.Config) bool { return expected }
-		report, err := Input(p, input, pred, budget)
+		report, err := verifyOne(t, p, 1, pred, budget)
 		if err != nil {
-			t.Fatalf("Input: %v", err)
+			t.Fatalf("verify: %v", err)
 		}
 		if report.OK {
 			t.Errorf("expected=%v: flip-flop accepted as stably computing", expected)
@@ -108,8 +120,7 @@ func TestInputBudgetError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProtocol: %v", err)
 	}
-	input := conf.MustFromMap(space, map[string]int64{"i": 1})
-	_, err = Input(p, input, func(conf.Config) bool { return false }, petri.Budget{MaxConfigs: 4})
+	_, err = verifyOne(t, p, 1, func(conf.Config) bool { return false }, petri.Budget{MaxConfigs: 4})
 	if !errors.Is(err, petri.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -279,7 +290,7 @@ func pairOrTrap(t *testing.T) *core.Protocol {
 }
 
 // Every report of a Range over failing and verified inputs must equal
-// the report Input gives for that input alone, at every worker count:
+// the report of that input verified alone, at every worker count:
 // a closure built in a worker's reused storage never leaks into a
 // verdict, a size or a counterexample.
 func TestRangeMatchesInputOnIllSpecified(t *testing.T) {
@@ -290,14 +301,13 @@ func TestRangeMatchesInputOnIllSpecified(t *testing.T) {
 	var wantFailures []int
 	deep := 0 // counterexamples other than the initial configuration
 	for x := int64(0); x <= maxX; x++ {
-		input := conf.MustFromMap(p.Space(), map[string]int64{"i": x})
-		r, err := Input(p, input, pred, budget)
+		r, err := verifyOne(t, p, x, pred, budget)
 		if err != nil {
-			t.Fatalf("Input(x=%d): %v", x, err)
+			t.Fatalf("verify x=%d: %v", x, err)
 		}
 		if !r.OK {
 			wantFailures = append(wantFailures, int(x))
-			if !r.Counterexample.Equal(p.InitialConfig(input)) {
+			if !r.Counterexample.Equal(p.InitialConfig(r.Input)) {
 				deep++
 			}
 		}
@@ -318,7 +328,7 @@ func TestRangeMatchesInputOnIllSpecified(t *testing.T) {
 		}
 		for i, got := range res.Reports {
 			if !sameReport(got, want[i]) {
-				t.Errorf("w=%d report %d: %+v (counterexample %v), Input gives %+v (counterexample %v)",
+				t.Errorf("w=%d report %d: %+v (counterexample %v), alone %+v (counterexample %v)",
 					workers, i, got, got.Counterexample, want[i], want[i].Counterexample)
 			}
 		}
