@@ -174,7 +174,7 @@ func TestRemovedWorkersFlag(t *testing.T) {
 // silently drop every flag after it; each must be rejected by name.
 func TestStrayArguments(t *testing.T) {
 	for _, tc := range []struct {
-		args []string
+		args  []string
 		stray string
 	}{
 		{[]string{"minstates", "100"}, "100"},

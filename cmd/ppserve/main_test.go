@@ -178,7 +178,7 @@ func TestExampleQueriesFile(t *testing.T) {
 func TestStrayArguments(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	for _, tc := range []struct {
-		args []string
+		args  []string
 		stray string
 	}{
 		{[]string{"serve", "extra", "-store", store}, "extra"},

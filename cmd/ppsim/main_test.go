@@ -79,7 +79,7 @@ func TestRunRemovedWorkersFlag(t *testing.T) {
 // silently drop every flag after it; each must be rejected by name.
 func TestStrayArguments(t *testing.T) {
 	for _, tc := range []struct {
-		args []string
+		args  []string
 		stray string
 	}{
 		{[]string{"flock"}, "flock"},

@@ -568,7 +568,7 @@ func TestStrayArguments(t *testing.T) {
 	dir := t.TempDir()
 	plan := filepath.Join(dir, "p.json")
 	for _, tc := range []struct {
-		args []string
+		args  []string
 		stray string
 	}{
 		{append(planArgs(dir, 2, "p.json"), "extra"), "extra"},

@@ -49,7 +49,7 @@ func TestRunRemovedSpillFlags(t *testing.T) {
 // silently drop every flag after it; each must be rejected by name.
 func TestStrayArguments(t *testing.T) {
 	for _, tc := range []struct {
-		args []string
+		args  []string
 		stray string
 	}{
 		{[]string{"flock"}, "flock"},

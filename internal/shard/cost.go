@@ -126,7 +126,9 @@ func PlanCostBlock(sw SweepSpec, shards int, model CostModel, block int) (*Manif
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count must be positive")
 	}
-	unit := max(block, 1)
+	// A block longer than a size's trials is one unit of the whole size;
+	// capping it at Trials keeps unit·cost within the per-size total.
+	unit := min(max(block, 1), sw.Trials)
 	perSize := (sw.Trials + unit - 1) / unit // units per size
 	shards = min(shards, len(sw.Sizes)*perSize)
 	// Per-size trial cost and size-major prefix sums over whole sizes:

@@ -214,6 +214,19 @@ func TestPlanCostOverflow(t *testing.T) {
 	if _, err := PlanCostBlock(sw, 2, LinearCost{}, 0); err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Errorf("overflowing cost not rejected: %v", err)
 	}
+	// A block longer than the trial axis is one cell per size, and the
+	// walk's unit cost stays within the per-size total it checked:
+	// 2^58 · 4 trials fits int64, 2^58 · 2^20 would not.
+	sw.Sizes = []int64{1 << 58, 1<<58 + 1}
+	for _, block := range []int{4, 1 << 20} {
+		m, err := PlanCostBlock(sw, 2, LinearCost{}, block)
+		if err != nil {
+			t.Fatalf("block %d: %v", block, err)
+		}
+		if len(m.Shards) != 2 || len(m.Shards[0].Cells) != 1 || m.Shards[0].Cells[0] != (Cell{X: 1 << 58, TrialHi: 4}) {
+			t.Errorf("block %d: %+v, want one whole-size cell per shard", block, m.Shards)
+		}
+	}
 	// Spec.Cost saturates rather than wrapping when scored under a
 	// hotter model than the plan used.
 	s := Spec{Cells: []Cell{{X: 1 << 62, TrialLo: 0, TrialHi: 4}}}

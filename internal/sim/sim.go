@@ -71,8 +71,9 @@ type Options struct {
 	StablePatience int
 	// Scheduler selects the interaction scheduler; nil means Weighted{}.
 	Scheduler Scheduler
-	// Workers bounds the trial pool behind RunMany and SweepCells: at most this many trials run at once; 0 means
-	// GOMAXPROCS. Results are deterministic regardless of the value.
+	// Workers bounds the trial pool behind RunMany and SweepCells: at
+	// most this many trials run at once; 0 means GOMAXPROCS. Results
+	// are deterministic regardless of the value.
 	Workers int
 }
 
@@ -361,8 +362,8 @@ func DeriveSeed(base int64, trial int) int64 {
 }
 
 // DeriveSeedK is DeriveSeed for 64-bit indices on a separated
-// substream: SweepCells derives each population size's base seed with it
-// before the per-trial DeriveSeed fan-out. The extra mix of the base
+// substream: SweepCells derives each population size's base seed with
+// it before the per-trial DeriveSeed fan-out. The extra mix of the base
 // keeps (base, k) streams disjoint from DeriveSeed's (base, trial)
 // streams, so a sweep point's seed never aliases a trial seed of a
 // nearby base. (The old affine base + x·7919 derivation had the same

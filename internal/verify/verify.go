@@ -22,11 +22,11 @@
 //
 // Every check runs in a workspace taken from a package-private
 // sync.Pool for the call — one per Range worker, the caller's
-// included — and put back at its end: the last
-// closure (rebuilt in place by petri.Net.ReachReusing), the reverse
-// CSR, the BFS queue, the bad and stable id lists and the visit
-// arrays. A workspace keeps the size of the largest input it served,
-// so a job settles to no allocation beyond what its reports keep.
+// included — and put back at its end: the last closure (rebuilt in
+// place by petri.Net.ReachReusing), the reverse CSR, the BFS queue,
+// the bad and stable id lists and the visit arrays. A workspace keeps
+// the size of the largest input it served, so a job settles to no
+// allocation beyond what its reports keep.
 // Reports copy out their input and counterexample; nothing returned
 // aliases pooled storage.
 package verify
