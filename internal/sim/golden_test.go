@@ -12,6 +12,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/counting"
+	"repro/internal/petri"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -93,12 +94,19 @@ func TestCountBatchedTrajectoriesGolden(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, "countbatch.golden.json", got)
+}
+
+// checkGolden compares the trials with testdata/<file> byte for byte,
+// rewriting the file first under -update.
+func checkGolden(t *testing.T, file string, got []goldenTrial) {
+	t.Helper()
 	buf, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	buf = append(buf, '\n')
-	golden := filepath.Join("testdata", "countbatch.golden.json")
+	golden := filepath.Join("testdata", file)
 	if *update {
 		if err := os.WriteFile(golden, buf, 0o644); err != nil {
 			t.Fatalf("update golden: %v", err)
@@ -109,6 +117,151 @@ func TestCountBatchedTrajectoriesGolden(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
 	if string(buf) != string(want) {
-		t.Errorf("count-batched trajectories drifted from golden file %s\ngot:\n%s", golden, buf)
+		t.Errorf("trajectories drifted from golden file %s\ngot:\n%s", golden, buf)
 	}
+}
+
+// mixedNet builds a deadlock-free net over a, b, c whose transitions
+// cover every precondition shape the engine distinguishes: a single
+// state taken k ≥ 3 times (3a), a generic multiset (a + 2b), a pair
+// (b + c), a twin (2c) and a single agent (c). Every transition keeps
+// the agent count, and some transition is enabled from any
+// population of at least 3 agents.
+func mixedNet(t *testing.T) *core.Protocol {
+	t.Helper()
+	space := conf.MustSpace("a", "b", "c")
+	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
+	mk := func(name string, pre, post conf.Config) petri.Transition {
+		tr, err := petri.NewTransition(name, pre, post)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	net, err := petri.New(space, []petri.Transition{
+		mk("single3", u("a").Scale(3), u("b").Scale(2).Add(u("c"))),
+		mk("generic", u("a").Add(u("b").Scale(2)), u("c").Scale(3)),
+		mk("pair", u("b").Add(u("c")), u("a").Scale(2)),
+		mk("twin", u("c").Scale(2), u("a").Add(u("b"))),
+		mk("single1", u("c"), u("a")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProtocol("mixed", net, conf.New(space), []string{"a"},
+		map[string]core.Output{"a": core.Out0, "b": core.OutStar, "c": core.Out1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// cycleNet builds the conservative 2→2 net a + b → 2c, 2c → a + b,
+// which never deadlocks from a = b ≥ 1: its runs go on until MaxSteps,
+// past the engine's periodic exact rebuild.
+func cycleNet(t *testing.T) *core.Protocol {
+	t.Helper()
+	space := conf.MustSpace("a", "b", "c")
+	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
+	mk := func(name string, pre, post conf.Config) petri.Transition {
+		tr, err := petri.NewTransition(name, pre, post)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	net, err := petri.New(space, []petri.Transition{
+		mk("meet", u("a").Add(u("b")), u("c").Scale(2)),
+		mk("split", u("c").Scale(2), u("a").Add(u("b"))),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProtocol("cycle", net, conf.New(space), []string{"a", "b"},
+		map[string]core.Output{"a": core.Out0, "b": core.Out0, "c": core.Out1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestWeightedTrajectoriesGolden pins the sampled trajectories of the
+// per-interaction schedulers byte for byte: every trial's steps, last
+// output change, output and final counts under Weighted, and under
+// UniformPairs wherever the net is conservative 2→2. The instances are
+// the weighted sweep's protocols at 16–512 agents, one run of 40 000
+// fires (longer than rebuildEvery, so the periodic exact rebuild is
+// on the path) and a net whose preconditions take the kindSingle k ≥ 3
+// and generic fallbacks of the weight computation. Run with -update
+// to rewrite it.
+func TestWeightedTrajectoriesGolden(t *testing.T) {
+	type instance struct {
+		name     string
+		p        *core.Protocol
+		inputs   []map[string]int64
+		maxSteps int
+	}
+	sizes := func(xs ...int64) []map[string]int64 {
+		var out []map[string]int64
+		for _, x := range xs {
+			out = append(out, map[string]int64{"i": x})
+		}
+		return out
+	}
+	var insts []instance
+	for _, pc := range []struct {
+		name string
+		mk   func() (*core.Protocol, error)
+	}{
+		{"flock(4)", func() (*core.Protocol, error) { return counting.FlockOfBirds(4) }},
+		{"flock(8)", func() (*core.Protocol, error) { return counting.FlockOfBirds(8) }},
+		{"power2(3)", func() (*core.Protocol, error) { return counting.PowerOfTwo(3) }},
+		{"power2(5)", func() (*core.Protocol, error) { return counting.PowerOfTwo(5) }},
+		{"example42(4)", func() (*core.Protocol, error) { return counting.Example42(4) }},
+	} {
+		p, err := pc.mk()
+		if err != nil {
+			t.Fatalf("%s: %v", pc.name, err)
+		}
+		insts = append(insts, instance{pc.name, p, sizes(16, 97, 512), 0})
+	}
+	insts = append(insts,
+		instance{"cycle", cycleNet(t), []map[string]int64{{"a": 60, "b": 60}}, 40000},
+		instance{"mixed", mixedNet(t), []map[string]int64{{"a": 7}, {"a": 90}}, 3000},
+	)
+	const trials = 3
+	var got []goldenTrial
+	for _, in := range insts {
+		for _, counts := range in.inputs {
+			input, err := in.p.Input(counts)
+			if err != nil {
+				t.Fatalf("%s: %v", in.name, err)
+			}
+			var x int64
+			for _, n := range counts {
+				x += n
+			}
+			for _, sched := range []Scheduler{Weighted{}, UniformPairs{}} {
+				if _, err := sched.Attach(NewState(in.p)); err != nil {
+					continue // not conservative 2→2
+				}
+				name := fmt.Sprintf("%s/%s/x=%d", sched.Name(), in.name, x)
+				for tr := 0; tr < trials; tr++ {
+					res, err := Run(in.p, input, Options{
+						Seed:      DeriveSeed(DeriveSeedK(23, x), tr),
+						MaxSteps:  in.maxSteps,
+						Scheduler: sched,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got = append(got, goldenTrial{
+						Case: name, Trial: tr, Steps: res.Steps, LastChange: res.LastChange,
+						Output: res.Output.String(), Final: nonzeroCounts(res.Final),
+					})
+				}
+			}
+		}
+	}
+	checkGolden(t, "weighted.golden.json", got)
 }
