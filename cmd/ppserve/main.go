@@ -84,20 +84,29 @@ func main() {
 	}
 }
 
+// run runs one subcommand. Asking a subcommand for help is not an
+// error: its flag parse prints the usage and returns flag.ErrHelp
+// before the subcommand opens a store or a listener, and run reports
+// success.
 func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("subcommand required: serve | replay")
 	}
+	var err error
 	switch args[0] {
 	case "serve":
-		return runServe(ctx, args[1:], out)
+		err = runServe(ctx, args[1:], out)
 	case "replay":
-		return runReplay(ctx, args[1:], out)
+		err = runReplay(ctx, args[1:], out)
 	case "gc":
-		return runGC(args[1:], out)
+		err = runGC(args[1:], out)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	return err
 }
 
 func runServe(ctx context.Context, args []string, out io.Writer) error {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -193,5 +194,44 @@ func TestStrayArguments(t *testing.T) {
 	}
 	if _, err := os.Stat(store); !os.IsNotExist(err) {
 		t.Errorf("a rejected subcommand created %s (stat: %v)", store, err)
+	}
+}
+
+// Asking a subcommand for help is not an error: the command prints the
+// usage to stderr and exits 0, starting no daemon and opening no
+// store. Each case runs the command's main in a child process of the
+// test binary to see its exit status.
+func TestHelp(t *testing.T) {
+	if args := os.Getenv("PPSERVE_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"ppserve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	store := filepath.Join(t.TempDir(), "store")
+	for _, tc := range []struct{ args, usage string }{
+		{"serve -h", "ppserve serve"},
+		{"serve -addr 127.0.0.1:0 -store " + store + " -help", "ppserve serve"},
+		{"gc -h", "ppserve gc"},
+		{"gc -store " + store + " -h", "ppserve gc"},
+		{"replay -h", "ppserve replay"},
+		{"replay -file q.jsonl -help", "ppserve replay"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHelp$")
+		cmd.Env = append(os.Environ(), "PPSERVE_TEST_ARGS="+tc.args)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Errorf("ppserve %s: %v; stderr:\n%s", tc.args, err, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "Usage of "+tc.usage) || strings.Contains(stderr.String(), "help requested") {
+			t.Errorf("ppserve %s: stderr %q, want the usage alone", tc.args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("ppserve %s: stdout %q, want none", tc.args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Errorf("a help request created %s (stat: %v)", store, err)
 	}
 }

@@ -78,7 +78,10 @@ func (s OutputSet) String() string {
 
 // Protocol is a tuple (P, →*, ρ_L, I, γ) where the additive preorder →*
 // is the reachability relation of a Petri net (Section 3 shows the two
-// views coincide for finite interaction-width).
+// views coincide for finite interaction-width). A Protocol is
+// immutable after NewProtocol, which keeps its own copy of ρ_L, and
+// every accessor returns a copy or a read-only view, so one Protocol
+// may be shared by any number of goroutines.
 type Protocol struct {
 	name    string
 	net     *petri.Net
@@ -136,7 +139,7 @@ func NewProtocol(name string, net *petri.Net, leaders conf.Config, initial []str
 	}
 	ini := make([]string, len(initial))
 	copy(ini, initial)
-	return &Protocol{name: name, net: net, leaders: leaders, initial: ini, gamma: g}, nil
+	return &Protocol{name: name, net: net, leaders: leaders.Clone(), initial: ini, gamma: g}, nil
 }
 
 // Name returns the protocol's name.
@@ -148,8 +151,9 @@ func (p *Protocol) Net() *petri.Net { return p.net }
 // Space returns the state space P.
 func (p *Protocol) Space() *conf.Space { return p.net.Space() }
 
-// Leaders returns ρ_L.
-func (p *Protocol) Leaders() conf.Config { return p.leaders }
+// Leaders returns a copy of ρ_L, so that no caller of a shared
+// protocol (registry.Make keeps built ones) can mutate it in place.
+func (p *Protocol) Leaders() conf.Config { return p.leaders.Clone() }
 
 // NumLeaders returns |ρ_L|.
 func (p *Protocol) NumLeaders() int64 { return p.leaders.Agents() }

@@ -1,11 +1,15 @@
 // Package registry names the built-in protocol constructions so CLI
-// tools and examples can instantiate them uniformly.
+// tools and examples can instantiate them uniformly. Make builds each
+// protocol once per process while it fits a bounded memo; the
+// protocols it returns are shared and must not be mutated.
 package registry
 
 import (
+	"container/list"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/counting"
@@ -183,11 +187,84 @@ func ShapeOf(name string, param int64) (Shape, error) {
 	return e.Shape(param)
 }
 
-// Make builds a named protocol.
+// memoCells is the budget, in Shape.Cells, of the protocols Make
+// keeps: 2^16 cells, a few MB of built protocols. Every protocol the
+// sweep benchmark's mix runs fits at once (16 protocols, 13 108
+// cells); a protocol over the whole budget is built on every call and
+// never kept.
+const memoCells = 1 << 16
+
+// memoKey names one built protocol.
+type memoKey struct {
+	name  string
+	param int64
+}
+
+// memoEntry is one kept protocol with its threshold and price.
+type memoEntry struct {
+	key   memoKey
+	p     *core.Protocol
+	n     int64
+	cells int64
+}
+
+// memo keeps recently built protocols in least-recently-used order
+// (front: most recent) within memoCells.
+var memo = struct {
+	sync.Mutex
+	byKey map[memoKey]*list.Element
+	lru   list.List
+	cells int64
+}{byKey: map[memoKey]*list.Element{}}
+
+// Make returns a named protocol, built once per process while it stays
+// in the memo: protocols are immutable after construction and their
+// dependency index is built once under a sync.Once, so every caller,
+// on any goroutine, can share one. Errors are never kept; a rejected
+// parameter is rejected again, with the same error, on every call.
 func Make(name string, param int64) (*core.Protocol, int64, error) {
+	key := memoKey{name, param}
+	memo.Lock()
+	if el, ok := memo.byKey[key]; ok {
+		memo.lru.MoveToFront(el)
+		e := el.Value.(*memoEntry)
+		memo.Unlock()
+		return e.p, e.n, nil
+	}
+	memo.Unlock()
 	e, err := Lookup(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	return e.Make(param)
+	p, n, err := e.Make(param)
+	if err != nil {
+		return nil, 0, err
+	}
+	sh := Shape{Size: counting.Size{States: int64(p.States()), Transitions: int64(p.Net().Len())}}
+	if cells := sh.Cells(); cells <= memoCells {
+		p, n = keep(&memoEntry{key: key, p: p, n: n, cells: cells})
+	}
+	return p, n, nil
+}
+
+// keep adds a freshly built protocol to the memo, evicting the least
+// recently used ones until it fits, and returns the memo's protocol
+// for its key: when another caller built and kept the same protocol
+// meanwhile, that one wins, so all callers share one.
+func keep(e *memoEntry) (*core.Protocol, int64) {
+	memo.Lock()
+	defer memo.Unlock()
+	if el, ok := memo.byKey[e.key]; ok {
+		memo.lru.MoveToFront(el)
+		have := el.Value.(*memoEntry)
+		return have.p, have.n
+	}
+	for memo.cells+e.cells > memoCells {
+		old := memo.lru.Remove(memo.lru.Back()).(*memoEntry)
+		delete(memo.byKey, old.key)
+		memo.cells -= old.cells
+	}
+	memo.byKey[e.key] = memo.lru.PushFront(e)
+	memo.cells += e.cells
+	return e.p, e.n
 }

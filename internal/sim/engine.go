@@ -50,21 +50,22 @@ type State struct {
 
 // preShape is a transition precondition specialized for the dominant
 // interaction shapes, so the per-step reweigh avoids the generic
-// sparse-product loop: a·b pairs and 2·a twins cover every classical
-// 2→2 protocol.
+// sparse-product loop: the two-agent preconditions a + b and 2·a cover
+// every classical 2→2 protocol and share one weight expression,
+// twoWeight, which Fire and reweigh evaluate inline.
 type preShape struct {
 	kind preKind
-	a, b int32 // state indices (kindPair: a≠b; kindTwin/kindSingle: a)
-	k    int64 // kindSingle: the multiplicity on state a
+	a, b int32   // state indices (kindTwo: b = a for a twin; kindSingle: a)
+	k    int64   // kindSingle: the multiplicity on state a; kindTwo: s
+	f    float64 // kindTwo: the factor f
 }
 
 type preKind uint8
 
 const (
-	kindEmpty   preKind = iota // empty precondition: weight is always 1
-	kindPair                   // pre = a + b, a ≠ b
-	kindTwin                   // pre = 2·a
-	kindSingle                 // pre = k·a
+	kindTwo     preKind = iota // pre = a + b, a ≠ b (s = 0, f = 1) or 2·a (b = a, s = 1, f = 0.5)
+	kindEmpty                  // empty precondition: weight is always 1
+	kindSingle                 // pre = k·a, k ≠ 2
 	kindGeneric                // anything else: generic sparse product
 )
 
@@ -75,15 +76,27 @@ func shapeOf(pre []petri.SparseEntry) preShape {
 	case 1:
 		e := pre[0]
 		if e.N == 2 {
-			return preShape{kind: kindTwin, a: int32(e.State)}
+			return preShape{kind: kindTwo, a: int32(e.State), b: int32(e.State), k: 1, f: 0.5}
 		}
 		return preShape{kind: kindSingle, a: int32(e.State), k: e.N}
 	case 2:
 		if pre[0].N == 1 && pre[1].N == 1 {
-			return preShape{kind: kindPair, a: int32(pre[0].State), b: int32(pre[1].State)}
+			return preShape{kind: kindTwo, a: int32(pre[0].State), b: int32(pre[1].State), f: 1}
 		}
 	}
 	return preShape{kind: kindGeneric}
+}
+
+// twoWeight is the instance weight of a two-agent precondition:
+// ca·cb for a pair a + b (s = 0, f = 1) and C(ca, 2) = ca·(ca−1)·½ for
+// a twin 2·a (cb = ca, s = 1, f = 0.5). It is bit-identical to the
+// two formulas written apart, since ×1 is exact and the twin keeps
+// their multiplication order, and zero exactly when the precondition
+// is disabled: counts are never negative, and the max keeps the twin
+// at ca = 0 from yielding −0. It stays under the compiler's inlining
+// budget, so the per-fire reweigh pays no call for these shapes.
+func twoWeight(ca, cb, s int64, f float64) float64 {
+	return float64(ca) * float64(max(cb-s, 0)) * f
 }
 
 // rebuildEvery bounds floating-point drift in the Fenwick tree: after
@@ -172,7 +185,12 @@ func (st *State) Resync() {
 func (st *State) reweigh() {
 	total := 0.0
 	for ti := range st.weights {
-		w := st.weight(ti)
+		var w float64
+		if p := &st.pre[ti]; p.kind == kindTwo {
+			w = twoWeight(st.cv[p.a], st.cv[p.b], p.k, p.f)
+		} else {
+			w = st.weight(ti)
+		}
 		st.weights[ti] = w
 		total += w
 	}
@@ -224,19 +242,9 @@ func (st *State) ApplyAggregate(fires []int64, disp []int64) bool {
 // current counts: Π C(counts(p), pre(p)) over the sparse precondition,
 // through the shape-specialized fast paths.
 func (st *State) weight(ti int) float64 {
-	switch p := st.pre[ti]; p.kind {
-	case kindPair:
-		ca, cb := st.cv[p.a], st.cv[p.b]
-		if ca <= 0 || cb <= 0 {
-			return 0
-		}
-		return float64(ca) * float64(cb)
-	case kindTwin:
-		ca := st.cv[p.a]
-		if ca < 2 {
-			return 0
-		}
-		return float64(ca) * float64(ca-1) * 0.5
+	switch p := &st.pre[ti]; p.kind {
+	case kindTwo:
+		return twoWeight(st.cv[p.a], st.cv[p.b], p.k, p.f)
 	case kindSingle:
 		ca := st.cv[p.a]
 		if ca < p.k {
@@ -281,7 +289,15 @@ func (st *State) Fire(ti int) bool {
 	}
 	st.agents += st.deltaAgents[ti]
 	for _, dt := range st.idx.Affected(ti) {
-		if w := st.weight(dt); w != st.weights[dt] {
+		// weight is over the inlining budget: the two-agent shapes,
+		// almost every affected transition, skip its call.
+		var w float64
+		if p := &st.pre[dt]; p.kind == kindTwo {
+			w = twoWeight(st.cv[p.a], st.cv[p.b], p.k, p.f)
+		} else {
+			w = st.weight(dt)
+		}
+		if w != st.weights[dt] {
 			d := w - st.weights[dt]
 			st.weights[dt] = w
 			st.total += d
