@@ -225,13 +225,11 @@ var memo = struct {
 func Make(name string, param int64) (*core.Protocol, int64, error) {
 	key := memoKey{name, param}
 	memo.Lock()
-	if el, ok := memo.byKey[key]; ok {
-		memo.lru.MoveToFront(el)
-		e := el.Value.(*memoEntry)
-		memo.Unlock()
-		return e.p, e.n, nil
-	}
+	hit := recent(key)
 	memo.Unlock()
+	if hit != nil {
+		return hit.p, hit.n, nil
+	}
 	e, err := Lookup(name)
 	if err != nil {
 		return nil, 0, err
@@ -247,6 +245,17 @@ func Make(name string, param int64) (*core.Protocol, int64, error) {
 	return p, n, nil
 }
 
+// recent returns the kept entry for key, marking it most recently
+// used, or nil. The caller holds the memo's lock.
+func recent(key memoKey) *memoEntry {
+	el, ok := memo.byKey[key]
+	if !ok {
+		return nil
+	}
+	memo.lru.MoveToFront(el)
+	return el.Value.(*memoEntry)
+}
+
 // keep adds a freshly built protocol to the memo, evicting the least
 // recently used ones until it fits, and returns the memo's protocol
 // for its key: when another caller built and kept the same protocol
@@ -254,9 +263,7 @@ func Make(name string, param int64) (*core.Protocol, int64, error) {
 func keep(e *memoEntry) (*core.Protocol, int64) {
 	memo.Lock()
 	defer memo.Unlock()
-	if el, ok := memo.byKey[e.key]; ok {
-		memo.lru.MoveToFront(el)
-		have := el.Value.(*memoEntry)
+	if have := recent(e.key); have != nil {
 		return have.p, have.n
 	}
 	for memo.cells+e.cells > memoCells {

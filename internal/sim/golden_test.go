@@ -121,6 +121,34 @@ func checkGolden(t *testing.T, file string, got []goldenTrial) {
 	}
 }
 
+// rule is one transition of a test net: its name, pre and post.
+type rule struct {
+	name      string
+	pre, post conf.Config
+}
+
+// leaderless builds a protocol without leaders from its rules.
+func leaderless(t *testing.T, name string, space *conf.Space, initial []string, gamma map[string]core.Output, rules ...rule) *core.Protocol {
+	t.Helper()
+	trans := make([]petri.Transition, len(rules))
+	for i, r := range rules {
+		tr, err := petri.NewTransition(r.name, r.pre, r.post)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trans[i] = tr
+	}
+	net, err := petri.New(space, trans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProtocol(name, net, conf.New(space), initial, gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // mixedNet builds a deadlock-free net over a, b, c whose transitions
 // cover every precondition shape the engine distinguishes: a single
 // state taken k ≥ 3 times (3a), a generic multiset (a + 2b), a pair
@@ -128,61 +156,29 @@ func checkGolden(t *testing.T, file string, got []goldenTrial) {
 // the agent count, and some transition is enabled from any
 // population of at least 3 agents.
 func mixedNet(t *testing.T) *core.Protocol {
-	t.Helper()
 	space := conf.MustSpace("a", "b", "c")
 	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
-	mk := func(name string, pre, post conf.Config) petri.Transition {
-		tr, err := petri.NewTransition(name, pre, post)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	net, err := petri.New(space, []petri.Transition{
-		mk("single3", u("a").Scale(3), u("b").Scale(2).Add(u("c"))),
-		mk("generic", u("a").Add(u("b").Scale(2)), u("c").Scale(3)),
-		mk("pair", u("b").Add(u("c")), u("a").Scale(2)),
-		mk("twin", u("c").Scale(2), u("a").Add(u("b"))),
-		mk("single1", u("c"), u("a")),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.NewProtocol("mixed", net, conf.New(space), []string{"a"},
-		map[string]core.Output{"a": core.Out0, "b": core.OutStar, "c": core.Out1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return leaderless(t, "mixed", space, []string{"a"},
+		map[string]core.Output{"a": core.Out0, "b": core.OutStar, "c": core.Out1},
+		rule{"single3", u("a").Scale(3), u("b").Scale(2).Add(u("c"))},
+		rule{"generic", u("a").Add(u("b").Scale(2)), u("c").Scale(3)},
+		rule{"pair", u("b").Add(u("c")), u("a").Scale(2)},
+		rule{"twin", u("c").Scale(2), u("a").Add(u("b"))},
+		rule{"single1", u("c"), u("a")},
+	)
 }
 
 // cycleNet builds the conservative 2→2 net a + b → 2c, 2c → a + b,
 // which never deadlocks from a = b ≥ 1: its runs go on until MaxSteps,
 // past the engine's periodic exact rebuild.
 func cycleNet(t *testing.T) *core.Protocol {
-	t.Helper()
 	space := conf.MustSpace("a", "b", "c")
 	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
-	mk := func(name string, pre, post conf.Config) petri.Transition {
-		tr, err := petri.NewTransition(name, pre, post)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	net, err := petri.New(space, []petri.Transition{
-		mk("meet", u("a").Add(u("b")), u("c").Scale(2)),
-		mk("split", u("c").Scale(2), u("a").Add(u("b"))),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.NewProtocol("cycle", net, conf.New(space), []string{"a", "b"},
-		map[string]core.Output{"a": core.Out0, "b": core.Out0, "c": core.Out1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return leaderless(t, "cycle", space, []string{"a", "b"},
+		map[string]core.Output{"a": core.Out0, "b": core.Out0, "c": core.Out1},
+		rule{"meet", u("a").Add(u("b")), u("c").Scale(2)},
+		rule{"split", u("c").Scale(2), u("a").Add(u("b"))},
+	)
 }
 
 // TestWeightedTrajectoriesGolden pins the sampled trajectories of the

@@ -9,7 +9,6 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/counting"
-	"repro/internal/petri"
 )
 
 func input(t *testing.T, p *core.Protocol, x int64) conf.Config {
@@ -28,25 +27,11 @@ func flipFlop(t *testing.T, agents int64) (*core.Protocol, conf.Config) {
 	t.Helper()
 	space := conf.MustSpace("a", "b")
 	u := func(n string) conf.Config { return conf.MustUnit(space, n) }
-	mk := func(name string, pre, post conf.Config) petri.Transition {
-		tr, err := petri.NewTransition(name, pre, post)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	net, err := petri.New(space, []petri.Transition{
-		mk("ab", u("a").Scale(2), u("b").Scale(2)),
-		mk("ba", u("b").Scale(2), u("a").Scale(2)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.NewProtocol("flipflop", net, conf.New(space), []string{"a"},
-		map[string]core.Output{"a": core.Out0, "b": core.Out0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := leaderless(t, "flipflop", space, []string{"a"},
+		map[string]core.Output{"a": core.Out0, "b": core.Out0},
+		rule{"ab", u("a").Scale(2), u("b").Scale(2)},
+		rule{"ba", u("b").Scale(2), u("a").Scale(2)},
+	)
 	in, err := p.Input(map[string]int64{"a": agents})
 	if err != nil {
 		t.Fatal(err)
