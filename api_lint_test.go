@@ -1,22 +1,28 @@
 package repro
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
-	"go/scanner"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// apiKept pins the exported funcs and methods of internal/ that no
-// shipped code names: every entry says why it stays although no run
-// of a command, example or perfbench calls it. Everything else that
-// no shipped code names is dead API and fails TestExportedAPIHasCallers.
+// apiKept pins the exported funcs, methods and *Options/*Config fields
+// of internal/ that no shipped code uses: every entry says why it stays
+// although no run of a command, example or perfbench calls or sets it.
+// Everything else that no shipped code uses is dead API and fails
+// TestExportedAPIHasCallers.
 var apiKept = map[string]string{
 	// Paper checks, kept as the oracles tests hold the shipped engines to.
 	"petri.Net.Coverable":            "backward coverability (Section 5), the oracle ShortestCoveringWord and Karp–Miller are held to",
@@ -26,7 +32,6 @@ var apiKept = map[string]string{
 	"petri.Net.HasUniformInvariant":  "the algebraic form of Conservative, held to it on the protocol nets",
 	"petri.InvariantValue":           "evaluates a P-invariant on a configuration, read with PInvariants",
 	"petri.Net.Conservative":         "syntactic agent conservation, asserted on the counting and spec constructions",
-	"petri.Transition.Conservative":  "the per-transition half of Net.Conservative",
 	"core.Protocol.Lemma51Holds":     "Lemma 5.1, checked on concrete stabilized configurations",
 	"core.CheckSmallValues":          "Lemma 5.4's small-values conclusion, checked on concrete instances",
 	"core.Component":                 "the bottom SCC of a configuration, used by the ReachBottom reference oracle",
@@ -40,114 +45,103 @@ var apiKept = map[string]string{
 	// Accessors the closure reference test reads.
 	"petri.ReachSet.Edges": "a node's out-edges, compared by reach_ref_test.go",
 	"petri.ReachSet.Depth": "a node's BFS depth, compared by reach_ref_test.go",
-	// Methods called through an interface, never by name.
+	// Methods reached only by reflection or through an interface
+	// declared outside the repo.
 	"petri.BudgetError.Unwrap": "errors.Is reaches ErrBudget through it",
+	// Test seams: settings no deployment needs, which tests set to
+	// inject faults or shrink waits.
+	"serve.Config.StoreProbeBase": "chaos tests shrink the degraded store's first self-heal probe delay",
+	"store.Options.RetryBase":     "the store chaos test shrinks the transient-retry backoff",
+	"store.GCOptions.FS":          "the faultfs quarantine test runs gc over a fault-injecting filesystem",
 }
 
-// TestExportedAPIHasCallers lists every exported func and method
-// declared in a non-test file under internal/ whose name no non-test
-// Go file of cmd/, internal/, examples/, perfbench/ or the root names
-// outside that declaration, and compares the list with apiKept: a new
-// unused export fails with its name, and so does a stale entry.
+// TestExportedAPIHasCallers type-checks the non-test Go of cmd/,
+// internal/, examples/, perfbench/ and the root from source and lists
+// what internal/ exports that nothing there uses:
 //
-// The scan matches identifiers by name, without types. Its blind spot
-// is a name that also means something else elsewhere: an unused
-// method called Input passes because core.Protocol.Input is called, and a
-// function named like a field or local passes because of it.
+//   - an exported func, or an exported method of an exported type,
+//     that no shipped code refers to outside its own body, unless the
+//     type implements an interface declared in the repo, error or
+//     fmt.Stringer that has the method;
+//   - an exported field of an exported *Options or *Config struct that
+//     no shipped code writes: a keyed or positional composite literal,
+//     an assignment, ++/-- or &field.
+//
+// The list is compared with apiKept: a new unused export fails with its
+// name, and so does a stale entry. Uses are resolved to their objects,
+// so a name that also means something else elsewhere hides nothing.
 func TestExportedAPIHasCallers(t *testing.T) {
-	type decl struct {
-		key        string // pkg.Name or pkg.Recv.Name
-		file       string
-		start, end int // byte offsets of the declaration, doc included
-	}
-	decls := map[string][]decl{} // by name
-	fset := token.NewFileSet()
-	for _, path := range goFiles(t, "internal") {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "."
-			if fn.Recv != nil {
-				recv := recvName(fn.Recv.List[0].Type)
-				if !ast.IsExported(recv) {
-					// An exported method of an unexported type is
-					// reached through an interface or an embedding.
-					continue
-				}
-				key += recv + "."
-			}
-			key += fn.Name.Name
-			start := fn.Pos()
-			if fn.Doc != nil {
-				start = fn.Doc.Pos()
-			}
-			decls[fn.Name.Name] = append(decls[fn.Name.Name], decl{
-				key: key, file: path,
-				start: fset.Position(start).Offset, end: fset.Position(fn.End()).Offset,
-			})
-		}
-	}
+	prog := loadShipped(t)
 
-	used := map[string]bool{}
-	var files []string
-	for _, dir := range []string{"cmd", "internal", "examples", "perfbench"} {
-		files = append(files, goFiles(t, dir)...)
+	used := map[types.Object]bool{}
+	var ifaces []*types.Interface
+	for _, p := range prog.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				var self types.Object
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					self = p.info.Defs[fn.Name]
+				}
+				markUses(p.info, d, self, used)
+			}
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
 	}
-	root, err := filepath.Glob("*.go")
+	fmtPkg, err := prog.std.Import("fmt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range root {
-		if !strings.HasSuffix(path, "_test.go") {
-			files = append(files, path)
+	ifaces = append(ifaces,
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
+		fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface))
+
+	unused := map[string]bool{}
+	for _, p := range prog.pkgs {
+		if !strings.HasPrefix(p.types.Path(), "repro/internal/") {
+			continue
 		}
-	}
-	for _, path := range files {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s scanner.Scanner
-		file := token.NewFileSet().AddFile(path, -1, len(src))
-		s.Init(file, src, nil, 0) // comments are skipped
-	tokens:
-		for {
-			pos, tok, lit := s.Scan()
-			if tok == token.EOF {
-				break
-			}
-			if tok != token.IDENT || used[lit] {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if !token.IsExported(name) {
 				continue
 			}
-			ds, ok := decls[lit]
-			if !ok {
-				continue
-			}
-			off := file.Offset(pos)
-			for _, d := range ds {
-				if d.file == path && d.start <= off && off < d.end {
-					continue tokens
+			key := p.types.Name() + "." + name
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if !used[obj] {
+					unused[key] = true
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !used[m] && !viaInterface(named, m.Name(), ifaces) {
+						unused[key+"."+m.Name()] = true
+					}
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !used[f] {
+						unused[key+"."+f.Name()] = true
+					}
 				}
 			}
-			used[lit] = true
 		}
 	}
 
-	unused := map[string]bool{}
-	for name, ds := range decls {
-		if used[name] {
-			continue
-		}
-		for _, d := range ds {
-			unused[d.key] = true
-		}
-	}
 	var fresh, stale []string
 	for key := range unused {
 		if _, ok := apiKept[key]; !ok {
@@ -162,49 +156,198 @@ func TestExportedAPIHasCallers(t *testing.T) {
 	sort.Strings(fresh)
 	sort.Strings(stale)
 	for _, key := range fresh {
-		t.Errorf("%s: exported, but no shipped code calls it; delete it, move it under test, or pin it in apiKept with the reason it stays", key)
+		t.Errorf("%s: exported, but no shipped code calls or sets it; delete it, move it under test, or pin it in apiKept with the reason it stays", key)
 	}
 	for _, key := range stale {
-		t.Errorf("%s: pinned in apiKept, but it is gone or shipped code now calls it; drop the entry", key)
+		t.Errorf("%s: pinned in apiKept, but it is gone or shipped code now uses it; drop the entry", key)
 	}
 }
 
-// goFiles returns the non-test Go files under dir, testdata skipped.
-func goFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	var out []string
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// markUses records in used every func and method node refers to, except
+// self (a recursive call is no caller), and every struct field it writes.
+func markUses(info *types.Info, node ast.Node, self types.Object, used map[types.Object]bool) {
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				used[v.Origin()] = true
+			}
 		}
-		if d.IsDir() && d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			out = append(out, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return out
-}
-
-// recvName returns the type name of a method receiver.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
 		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+			if fn, ok := info.Uses[n].(*types.Func); ok && fn != self {
+				used[fn.Origin()] = true
+			}
+		case *ast.CompositeLit:
+			typ := info.TypeOf(n)
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						used[v.Origin()] = true
+					}
+				} else {
+					used[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X)
+			}
+		}
+		return true
+	})
+}
+
+// viaInterface reports whether T or *T implements one of ifaces that
+// has a method called name, so calls through the interface reach it.
+func viaInterface(named *types.Named, name string, ifaces []*types.Interface) bool {
+	if named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == name &&
+				(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+				return true
+			}
 		}
 	}
+	return false
+}
+
+// shippedProgram is the repo's non-test Go, type-checked from source.
+// Import path repro/<dir> names the package in <dir>, perfbench's
+// module (repro/perfbench) included; every other import is the standard
+// library, read from its export data.
+type shippedProgram struct {
+	fset *token.FileSet
+	pkgs map[string]*shippedPkg // by import path
+	std  types.Importer
+}
+
+type shippedPkg struct {
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// loadShipped parses every package, lists the export data of the
+// standard library packages they import in one go list call, and
+// type-checks the packages in dependency order.
+func loadShipped(t *testing.T) *shippedProgram {
+	t.Helper()
+	prog := &shippedProgram{fset: token.NewFileSet(), pkgs: map[string]*shippedPkg{}}
+	std := map[string]bool{"fmt": true}
+	dirs := []string{"."}
+	for _, top := range []string{"cmd", "internal", "examples", "perfbench"} {
+		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && d.Name() == "testdata":
+				return filepath.SkipDir
+			case d.IsDir():
+				dirs = append(dirs, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dir := range dirs {
+		bp, err := build.ImportDir(dir, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) || err == nil && len(bp.GoFiles) == 0 {
+			continue // no Go files, or tests only
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &shippedPkg{}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(prog.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.files = append(p.files, f)
+		}
+		for _, path := range bp.Imports {
+			if path != "repro" && !strings.HasPrefix(path, "repro/") {
+				std[path] = true
+			}
+		}
+		prog.pkgs[filepath.ToSlash(filepath.Join("repro", dir))] = p
+	}
+
+	args := []string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
+	for path := range std {
+		args = append(args, path)
+	}
+	out, err := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{} // import path → export data file
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "\t")
+		exports[path] = file
+	}
+	prog.std = importer.ForCompiler(prog.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, errors.New("no export data for " + path)
+		}
+		return os.Open(file)
+	})
+
+	for path := range prog.pkgs {
+		if _, err := prog.check(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return prog
+}
+
+// check type-checks the repo package at path, once, after its imports.
+func (prog *shippedProgram) check(path string) (*types.Package, error) {
+	p := prog.pkgs[path]
+	if p.types != nil {
+		return p.types, nil
+	}
+	p.info = &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	conf := types.Config{Importer: prog}
+	pkg, err := conf.Check(path, prog.fset, p.files, p.info)
+	if err != nil {
+		return nil, err
+	}
+	p.types = pkg
+	return pkg, nil
+}
+
+// Import resolves repro/… to the repo's sources and everything else to
+// the standard library's export data.
+func (prog *shippedProgram) Import(path string) (*types.Package, error) {
+	if _, ok := prog.pkgs[path]; ok {
+		return prog.check(path)
+	}
+	return prog.std.Import(path)
 }

@@ -232,7 +232,7 @@ func BenchmarkHilbertBasis(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		basis, err := sys.MinimalSolutions(hilbert.Options{})
+		basis, err := sys.MinimalSolutions()
 		if err != nil || len(basis) == 0 {
 			b.Fatalf("basis = %v, %v", basis, err)
 		}

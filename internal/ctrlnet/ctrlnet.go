@@ -142,15 +142,6 @@ func (n *Net) Displacement(path []int) []int64 {
 	return out
 }
 
-// Label returns the transition-index word read along the path.
-func (n *Net) Label(path []int) []int {
-	out := make([]int, len(path))
-	for i, ei := range path {
-		out[i] = n.edges[ei].Trans
-	}
-	return out
-}
-
 // SimpleCycleThrough returns a shortest cycle containing the given edge
 // (the edge first, then a shortest path from its target back to its
 // source). Its length is at most |S|.

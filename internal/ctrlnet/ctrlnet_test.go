@@ -97,7 +97,10 @@ func TestParikhAndDisplacement(t *testing.T) {
 	if d[0] != 1 || d[1] != -1 {
 		t.Errorf("Displacement = %v", d)
 	}
-	label := n.Label(cyc)
+	label := make([]int, len(cyc))
+	for i, ei := range cyc {
+		label[i] = n.edges[ei].Trans
+	}
 	if len(label) != 3 || label[0] != 0 || label[1] != 1 || label[2] != 1 {
 		t.Errorf("Label = %v", label)
 	}

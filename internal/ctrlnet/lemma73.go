@@ -135,7 +135,7 @@ func (n *Net) Lemma73(theta [][]int, zeroMask []bool, k int64) (*Lemma73Result, 
 	if err != nil {
 		return nil, err
 	}
-	basis, err := sys.MinimalSolutions(hilbert.Options{})
+	basis, err := sys.MinimalSolutions()
 	if err != nil {
 		return nil, fmt.Errorf("lemma 7.3: %w", err)
 	}

@@ -368,7 +368,7 @@ func E6Pottier() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		basis, err := sys.MinimalSolutions(hilbert.Options{})
+		basis, err := sys.MinimalSolutions()
 		if err != nil {
 			return nil, fmt.Errorf("E6 %s: %w", s.name, err)
 		}

@@ -223,17 +223,6 @@ func ReachableFromInto(g CSR, sources []int, reach []bool, queue []int32) ([]boo
 	return reach, queue
 }
 
-// Reverse returns the reversed adjacency lists.
-func Reverse(adj [][]int) [][]int {
-	out := make([][]int, len(adj))
-	for v, ws := range adj {
-		for _, w := range ws {
-			out[w] = append(out[w], v)
-		}
-	}
-	return out
-}
-
 // StronglyConnected reports whether the whole graph is one strongly
 // connected component. The empty graph is not strongly connected; a
 // single node (with or without a self-loop) is.

@@ -139,11 +139,23 @@ func TestSCCTopologicalProperty(t *testing.T) {
 	}
 }
 
+// reverseLists returns the reversed adjacency lists, the plain oracle
+// CSR.Reverse and ReverseInto are held to.
+func reverseLists(adj [][]int) [][]int {
+	out := make([][]int, len(adj))
+	for v, ws := range adj {
+		for _, w := range ws {
+			out[w] = append(out[w], v)
+		}
+	}
+	return out
+}
+
 func TestReverse(t *testing.T) {
 	adj := [][]int{{1, 2}, {2}, nil}
-	r := Reverse(adj)
+	r := reverseLists(adj)
 	if len(r[2]) != 2 || len(r[1]) != 1 || len(r[0]) != 0 {
-		t.Errorf("Reverse = %v", r)
+		t.Errorf("reverseLists = %v", r)
 	}
 }
 
@@ -167,7 +179,7 @@ func TestCSRRoundTrip(t *testing.T) {
 }
 
 // ReverseInto carries its arrays from trial to trial, over graphs
-// that grow and shrink, and must still equal the fresh Reverse.
+// that grow and shrink, and must still equal reverseLists.
 func TestCSRReverseMatchesReverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var reused CSR
@@ -182,7 +194,7 @@ func TestCSRReverseMatchesReverse(t *testing.T) {
 				}
 			}
 		}
-		want := Reverse(adj)
+		want := reverseLists(adj)
 		reused, cursor = NewCSR(adj).ReverseInto(reused, cursor)
 		for _, got := range []CSR{NewCSR(adj).Reverse(), reused} {
 			if got.NumNodes() != n {
@@ -193,7 +205,7 @@ func TestCSRReverseMatchesReverse(t *testing.T) {
 				if len(succ) != len(want[v]) {
 					t.Fatalf("reverse Succ(%d) = %v, want %v", v, succ, want[v])
 				}
-				// Reverse (adjacency) emits sources in increasing v order,
+				// reverseLists emits sources in increasing v order,
 				// which is exactly the counting-sort order of CSR.Reverse.
 				for i := range succ {
 					if int(succ[i]) != want[v][i] {

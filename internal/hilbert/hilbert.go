@@ -97,33 +97,15 @@ func (s *System) SumColumnNormInf() int64 {
 	return sum
 }
 
-// Options bounds the completion procedure defensively. The algorithm
-// terminates on its own (Contejean–Devie), but adversarial systems can
-// have huge bases.
-type Options struct {
-	// MaxFrontier caps the number of in-flight candidate vectors.
-	// Zero means 1<<20.
-	MaxFrontier int
-	// MaxBasis caps the basis size. Zero means 1<<16.
-	MaxBasis int
-}
+// The completion procedure is capped defensively: it terminates on its
+// own (Contejean–Devie), but adversarial systems can have huge bases.
+const (
+	maxFrontier = 1 << 20 // in-flight candidate vectors
+	maxBasis    = 1 << 16 // basis size
+)
 
 // ErrBudget is reported when the completion exceeds its caps.
 var ErrBudget = errors.New("hilbert: completion budget exhausted")
-
-func (o Options) maxFrontier() int {
-	if o.MaxFrontier <= 0 {
-		return 1 << 20
-	}
-	return o.MaxFrontier
-}
-
-func (o Options) maxBasis() int {
-	if o.MaxBasis <= 0 {
-		return 1 << 16
-	}
-	return o.MaxBasis
-}
 
 // MinimalSolutions returns the Hilbert basis of A·x = 0: all minimal
 // (componentwise) non-zero solutions. The result is deterministic for a
@@ -133,7 +115,14 @@ func (o Options) maxBasis() int {
 // unit vectors, growing a candidate t by e_j only when the defect A·t
 // and the column A·e_j point in opposite half-spaces
 // (⟨A·t, A·e_j⟩ < 0), pruning candidates dominated by found solutions.
-func (s *System) MinimalSolutions(opts Options) ([][]int64, error) {
+// It fails with ErrBudget past 2^20 candidates in flight or 2^16 basis
+// vectors.
+func (s *System) MinimalSolutions() ([][]int64, error) {
+	return s.minimalSolutions(maxFrontier, maxBasis)
+}
+
+// minimalSolutions is MinimalSolutions under the given caps.
+func (s *System) minimalSolutions(frontierCap, basisCap int) ([][]int64, error) {
 	type cand struct {
 		x []int64
 		v []int64 // A·x, maintained incrementally
@@ -175,7 +164,7 @@ func (s *System) MinimalSolutions(opts Options) ([][]int64, error) {
 			if isZero(c.v) {
 				if !dominatedByBasis(c.x) {
 					basis = append(basis, c.x)
-					if len(basis) > opts.maxBasis() {
+					if len(basis) > basisCap {
 						return nil, fmt.Errorf("minimal solutions: %w", ErrBudget)
 					}
 				}
@@ -204,7 +193,7 @@ func (s *System) MinimalSolutions(opts Options) ([][]int64, error) {
 				}
 				next = append(next, cand{x: nx, v: nv})
 			}
-			if len(next) > opts.maxFrontier() {
+			if len(next) > frontierCap {
 				return nil, fmt.Errorf("minimal solutions: %w", ErrBudget)
 			}
 		}

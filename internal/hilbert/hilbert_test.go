@@ -48,7 +48,7 @@ func TestEvalAndIsSolution(t *testing.T) {
 func TestMinimalSolutionsSimpleEquality(t *testing.T) {
 	// x = y: Hilbert basis is {(1,1)}.
 	s := mustSystem(t, [][]int64{{1, -1}})
-	basis, err := s.MinimalSolutions(Options{})
+	basis, err := s.MinimalSolutions()
 	if err != nil {
 		t.Fatalf("MinimalSolutions: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestMinimalSolutionsSimpleEquality(t *testing.T) {
 func TestMinimalSolutionsWeighted(t *testing.T) {
 	// 2x = 3y: minimal solution (3,2).
 	s := mustSystem(t, [][]int64{{2, -3}})
-	basis, err := s.MinimalSolutions(Options{})
+	basis, err := s.MinimalSolutions()
 	if err != nil {
 		t.Fatalf("MinimalSolutions: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestMinimalSolutionsWeighted(t *testing.T) {
 func TestMinimalSolutionsThreeVars(t *testing.T) {
 	// x + y = 2z: minimal solutions (2,0,1), (0,2,1), (1,1,1).
 	s := mustSystem(t, [][]int64{{1, 1, -2}})
-	basis, err := s.MinimalSolutions(Options{})
+	basis, err := s.MinimalSolutions()
 	if err != nil {
 		t.Fatalf("MinimalSolutions: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestMinimalSolutionsThreeVars(t *testing.T) {
 func TestMinimalSolutionsNoSolution(t *testing.T) {
 	// x + y = 0 over ℕ forces x=y=0: empty basis.
 	s := mustSystem(t, [][]int64{{1, 1}})
-	basis, err := s.MinimalSolutions(Options{})
+	basis, err := s.MinimalSolutions()
 	if err != nil {
 		t.Fatalf("MinimalSolutions: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestMinimalSolutionsNoSolution(t *testing.T) {
 func TestMinimalSolutionsTwoEquations(t *testing.T) {
 	// x = y and y = z: basis {(1,1,1)}.
 	s := mustSystem(t, [][]int64{{1, -1, 0}, {0, 1, -1}})
-	basis, err := s.MinimalSolutions(Options{})
+	basis, err := s.MinimalSolutions()
 	if err != nil {
 		t.Fatalf("MinimalSolutions: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestMinimalSolutionsRandomProperties(t *testing.T) {
 			}
 		}
 		s := mustSystem(t, a)
-		basis, err := s.MinimalSolutions(Options{})
+		basis, err := s.MinimalSolutions()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -168,7 +168,7 @@ func TestMinimalSolutionsBruteForce(t *testing.T) {
 	const box = 6
 	for si, rows := range systems {
 		s := mustSystem(t, rows)
-		basis, err := s.MinimalSolutions(Options{})
+		basis, err := s.MinimalSolutions()
 		if err != nil {
 			t.Fatalf("system %d: %v", si, err)
 		}
@@ -221,7 +221,7 @@ func TestMinimalSolutionsBruteForce(t *testing.T) {
 
 func TestDecompose(t *testing.T) {
 	s := mustSystem(t, [][]int64{{1, 1, -2}})
-	basis, err := s.MinimalSolutions(Options{})
+	basis, err := s.MinimalSolutions()
 	if err != nil {
 		t.Fatalf("MinimalSolutions: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestDecompose(t *testing.T) {
 
 func TestDecomposeRandom(t *testing.T) {
 	s := mustSystem(t, [][]int64{{2, -1, -1}})
-	basis, err := s.MinimalSolutions(Options{})
+	basis, err := s.MinimalSolutions()
 	if err != nil {
 		t.Fatalf("MinimalSolutions: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestDecomposeRandom(t *testing.T) {
 
 func TestBudget(t *testing.T) {
 	s := mustSystem(t, [][]int64{{5, -7, 3, -2}})
-	if _, err := s.MinimalSolutions(Options{MaxFrontier: 2}); err == nil {
+	if _, err := s.minimalSolutions(2, maxBasis); err == nil {
 		t.Error("tiny frontier budget not reported")
 	}
 }

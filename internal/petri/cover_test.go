@@ -197,3 +197,9 @@ func TestExtMarkingOrder(t *testing.T) {
 		t.Error("clone order/equality failed")
 	}
 }
+
+func (m ExtMarking) clone() ExtMarking {
+	out := make(ExtMarking, len(m))
+	copy(out, m)
+	return out
+}

@@ -16,7 +16,7 @@ import (
 // The computation solves the homogeneous system C^T·y = 0 over ℕ with
 // the Contejean–Devie procedure; the result is the minimal (Hilbert)
 // generating set.
-func (n *Net) PInvariants(opts hilbert.Options) ([][]int64, error) {
+func (n *Net) PInvariants() ([][]int64, error) {
 	if n.Len() == 0 {
 		return nil, fmt.Errorf("petri: no transitions to constrain invariants")
 	}
@@ -28,7 +28,7 @@ func (n *Net) PInvariants(opts hilbert.Options) ([][]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sys.MinimalSolutions(opts)
+	return sys.MinimalSolutions()
 }
 
 // HasUniformInvariant reports whether the all-ones vector is a

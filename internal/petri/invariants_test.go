@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/conf"
-	"repro/internal/hilbert"
 )
 
 func TestPInvariantsChain(t *testing.T) {
 	// a -> b -> c is conservative: the all-ones vector must generate.
 	n := chainNet(t)
-	inv, err := n.PInvariants(hilbert.Options{})
+	inv, err := n.PInvariants()
 	if err != nil {
 		t.Fatalf("PInvariants: %v", err)
 	}
@@ -48,7 +47,7 @@ func TestPInvariantsPump(t *testing.T) {
 	if n.HasUniformInvariant() {
 		t.Error("pumping net reported conservative")
 	}
-	inv, err := n.PInvariants(hilbert.Options{})
+	inv, err := n.PInvariants()
 	if err != nil {
 		t.Fatalf("PInvariants: %v", err)
 	}
@@ -71,7 +70,7 @@ func TestPInvariantsPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	inv, err := n.PInvariants(hilbert.Options{})
+	inv, err := n.PInvariants()
 	if err != nil {
 		t.Fatalf("PInvariants: %v", err)
 	}
@@ -100,7 +99,7 @@ func TestPInvariantsNoTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := n.PInvariants(hilbert.Options{}); err == nil {
+	if _, err := n.PInvariants(); err == nil {
 		t.Error("invariants of an empty net accepted")
 	}
 }

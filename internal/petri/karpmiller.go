@@ -69,12 +69,6 @@ func (m ExtMarking) OmegaPlaces() []int {
 	return out
 }
 
-func (m ExtMarking) clone() ExtMarking {
-	out := make(ExtMarking, len(m))
-	copy(out, m)
-	return out
-}
-
 // extFireInto attempts to fire transition ti on the src extended
 // marking into the dst scratch buffer (ω absorbs all arithmetic),
 // reporting enabledness. It is the ω-aware sibling of Index.FireInto:

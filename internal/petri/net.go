@@ -116,17 +116,6 @@ func (n *Net) Restrict(q *conf.Space) (*Net, error) {
 	return New(q, out)
 }
 
-// Enabled returns the indices of transitions enabled at c.
-func (n *Net) Enabled(c conf.Config) []int {
-	var out []int
-	for i, t := range n.trans {
-		if t.Enabled(c) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // FireWord fires the word of transition indices from c, returning the
 // final configuration. It fails if any step is disabled.
 func (n *Net) FireWord(c conf.Config, word []int) (conf.Config, error) {

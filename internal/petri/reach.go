@@ -356,21 +356,6 @@ func (rs *ReachSet) Config(id int) conf.Config {
 	return conf.View(rs.net.space, rs.set.At(id))
 }
 
-// ID returns the node id of a configuration, if present.
-func (rs *ReachSet) ID(c conf.Config) (int, bool) {
-	counts := c.RawCounts()
-	if len(counts) != rs.set.Width() {
-		return 0, false
-	}
-	return rs.set.Lookup(counts)
-}
-
-// Contains reports whether the configuration is in the closure.
-func (rs *ReachSet) Contains(c conf.Config) bool {
-	_, ok := rs.ID(c)
-	return ok
-}
-
 // NumEdges returns the number of explored edges.
 func (rs *ReachSet) NumEdges() int { return len(rs.edgeTo) }
 

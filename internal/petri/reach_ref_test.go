@@ -458,7 +458,7 @@ func TestReachReusingMatchesReach(t *testing.T) {
 		if err := closureDiff(got, want); err != nil {
 			t.Fatalf("%s: %v, against fresh Reach", s.name, err)
 		}
-		if id, ok := got.ID(s.from); !ok || id != 0 {
+		if id, ok := petri.NodeID(got, s.from); !ok || id != 0 {
 			t.Fatalf("%s: root lookup = (%d, %v), want (0, true)", s.name, id, ok)
 		}
 		assertEqualToReference(t, got, gotErr, referenceReach(s.net, s.from, s.budget))

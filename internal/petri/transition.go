@@ -74,11 +74,6 @@ func (t Transition) Conservative() bool {
 	return t.Pre.Agents() == t.Post.Agents()
 }
 
-// Enabled reports whether t can fire from c, i.e. Pre ≤ c.
-func (t Transition) Enabled(c conf.Config) bool {
-	return t.Pre.Leq(c)
-}
-
 // Fire returns the configuration reached by firing t from c, and ok
 // reporting whether t was enabled.
 func (t Transition) Fire(c conf.Config) (conf.Config, bool) {

@@ -133,7 +133,8 @@ func checkProtocolSize(q *key.Query) error {
 // cost-model units. Bounds queries are closed-form arithmetic: one
 // token. Verify is bounded by its configuration budget. Simulation
 // reuses the shard dispatcher's per-scheduler cost model over the
-// population size, times trials.
+// population size, times trials. Every estimate saturates at
+// math.MaxInt64, so a query too large to price is over capacity.
 func queryCost(q *key.Query) int64 {
 	switch q.Kind {
 	case key.KindBounds:
@@ -143,7 +144,11 @@ func queryCost(q *key.Query) int64 {
 	case key.KindSimulate:
 		p := q.Simulate
 		model := shard.DefaultCost(p.Scheduler)
-		per := model.TrialCost(p.X + p.Y)
+		n := p.X + p.Y
+		if n < p.X { // X, Y ≥ 0 after normalization: the sum wrapped
+			n = math.MaxInt64
+		}
+		per := model.TrialCost(n)
 		if per <= 0 {
 			per = 1
 		}

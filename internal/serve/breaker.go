@@ -11,19 +11,17 @@ import (
 // time, an input tickling an engine bug — would otherwise re-burn a
 // full compute (and its admission tokens) on every retry, because
 // errors are deliberately never persisted in the store. After
-// `threshold` consecutive failures the key's circuit opens for `ttl`:
-// requests for it are refused immediately with 503 + Retry-After and
-// the last failure's reason, costing nothing. When the TTL expires
-// the circuit half-opens — exactly one request is let through as the
-// probe; its success resets the key, one more failure re-opens the
-// circuit for a fresh TTL.
+// breakerThreshold consecutive failures the key's circuit opens for
+// breakerTTL: requests for it are refused immediately with 503 +
+// Retry-After and the last failure's reason, costing nothing. When the
+// TTL expires the circuit half-opens — exactly one request is let
+// through as the probe; its success resets the key, one more failure
+// re-opens the circuit for a fresh TTL.
 //
 // Client disconnects never count as failures: a gone client says
 // nothing about the query.
 type breaker struct {
-	threshold int
-	ttl       time.Duration
-	now       func() time.Time
+	now func() time.Time
 
 	mu      sync.Mutex
 	entries map[string]*breakerEntry
@@ -39,14 +37,15 @@ type breakerEntry struct {
 	lastErr string
 }
 
-func newBreaker(threshold int, ttl time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	return &breaker{threshold: threshold, ttl: ttl, now: time.Now, entries: map[string]*breakerEntry{}}
+// breakerThreshold consecutive failures of one key open its circuit
+// for breakerTTL.
+const (
+	breakerThreshold = 3
+	breakerTTL       = 30 * time.Second
+)
+
+func newBreaker() *breaker {
+	return &breaker{now: time.Now, entries: map[string]*breakerEntry{}}
 }
 
 // check reports whether sha's circuit is open right now; when open,
@@ -67,7 +66,7 @@ func (b *breaker) check(sha string) (open bool, remaining time.Duration, lastErr
 	}
 	// Half-open: this request probes; one more failure re-opens.
 	e.until = time.Time{}
-	e.fails = b.threshold - 1
+	e.fails = breakerThreshold - 1
 	return false, 0, ""
 }
 
@@ -84,8 +83,8 @@ func (b *breaker) failure(sha string, errMsg string) {
 	}
 	e.fails++
 	e.lastErr = errMsg
-	if e.fails >= b.threshold && e.until.IsZero() {
-		e.until = b.now().Add(b.ttl)
+	if e.fails >= breakerThreshold && e.until.IsZero() {
+		e.until = b.now().Add(breakerTTL)
 		b.tripped++
 	}
 }
@@ -106,7 +105,7 @@ func (b *breaker) pruneLocked() {
 	}
 	now := b.now()
 	for sha, e := range b.entries {
-		if !e.until.IsZero() && now.After(e.until.Add(b.ttl)) {
+		if !e.until.IsZero() && now.After(e.until.Add(breakerTTL)) {
 			delete(b.entries, sha)
 		}
 	}

@@ -116,7 +116,7 @@ func TestDeadlineTimesOutAdmissionWait(t *testing.T) {
 // without recomputing; after the TTL one probe is let through, and its
 // failure re-opens the circuit.
 func TestBreakerOpensRefusesAndHalfOpens(t *testing.T) {
-	s, err := New(Config{StoreDir: t.TempDir(), Workers: 2, BreakerThreshold: 3, BreakerTTL: 30 * time.Second})
+	s, err := New(Config{StoreDir: t.TempDir(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestReadyzTracksDegradationAndSelfHeal(t *testing.T) {
 
 	// The fault was one-shot: the probe heals the store on its own.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Store().Degraded() {
+	for s.store.Degraded() {
 		if time.Now().After(deadline) {
 			t.Fatal("store never healed")
 		}
@@ -247,7 +247,7 @@ func TestReadyzTracksDegradationAndSelfHeal(t *testing.T) {
 	if rec := get(t, h, "/readyz", nil); rec.Code != http.StatusOK {
 		t.Fatalf("/readyz after heal: %d %s", rec.Code, rec.Body.String())
 	}
-	if c := s.Store().Counters(); c.Healed != 1 {
+	if c := s.store.Counters(); c.Healed != 1 {
 		t.Errorf("healed = %d, want 1", c.Healed)
 	}
 	// Persisting resumed: the same query recomputes once more (it was
@@ -404,7 +404,7 @@ func TestServePathChaos(t *testing.T) {
 
 			// Let the store heal if the storm degraded it.
 			deadline := time.Now().Add(10 * time.Second)
-			for s.Store().Degraded() {
+			for s.store.Degraded() {
 				if time.Now().After(deadline) {
 					t.Fatal("store never healed after the storm")
 				}

@@ -92,11 +92,6 @@ type Config struct {
 	// StoreMaxBytes bounds the result store's on-disk footprint with
 	// LRU eviction (0 = unbounded).
 	StoreMaxBytes int64
-	// BreakerThreshold consecutive compute failures for one key open
-	// its circuit for BreakerTTL: the query is refused with the cached
-	// failure instead of recomputed (0 = 3 failures, 30s).
-	BreakerThreshold int
-	BreakerTTL       time.Duration
 	// StoreProbeBase is the degraded store's first self-heal probe
 	// delay, doubling to 30s (0 = 250ms); chaos tests shrink it.
 	StoreProbeBase time.Duration
@@ -131,7 +126,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		store:    st,
 		admit:    newAdmitter(cfg.AdmitCapacity),
-		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerTTL),
+		breaker:  newBreaker(),
 		jobs:     newJobTable(cfg.JobWindow),
 		identity: hostmeta.CollectProcess(),
 		workers:  cfg.Workers,
@@ -144,15 +139,17 @@ func New(cfg Config) (*Server, error) {
 // cost when no explicit Config.Deadline is set: a floor for cheap
 // queries plus a cost-proportional term, capped — the same unit
 // admission reasons in, so "expensive" buys time as well as tokens.
+// The cap applies before the multiplication, which would overflow
+// above a cost of about 1.5·10¹⁴ and hand a query an expired deadline.
 func (s *Server) deadlineFor(cost int64) time.Duration {
 	if s.deadline > 0 {
 		return s.deadline
 	}
-	d := 5*time.Second + time.Duration(cost/(1<<14))*time.Second
-	if d > 2*time.Minute {
-		d = 2 * time.Minute
+	const floor, ceiling = 5 * time.Second, 2 * time.Minute
+	if secs := cost / (1 << 14); secs < int64((ceiling-floor)/time.Second) {
+		return floor + time.Duration(secs)*time.Second
 	}
-	return d
+	return ceiling
 }
 
 // retryAfter derives a Retry-After hint (seconds) from the admission
@@ -165,9 +162,6 @@ func (s *Server) retryAfter() int {
 	}
 	return int(1 + 29*(capacity-avail)/capacity)
 }
-
-// Store exposes the result store (for the replay client and tests).
-func (s *Server) Store() *store.Store { return s.store }
 
 // Handler builds the daemon's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -416,8 +410,7 @@ func (s *Server) run(r *http.Request, q *key.Query, out reply, compute func(cont
 			timeout(fmt.Errorf("serve: admission wait exceeded the request deadline: %w", err))
 			return
 		}
-		s.metrics.failures.Add(1)
-		out.fail(http.StatusTooManyRequests, 0, err)
+		fail(http.StatusTooManyRequests, err)
 		return
 	}
 	defer s.admit.release(cost)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -144,7 +145,8 @@ func TestJobEndpoint(t *testing.T) {
 // Client errors never consume tokens or reach the engines: unknown
 // members, malformed parameter combinations, and unknown protocols
 // are all 400s, and a query costing more than the whole bucket is
-// rejected with 429.
+// rejected with 429, however large its price: pricing saturates, and
+// the deadline priced from it never expires before admission.
 func TestRequestRejections(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
@@ -160,7 +162,12 @@ func TestRequestRejections(t *testing.T) {
 		{"/v1/bounds", `{"op":"rackoff","kmax":3}`, http.StatusBadRequest},
 		// Cost = trials × per-trial cost: astronomically over capacity.
 		{"/v1/simulate", `{"spec":{"protocol":"flock","param":4},"x":1000000000,"trials":1000000}`, http.StatusTooManyRequests},
+		// A population of 2⁶³−1 agents: x + y must not wrap to a price
+		// of one token, nor the price to an expired deadline.
+		{"/v1/simulate", `{"spec":{"protocol":"majority","param":0},"x":9223372036854775807,"y":0}`, http.StatusTooManyRequests},
+		{"/v1/simulate", `{"spec":{"protocol":"majority","param":0},"x":9223372036854775807,"y":1}`, http.StatusTooManyRequests},
 	}
+	overCapacity := 0
 	for _, c := range bad {
 		rec, doc := post(t, h, c.path, c.body)
 		if rec.Code != c.code {
@@ -169,17 +176,61 @@ func TestRequestRejections(t *testing.T) {
 		if doc["error"] == nil {
 			t.Errorf("%s %s: no error member in %s", c.path, c.body, rec.Body.String())
 		}
+		if c.code == http.StatusTooManyRequests {
+			overCapacity++
+		}
 	}
 	var m MetricsSnapshot
 	get(t, h, "/metrics", &m)
 	if m.Failures != int64(len(bad)) {
 		t.Errorf("failures = %d, want %d", m.Failures, len(bad))
 	}
-	if m.Admission.Rejected != 1 {
-		t.Errorf("admission rejections = %d, want 1", m.Admission.Rejected)
+	if m.Admission.Rejected != int64(overCapacity) || m.Timeouts != 0 {
+		t.Errorf("admission rejections = %d, timeouts = %d, want %d and 0", m.Admission.Rejected, m.Timeouts, overCapacity)
 	}
 	if m.Admission.Available != m.Admission.Capacity {
 		t.Errorf("rejected requests leaked tokens: %d of %d available", m.Admission.Available, m.Admission.Capacity)
+	}
+}
+
+// A query refused at admission ends its job: the job record reads
+// failed with the reason, and the failure is counted once.
+func TestAdmissionRejectionFailsJob(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), Workers: 1, AdmitCapacity: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	// 600 agents under the linear cost model: 600 tokens, over 10.
+	rec, _ := post(t, h, "/v1/simulate", `{"spec":{"protocol":"flock","param":4},"x":600}`)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-capacity simulate: %d %s", rec.Code, rec.Body.String())
+	}
+	var v JobView
+	if rec := get(t, h, "/v1/jobs/j00000001", &v); rec.Code != http.StatusOK {
+		t.Fatalf("job lookup: %d", rec.Code)
+	}
+	if v.State != "failed" || !strings.Contains(v.Error, "exceeds admission capacity") {
+		t.Errorf("rejected job = %+v, want failed with the admission reason", v)
+	}
+	var m MetricsSnapshot
+	get(t, h, "/metrics", &m)
+	if m.Jobs["failed"] != 1 || m.Jobs["admitted"] != 0 {
+		t.Errorf("jobs = %v, want one failed and none admitted", m.Jobs)
+	}
+	if m.Failures != 1 || m.Admission.Rejected != 1 {
+		t.Errorf("failures = %d, rejected = %d, want 1 and 1", m.Failures, m.Admission.Rejected)
+	}
+}
+
+// Every cost gets a deadline between the floor and the cap, however
+// large: the cap applies before the cost is turned into a duration.
+func TestHugeCostGetsCappedDeadline(t *testing.T) {
+	s := testServer(t)
+	for _, cost := range []int64{0, 1 << 14, 114 << 14, 115 << 14, 1 << 50, math.MaxInt64} {
+		if d := s.deadlineFor(cost); d < 5*time.Second || d > 2*time.Minute {
+			t.Errorf("deadlineFor(%d) = %v, want within [5s, 2m]", cost, d)
+		}
 	}
 }
 

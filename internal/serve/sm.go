@@ -136,9 +136,6 @@ func (m *SM) check(s JobState) error {
 // State returns the current state.
 func (m *SM) State() JobState { return m.state }
 
-// Done reports whether the SM is in a terminal state.
-func (m *SM) Done() bool { return jobSMConf[m.state].flags&smFinal != 0 }
-
 // To transitions to next, failing loudly if the allowed-transition
 // table forbids the edge or the invariant rejects the destination.
 // A failed transition leaves the state unchanged.

@@ -115,7 +115,7 @@ func TestSMWalksEveryLegalPath(t *testing.T) {
 			}
 			names = append(names, next.String())
 		}
-		if !m.Done() {
+		if jobSMConf[m.State()].flags&smFinal == 0 {
 			t.Fatalf("path %v ended non-terminal", p)
 		}
 		got = append(got, strings.Join(names, "->"))

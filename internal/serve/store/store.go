@@ -138,10 +138,10 @@ type Options struct {
 	// accessed artifacts are evicted (in-flight and just-published
 	// artifacts excepted).
 	MaxBytes int64
-	// RetryAttempts and RetryBase shape the transient-I/O retry policy
-	// (0 = the faultfs defaults: 5 attempts from 20ms).
-	RetryAttempts int
-	RetryBase     time.Duration
+	// RetryBase is the first transient-I/O retry backoff (0 = the
+	// faultfs default, 20ms); every operation gets the faultfs default
+	// of 5 attempts.
+	RetryBase time.Duration
 	// ProbeBase is the first self-heal probe delay after the store
 	// degrades, doubling up to 30s (0 = 250ms).
 	ProbeBase time.Duration
@@ -216,10 +216,9 @@ func Open(dir string, opts Options) (*Store, error) {
 // concurrency-safe) and the absorbed-error counter wired in.
 func (s *Store) retrier() *faultfs.Retrier {
 	return &faultfs.Retrier{
-		Attempts: s.opts.RetryAttempts,
-		Base:     s.opts.RetryBase,
-		Seed:     s.retrySeq.Add(0x9e3779b97f4a7c15),
-		Count:    &s.ioRetries,
+		Base:  s.opts.RetryBase,
+		Seed:  s.retrySeq.Add(0x9e3779b97f4a7c15),
+		Count: &s.ioRetries,
 	}
 }
 

@@ -104,7 +104,7 @@ func TestSweepStreamColdThenWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := s.Store().Get(context.Background(), k)
+	art, err := s.store.Get(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSweepConcurrentWarmRepliesShareResult(t *testing.T) {
 			t.Fatalf("warm request %d: body %q, want the terminal line %q", i, rec.Body.Bytes(), want)
 		}
 	}
-	if s.Store().Counters().Dedups == 0 {
+	if s.store.Counters().Dedups == 0 {
 		t.Fatal("no warm request joined another's flight; the test did not exercise a shared artifact")
 	}
 }

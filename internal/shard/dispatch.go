@@ -109,10 +109,6 @@ type DispatchOptions struct {
 	// skip is an optimization only — MergePartial truncates at the same
 	// canonical boundary either way.
 	Stop sim.StopRule
-	// Sink, when non-nil, receives every cell this process contributes
-	// (loaded or computed) the moment it lands, for streaming
-	// consumers.
-	Sink sim.CellSink
 }
 
 func (o DispatchOptions) withDefaults() DispatchOptions {
@@ -494,7 +490,7 @@ func (d *dispatcher) runShard(ctx context.Context, shardID string, lease Lease) 
 		defer wg.Done()
 		d.heartbeat(shardCtx, stop, shardID, lease, cancel)
 	}()
-	art, err := runResumable(shardCtx, d.m, shardID, d.opts.Workers, PartialsDir(d.opts.Dir), d.opts.FailAfterCells, d.env, d.opts.Stop, d.opts.Sink)
+	art, err := runResumable(shardCtx, d.m, shardID, d.opts.Workers, PartialsDir(d.opts.Dir), d.opts.FailAfterCells, d.env, d.opts.Stop, nil)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -604,12 +600,6 @@ func (d *dispatcher) linkNew(ctx context.Context, path string, lease *Lease) (cr
 		return false, err
 	}
 	return created, nil
-}
-
-// fileExists is a test/CLI convenience over the real filesystem.
-func fileExists(path string) bool {
-	_, err := faultfs.OS().Stat(path)
-	return err == nil
 }
 
 func newToken() string {

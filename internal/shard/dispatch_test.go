@@ -279,3 +279,9 @@ func TestDispatchCancelled(t *testing.T) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
 }
+
+// fileExists reports whether path exists on the real filesystem.
+func fileExists(path string) bool {
+	_, err := faultfs.OS().Stat(path)
+	return err == nil
+}

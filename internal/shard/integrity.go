@@ -65,15 +65,6 @@ type Counters struct {
 	CellsStopped int `json:"cells_stopped,omitempty"`
 }
 
-func (c *Counters) add(o Counters) {
-	c.Steals += o.Steals
-	c.Retries += o.Retries
-	c.Quarantined += o.Quarantined
-	c.CellsLoaded += o.CellsLoaded
-	c.CellsComputed += o.CellsComputed
-	c.CellsStopped += o.CellsStopped
-}
-
 // String renders the counters the way ppsweep prints them on exit.
 func (c Counters) String() string {
 	s := fmt.Sprintf("steals %d, transient retries %d, quarantined %d, cells %d computed / %d resumed",

@@ -33,10 +33,6 @@ type AnytimePoint struct {
 	Stopped bool `json:"stopped,omitempty"`
 }
 
-// Complete reports whether the point needs no further trials: every
-// planned trial folded, or the stop rule fired.
-func (pt *AnytimePoint) Complete() bool { return pt.TrialsPlanned == 0 || pt.Stopped }
-
 // AnytimeMerged is the prefix-valid merge document: a Merged that
 // additionally says how much of each point is in. With every cell
 // present and no stop rule, it marshals byte-identically to Merged —

@@ -21,6 +21,16 @@ func stopSpec() SweepSpec {
 
 func stopRule() sim.StopRule { return sim.StopRule{TargetRelCI: 0.05, MinTrials: 8} }
 
+// add folds o into c, field by field.
+func (c *Counters) add(o Counters) {
+	c.Steals += o.Steals
+	c.Retries += o.Retries
+	c.Quarantined += o.Quarantined
+	c.CellsLoaded += o.CellsLoaded
+	c.CellsComputed += o.CellsComputed
+	c.CellsStopped += o.CellsStopped
+}
+
 // mergeStopped executes every shard of a manifest through the
 // stop-aware resumable runner (shared partials dir, shard order) and
 // merges the queue directory under the rule, returning the marshaled
@@ -160,7 +170,7 @@ func TestStopSavesTrialsAndMeetsTarget(t *testing.T) {
 
 // A shard dispatched with a Stop rule skips converged cells and its
 // queue directory merges to the same document as the in-process
-// runner's; the streaming sink observes every contributed cell.
+// runner's, whose streaming sink observes every contributed cell.
 func TestDispatchStopAndSink(t *testing.T) {
 	sw := stopSpec()
 	rule := stopRule()
@@ -171,14 +181,7 @@ func TestDispatchStopAndSink(t *testing.T) {
 	want, _ := mergeStopped(t, m, 0, rule)
 
 	dir := t.TempDir()
-	var streamed []Cell
-	res, err := Dispatch(context.Background(), m, DispatchOptions{
-		Dir:  dir,
-		Stop: rule,
-		Sink: func(x int64, trialLo, trialHi int, stats sim.Stats) {
-			streamed = append(streamed, Cell{X: x, TrialLo: trialLo, TrialHi: trialHi})
-		},
-	})
+	res, err := Dispatch(context.Background(), m, DispatchOptions{Dir: dir, Stop: rule})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,21 +207,28 @@ func TestDispatchStopAndSink(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("dispatched stopped merge differs from in-process runner's:\n%s\nvs\n%s", got, want)
 	}
-	// The sink saw exactly the cells the artifacts carry.
-	seen := make(map[Cell]bool, len(streamed))
-	for _, c := range streamed {
-		seen[c] = true
-	}
-	contributed := 0
-	for _, a := range arts {
+	// The in-process runner's sink sees exactly the cells each shard's
+	// artifact carries.
+	for _, spec := range m.Shards {
+		var streamed []Cell
+		a, _, err := RunResumableStop(context.Background(), m, spec.ID, 0, t.TempDir(), rule,
+			func(x int64, trialLo, trialHi int, stats sim.Stats) {
+				streamed = append(streamed, Cell{X: x, TrialLo: trialLo, TrialHi: trialHi})
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[Cell]bool, len(streamed))
+		for _, c := range streamed {
+			seen[c] = true
+		}
 		for _, pt := range a.Points {
-			contributed++
 			if !seen[Cell{X: pt.X, TrialLo: pt.TrialLo, TrialHi: pt.TrialHi}] {
-				t.Errorf("cell x=%d [%d,%d) in artifact but never streamed", pt.X, pt.TrialLo, pt.TrialHi)
+				t.Errorf("%s: cell x=%d [%d,%d) in artifact but never streamed", spec.ID, pt.X, pt.TrialLo, pt.TrialHi)
 			}
 		}
-	}
-	if len(streamed) != contributed {
-		t.Errorf("sink fired %d times, artifacts carry %d cells", len(streamed), contributed)
+		if len(streamed) != len(a.Points) {
+			t.Errorf("%s: sink fired %d times, artifact carries %d cells", spec.ID, len(streamed), len(a.Points))
+		}
 	}
 }

@@ -138,9 +138,6 @@ func NewState(p *core.Protocol) *State {
 	return st
 }
 
-// Protocol returns the protocol the state simulates.
-func (st *State) Protocol() *core.Protocol { return st.p }
-
 // Reset loads ρ_L + input as the current configuration and recomputes
 // every derived structure. It reuses the state's storage.
 func (st *State) Reset(input conf.Config) error {
