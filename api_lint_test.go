@@ -51,6 +51,7 @@ var apiKept = map[string]string{
 	// Test seams: settings no deployment needs, which tests set to
 	// inject faults or shrink waits.
 	"serve.Config.StoreProbeBase": "chaos tests shrink the degraded store's first self-heal probe delay",
+	"store.Options.ProbeBase":     "chaos tests shrink it through serve.Config.StoreProbeBase, which serve.New forwards",
 	"store.Options.RetryBase":     "the store chaos test shrinks the transient-retry backoff",
 	"store.GCOptions.FS":          "the faultfs quarantine test runs gc over a fault-injecting filesystem",
 }
@@ -65,7 +66,10 @@ var apiKept = map[string]string{
 //     fmt.Stringer that has the method;
 //   - an exported field of an exported *Options or *Config struct that
 //     no shipped code writes: a keyed or positional composite literal,
-//     an assignment, ++/-- or &field.
+//     an assignment, ++/-- or &field. A write whose value reads fields
+//     of *Options or *Config structs forwards them, and counts only
+//     once shipped code sets one of them: serve.New copying an unset
+//     Config field into store.Options sets nothing.
 //
 // The list is compared with apiKept: a new unused export fails with its
 // name, and so does a stale entry. Uses are resolved to their objects,
@@ -73,7 +77,23 @@ var apiKept = map[string]string{
 func TestExportedAPIHasCallers(t *testing.T) {
 	prog := loadShipped(t)
 
-	used := map[types.Object]bool{}
+	options := map[types.Object]bool{} // fields of *Options/*Config structs
+	for _, p := range prog.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if !optionsType(name) {
+				continue
+			}
+			if st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					options[st.Field(i)] = true
+				}
+			}
+		}
+	}
+
+	m := &uses{used: map[types.Object]bool{}, options: options, forwards: map[types.Object][]types.Object{}}
+	used := m.used
 	var ifaces []*types.Interface
 	for _, p := range prog.pkgs {
 		for _, f := range p.files {
@@ -82,7 +102,7 @@ func TestExportedAPIHasCallers(t *testing.T) {
 				if fn, ok := d.(*ast.FuncDecl); ok {
 					self = p.info.Defs[fn.Name]
 				}
-				markUses(p.info, d, self, used)
+				m.mark(p.info, d, self)
 			}
 		}
 		scope := p.types.Scope()
@@ -90,6 +110,16 @@ func TestExportedAPIHasCallers(t *testing.T) {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
 				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for src, dsts := range m.forwards {
+			for _, dst := range dsts {
+				if used[src] && !used[dst] {
+					used[dst], changed = true, true
 				}
 			}
 		}
@@ -130,7 +160,7 @@ func TestExportedAPIHasCallers(t *testing.T) {
 					}
 				}
 				st, ok := named.Underlying().(*types.Struct)
-				if !ok || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				if !ok || !optionsType(name) {
 					continue
 				}
 				for i := 0; i < st.NumFields(); i++ {
@@ -163,13 +193,48 @@ func TestExportedAPIHasCallers(t *testing.T) {
 	}
 }
 
-// markUses records in used every func and method node refers to, except
-// self (a recursive call is no caller), and every struct field it writes.
-func markUses(info *types.Info, node ast.Node, self types.Object, used map[types.Object]bool) {
-	write := func(e ast.Expr) {
+// optionsType reports whether a struct type named name holds settings
+// whose fields the lint counts.
+func optionsType(name string) bool {
+	return strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")
+}
+
+// uses collects what shipped code calls and sets.
+type uses struct {
+	used     map[types.Object]bool
+	options  map[types.Object]bool           // fields of *Options/*Config structs
+	forwards map[types.Object][]types.Object // options field → fields written from it
+}
+
+// mark records in used every func and method node refers to, except
+// self (a recursive call is no caller), and every struct field it
+// writes. A write whose value reads options fields is recorded in
+// forwards instead, to count once one of them is set.
+func (m *uses) mark(info *types.Info, node ast.Node, self types.Object) {
+	write := func(field types.Object, value ast.Expr) {
+		field = field.(*types.Var).Origin()
+		var srcs []types.Object
+		if value != nil {
+			ast.Inspect(value, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if v, ok := info.Uses[sel.Sel].(*types.Var); ok && m.options[v.Origin()] {
+						srcs = append(srcs, v.Origin())
+					}
+				}
+				return true
+			})
+		}
+		if len(srcs) == 0 {
+			m.used[field] = true
+		}
+		for _, src := range srcs {
+			m.forwards[src] = append(m.forwards[src], field)
+		}
+	}
+	writeTo := func(e, value ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-				used[v.Origin()] = true
+				write(v, value)
 			}
 		}
 	}
@@ -177,7 +242,7 @@ func markUses(info *types.Info, node ast.Node, self types.Object, used map[types
 		switch n := n.(type) {
 		case *ast.Ident:
 			if fn, ok := info.Uses[n].(*types.Func); ok && fn != self {
-				used[fn.Origin()] = true
+				m.used[fn.Origin()] = true
 			}
 		case *ast.CompositeLit:
 			typ := info.TypeOf(n)
@@ -191,21 +256,25 @@ func markUses(info *types.Info, node ast.Node, self types.Object, used map[types
 			for i, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-						used[v.Origin()] = true
+						write(v, kv.Value)
 					}
 				} else {
-					used[st.Field(i).Origin()] = true
+					write(st.Field(i), elt)
 				}
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				write(lhs)
+			for i, lhs := range n.Lhs {
+				var value ast.Expr
+				if len(n.Rhs) == len(n.Lhs) {
+					value = n.Rhs[i]
+				}
+				writeTo(lhs, value)
 			}
 		case *ast.IncDecStmt:
-			write(n.X)
+			writeTo(n.X, nil)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				write(n.X)
+				writeTo(n.X, nil)
 			}
 		}
 		return true

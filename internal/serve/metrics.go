@@ -98,9 +98,7 @@ func (m *metrics) snapshot(st *store.Store, adm *admitter, brk *breaker, jobs *j
 
 	out.Store.Root = st.Root()
 	out.Store.Degraded = st.Degraded()
-	if stats, err := st.Size(); err == nil {
-		out.Store.Stats = stats
-	}
+	out.Store.Stats = st.Size()
 
 	out.Phases = map[string]PhaseStats{}
 	for i := 0; i < numPhases; i++ {

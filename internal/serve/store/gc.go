@@ -2,10 +2,10 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -45,13 +45,15 @@ type GCReport struct {
 	JournalLines int `json:"journal_lines"`
 }
 
-// GC runs one offline collection pass over the store at dir: every
-// artifact is read and checksum-verified (corrupt ones are quarantined
-// exactly as the serving path would), stray publish temp files are
-// swept, quarantine entries older than the TTL are dropped, and the
-// access journal is compacted to one line per surviving object with
-// recency carried over — so a subsequent Open replays a minimal
-// journal and the LRU order survives the compaction.
+// GC runs one offline collection pass over the store at dir: it opens
+// the store, so the index it works on is the one Open builds, then
+// every indexed artifact is read and checksum-verified (corrupt ones
+// are quarantined exactly as the serving path would), stray publish
+// temp files are swept, quarantine entries older than the TTL are
+// dropped, and the access journal is compacted to one line per
+// surviving object, written from the index's LRU order — so a
+// subsequent Open replays a minimal journal into the same ranks and
+// access times.
 //
 // GC assumes exclusive ownership of dir: run it offline, not under a
 // live daemon. Recoverable damage (corruption, strays, expired
@@ -59,108 +61,54 @@ type GCReport struct {
 // error path is reserved for an unreadable store or a failed journal
 // rewrite.
 func GC(dir string, opts GCOptions) (*GCReport, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = faultfs.OS()
+	s, strays, err := open(dir, Options{FS: opts.FS})
+	if err != nil {
+		return nil, err
 	}
 	rep := &GCReport{}
-	objects := filepath.Join(dir, "objects")
-	if err := fsys.MkdirAll(objects, 0o755); err != nil {
-		return nil, fmt.Errorf("store: gc %s: %w", dir, err)
+	for _, path := range strays {
+		// A publish temp file (or other stray): its rename never
+		// happened, so it was never an artifact.
+		if err := s.fsys.Remove(path); err == nil {
+			rep.DroppedTmp++
+		}
 	}
 
-	// Recency and kinds from the old journal, so compaction preserves
-	// the LRU order Open would have replayed.
-	type hint struct {
-		kind string
-		last int64
-		seq  int64
-	}
-	hints := map[string]hint{}
-	var seq int64
-	if data, err := fsys.ReadFile(filepath.Join(dir, "journal.log")); err == nil {
-		accessRecords(data, func(sha, kind string, last int64) {
-			seq++
-			h := hints[sha]
-			if kind != "" {
-				h.kind = kind
+	// Verify back to front and compact as we go: one put line per
+	// survivor, least recently accessed first, so replaying the
+	// compacted journal rebuilds this order.
+	var journal bytes.Buffer
+	for el := s.lifecycle.lru.Back(); el != nil; {
+		o := el.Value.(*object)
+		el = el.Prev() // a quarantine unlinks o's element
+		k := key.Key{SHA: o.sha}
+		path := s.ObjectPath(k)
+		data, err := s.fsys.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("store: gc read %s: %w", path, err)
+		}
+		size := int64(len(data))
+		art, reason := decode(data, k, nil)
+		if art == nil {
+			if s.quarantine(context.Background(), path, reason, size) {
+				rep.Quarantined++
 			}
-			if last > h.last {
-				h.last = last
-			}
-			h.seq = seq
-			hints[sha] = h
-		})
-	}
-
-	type live struct {
-		sha  string
-		kind string
-		size int64
-		last int64
-		seq  int64
-	}
-	var survivors []live
-	fanouts, err := os.ReadDir(objects)
-	if err != nil {
-		return nil, fmt.Errorf("store: gc %s: %w", dir, err)
-	}
-	for _, fan := range fanouts {
-		if !fan.IsDir() {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(objects, fan.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("store: gc %s: %w", dir, err)
+		rep.Verified++
+		rep.Objects++
+		rep.Bytes += size
+		kind := art.Kind
+		if kind == "" {
+			kind = o.kind
 		}
-		for _, f := range files {
-			path := filepath.Join(objects, fan.Name(), f.Name())
-			sha := shaOfObjectFile(f.Name())
-			if sha == "" {
-				// A publish temp file (or other stray): its rename never
-				// happened, so it was never an artifact. Sweep it.
-				if err := fsys.Remove(path); err == nil {
-					rep.DroppedTmp++
-				}
-				continue
-			}
-			data, err := fsys.ReadFile(path)
-			if err != nil {
-				return nil, fmt.Errorf("store: gc read %s: %w", path, err)
-			}
-			art, reason := decode(data, key.Key{SHA: sha}, nil)
-			if art == nil {
-				dst, err := faultfs.Quarantine(fsys, path, faultfs.CorruptDir(dir), reason)
-				if err != nil {
-					return nil, fmt.Errorf("store: gc quarantine %s: %w", path, err)
-				}
-				if dst != "" {
-					rep.Quarantined++
-				}
-				continue
-			}
-			rep.Verified++
-			h := hints[sha]
-			kind := art.Kind
-			if kind == "" {
-				kind = h.kind
-			}
-			last := h.last
-			if last == 0 {
-				if info, err := f.Info(); err == nil {
-					last = info.ModTime().Unix()
-				}
-			}
-			survivors = append(survivors, live{sha, kind, int64(len(data)), last, h.seq})
-			rep.Objects++
-			rep.Bytes += int64(len(data))
-		}
+		journal.Write(journalLine("put", o.sha, kind, size, o.last))
 	}
 
 	// Drop expired quarantine (and orphaned .reason siblings).
 	if opts.QuarantineTTL > 0 {
 		qdir := faultfs.CorruptDir(dir)
-		cutoff := fsys.Now().Add(-opts.QuarantineTTL)
+		cutoff := s.fsys.Now().Add(-opts.QuarantineTTL)
 		if entries, err := os.ReadDir(qdir); err == nil {
 			for _, e := range entries {
 				if strings.HasSuffix(e.Name(), ".reason") {
@@ -171,28 +119,16 @@ func GC(dir string, opts GCOptions) (*GCReport, error) {
 					continue
 				}
 				path := filepath.Join(qdir, e.Name())
-				if err := fsys.Remove(path); err == nil {
+				if err := s.fsys.Remove(path); err == nil {
 					rep.DroppedQuarantine++
-					_ = fsys.Remove(path + ".reason")
+					_ = s.fsys.Remove(path + ".reason")
 				}
 			}
 		}
 	}
 
-	// Compact the journal: one put line per survivor, oldest access
-	// first, atomically replacing the old log.
-	sort.Slice(survivors, func(i, j int) bool {
-		if survivors[i].last != survivors[j].last {
-			return survivors[i].last < survivors[j].last
-		}
-		return survivors[i].seq < survivors[j].seq
-	})
-	var buf bytes.Buffer
-	for _, o := range survivors {
-		buf.Write(journalLine("put", o.sha, o.kind, o.size, o.last))
-	}
-	rep.JournalLines = len(survivors)
-	if err := faultfs.AtomicWrite(fsys, filepath.Join(dir, "journal.log"), buf.Bytes()); err != nil {
+	rep.JournalLines = rep.Verified
+	if err := faultfs.AtomicWrite(s.fsys, s.journalPath(), journal.Bytes()); err != nil {
 		return nil, fmt.Errorf("store: gc journal rewrite: %w", err)
 	}
 	return rep, nil

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/serve/key"
 )
 
 // One GC pass over a battered store: corrupt artifact quarantined,
@@ -85,7 +87,7 @@ func TestGCRepairsAndCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, _ := s2.Size()
+	stats := s2.Size()
 	if stats.Objects != 2 {
 		t.Fatalf("reopened footprint %+v, want 2", stats)
 	}
@@ -98,4 +100,75 @@ func TestGCRepairsAndCompacts(t *testing.T) {
 	if art, err := s2.Get(context.Background(), kc); err != nil || art != nil {
 		t.Fatalf("quarantined kc still served: %v %v", art, err)
 	}
+}
+
+// GC compacts the index Open builds, so Open, GC, Open keeps every
+// object's eviction rank and last access. The journal here lost its
+// tail to a crash: it names the two older puts, stamped before the
+// newest artifact's mtime, and not the newest. Open ranks the unnamed
+// newest behind both; a compaction that re-sorted by access time
+// would move it in front of them. Kinds may only be filled in, from
+// the artifacts.
+func TestGCKeepsIndex(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []key.Key{putOne(t, s, 80), putOne(t, s, 81), putOne(t, s, 82)}
+	var journal []byte
+	for i, k := range keys {
+		path := s.ObjectPath(k)
+		mtime := time.Unix(1700000000+10*int64(i), 0)
+		if err := os.Chtimes(path, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			journal = append(journal, journalLine("put", k.SHA, key.KindSimulate, info.Size(), mtime.Unix()+5)...)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := evictionOrder(t, dir)
+	if before[0].sha != keys[2].SHA {
+		t.Fatalf("Open ranked %+v first for eviction, want the artifact the journal does not name", before[0])
+	}
+	if _, err := GC(dir, GCOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	after := evictionOrder(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("GC left %d objects, want %d", len(after), len(before))
+	}
+	for i := range before {
+		b, a := before[i], after[i]
+		if a.sha != b.sha || a.last != b.last {
+			t.Fatalf("eviction rank %d: before GC %+v, after %+v", i, b, a)
+		}
+		if a.kind != key.KindSimulate || b.kind != "" && b.kind != a.kind {
+			t.Fatalf("eviction rank %d: kind %q before GC, %q after; want it kept, or filled in from the artifact", i, b.kind, a.kind)
+		}
+	}
+}
+
+// evictionOrder opens the store at dir and lists its index in
+// eviction order, least recently accessed first.
+func evictionOrder(t *testing.T, dir string) []object {
+	t.Helper()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []object
+	for el := s.lifecycle.lru.Back(); el != nil; el = el.Prev() {
+		o := el.Value.(*object)
+		order = append(order, object{sha: o.sha, kind: o.kind, last: o.last})
+	}
+	return order
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/serve/key"
 )
 
@@ -51,7 +53,9 @@ func FuzzParseJournalLine(f *testing.F) {
 // arbitrary journal.log. Open must not panic, and the kinds, access
 // times and recency order of the index must be those of an oracle that
 // splits the journal on '\n' and applies, in order, every line
-// parseJournalLine accepts for a live object.
+// parseJournalLine accepts for a live object. GC then compacts the
+// journal, and the store reopened after it must hold the same order
+// and access times, with each kind read from its artifact.
 func FuzzReplayJournal(f *testing.F) {
 	dir := f.TempDir()
 	s, err := Open(dir, Options{})
@@ -100,16 +104,6 @@ func FuzzReplayJournal(f *testing.F) {
 		if err := os.WriteFile(journalPath, journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := &s.lifecycle
-		var got []object
-		for el := l.lru.Front(); el != nil; el = el.Next() {
-			o := el.Value.(*object)
-			got = append(got, object{sha: o.sha, kind: o.kind, last: o.last})
-		}
 
 		// The oracle: scan order, newest first, then each accepted line
 		// moves its live object to the front.
@@ -134,13 +128,32 @@ func FuzzReplayJournal(f *testing.F) {
 				break
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("index holds %d objects, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("recency rank %d: index %+v, oracle %+v", i, got[i], want[i])
+		check := func(when string, kind func(object) string) {
+			got := evictionOrder(t, dir)
+			if len(got) != len(want) {
+				t.Fatalf("%s: index holds %d objects, want %d", when, len(got), len(want))
+			}
+			for i, w := range want {
+				w.kind = kind(w)
+				if g := got[len(got)-1-i]; g != w {
+					t.Fatalf("%s: recency rank %d: index %+v, oracle %+v", when, i, g, w)
+				}
 			}
 		}
+		check("open", func(o object) string { return o.kind })
+		if _, err := GC(dir, GCOptions{FS: noSyncFS{faultfs.OS()}}); err != nil {
+			t.Fatal(err)
+		}
+		check("open after gc", func(object) string { return key.KindSimulate })
 	})
 }
+
+// noSyncFS skips every fsync. The fuzz checks what GC writes, not that
+// it is durable, and a sync per input would starve the fuzzer.
+type noSyncFS struct{ faultfs.FS }
+
+func (n noSyncFS) WriteFileSync(name string, data []byte, perm fs.FileMode) error {
+	return n.FS.WriteFile(name, data, perm)
+}
+
+func (noSyncFS) SyncDir(string) error { return nil }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/serve/key"
 )
 
 // lifecycle is the store's in-memory object index: which artifacts
@@ -22,8 +24,11 @@ import (
 // access log (one line per put or read hit, plus evict/quarantine
 // tombstones). It is deliberately cheap: buffered appends, no fsync —
 // a crash may truncate its tail, which costs at most some recency
-// precision, never correctness. Open replays it over the scan; GC
-// compacts it back to one line per live object.
+// precision, never correctness. Open replays it over the scan, so one
+// rule sets recency: journal order wins, and objects the journal does
+// not name sit behind the ones it does, in mtime order. GC opens the
+// store and writes this index back as one line per live object, in
+// LRU order, so a compaction keeps every rank and access time.
 type lifecycle struct {
 	s *Store
 
@@ -65,8 +70,10 @@ func (s *Store) journalPath() string { return filepath.Join(s.root, "journal.log
 // then replay the journal for recency and kinds. The scan lists
 // directories with the os package directly — the seam deliberately
 // has no listing operation (fault schedules target I/O on artifact
-// content, not enumeration), matching the old Size walk.
-func (l *lifecycle) init(s *Store) error {
+// content, not enumeration), matching the old Size walk. It returns
+// the paths of the stray files it passed over (publish temps whose
+// rename never happened), which GC sweeps.
+func (l *lifecycle) init(s *Store) (strays []string, err error) {
 	l.s = s
 	l.entries = map[string]*list.Element{}
 	l.lru = list.New()
@@ -77,22 +84,23 @@ func (l *lifecycle) init(s *Store) error {
 		mtime int64
 	}
 	var found []scanned
-	fanouts, err := os.ReadDir(s.objectsDir())
+	fanouts, err := os.ReadDir(s.objects)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, fan := range fanouts {
 		if !fan.IsDir() {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(s.objectsDir(), fan.Name()))
+		files, err := os.ReadDir(filepath.Join(s.objects, fan.Name()))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, f := range files {
 			sha := shaOfObjectFile(f.Name())
 			if sha == "" {
-				continue // stray temp file; GC sweeps those
+				strays = append(strays, filepath.Join(s.objects, fan.Name(), f.Name()))
+				continue
 			}
 			info, err := f.Info()
 			if err != nil {
@@ -110,7 +118,7 @@ func (l *lifecycle) init(s *Store) error {
 		l.bytes += f.size
 	}
 	l.replayJournal()
-	return nil
+	return strays, nil
 }
 
 // replayJournal walks journal.log in order, refreshing recency and
@@ -301,7 +309,7 @@ func (l *lifecycle) evictLocked(justPublished string) []*object {
 // which GC reconciles; retry loops here would stall the publish path.
 func (l *lifecycle) removeVictims(victims []*object, now int64) {
 	for _, o := range victims {
-		path := filepath.Join(l.s.objectsDir(), o.sha[:2], o.sha+".json")
+		path := l.s.ObjectPath(key.Key{SHA: o.sha})
 		if err := l.s.fsys.Remove(path); err != nil {
 			log.Printf("store: evict %s: %v (gc will reconcile)", o.sha[:12], err)
 		}
@@ -312,10 +320,10 @@ func (l *lifecycle) removeVictims(victims []*object, now int64) {
 
 // Size returns the store footprint from the incrementally maintained
 // counters — O(1), no tree walk, safe to scrape per request.
-func (s *Store) Size() (Stats, error) {
+func (s *Store) Size() Stats {
 	s.lifecycle.mu.Lock()
 	defer s.lifecycle.mu.Unlock()
-	return Stats{Objects: s.lifecycle.objects, Bytes: s.lifecycle.bytes}, nil
+	return Stats{Objects: s.lifecycle.objects, Bytes: s.lifecycle.bytes}
 }
 
 // Keys pages through the index in key order: up to limit entries with

@@ -35,9 +35,9 @@ func artifactSize(t *testing.T) int64 {
 	t.Helper()
 	s := openTest(t, nil)
 	putOne(t, s, 20)
-	stats, err := s.Size()
-	if err != nil || stats.Objects != 1 {
-		t.Fatalf("measuring artifact size: %+v err=%v", stats, err)
+	stats := s.Size()
+	if stats.Objects != 1 {
+		t.Fatalf("measuring artifact size: %+v", stats)
 	}
 	return stats.Bytes
 }
@@ -67,7 +67,7 @@ func TestEvictionIsLRUAndBounded(t *testing.T) {
 	if c := s.Counters(); c.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Evictions)
 	}
-	stats, _ := s.Size()
+	stats := s.Size()
 	if stats.Objects != 2 || stats.Bytes > 2*size {
 		t.Fatalf("footprint %+v exceeds the bound %d", stats, 2*size)
 	}
@@ -201,7 +201,7 @@ func TestInFlightNeverEvictedUnderPressure(t *testing.T) {
 	}
 	// Quiesced: one final publish evicts everything but itself.
 	putOne(t, s, 49)
-	stats, _ := s.Size()
+	stats := s.Size()
 	if stats.Objects != 1 {
 		t.Fatalf("quiesced footprint %+v, want exactly the last publish", stats)
 	}
@@ -305,10 +305,7 @@ func TestSizeIsO1AndAccurate(t *testing.T) {
 	before := cfs.ops.Load()
 	var stats Stats
 	for i := 0; i < 100; i++ {
-		stats, err = s.Size()
-		if err != nil {
-			t.Fatal(err)
-		}
+		stats = s.Size()
 	}
 	if ops := cfs.ops.Load() - before; ops != 0 {
 		t.Fatalf("100 Size calls performed %d filesystem operations, want 0", ops)

@@ -187,6 +187,13 @@ type Store struct {
 // object index, and the access journal is replayed to restore LRU
 // recency across restarts.
 func Open(dir string, opts Options) (*Store, error) {
+	s, _, err := open(dir, opts)
+	return s, err
+}
+
+// open is Open that also returns the stray files the scan passed
+// over, for GC to sweep.
+func open(dir string, opts Options) (*Store, []string, error) {
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = faultfs.OS()
@@ -201,14 +208,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.health.init(s)
 	if err := s.retrier().Do(context.Background(), "mkdir objects/", func() error {
-		return fsys.MkdirAll(s.objectsDir(), 0o755)
+		return fsys.MkdirAll(s.objects, 0o755)
 	}); err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	if err := s.lifecycle.init(s); err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	strays, err := s.lifecycle.init(s)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	return s, nil
+	return s, strays, nil
 }
 
 // retrier builds one per-operation bounded-retry policy over the
@@ -221,8 +229,6 @@ func (s *Store) retrier() *faultfs.Retrier {
 		Count: &s.ioRetries,
 	}
 }
-
-func (s *Store) objectsDir() string { return s.objects }
 
 // ObjectPath is the artifact file of one key: two-hex fan-out
 // directories keep any one directory from ballooning.
@@ -424,9 +430,10 @@ func (m *serverMemo) decodeServer(value []byte, dst *hostmeta.Meta) error {
 // quarantine moves a corrupt artifact to <root>/corrupt/ with a
 // .reason sibling (faultfs.Quarantine, retried as one unit), removing
 // it from the cache namespace so it is recomputed instead of served
-// and never re-read in a loop. An artifact another caller already
-// moved is neither counted nor dropped from the index twice.
-func (s *Store) quarantine(ctx context.Context, path, reason string, size int64) {
+// and never re-read in a loop. It reports whether it moved the file:
+// an artifact another caller already moved is neither counted nor
+// dropped from the index twice, and a move that failed is logged.
+func (s *Store) quarantine(ctx context.Context, path, reason string, size int64) bool {
 	base := filepath.Base(path)
 	var dst string
 	err := s.retrier().Do(ctx, "quarantine "+base, func() (err error) {
@@ -435,14 +442,15 @@ func (s *Store) quarantine(ctx context.Context, path, reason string, size int64)
 	})
 	if err != nil {
 		log.Printf("store: quarantine %s: %v", base, err)
-		return
+		return false
 	}
 	if dst == "" {
-		return
+		return false
 	}
 	s.quarantined.Add(1)
 	s.lifecycle.noteRemoved(shaOfObjectFile(base), size, "quarantine")
 	log.Printf("store: quarantined %s: %s", dst, reason)
+	return true
 }
 
 // seal writes one computed result as a sealed artifact document and
