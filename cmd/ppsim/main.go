@@ -6,55 +6,57 @@
 //	ppsim -protocol example42 -param 4 -x 10 -trials 5 -seed 1
 //	ppsim -protocol flock -param 8 -x 40 -scheduler uniform
 //	ppsim -protocol majority -x 12 -y 8 -scheduler auto -batch 128
-//	ppsim -protocol power2 -param 30 -x 1073741824 -scheduler countbatch -steps 100000000000 -patience 0
+//	ppsim -protocol power2 -param 30 -x 1073741824 -scheduler countbatch -steps 100000000000
 //
-// For the majority protocol, -x sets the A count and -y the B count.
+// A run of ppsim is a /v1/simulate query: the flags and their
+// defaults are sim.Query's, the input state is the protocol's registry
+// entry's (for majority, -x sets the A count and -y the B count), and
+// ppsim prints the protocol, the query as a /v1/simulate request body,
+// and one "member: value" line per member of the document
+// sim.Query.Eval returns, the one /v1/simulate serves (stats members
+// flattened).
+//
 // Schedulers: weighted (exact, default), uniform (classical random
 // pairs; conservative 2→2 protocols only), countbatch (count-based
 // tau-leaping batches; reaches populations of 10⁹ agents in seconds)
 // and auto (hybrid exact↔batch switching); -batch and -eps apply to
-// countbatch and auto only. Large-n runs should
-// use -patience 0 (run to the absorbing deadlock): a fixed patience is
-// satisfied by a single large batch — and, under any scheduler, by the
-// long unchanged-output prefix of a big population — long before the
-// run is actually stable. Trials run one after another on one
-// goroutine; the removed -workers flag fails with an error that says
-// so.
+// countbatch and auto only. The default -patience 0 runs each trial to
+// -steps or to the absorbing deadlock; large-n runs should keep it: a
+// fixed patience is satisfied by a single large batch — and, under any
+// scheduler, by the long unchanged-output prefix of a big population —
+// long before the run is actually stable. Trials run on the trial pool
+// with one worker, the calling goroutine, trial t seeded with
+// sim.DeriveSeed(-seed, t); the removed -workers flag fails with an
+// error that says so.
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"repro/internal/registry"
+	"repro/internal/serve/key"
 	"repro/internal/sim"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ppsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ppsim", flag.ContinueOnError)
-	var (
-		protocol  = fs.String("protocol", "example42", fmt.Sprintf("construction: %v", registry.Names()))
-		param     = fs.Int64("param", 2, "construction parameter (n or k)")
-		x         = fs.Int64("x", 3, "agents in the first input state")
-		y         = fs.Int64("y", 0, "agents in the second input state (majority only)")
-		seed      = fs.Int64("seed", 1, "PRNG seed")
-		steps     = fs.Int("steps", 1_000_000, "max interactions per run")
-		patience  = fs.Int("patience", 5_000, "consensus patience (steps without output change)")
-		trials    = fs.Int("trials", 1, "number of runs")
-		scheduler = fs.String("scheduler", "weighted", "scheduler: weighted, uniform, countbatch or auto")
-		batch     = fs.Int("batch", 0, fmt.Sprintf("countbatch/auto aggregation threshold (0 = %d)", sim.DefaultMinBatch))
-		eps       = fs.Float64("eps", 0, fmt.Sprintf("countbatch/auto drift tolerance in (0,1) (0 = %g)", sim.DefaultEpsilon))
-	)
+	protocol := fs.String("protocol", "example42", fmt.Sprintf("construction: %v", registry.Names()))
+	param := fs.Int64("param", 2, "construction parameter (n or k)")
+	var q sim.Query
+	q.Flags(fs)
 	// -workers was removed; it stays defined so a command line that
 	// still passes it learns why it fails.
 	fs.String("workers", "", "removed: ppsim runs on one goroutine")
@@ -67,17 +69,13 @@ func run(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	var removed error
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			removed = errors.New("-workers was removed: ppsim runs on one goroutine")
-		}
-	})
-	if removed != nil {
-		return removed
+	if fs.Lookup("workers").Value.String() != "" {
+		return errors.New("-workers was removed: ppsim runs on one goroutine")
 	}
-
-	sched, err := sim.SchedulerByName(*scheduler, *batch, *eps)
+	if err := q.Normalize(); err != nil {
+		return err
+	}
+	e, err := registry.Lookup(*protocol)
 	if err != nil {
 		return err
 	}
@@ -85,42 +83,20 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(p)
-	fmt.Printf("scheduler: %s\n", sched.Name())
-
-	counts := map[string]int64{}
-	initial := p.InitialStates()
-	counts[initial[0]] = *x
-	if len(initial) > 1 {
-		counts[initial[1]] = *y
-	}
-	input, err := p.Input(counts)
+	res, err := q.Eval(context.Background(), p, e.Input, n, 1)
 	if err != nil {
 		return err
 	}
-	if n > 0 {
-		fmt.Printf("predicate: %s ≥ %d; input x = %d; expected %v\n",
-			initial[0], n, *x, *x >= n)
-	}
-
-	for tr := 0; tr < *trials; tr++ {
-		start := time.Now()
-		res, err := sim.Run(p, input, sim.Options{
-			Seed:           sim.DeriveSeed(*seed, tr),
-			MaxSteps:       *steps,
-			StablePatience: *patience,
-			Scheduler:      sched,
-		})
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		verdict := "no consensus"
-		if v, ok := res.ConsensusBool(); ok {
-			verdict = fmt.Sprintf("consensus %v", v)
-		}
-		fmt.Printf("run %d: steps=%d lastChange=%d converged=%v deadlocked=%v output=%v (%s) in %v\n  final: %v\n",
-			tr, res.Steps, res.LastChange, res.Converged, res.Deadlocked, res.Output, verdict, elapsed.Round(time.Microsecond), res.Final)
-	}
+	// A struct of strings and numbers always marshals.
+	query, _ := json.Marshal(struct {
+		Spec key.Spec `json:"spec"`
+		sim.Query
+	}{key.Spec{Protocol: *protocol, Param: *param}, q})
+	fmt.Fprintf(out, "%v\nquery: %s\npredicate: %s\nexpected: %v\n", p, query, res.Predicate, res.Expected)
+	st := res.Stats
+	fmt.Fprintf(out, "trials: %d\nconverged: %d\ncorrect: %d\n", st.Trials, st.Converged, st.Correct)
+	fmt.Fprintf(out, "sum_steps: %d\nsum_steps_sq_hi: %d\nsum_steps_sq_lo: %d\n", st.SumSteps, st.SumStepsSqHi, st.SumStepsSqLo)
+	fmt.Fprintf(out, "min_steps: %d\nmax_steps: %d\nsum_last_change: %d\n", st.MinSteps, st.MaxSteps, st.SumLastChange)
+	fmt.Fprintf(out, "mean_steps: %v\nconverged_rate: %v\ncorrect_rate: %v\n", res.MeanSteps, res.ConvergedRate, res.CorrectRate)
 	return nil
 }

@@ -157,7 +157,6 @@ func runPlan(args []string, out io.Writer) error {
 	var (
 		protocol  = fs.String("protocol", "", fmt.Sprintf("construction: %v", registry.Names()))
 		param     = fs.Int64("param", 2, "construction parameter (n or k)")
-		inState   = fs.String("input", "i", "input state holding the swept agent count")
 		sizes     = fs.String("sizes", "", "comma-separated population sizes, e.g. 8,64,512")
 		trials    = fs.Int("trials", 10, "trials per size")
 		seed      = fs.Int64("seed", 1, "sweep base seed")
@@ -171,17 +170,27 @@ func runPlan(args []string, out io.Writer) error {
 		block     = fs.Int("block", 0, "dice each size's trial axis into blocks of this many trials, so cell boundaries are shard-count independent (0 = one cell per size per shard)")
 		outPath   = fs.String("o", "plan.json", "manifest output path")
 	)
+	// -input was removed; it stays defined so a command line that
+	// still passes it learns why it fails.
+	fs.String("input", "", "removed: the input state is the protocol's")
 	if err := parseFlags(fs, args); err != nil {
 		return flagErr(err)
 	}
+	if fs.Lookup("input").Value.String() != "" {
+		return errors.New("-input was removed: the input state is the protocol's registry entry's, as /v1/sweep takes it")
+	}
 	xs, err := parseSizes(*sizes)
+	if err != nil {
+		return err
+	}
+	e, err := registry.Lookup(*protocol)
 	if err != nil {
 		return err
 	}
 	sw := shard.SweepSpec{
 		Protocol:   *protocol,
 		Param:      *param,
-		InputState: *inState,
+		InputState: e.Input,
 		Sizes:      xs,
 		Trials:     *trials,
 		Seed:       *seed,

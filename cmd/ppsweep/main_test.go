@@ -258,6 +258,29 @@ func TestRunRemovedDispatchFlags(t *testing.T) {
 	}
 }
 
+// plan's -input was removed: the input state is the registry entry's,
+// so a plan carries the state /v1/sweep uses, and passing -input names
+// the removal.
+func TestPlanRemovedInputFlag(t *testing.T) {
+	dir := t.TempDir()
+	err := run(context.Background(), append(planArgs(dir, 1, "p.json"), "-input", "i"), &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "-input was removed") {
+		t.Errorf("plan -input i: error %v does not name the removal", err)
+	}
+	mustRun(t, planArgs(dir, 1, "p.json")...)
+	var m shard.Manifest
+	data, err := os.ReadFile(filepath.Join(dir, "p.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Sweep.InputState != "i" {
+		t.Errorf("flock plan input state %q, want the registry's %q", m.Sweep.InputState, "i")
+	}
+}
+
 func TestDispatchKillRedispatchCLI(t *testing.T) {
 	dir := t.TempDir()
 	mustRun(t, planArgs(dir, 2, "plan.json")...)

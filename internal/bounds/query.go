@@ -2,6 +2,7 @@ package bounds
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -65,23 +66,27 @@ func (q *Query) fields() []field {
 		{"log10n", &q.Log10N}, {"h", &q.H}, {"m", &q.M}, {"kmax", &q.KMax}}
 }
 
-// Defaults gives every parameter of q's op that is zero its default,
-// as /v1/bounds reads an omitted member. It reports whether the op is
-// known, and names the first member, in field order, that is set
-// although the op does not take it ("" when none is).
-func (q *Query) Defaults() (known bool, stray string) {
+// Normalize gives every parameter of q's op that is zero its default,
+// as /v1/bounds reads an omitted member, and applies Check. It rejects
+// an unknown op and a member, the first in field order, that is set
+// although the op does not take it: a stray member would split the
+// cache between equal evaluations. It is idempotent.
+func (q *Query) Normalize() error {
 	ps, known := params[q.Op]
+	if !known {
+		return fmt.Errorf("bounds: unknown op %q (have thm43, minstates, cor44, rackoff, section8)", q.Op)
+	}
 	for _, f := range q.fields() {
 		v := reflect.ValueOf(f.ptr).Elem()
 		i := slices.IndexFunc(ps, func(p param) bool { return p.member == f.member })
 		switch {
 		case i >= 0 && v.IsZero():
 			v.Set(reflect.ValueOf(ps[i].def).Convert(v.Type()))
-		case i < 0 && !v.IsZero() && stray == "":
-			stray = f.member
+		case i < 0 && !v.IsZero():
+			return fmt.Errorf("bounds: op %s does not take %q", q.Op, f.member)
 		}
 	}
-	return known, stray
+	return q.Check()
 }
 
 // Flags defines on fs one flag per parameter of q's op, bound to q's

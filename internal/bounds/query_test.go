@@ -3,6 +3,7 @@ package bounds
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -12,8 +13,8 @@ import (
 func TestDefaultsAgreeAndEvaluate(t *testing.T) {
 	for op := range params {
 		fromMembers := Query{Op: op}
-		if known, stray := fromMembers.Defaults(); !known || stray != "" {
-			t.Fatalf("%s: Defaults() = %v, %q", op, known, stray)
+		if err := fromMembers.Normalize(); err != nil {
+			t.Fatalf("%s: Normalize() = %v", op, err)
 		}
 		fromFlags := Query{Op: op}
 		fs := flag.NewFlagSet(op, flag.ContinueOnError)
@@ -48,15 +49,16 @@ func TestDefaultsAgreeAndEvaluate(t *testing.T) {
 	}
 }
 
-// Defaults names the first member set for another op, and an unknown op.
+// Normalize names the first member set for another op, and an unknown
+// op.
 func TestDefaultsStrayAndUnknown(t *testing.T) {
 	q := Query{Op: "rackoff", KMax: 3, H: 0.3}
-	if known, stray := q.Defaults(); !known || stray != "h" {
-		t.Errorf("rackoff with h and kmax: Defaults() = %v, %q; want true, \"h\"", known, stray)
+	if err := q.Normalize(); err == nil || !strings.Contains(err.Error(), `does not take "h"`) {
+		t.Errorf("rackoff with h and kmax: Normalize() = %v, want it to name h", err)
 	}
 	q = Query{Op: "nope"}
-	if known, _ := q.Defaults(); known {
-		t.Error("unknown op reported known")
+	if err := q.Normalize(); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Errorf("unknown op: Normalize() = %v", err)
 	}
 	if _, err := q.Eval(); err == nil {
 		t.Error("unknown op evaluated")

@@ -21,6 +21,7 @@ import (
 	"repro/internal/hilbert"
 	"repro/internal/machine"
 	"repro/internal/petri"
+	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/verify"
@@ -211,37 +212,34 @@ func E4VerifyCost() (*Table, error) {
 		Claim:  "verification is decidable but state spaces blow up with population size",
 		Header: []string{"protocol", "n", "max x", "inputs", "max closure", "all OK"},
 	}
-	budget := petri.Budget{MaxConfigs: 1 << 20}
 	cases := []struct {
-		name string
-		mk   func() (*core.Protocol, error)
-		n    int64
-		maxX int64
+		name        string
+		param, maxX int64
 	}{
-		{"example42", func() (*core.Protocol, error) { return counting.Example42(2) }, 2, 6},
-		{"example42", func() (*core.Protocol, error) { return counting.Example42(3) }, 3, 7},
-		{"flock", func() (*core.Protocol, error) { return counting.FlockOfBirds(4) }, 4, 7},
-		{"flock", func() (*core.Protocol, error) { return counting.FlockOfBirds(5) }, 5, 8},
-		{"power2", func() (*core.Protocol, error) { return counting.PowerOfTwo(3) }, 8, 10},
+		{"example42", 2, 6},
+		{"example42", 3, 7},
+		{"flock", 4, 7},
+		{"flock", 5, 8},
+		{"power2", 3, 10},
 	}
 	for _, c := range cases {
-		p, err := c.mk()
+		p, n, err := registry.Make(c.name, c.param)
 		if err != nil {
 			return nil, err
 		}
-		res, err := verify.Counting(p, "i", c.n, c.maxX, budget)
+		res, err := verify.Query{MaxX: c.maxX}.Eval(context.Background(), p, counting.InputState, n, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E4 %s: %w", c.name, err)
 		}
 		t.Rows = append(t.Rows, []string{
 			c.name,
-			fmt.Sprintf("%d", c.n),
-			fmt.Sprintf("%d", c.maxX),
-			fmt.Sprintf("%d", len(res.Reports)),
+			fmt.Sprintf("%d", n),
+			fmt.Sprintf("%d", res.MaxX),
+			fmt.Sprintf("%d", res.Inputs),
 			fmt.Sprintf("%d", res.MaxConfigs),
-			fmt.Sprintf("%v", res.OK()),
+			fmt.Sprintf("%v", res.OK),
 		})
-		if !res.OK() {
+		if !res.OK {
 			return nil, fmt.Errorf("E4: %s unexpectedly fails verification", c.name)
 		}
 	}
@@ -594,36 +592,29 @@ func E10Convergence() (*Table, error) {
 		Claim:  "all constructions converge to the correct consensus; interactions grow with population",
 		Header: []string{"protocol", "x", "expected", "trials", "correct", "mean steps"},
 	}
-	type tc struct {
-		name string
-		mk   func() (*core.Protocol, error)
-		n    int64
-		x    int64
-	}
-	cases := []tc{
-		{"example42(4)", func() (*core.Protocol, error) { return counting.Example42(4) }, 4, 12},
-		{"example42(4)", func() (*core.Protocol, error) { return counting.Example42(4) }, 4, 3},
-		{"flock(8)", func() (*core.Protocol, error) { return counting.FlockOfBirds(8) }, 8, 40},
-		{"flock(8)", func() (*core.Protocol, error) { return counting.FlockOfBirds(8) }, 8, 6},
-		{"power2(4)", func() (*core.Protocol, error) { return counting.PowerOfTwo(4) }, 16, 64},
-		{"power2(4)", func() (*core.Protocol, error) { return counting.PowerOfTwo(4) }, 16, 10},
-		{"ldrdbl(3)", func() (*core.Protocol, error) { return counting.LeaderDoubling(3) }, 8, 20},
+	cases := []struct {
+		name, protocol string
+		param, x       int64
+	}{
+		{"example42(4)", "example42", 4, 12},
+		{"example42(4)", "example42", 4, 3},
+		{"flock(8)", "flock", 8, 40},
+		{"flock(8)", "flock", 8, 6},
+		{"power2(4)", "power2", 4, 64},
+		{"power2(4)", "power2", 4, 10},
+		{"ldrdbl(3)", "leaderdoubling", 3, 20},
 	}
 	for _, c := range cases {
-		p, err := c.mk()
+		p, n, err := registry.Make(c.protocol, c.param)
 		if err != nil {
 			return nil, err
 		}
-		in, err := p.Input(map[string]int64{"i": c.x})
-		if err != nil {
-			return nil, err
-		}
-		expected := c.x >= c.n
-		stats, err := sim.RunMany(context.Background(), p, in, expected, 20,
-			sim.Options{Seed: 1234, MaxSteps: 400_000, StablePatience: 2000})
+		q := sim.Query{X: c.x, Trials: 20, RunParams: sim.RunParams{Seed: 1234, MaxSteps: 400_000, Patience: 2000}}
+		res, err := q.Eval(context.Background(), p, counting.InputState, n, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s: %w", c.name, err)
 		}
+		stats := res.Stats
 		if stats.Correct != stats.Converged || stats.Converged == 0 {
 			return nil, fmt.Errorf("E10 %s x=%d: %d/%d correct of %d converged",
 				c.name, c.x, stats.Correct, stats.Converged, stats.Trials)
@@ -631,7 +622,7 @@ func E10Convergence() (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			c.name,
 			fmt.Sprintf("%d", c.x),
-			fmt.Sprintf("%v", expected),
+			fmt.Sprintf("%v", res.Expected),
 			fmt.Sprintf("%d", stats.Trials),
 			fmt.Sprintf("%d", stats.Correct),
 			fmt.Sprintf("%.0f", stats.MeanLastChange()),

@@ -132,8 +132,8 @@ func checkProtocolSize(q *key.Query) error {
 // queryCost estimates a normalized query's token cost in shard
 // cost-model units. Bounds queries are closed-form arithmetic: one
 // token. Verify is bounded by its configuration budget. Simulation
-// reuses the shard dispatcher's per-scheduler cost model over the
-// population size, times trials. Every estimate saturates at
+// and sweeps reuse the shard dispatcher's per-scheduler cost model
+// over each population size, times trials. Every estimate saturates at
 // math.MaxInt64, so a query too large to price is over capacity.
 func queryCost(q *key.Query) int64 {
 	switch q.Kind {
@@ -143,41 +143,33 @@ func queryCost(q *key.Query) int64 {
 		return int64(q.Verify.Budget)
 	case key.KindSimulate:
 		p := q.Simulate
-		model := shard.DefaultCost(p.Scheduler)
 		n := p.X + p.Y
 		if n < p.X { // X, Y ≥ 0 after normalization: the sum wrapped
 			n = math.MaxInt64
 		}
-		per := model.TrialCost(n)
-		if per <= 0 {
-			per = 1
-		}
-		trials := int64(p.Trials)
-		if trials > 0 && per > math.MaxInt64/trials {
-			return math.MaxInt64
-		}
-		return per * trials
+		return trialsCost(p.Scheduler, []int64{n}, p.Trials)
 	case key.KindSweep:
-		p := q.Sweep
-		model := shard.DefaultCost(p.Scheduler)
-		trials := int64(p.Trials)
-		total := int64(0)
-		for _, x := range p.Sizes {
-			per := model.TrialCost(x)
-			if per <= 0 {
-				per = 1
-			}
-			if trials > 0 && per > math.MaxInt64/trials {
-				return math.MaxInt64
-			}
-			c := per * trials
-			if total > math.MaxInt64-c {
-				return math.MaxInt64
-			}
-			total += c
-		}
-		return total
+		return trialsCost(q.Sweep.Scheduler, q.Sweep.Sizes, q.Sweep.Trials)
 	default:
 		return 1
 	}
+}
+
+// trialsCost prices trials runs at each population size under the
+// scheduler's cost model, saturating at math.MaxInt64.
+func trialsCost(scheduler string, sizes []int64, trials int) int64 {
+	model := shard.DefaultCost(scheduler)
+	total := int64(0)
+	for _, x := range sizes {
+		per := max(model.TrialCost(x), 1)
+		if trials > 0 && per > math.MaxInt64/int64(trials) {
+			return math.MaxInt64
+		}
+		c := per * int64(trials)
+		if total > math.MaxInt64-c {
+			return math.MaxInt64
+		}
+		total += c
+	}
+	return total
 }

@@ -34,6 +34,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/registry"
 	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 // SchemaVersion versions the key derivation itself. It is hashed into
@@ -59,43 +60,14 @@ type Spec struct {
 	Param int64 `json:"param"`
 }
 
-// SimulateParams are the /v1/simulate parameters. Zero values are
-// filled in by Normalize so the key always hashes the explicit form.
-type SimulateParams struct {
-	// X and Y are the initial counts of the first and second input
-	// state (Y is meaningful for two-input protocols like majority).
-	X int64 `json:"x"`
-	Y int64 `json:"y,omitempty"`
-	// Trials is the number of runs (default 1); per-trial seeds are
-	// derived positionally from Seed.
-	Trials int `json:"trials"`
-	// Seed is the base PRNG seed (default 1).
-	Seed int64 `json:"seed"`
-	// MaxSteps caps interactions per run (default 1<<20).
-	MaxSteps int `json:"max_steps"`
-	// Patience is the consensus patience in steps; 0 runs to MaxSteps.
-	Patience int `json:"patience"`
-	// Scheduler is weighted, uniform, countbatch or auto (default
-	// weighted).
-	Scheduler string `json:"scheduler"`
-	// Batch is the countbatch/auto aggregation threshold (0 = the
-	// default); other schedulers take none.
-	Batch int `json:"batch,omitempty"`
-	// Eps is the countbatch/auto drift tolerance in (0, 1) (0 = the
-	// default); other schedulers take none.
-	Eps float64 `json:"eps,omitempty"`
-}
+// SimulateParams are the /v1/simulate parameters: one sim.Query, the
+// run ppsim prints. Normalize fills its zero members, so the key
+// always hashes the explicit form.
+type SimulateParams = sim.Query
 
-// VerifyParams are the /v1/verify parameters.
-type VerifyParams struct {
-	// MaxX bounds the verified inputs x ∈ [0, MaxX]; 0 means the
-	// protocol's n+3 (resolved to its explicit value by Normalize).
-	MaxX int64 `json:"max_x"`
-	// Budget caps each input's closure size (default 1<<20). It also
-	// drives admission control: closure memory is the resource the
-	// daemon's token bucket guards.
-	Budget int `json:"budget"`
-}
+// VerifyParams are the /v1/verify parameters: one verify.Query, the
+// bounded verification ppverify prints.
+type VerifyParams = verify.Query
 
 // BoundsParams are the /v1/bounds parameters: one bounds.Query, the
 // evaluation a ppbounds subcommand prints. Only the fields of the
@@ -112,16 +84,9 @@ type SweepParams struct {
 	// Trials is the per-size trial ceiling (default 10); an enabled
 	// stop rule may cancel the tail.
 	Trials int `json:"trials"`
-	// Seed is the sweep's base seed (default 1); per-(size, trial)
-	// seeds derive positionally.
-	Seed int64 `json:"seed"`
-	// MaxSteps and Patience mirror SimulateParams.
-	MaxSteps int `json:"max_steps"`
-	Patience int `json:"patience"`
-	// Scheduler/Batch/Eps mirror SimulateParams.
-	Scheduler string  `json:"scheduler"`
-	Batch     int     `json:"batch,omitempty"`
-	Eps       float64 `json:"eps,omitempty"`
+	// RunParams are the run members a sweep shares with a simulate
+	// query; per-(size, trial) seeds derive positionally from Seed.
+	sim.RunParams
 	// Block is the trial-axis dice: every streamed delta and every
 	// stopping checkpoint covers Block trials (the last block ragged).
 	// Default ⌈Trials/4⌉, so a sweep streams at least ~4 deltas per
@@ -170,19 +135,7 @@ func (q *Query) Normalize() error {
 		if _, err := registry.ShapeOf(q.Spec.Protocol, q.Spec.Param); err != nil {
 			return err
 		}
-		p := q.Simulate
-		if p.X < 0 || p.Y < 0 {
-			return fmt.Errorf("key: negative input counts x=%d y=%d", p.X, p.Y)
-		}
-		if p.Trials == 0 {
-			p.Trials = 1
-		}
-		if p.Trials < 0 {
-			return fmt.Errorf("key: negative trials %d", p.Trials)
-		}
-		if err := normalizeRun(&p.Seed, &p.MaxSteps, &p.Patience, &p.Scheduler, &p.Batch, &p.Eps); err != nil {
-			return err
-		}
+		return q.Simulate.Normalize()
 	case KindVerify:
 		if q.Verify == nil || q.Simulate != nil || q.Bounds != nil || q.Sweep != nil {
 			return fmt.Errorf("key: %s query must carry exactly the verify parameter block", q.Kind)
@@ -191,23 +144,7 @@ func (q *Query) Normalize() error {
 		if err != nil {
 			return err
 		}
-		n := sh.Threshold
-		if n == 0 {
-			return fmt.Errorf("key: %s does not decide a counting predicate; verify handles counting protocols", q.Spec.Protocol)
-		}
-		p := q.Verify
-		if p.MaxX == 0 {
-			p.MaxX = n + 3
-		}
-		if p.MaxX < 0 {
-			return fmt.Errorf("key: negative max_x %d", p.MaxX)
-		}
-		if p.Budget == 0 {
-			p.Budget = 1 << 20
-		}
-		if p.Budget < 0 {
-			return fmt.Errorf("key: negative budget %d", p.Budget)
-		}
+		return q.Verify.Normalize(sh.Threshold)
 	case KindBounds:
 		if q.Bounds == nil || q.Simulate != nil || q.Verify != nil || q.Sweep != nil {
 			return fmt.Errorf("key: %s query must carry exactly the bounds parameter block", q.Kind)
@@ -215,7 +152,7 @@ func (q *Query) Normalize() error {
 		if q.Spec != (Spec{}) {
 			return fmt.Errorf("key: bounds queries take no protocol spec (got %+v)", q.Spec)
 		}
-		return normalizeBounds(q.Bounds)
+		return q.Bounds.Normalize()
 	case KindSweep:
 		if q.Sweep == nil || q.Simulate != nil || q.Verify != nil || q.Bounds != nil {
 			return fmt.Errorf("key: %s query must carry exactly the sweep parameter block", q.Kind)
@@ -250,7 +187,7 @@ func (q *Query) Normalize() error {
 		if p.Trials < 0 {
 			return fmt.Errorf("key: negative trials %d", p.Trials)
 		}
-		if err := normalizeRun(&p.Seed, &p.MaxSteps, &p.Patience, &p.Scheduler, &p.Batch, &p.Eps); err != nil {
+		if err := p.RunParams.Normalize(); err != nil {
 			return err
 		}
 		if p.Block < 0 {
@@ -277,43 +214,6 @@ func (q *Query) Normalize() error {
 		return fmt.Errorf("key: unknown query kind %q", q.Kind)
 	}
 	return nil
-}
-
-// normalizeRun fills and validates the run parameters simulate and
-// sweep queries share. The scheduler's batch/eps defaults are spelled
-// out, so "default batch" and the written-out default share a key;
-// which scheduler takes them, and in what range, is sim's rule.
-func normalizeRun(seed *int64, maxSteps, patience *int, scheduler *string, batch *int, eps *float64) error {
-	if *seed == 0 {
-		*seed = 1
-	}
-	if *maxSteps == 0 {
-		*maxSteps = 1 << 20
-	}
-	if *maxSteps < 0 || *patience < 0 {
-		return fmt.Errorf("key: negative step budget (max_steps=%d patience=%d)", *maxSteps, *patience)
-	}
-	if *scheduler == "" {
-		*scheduler = "weighted"
-	}
-	var err error
-	*batch, *eps, err = sim.SchedulerParams(*scheduler, *batch, *eps)
-	return err
-}
-
-// normalizeBounds fills the selected bounds op's defaults, rejects
-// parameters that belong to a different op (a stray member would
-// otherwise split the cache between equal evaluations) and applies
-// bounds.Query.Check, the one domain rule ppbounds applies too.
-func normalizeBounds(p *BoundsParams) error {
-	known, stray := p.Defaults()
-	if !known {
-		return fmt.Errorf("key: unknown bounds op %q (have thm43, minstates, cor44, rackoff, section8)", p.Op)
-	}
-	if stray != "" {
-		return fmt.Errorf("key: bounds op %s does not take %q", p.Op, stray)
-	}
-	return p.Check()
 }
 
 // Key is the content address of one normalized query: SHA-256 of the

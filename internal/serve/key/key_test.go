@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -24,7 +26,7 @@ func simQuery() *Query {
 	return &Query{
 		Kind:     KindSimulate,
 		Spec:     Spec{Protocol: "flock", Param: 4},
-		Simulate: &SimulateParams{X: 8, Trials: 3, Seed: 7, MaxSteps: 200000, Patience: 1000, Scheduler: "weighted"},
+		Simulate: &SimulateParams{X: 8, Trials: 3, RunParams: sim.RunParams{Seed: 7, MaxSteps: 200000, Patience: 1000, Scheduler: "weighted"}},
 	}
 }
 
@@ -39,7 +41,7 @@ func TestDefaultsShareKeys(t *testing.T) {
 	verbose := &Query{
 		Kind:     KindSimulate,
 		Spec:     Spec{Protocol: "flock", Param: 4},
-		Simulate: &SimulateParams{X: 8, Trials: 1, Seed: 1, MaxSteps: 1 << 20, Scheduler: "weighted"},
+		Simulate: &SimulateParams{X: 8, Trials: 1, RunParams: sim.RunParams{Seed: 1, MaxSteps: 1 << 20, Scheduler: "weighted"}},
 	}
 	if a, b := mustKey(t, terse), mustKey(t, verbose); a != b {
 		t.Fatalf("defaulted and explicit queries split keys: %s vs %s", a, b)
@@ -47,8 +49,8 @@ func TestDefaultsShareKeys(t *testing.T) {
 
 	// A batching scheduler's batch/eps defaults are spelled out in the
 	// canonical form, so omitting them keys like writing them.
-	ta := &Query{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 8, Scheduler: "auto"}}
-	va := &Query{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 8, Scheduler: "auto", Batch: 64, Eps: 0.05}}
+	ta := &Query{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 8, RunParams: sim.RunParams{Scheduler: "auto"}}}
+	va := &Query{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 8, RunParams: sim.RunParams{Scheduler: "auto", Batch: 64, Eps: 0.05}}}
 	if a, b := mustKey(t, ta), mustKey(t, va); a != b {
 		t.Fatalf("auto batch/eps defaults split keys: %s vs %s", a, b)
 	}
@@ -67,7 +69,7 @@ func TestDefaultsShareKeys(t *testing.T) {
 
 	ts := &Query{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2, 4}}}
 	vs := &Query{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4},
-		Sweep: &SweepParams{Sizes: []int64{2, 4}, Trials: 10, Seed: 1, MaxSteps: 1 << 20, Scheduler: "weighted", Block: 3}}
+		Sweep: &SweepParams{Sizes: []int64{2, 4}, Trials: 10, Block: 3, RunParams: sim.RunParams{Seed: 1, MaxSteps: 1 << 20, Scheduler: "weighted"}}}
 	if a, b := mustKey(t, ts), mustKey(t, vs); a != b {
 		t.Fatalf("sweep defaults split keys: %s vs %s", a, b)
 	}
@@ -82,10 +84,9 @@ func TestDefaultsShareKeys(t *testing.T) {
 
 func sweepQuery() *Query {
 	return &Query{
-		Kind: KindSweep,
-		Spec: Spec{Protocol: "flock", Param: 4},
-		Sweep: &SweepParams{Sizes: []int64{2, 4, 8}, Trials: 8, Seed: 7, MaxSteps: 200000,
-			Patience: 1000, Scheduler: "weighted", Block: 2},
+		Kind:  KindSweep,
+		Spec:  Spec{Protocol: "flock", Param: 4},
+		Sweep: &SweepParams{Sizes: []int64{2, 4, 8}, Trials: 8, Block: 2, RunParams: sim.RunParams{Seed: 7, MaxSteps: 200000, Patience: 1000, Scheduler: "weighted"}},
 	}
 }
 
@@ -138,10 +139,10 @@ func TestNormalizeRejects(t *testing.T) {
 		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2}, Verify: &VerifyParams{}},
 		{Kind: KindSimulate, Spec: Spec{Protocol: "nope", Param: 4}, Simulate: &SimulateParams{X: 2}},
 		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: -1}},
-		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "weighted", Batch: 9}},
-		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "uniform", Eps: 0.1}},
-		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "auto", Eps: 1.5}},
-		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2}, Scheduler: "countbatch", Batch: -1}},
+		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, RunParams: sim.RunParams{Scheduler: "weighted", Batch: 9}}},
+		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, RunParams: sim.RunParams{Scheduler: "uniform", Eps: 0.1}}},
+		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, RunParams: sim.RunParams{Scheduler: "auto", Eps: 1.5}}},
+		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2}, RunParams: sim.RunParams{Scheduler: "countbatch", Batch: -1}}},
 		{Kind: KindVerify, Spec: Spec{Protocol: "majority", Param: 0}, Verify: &VerifyParams{}},
 		{Kind: KindVerify, Spec: Spec{Protocol: "flock", Param: 4}, Verify: &VerifyParams{Budget: -1}},
 		{Kind: KindBounds, Bounds: &BoundsParams{Op: "nope"}},
@@ -177,8 +178,8 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 	// The removed batched scheduler never keys; the error names auto.
 	for _, q := range []*Query{
-		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, Scheduler: "batched"}},
-		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2}, Scheduler: "batched", Batch: 64}},
+		{Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 4}, Simulate: &SimulateParams{X: 2, RunParams: sim.RunParams{Scheduler: "batched"}}},
+		{Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4}, Sweep: &SweepParams{Sizes: []int64{2}, RunParams: sim.RunParams{Scheduler: "batched", Batch: 64}}},
 	} {
 		if _, err := Of(q); err == nil || !strings.Contains(err.Error(), "auto") {
 			t.Errorf("%s with scheduler batched: error %v does not name auto", q.Kind, err)
@@ -202,15 +203,15 @@ type goldenEntry struct {
 func TestKeyGolden(t *testing.T) {
 	queries := map[string]*Query{
 		"simulate-flock":     simQuery(),
-		"simulate-cb-power2": {Kind: KindSimulate, Spec: Spec{Protocol: "power2", Param: 10}, Simulate: &SimulateParams{X: 1024, Scheduler: "countbatch"}},
+		"simulate-cb-power2": {Kind: KindSimulate, Spec: Spec{Protocol: "power2", Param: 10}, Simulate: &SimulateParams{X: 1024, RunParams: sim.RunParams{Scheduler: "countbatch"}}},
 		"verify-flock":       {Kind: KindVerify, Spec: Spec{Protocol: "flock", Param: 4}, Verify: &VerifyParams{MaxX: 9, Budget: 1 << 16}},
 		"bounds-section8":    {Kind: KindBounds, Bounds: &BoundsParams{Op: "section8", D: 4, T: 2, L: 2}},
 		"sweep-flock":        sweepQuery(),
 		"sweep-ci-flock": {Kind: KindSweep, Spec: Spec{Protocol: "flock", Param: 4},
 			Sweep: &SweepParams{Sizes: []int64{2, 4, 8, 16}, Trials: 48, Block: 4, CITarget: 0.05}},
-		"simulate-auto-flock": {Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 8}, Simulate: &SimulateParams{X: 4096, Seed: 3, Scheduler: "auto"}},
+		"simulate-auto-flock": {Kind: KindSimulate, Spec: Spec{Protocol: "flock", Param: 8}, Simulate: &SimulateParams{X: 4096, RunParams: sim.RunParams{Seed: 3, Scheduler: "auto"}}},
 		"sweep-cb-power2": {Kind: KindSweep, Spec: Spec{Protocol: "power2", Param: 6},
-			Sweep: &SweepParams{Sizes: []int64{64, 4096}, Trials: 6, Seed: 5, Scheduler: "countbatch", Batch: 128}},
+			Sweep: &SweepParams{Sizes: []int64{64, 4096}, Trials: 6, RunParams: sim.RunParams{Seed: 5, Scheduler: "countbatch", Batch: 128}}},
 	}
 	golden := filepath.Join("testdata", "key.golden.json")
 	if *update {

@@ -181,11 +181,11 @@ func (s *Server) Handler() http.Handler {
 		s.query(w, r, &key.Query{Kind: key.KindVerify, Spec: req.Spec, Verify: &req.VerifyParams})
 	})
 	mux.HandleFunc("POST /v1/bounds", func(w http.ResponseWriter, r *http.Request) {
-		var req boundsRequest
+		var req key.BoundsParams
 		if !s.decodeBody(w, r, &req) {
 			return
 		}
-		s.query(w, r, &key.Query{Kind: key.KindBounds, Bounds: &req.BoundsParams})
+		s.query(w, r, &key.Query{Kind: key.KindBounds, Bounds: &req})
 	})
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
 		var req sweepRequest
@@ -259,10 +259,6 @@ type simulateRequest struct {
 type verifyRequest struct {
 	Spec key.Spec `json:"spec"`
 	key.VerifyParams
-}
-
-type boundsRequest struct {
-	key.BoundsParams
 }
 
 // A reply writes one request's response. The lifecycle (run) hands it

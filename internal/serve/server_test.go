@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/serve/key"
+	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 func testServer(t *testing.T) *Server {
@@ -359,7 +361,7 @@ func TestSimulateResultDocument(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatal(rec.Body.String())
 	}
-	var res SimulateResult
+	var res sim.QueryResult
 	if err := json.Unmarshal(doc["result"], &res); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +385,7 @@ func TestVerifyResultDocument(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatal(rec.Body.String())
 	}
-	var res VerifyResult
+	var res verify.QueryResult
 	if err := json.Unmarshal(doc["result"], &res); err != nil {
 		t.Fatal(err)
 	}

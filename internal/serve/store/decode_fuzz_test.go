@@ -54,6 +54,10 @@ func FuzzStoreDecode(f *testing.F) {
 		`{"schema":1,"key":` + k + `,"key":null,"instance":"a\u00e9\ud800"}`,
 		`{"schema":1,"key":` + k + `,"result":1,"Checksum":5}`,
 		`{"schema":1,"key":` + k + `}`,
+		// A raw & or < in the result: sealing writes it escaped, which
+		// changes the bytes but not the value.
+		`{"schema":1,"key":` + k + `,"result":"a & b"}`,
+		`{"schema":1,"key":` + k + `,"result":{"<":["x<y"]}}`,
 	} {
 		f.Add([]byte(doc))
 	}
@@ -117,12 +121,23 @@ func decodeAgrees(t *testing.T, data []byte) {
 	if back == nil {
 		t.Fatalf("re-sealed artifact rejected: %s\n%s", reason, sealed)
 	}
-	// Sealing lays the result out afresh and stamps the sum of what it
-	// wrote; the result's value and every other field stay.
-	var again bytes.Buffer
-	_ = json.Compact(&again, back.Result)
+	// Sealing lays the result out afresh (json.Marshal escapes a raw
+	// &, < or > in it) and stamps the sum of what it wrote; the
+	// result's value, compared in canonical form, and every other
+	// field stay.
+	again, was := canonicalValue(t, back.Result), canonicalValue(t, compact.Bytes())
 	back.Result, back.Checksum, got.Checksum = nil, "", ""
-	if !bytes.Equal(again.Bytes(), compact.Bytes()) || !reflect.DeepEqual(back, &got) {
-		t.Fatalf("re-seal changed the artifact: %+v %s, was %+v %s", back, again.Bytes(), got, compact.Bytes())
+	if !bytes.Equal(again, was) || !reflect.DeepEqual(back, &got) {
+		t.Fatalf("re-seal changed the artifact: %+v %s, was %+v %s", back, again, got, was)
 	}
+}
+
+// canonicalValue is the canonical form of one JSON value, wrapped in
+// an object since canon takes objects only.
+func canonicalValue(t *testing.T, v []byte) []byte {
+	c, err := canon.Canonicalize([]byte(`{"v":` + string(v) + `}`))
+	if err != nil {
+		t.Fatalf("result %s does not canonicalize: %v", v, err)
+	}
+	return c
 }

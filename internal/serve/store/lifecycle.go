@@ -37,7 +37,6 @@ type lifecycle struct {
 	lru     *list.List               // front = most recently accessed
 	objects int
 	bytes   int64
-	seq     int64 // journal line ordinal, for stable sort of snapshots
 }
 
 // object is one indexed artifact.
@@ -46,7 +45,6 @@ type object struct {
 	kind string // "" until first put/journal line names it
 	size int64
 	last int64 // unix seconds of last access (seam clock)
-	seq  int64 // monotone access ordinal (finer than 1s timestamps)
 }
 
 // KeyInfo is one /v1/keys row.
@@ -112,8 +110,7 @@ func (l *lifecycle) init(s *Store) (strays []string, err error) {
 	// Oldest first, so pushing to the front leaves the newest there.
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
 	for _, f := range found {
-		l.seq++
-		l.entries[f.sha] = l.lru.PushFront(&object{sha: f.sha, size: f.size, last: f.mtime, seq: l.seq})
+		l.entries[f.sha] = l.lru.PushFront(&object{sha: f.sha, size: f.size, last: f.mtime})
 		l.objects++
 		l.bytes += f.size
 	}
@@ -142,8 +139,6 @@ func (l *lifecycle) replayJournal() {
 		if last > o.last {
 			o.last = last
 		}
-		l.seq++
-		o.seq = l.seq
 		l.lru.MoveToFront(el)
 	})
 }
@@ -211,16 +206,15 @@ func (l *lifecycle) appendJournal(op, sha, kind string, size, last int64) {
 func (l *lifecycle) noteGet(sha, kind string, size int64) {
 	now := l.s.fsys.Now().Unix()
 	l.mu.Lock()
-	l.seq++
 	if el, ok := l.entries[sha]; ok {
 		o := el.Value.(*object)
 		if kind != "" {
 			o.kind = kind
 		}
-		o.last, o.seq = now, l.seq
+		o.last = now
 		l.lru.MoveToFront(el)
 	} else {
-		l.entries[sha] = l.lru.PushFront(&object{sha: sha, kind: kind, size: size, last: now, seq: l.seq})
+		l.entries[sha] = l.lru.PushFront(&object{sha: sha, kind: kind, size: size, last: now})
 		l.objects++
 		l.bytes += size
 	}
@@ -232,14 +226,13 @@ func (l *lifecycle) noteGet(sha, kind string, size int64) {
 func (l *lifecycle) notePut(sha, kind string, size int64) {
 	now := l.s.fsys.Now().Unix()
 	l.mu.Lock()
-	l.seq++
 	if el, ok := l.entries[sha]; ok {
 		o := el.Value.(*object)
 		l.bytes += size - o.size
-		o.kind, o.size, o.last, o.seq = kind, size, now, l.seq
+		o.kind, o.size, o.last = kind, size, now
 		l.lru.MoveToFront(el)
 	} else {
-		l.entries[sha] = l.lru.PushFront(&object{sha: sha, kind: kind, size: size, last: now, seq: l.seq})
+		l.entries[sha] = l.lru.PushFront(&object{sha: sha, kind: kind, size: size, last: now})
 		l.objects++
 		l.bytes += size
 	}

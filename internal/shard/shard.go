@@ -178,17 +178,8 @@ func (sw *SweepSpec) Build() (*core.Protocol, int64, error) {
 // trial pool, sim.Options.Workers (0 = GOMAXPROCS); results are
 // byte-identical for any value.
 func (sw *SweepSpec) Options(workers int) (sim.Options, error) {
-	sched, err := sim.SchedulerByName(sw.Scheduler, sw.Batch, sw.Epsilon)
-	if err != nil {
-		return sim.Options{}, err
-	}
-	return sim.Options{
-		Seed:           sw.Seed,
-		MaxSteps:       sw.MaxSteps,
-		StablePatience: sw.Patience,
-		Scheduler:      sched,
-		Workers:        workers,
-	}, nil
+	return sim.RunParams{Seed: sw.Seed, MaxSteps: sw.MaxSteps, Patience: sw.Patience,
+		Scheduler: sw.Scheduler, Batch: sw.Batch, Eps: sw.Epsilon}.Options(workers)
 }
 
 // Cell is one shard's slice of one population size: the trial range

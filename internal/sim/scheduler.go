@@ -187,19 +187,9 @@ func SchedulerParams(name string, batch int, eps float64) (int, float64, error) 
 	return batch, eps, err
 }
 
-// SchedulerByName resolves a CLI scheduler name, with batch and eps
-// under SchedulerParams' rule.
-func SchedulerByName(name string, batch int, eps float64) (Scheduler, error) {
-	s, batch, eps, err := resolveScheduler(name, batch, eps)
-	if err != nil {
-		return nil, err
-	}
-	return s.build(batch, eps), nil
-}
-
 func resolveScheduler(name string, batch int, eps float64) (namedScheduler, int, float64, error) {
 	if name == "" {
-		name = "weighted"
+		name = defaultScheduler
 	}
 	i := slices.IndexFunc(schedulerTable, func(s namedScheduler) bool { return s.name == name })
 	if i < 0 {

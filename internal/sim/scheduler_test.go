@@ -120,6 +120,8 @@ func TestUniformDeadlocksWithoutPairs(t *testing.T) {
 	}
 }
 
+// Scheduler names resolve through RunParams.Options, the one place a
+// name becomes a Scheduler.
 func TestSchedulerByName(t *testing.T) {
 	for name, want := range map[string]string{
 		"":           "weighted",
@@ -128,15 +130,15 @@ func TestSchedulerByName(t *testing.T) {
 		"countbatch": "countbatch",
 		"auto":       "auto",
 	} {
-		s, err := SchedulerByName(name, 0, 0)
+		opts, err := RunParams{Scheduler: name}.Options(0)
 		if err != nil {
-			t.Fatalf("SchedulerByName(%q): %v", name, err)
+			t.Fatalf("scheduler %q: %v", name, err)
 		}
-		if s.Name() != want {
-			t.Errorf("SchedulerByName(%q).Name() = %q, want %q", name, s.Name(), want)
+		if opts.Scheduler.Name() != want {
+			t.Errorf("scheduler %q resolves to %q, want %q", name, opts.Scheduler.Name(), want)
 		}
 	}
-	if _, err := SchedulerByName("nope", 0, 0); err == nil {
+	if _, err := (RunParams{Scheduler: "nope"}).Options(0); err == nil {
 		t.Error("unknown scheduler name accepted")
 	}
 }
@@ -182,11 +184,11 @@ func TestSchedulerParams(t *testing.T) {
 		if _, _, err := SchedulerParams(tc.name, tc.batch, tc.eps); err == nil {
 			t.Errorf("SchedulerParams(%q, %d, %g) accepted", tc.name, tc.batch, tc.eps)
 		}
-		if _, err := SchedulerByName(tc.name, tc.batch, tc.eps); err == nil {
-			t.Errorf("SchedulerByName(%q, %d, %g) accepted", tc.name, tc.batch, tc.eps)
+		if _, err := (RunParams{Scheduler: tc.name, Batch: tc.batch, Eps: tc.eps}).Options(0); err == nil {
+			t.Errorf("scheduler %q batch %d eps %g accepted", tc.name, tc.batch, tc.eps)
 		}
 	}
-	if _, err := SchedulerByName("batched", 0, 0); err == nil || !strings.Contains(err.Error(), "auto") {
+	if _, err := (RunParams{Scheduler: "batched"}).Options(0); err == nil || !strings.Contains(err.Error(), "auto") {
 		t.Errorf("removed batched scheduler: error %v does not point at auto", err)
 	}
 }
